@@ -780,18 +780,37 @@ void spill_get(std::span<const u8> in, size_t& pos, std::pair<A, B>& v) {
   spill_get(in, pos, v.second);
 }
 
+/// One spill block as encoded on a pool thread: the bytes to store
+/// (yz-compressed when the context compresses spills), their serialized
+/// size before compression, and DetSan's serialize-twice finding for the
+/// block (empty when the block was clean or not sampled).
+struct EncodedBlock {
+  std::vector<u8> stored;
+  u64 raw = 0;
+  std::string unstable_at;
+};
+
 /// Per-shuffle spill controller. `Block` is one map task's buffered output
 /// (a partial array for sum_arrays, the per-reduce bucket vector for
-/// keyed shuffles). Lifecycle, driver thread only:
-///   note_buffered(bytes)   -- admit the stage's buffers into the ledger
-///   maybe_spill(blocks)    -- serialize + write + free if over budget
-///   restore(blocks)        -- read back + deserialize before the reduce
-/// The destructor releases the ledger bytes and removes the spill files.
+/// keyed shuffles). The codec runs on the pool; simfs writes, pricing and
+/// DetSan reports stay on the driver, in block-index order. Lifecycle:
+///   admit(bytes)      -- driver: admit the stage's buffers into the ledger
+///                        and decide, once, whether the stage spills
+///   encode(i, block)  -- any thread: serialize, DetSan check, compress
+///   write(blocks)     -- driver: write to simfs, free the ledger bytes
+///   restore(sink)     -- driver: read back and decode on the pool, handing
+///                        block i to sink(i, block) on a pool thread
+/// round_trip(blocks) chains encode/write/restore for shuffles whose map
+/// stage buffered every block before the spill decision. The destructor
+/// releases the ledger bytes and removes the spill files.
 template <typename Block>
 class ShuffleSpill {
  public:
   ShuffleSpill(Context& ctx, std::string label)
-      : ctx_(ctx), label_(std::move(label)) {}
+      : ctx_(ctx),
+        label_(std::move(label)),
+        detsan_id_(static_cast<u32>(
+            mix64(xxh64(label_.data(), label_.size(), 0)))) {}
 
   ShuffleSpill(const ShuffleSpill&) = delete;
   ShuffleSpill& operator=(const ShuffleSpill&) = delete;
@@ -800,90 +819,96 @@ class ShuffleSpill {
     if (buffered_ && !spilled_) {
       ctx_.memory_budget().release_shuffle_buffered(buffered_);
     }
-    if (spilled_) {
-      for (const std::string& path : paths_) ctx_.spill_fs()->remove(path);
-    }
+    for (const std::string& path : paths_) ctx_.spill_fs()->remove(path);
   }
 
-  void note_buffered(u64 bytes) {
+  /// Returns whether the stage's `bytes` of buffers spill.
+  bool admit(u64 bytes) {
     buffered_ = bytes;
     if (bytes) ctx_.memory_budget().note_shuffle_buffered(bytes);
+    compress_ = ctx_.spill_compress();
+    return ctx_.should_spill(bytes);
   }
 
-  bool spilled() const { return spilled_; }
+  EncodedBlock encode(u32 index, const Block& block) const {
+    EncodedBlock out;
+    spill_put(out.stored, block);
+    out.raw = out.stored.size();
+    // Serialize-twice check: a block whose wire bytes differ across two
+    // serializations of the same data carries uninitialized or
+    // address-dependent bytes. Host-only (no work::add): the sim prices
+    // the spill itself via record_io, not the encoder's determinism.
+    DetSan& ds = ctx_.detsan();
+    if (ds.enabled() && ds.should_replay(detsan_id_, index)) {
+      std::vector<u8> again;
+      spill_put(again, block);
+      ds.note_replayed();
+      if (again != out.stored) {
+        const auto diff = std::mismatch(out.stored.begin(), out.stored.end(),
+                                        again.begin(), again.end());
+        out.unstable_at =
+            "byte offset " +
+            std::to_string(diff.first - out.stored.begin()) + " of " +
+            std::to_string(out.raw);
+      }
+    }
+    if (compress_) out.stored = yz_compress(out.stored);
+    return out;
+  }
 
-  void maybe_spill(std::vector<Block>& blocks) {
-    if (!ctx_.should_spill(buffered_)) return;
-    simfs::SimFS& fs = *ctx_.spill_fs();
-    compress_ = ctx_.spill_compress();
+  void write(std::vector<EncodedBlock> blocks) {
     const std::string prefix =
         "spill/" + label_ + "-" + std::to_string(ctx_.next_spill_id()) + "/";
-    u64 raw_total = 0;
-    u64 stored_total = 0;
+    // Lowest block first, before anything reaches simfs: with fail_fast
+    // the first report throws.
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      if (blocks[i].unstable_at.empty()) continue;
+      ctx_.detsan().report_divergence_raw(
+          "spill block '" + label_ + "' #" + std::to_string(i),
+          "spill-serialize", blocks[i].unstable_at);
+    }
+    simfs::SimFS& fs = *ctx_.spill_fs();
     paths_.reserve(blocks.size());
     for (size_t i = 0; i < blocks.size(); ++i) {
-      std::vector<u8> bytes;
-      spill_put(bytes, blocks[i]);
-      // Serialize-twice check: a block whose wire bytes differ across two
-      // serializations of the same data carries uninitialized or
-      // address-dependent bytes. Host-only (no work::add): the sim prices
-      // the spill itself via record_io, not the encoder's determinism.
-      DetSan& ds = ctx_.detsan();
-      if (ds.enabled() &&
-          ds.should_replay(static_cast<u32>(mix64(
-                               xxh64(label_.data(), label_.size(), 0))),
-                           static_cast<u32>(i))) {
-        std::vector<u8> again;
-        spill_put(again, blocks[i]);
-        ds.note_replayed();
-        if (xxh64(bytes.data(), bytes.size(), 0) !=
-            xxh64(again.data(), again.size(), 0)) {
-          size_t at = std::min(bytes.size(), again.size());
-          for (size_t b = 0; b < std::min(bytes.size(), again.size()); ++b) {
-            if (bytes[b] != again[b]) {
-              at = b;
-              break;
-            }
-          }
-          ds.report_divergence_raw(
-              "spill block '" + label_ + "' #" + std::to_string(i),
-              "spill-serialize",
-              "byte offset " + std::to_string(at) + " of " +
-                  std::to_string(bytes.size()));
-        }
-      }
-      const u64 raw = bytes.size();
-      if (compress_) bytes = yz_compress(bytes);
-      const u64 stored = bytes.size();
-      const std::string path = prefix + "block-" + std::to_string(i);
-      fs.write(path, std::move(bytes));
+      const u64 raw = blocks[i].raw;
+      const u64 stored = blocks[i].stored.size();
+      paths_.push_back(prefix + "block-" + std::to_string(i));
+      fs.write(paths_.back(), std::move(blocks[i].stored));
       ctx_.memory_budget().note_spill_write(raw, stored);
-      raw_total += raw;
-      stored_total += stored;
-      paths_.push_back(path);
-      Block().swap(blocks[i]);  // the buffer is on disk now; free it
+      raw_total_ += raw;
+      stored_total_ += stored;
     }
-    record_io(label_ + ":spill", /*write=*/true, raw_total, stored_total);
+    record_io(label_ + ":spill", /*write=*/true, raw_total_, stored_total_);
     ctx_.memory_budget().release_shuffle_buffered(buffered_);
-    raw_total_ = raw_total;
-    stored_total_ = stored_total;
     spilled_ = true;
   }
 
-  void restore(std::vector<Block>& blocks) {
-    if (!spilled_) return;
+  template <typename Sink>
+  void restore(Sink&& sink) {
+    YAFIM_CHECK(spilled_, "spill: restore before write");
     simfs::SimFS& fs = *ctx_.spill_fs();
-    YAFIM_CHECK(paths_.size() == blocks.size(), "spill: block count changed");
-    for (size_t i = 0; i < paths_.size(); ++i) {
+    ctx_.pool().parallel_for(static_cast<u32>(paths_.size()), [&](u32 i) {
       std::vector<u8> bytes = fs.read(paths_[i]);
       if (compress_) bytes = yz_decompress(bytes);
+      Block block;
       size_t pos = 0;
-      spill_get(std::span<const u8>(bytes), pos, blocks[i]);
+      spill_get(std::span<const u8>(bytes), pos, block);
       YAFIM_CHECK(pos == bytes.size(), "spill: trailing bytes in block");
       ctx_.memory_budget().note_spill_read(bytes.size());
-    }
+      sink(i, std::move(block));
+    });
     record_io(label_ + ":spill-read", /*write=*/false, raw_total_,
               stored_total_);
+  }
+
+  void round_trip(std::vector<Block>& blocks) {
+    std::vector<EncodedBlock> encoded(blocks.size());
+    ctx_.pool().parallel_for(static_cast<u32>(blocks.size()), [&](u32 i) {
+      encoded[i] = encode(i, blocks[i]);
+      Block().swap(blocks[i]);  // the encoded copy replaces the buffer
+    });
+    write(std::move(encoded));
+    restore([&blocks](u32 i, Block&& block) { blocks[i] = std::move(block); });
   }
 
  private:
@@ -912,12 +937,66 @@ class ShuffleSpill {
 
   Context& ctx_;
   std::string label_;
+  /// Names this shuffle in DetSan's sampling draw (blocks have no rdd id).
+  u32 detsan_id_;
   u64 buffered_ = 0;
   bool spilled_ = false;
   bool compress_ = false;
   u64 raw_total_ = 0;
   u64 stored_total_ = 0;
   std::vector<std::string> paths_;
+};
+
+template <typename E>
+void add_cells(std::vector<E>& acc, const std::vector<E>& part) {
+  for (size_t i = 0; i < acc.size(); ++i) acc[i] += part[i];
+}
+
+/// Width-cell integer accumulators shared by one stage's tasks. A task
+/// borrows a free slot for the length of its fold; the pool runs at most
+/// one task per worker, so min(pool size, tasks) slots never run dry and
+/// the host holds that many arrays however many tasks the stage has.
+/// Integer addition is exact in any order, so which task lands in which
+/// slot cannot change the sums.
+template <typename E>
+  requires std::is_integral_v<E>
+class FoldSlots {
+ public:
+  FoldSlots(u32 slots, size_t width) : width_(width), cells_(slots) {
+    for (u32 s = slots; s > 0; --s) free_.push_back(s - 1);
+  }
+
+  /// Add every array of `parts` into one borrowed slot (any thread).
+  void fold(std::span<const std::vector<E>> parts) {
+    if (parts.empty()) return;
+    u32 slot = 0;
+    {
+      util::MutexLock lock(mutex_);
+      YAFIM_CHECK(!free_.empty(), "fold: more concurrent tasks than slots");
+      slot = free_.back();
+      free_.pop_back();
+    }
+    std::vector<E>& acc = cells_[slot];  // ours until pushed back below
+    if (acc.empty()) acc.assign(width_, E{});
+    for (const std::vector<E>& part : parts) add_cells(acc, part);
+    util::MutexLock lock(mutex_);
+    free_.push_back(slot);
+  }
+
+  /// The slots any fold touched (driver, once the folds are done).
+  std::vector<std::vector<E>> take() {
+    std::vector<std::vector<E>> out;
+    for (std::vector<E>& acc : cells_) {
+      if (!acc.empty()) out.push_back(std::move(acc));
+    }
+    return out;
+  }
+
+ private:
+  size_t width_;
+  std::vector<std::vector<E>> cells_;
+  util::Mutex mutex_;
+  std::vector<u32> free_ YAFIM_GUARDED_BY(mutex_);
 };
 
 }  // namespace detail
@@ -1244,9 +1323,9 @@ class RDD {
     std::optional<detail::ShuffleSpill<std::vector<std::vector<T>>>> spill;
     if constexpr (detail::is_spillable_v<T>) {
       spill.emplace(ctx, label);
-      spill->note_buffered(shuffle_bytes.load(std::memory_order_relaxed));
-      spill->maybe_spill(map_out);
-      spill->restore(map_out);
+      if (spill->admit(shuffle_bytes.load(std::memory_order_relaxed))) {
+        spill->round_trip(map_out);
+      }
     }
 
     std::vector<std::vector<Out>> out(reduce_tasks);
@@ -1578,60 +1657,81 @@ class RDD {
     return out;
   }
 
-  /// Element-wise sum of fixed-width numeric arrays -- the dense
+  /// Element-wise sum of fixed-width integer arrays -- the dense
   /// counterpart of reduce_by_key for counting against a known universe of
   /// `width` candidate ids. Every element must be a std::vector of exactly
   /// `width` cells (EngineError{kArrayWidthMismatch} otherwise).
   ///
-  /// Map side folds each partition's arrays into one accumulator, so
-  /// exactly one width-cell array per map task crosses the shuffle: priced
-  /// bytes are `map_tasks * byte_size(vector<E>(width))`, independent of
-  /// how many input arrays (or candidate hits) the partitions held -- the
-  /// whole point versus keying the shuffle on itemsets. Reduce side slices
-  /// the index space contiguously over tasks and sums the per-map
-  /// partials. Returns the fully merged array on the driver.
+  /// Priced as on the cluster: each map task combines its partition's
+  /// arrays into one partial, so exactly one width-cell array per map task
+  /// crosses the shuffle -- `map_tasks * byte_size(vector<E>(width))`
+  /// bytes, independent of how many input arrays (or candidate hits) the
+  /// partitions held, which is the whole point versus keying the shuffle
+  /// on itemsets. The reduce side slices the index space contiguously over
+  /// tasks and is priced as summing all map_tasks partials.
+  ///
+  /// The host never holds those partials at once. A task folds its inputs
+  /// into one of min(pool size, map_tasks) FoldSlots; when the stage
+  /// spills, it encodes its partial straight into its spill block instead,
+  /// and the restored blocks fold into the same slots. :reduce sums the
+  /// slots. The fold is exact only for integer cells, hence integral E.
+  /// Returns the fully merged array on the driver.
   template <typename E = typename detail::ArrayTraits<T>::elem_type>
     requires(detail::ArrayTraits<T>::is_array &&
-             std::is_arithmetic_v<typename detail::ArrayTraits<T>::elem_type>)
+             std::is_same_v<E, typename detail::ArrayTraits<T>::elem_type> &&
+             std::is_integral_v<E>)
   std::vector<E> sum_arrays(size_t width,
                             const std::string& label = "sumArrays") const {
     Context& ctx = node_->ctx();
     const u32 map_tasks = node_->num_partitions();
+    // Length prefix + cells: every partial has this size, so the spill
+    // decision is known before the stage runs.
+    const u64 partial_bytes = 8 + width * sizeof(E);
 
     lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<E>> partials(map_tasks);
+    detail::ShuffleSpill<std::vector<E>> spill(ctx, label);
+    const bool spilling = spill.admit(map_tasks * partial_bytes);
+    std::vector<detail::EncodedBlock> blocks(spilling ? map_tasks : 0);
+    detail::FoldSlots<E> slots(std::min(ctx.pool().size(), map_tasks), width);
     std::atomic<u64> shuffle_bytes{0};
     std::atomic<bool> bad_width{false};
     ctx.run_stage_with_shuffle(
         label + ":map-combine", map_tasks,
         [&](u32 pid) {
           auto in = node_->get(pid);
-          std::vector<E> acc(width, E{});
           for (const auto& arr : *in) {
             if (arr.size() != width) {
               bad_width.store(true, std::memory_order_relaxed);
               return;
             }
-            work::add(width);
-            for (size_t i = 0; i < width; ++i) acc[i] += arr[i];
           }
-          // Permuted-order re-accumulation: += over a permuted element
-          // order must land on the same cells. Exact for integers; for
-          // floating-point cells this is the non-associativity catch.
+          work::add(static_cast<u64>(width) * in->size());
+          shuffle_bytes.fetch_add(partial_bytes, std::memory_order_relaxed);
           DetSan& ds = ctx.detsan();
-          if (ds.should_replay(node_->id(), pid)) {
+          const bool replay = ds.should_replay(node_->id(), pid);
+          if (!spilling && !replay) {
+            slots.fold(*in);  // the partial never materializes
+            return;
+          }
+          std::vector<E> partial(width, E{});
+          for (const auto& arr : *in) detail::add_cells(partial, arr);
+          // Permuted-order re-accumulation: += over a permuted element
+          // order must land on the same cells.
+          if (replay) {
             std::vector<E> racc(width, E{});
             for (u32 i : DetSan::permutation(
                      in->size(), ds.replay_seed(node_->id(), pid))) {
               work::add(width);
-              const auto& arr = (*in)[i];
-              for (size_t c = 0; c < width; ++c) racc[c] += arr[c];
+              detail::add_cells(racc, (*in)[i]);
             }
-            detail::detsan_check_ordered(ds, node_->id(), "sum_arrays", acc,
-                                         racc);
+            detail::detsan_check_ordered(ds, node_->id(), "sum_arrays",
+                                         partial, racc);
           }
-          shuffle_bytes.fetch_add(byte_size(acc), std::memory_order_relaxed);
-          partials[pid] = std::move(acc);
+          if (spilling) {
+            blocks[pid] = spill.encode(pid, partial);
+          } else {
+            slots.fold(std::span(&partial, 1));
+          }
         },
         shuffle_bytes);
     if (bad_width.load(std::memory_order_relaxed)) {
@@ -1642,22 +1742,23 @@ class RDD {
     obs::count(obs::CounterId::kArrayReduceBytes,
                shuffle_bytes.load(std::memory_order_relaxed));
 
-    // The per-map partials are the stage's in-flight shuffle buffers; over
-    // budget they round-trip through (compressed) simfs before the reduce.
-    detail::ShuffleSpill<std::vector<E>> spill(ctx, label);
-    spill.note_buffered(shuffle_bytes.load(std::memory_order_relaxed));
-    spill.maybe_spill(partials);
-    spill.restore(partials);
+    if (spilling) {
+      spill.write(std::move(blocks));
+      spill.restore([&slots](u32, std::vector<E>&& part) {
+        slots.fold(std::span(&part, 1));
+      });
+    }
 
     const u32 reduce_tasks = static_cast<u32>(std::max<size_t>(
         1, std::min<size_t>(ctx.default_partitions(), width)));
+    const std::vector<std::vector<E>> parts = slots.take();
     std::vector<E> merged(width, E{});
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
       const size_t begin = width * r / reduce_tasks;
       const size_t end = width * (r + 1) / reduce_tasks;
+      // Priced as summing every map task's partial, as a cluster would.
       work::add(static_cast<u64>(end - begin) * map_tasks);
-      for (u32 m = 0; m < map_tasks; ++m) {
-        const auto& part = partials[m];
+      for (const std::vector<E>& part : parts) {
         for (size_t i = begin; i < end; ++i) merged[i] += part[i];
       }
     });

@@ -106,10 +106,13 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
   for (u32 k = 2; !frequent.empty();) {
     // Build the batch of candidate levels [k, k + batch).
     std::vector<std::vector<Itemset>> batch_candidates;
-    std::vector<Itemset> base = frequent;
     u64 total_candidates = 0;
     const u32 limit = batch_limit(k);
     for (u32 level = k; level - k < limit; ++level) {
+      // The first level generates from the verified frequent sets, each
+      // later level from the candidates just generated.
+      const std::vector<Itemset>& base =
+          batch_candidates.empty() ? frequent : batch_candidates.back();
       // Pre-generation guard: joining a large *unverified* level is a
       // combinatorial explosion (e.g. C2 = all pairs of L1 would join to
       // nearly C(|L1|, 3) triples). Generate speculative levels only from
@@ -128,7 +131,6 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
         break;
       }
       total_candidates += candidates.size();
-      base = candidates;  // next level generates from these candidates
       batch_candidates.push_back(std::move(candidates));
     }
     if (batch_candidates.empty()) break;

@@ -208,22 +208,21 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
     engine::work::Scope driver_scope;
     std::vector<std::vector<Itemset>> batch;
-    {
-      std::vector<Itemset> base = frequent;
-      for (u32 j = 0; j < combine; ++j) {
-        // Guard speculative growth: generating level j+1 from a large
-        // *unverified* level j is a combinatorial explosion (the join is
-        // quadratic within shared-prefix groups). Verified levels (j == 0)
-        // are always generated.
-        if (j > 0 && base.size() > options.combine_candidate_budget) break;
-        std::vector<Itemset> candidates = apriori_gen(base, k + j);
-        if (candidates.empty()) break;
-        if (j > 0 && candidates.size() > options.combine_candidate_budget) {
-          break;  // count this level next batch, from verified sets
-        }
-        base = candidates;
-        batch.push_back(std::move(candidates));
+    for (u32 j = 0; j < combine; ++j) {
+      // Level k generates from the verified frequent sets, each later
+      // level from the candidates just generated.
+      const std::vector<Itemset>& base = j == 0 ? frequent : batch.back();
+      // Guard speculative growth: generating level j+1 from a large
+      // *unverified* level j is a combinatorial explosion (the join is
+      // quadratic within shared-prefix groups). Verified levels (j == 0)
+      // are always generated.
+      if (j > 0 && base.size() > options.combine_candidate_budget) break;
+      std::vector<Itemset> candidates = apriori_gen(base, k + j);
+      if (candidates.empty()) break;
+      if (j > 0 && candidates.size() > options.combine_candidate_budget) {
+        break;  // count this level next batch, from verified sets
       }
+      batch.push_back(std::move(candidates));
     }
     if (batch.empty()) break;
     const u32 levels_in_batch = static_cast<u32>(batch.size());

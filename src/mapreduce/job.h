@@ -269,9 +269,9 @@ class JobRunner {
         spill;
     if constexpr (engine::detail::is_spillable_v<std::pair<K, V>>) {
       spill.emplace(ctx_, spec.name);
-      spill->note_buffered(shuffle_bytes.load(std::memory_order_relaxed));
-      spill->maybe_spill(map_out);
-      spill->restore(map_out);
+      if (spill->admit(shuffle_bytes.load(std::memory_order_relaxed))) {
+        spill->round_trip(map_out);
+      }
     }
 
     // Reduce phase: group values per key, reduce, collect output.

@@ -14,14 +14,13 @@ constexpr u8 kYzRepeat = 0x01;
 // = 6 bytes per token vs. 1 byte per literal element once inside a run).
 constexpr u64 kMinRepeatRun = 8;
 
-void put_u32(std::vector<u8>& out, u32 v) {
-  const u8* b = reinterpret_cast<const u8*>(&v);
-  out.insert(out.end(), b, b + sizeof(v));
-}
-
-void put_u64(std::vector<u8>& out, u64 v) {
-  const u8* b = reinterpret_cast<const u8*>(&v);
-  out.insert(out.end(), b, b + sizeof(v));
+// resize + memcpy rather than a range insert from the value's address: GCC
+// 12 misreads that insert as an overflowing copy (-Wstringop-overflow).
+template <typename T>
+void put_pod(std::vector<u8>& out, T v) {
+  const size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
 template <typename T>
@@ -36,15 +35,15 @@ T take_pod(std::span<const u8> data, u64& pos) {
 
 std::vector<u8> yz_compress(std::span<const u8> raw) {
   std::vector<u8> out;
-  put_u32(out, kYzMagic);
-  put_u64(out, raw.size());
+  put_pod<u32>(out, kYzMagic);
+  put_pod<u64>(out, raw.size());
   u64 i = 0;
   u64 lit_start = 0;
   auto flush_literals = [&](u64 end) {
     while (lit_start < end) {
       const u64 n = std::min<u64>(end - lit_start, 0xffffffffull);
       out.push_back(kYzLiteral);
-      put_u32(out, static_cast<u32>(n));
+      put_pod<u32>(out, static_cast<u32>(n));
       out.insert(out.end(), raw.data() + lit_start, raw.data() + lit_start + n);
       lit_start += n;
     }
@@ -58,7 +57,7 @@ std::vector<u8> yz_compress(std::span<const u8> raw) {
     if (run >= kMinRepeatRun) {
       flush_literals(i);
       out.push_back(kYzRepeat);
-      put_u32(out, static_cast<u32>(run));
+      put_pod<u32>(out, static_cast<u32>(run));
       out.push_back(raw[i]);
       i += run;
       lit_start = i;

@@ -353,14 +353,25 @@ TEST(SumArrays, ShuffleBytesPricedAsArrayWidthPerMapTask) {
 }
 
 TEST(SumArrays, WidthMismatchThrows) {
-  engine::Context ctx(small_cluster());
-  std::vector<std::vector<u64>> arrays{{1, 2, 3}, {4, 5}};
-  auto rdd = ctx.parallelize(std::move(arrays), 2);
-  try {
-    (void)rdd.sum_arrays(3);
-    FAIL() << "expected EngineError";
-  } catch (const engine::EngineError& e) {
-    EXPECT_EQ(e.kind(), engine::EngineErrorKind::kArrayWidthMismatch);
+  for (const bool spill : {false, true}) {
+    auto opts = small_cluster();
+    // A 1-byte shuffle buffer sends every partial through simfs.
+    if (spill) opts.cluster.shuffle_buffer_bytes = 1;
+    engine::Context ctx(opts);
+    simfs::SimFS fs(ctx.cluster());
+    ctx.set_spill_fs(&fs);
+    std::vector<std::vector<u64>> arrays{{1, 2, 3}, {4, 5}};
+    auto rdd = ctx.parallelize(std::move(arrays), 2);
+    try {
+      (void)rdd.sum_arrays(3);
+      FAIL() << "expected EngineError, spill=" << spill;
+    } catch (const engine::EngineError& e) {
+      EXPECT_EQ(e.kind(), engine::EngineErrorKind::kArrayWidthMismatch)
+          << "spill=" << spill;
+    }
+    // The error fires before any block reaches simfs.
+    EXPECT_EQ(ctx.memory_budget().spill_blocks_written(), 0u);
+    EXPECT_EQ(ctx.memory_budget().shuffle_buffered_bytes(), 0u);
   }
 }
 
@@ -370,6 +381,75 @@ TEST(SumArrays, EmptyPartitionsContributeZeros) {
   std::vector<std::vector<u64>> arrays{{1, 2}, {10, 20}};
   const auto merged = ctx.parallelize(std::move(arrays), 8).sum_arrays(2);
   EXPECT_EQ(merged, (std::vector<u64>{11, 22}));
+}
+
+/// One sum_arrays over 96 partitions of zero-heavy arrays on a fresh
+/// context with `threads` host threads. With `spill`, a 1-byte shuffle
+/// buffer sends every partial through simfs.
+struct FoldRun {
+  std::vector<u64> merged;
+  std::vector<sim::StageRecord> stages;
+  double sim_seconds = 0.0;
+  u64 spill_blocks = 0;
+};
+
+FoldRun sum_96_partitions(const std::vector<std::vector<u64>>& arrays,
+                          size_t width, u32 threads, bool spill) {
+  auto opts = small_cluster();
+  opts.host_threads = threads;
+  if (spill) opts.cluster.shuffle_buffer_bytes = 1;
+  engine::Context ctx(opts);
+  simfs::SimFS fs(ctx.cluster());
+  ctx.set_spill_fs(&fs);
+  FoldRun run;
+  run.merged = ctx.parallelize(arrays, 96).sum_arrays(width, "fold");
+  run.stages = ctx.report().stages();
+  run.sim_seconds = ctx.sim_seconds();
+  run.spill_blocks = ctx.memory_budget().spill_blocks_written();
+  return run;
+}
+
+TEST(SumArrays, FoldIsIdenticalAcrossHostThreadCounts) {
+  // 200 arrays over 96 partitions: every task folds two or three inputs,
+  // and tasks outnumber every pool's fold slots.
+  const size_t width = 257;
+  Rng rng(29);
+  std::vector<std::vector<u64>> arrays(200, std::vector<u64>(width, 0));
+  std::vector<u64> expected(width, 0);
+  for (auto& a : arrays) {
+    for (size_t i = 0; i < width; ++i) {
+      if (rng.bernoulli(0.2)) a[i] = rng.below(50);
+      expected[i] += a[i];
+    }
+  }
+
+  for (const bool spill : {false, true}) {
+    const FoldRun ref = sum_96_partitions(arrays, width, 1, spill);
+    EXPECT_EQ(ref.merged, expected) << "spill=" << spill;
+    EXPECT_EQ(ref.spill_blocks, spill ? 96u : 0u);
+    for (const u32 threads : {3u, 8u}) {
+      const FoldRun run = sum_96_partitions(arrays, width, threads, spill);
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " spill=" + std::to_string(spill);
+      EXPECT_EQ(run.merged, ref.merged) << where;
+      EXPECT_EQ(run.spill_blocks, ref.spill_blocks) << where;
+      ASSERT_EQ(run.stages.size(), ref.stages.size()) << where;
+      for (size_t s = 0; s < ref.stages.size(); ++s) {
+        const sim::StageRecord& a = run.stages[s];
+        const sim::StageRecord& b = ref.stages[s];
+        const std::string stage = where + " " + b.label;
+        EXPECT_EQ(a.label, b.label) << stage;
+        EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << stage;
+        EXPECT_EQ(a.dfs_read_bytes, b.dfs_read_bytes) << stage;
+        EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << stage;
+        ASSERT_EQ(a.tasks.size(), b.tasks.size()) << stage;
+        for (size_t t = 0; t < b.tasks.size(); ++t) {
+          EXPECT_EQ(a.tasks[t].work, b.tasks[t].work) << stage << " task " << t;
+        }
+      }
+      EXPECT_EQ(run.sim_seconds, ref.sim_seconds) << where;
+    }
+  }
 }
 
 // ---- adversarial hashing ------------------------------------------------

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -322,6 +324,107 @@ TEST(DetSan, MapReduceCombinerHookCleanOnCommutativeCombine) {
   (void)runner.run(combine_spec(/*commutative=*/true), "in", "out");
   EXPECT_GT(ctx.detsan().tasks_replayed(), 0u);
   EXPECT_EQ(ctx.detsan().divergences(), 0u);
+}
+
+// --- sum_arrays and shuffle spill ----------------------------------------
+
+TEST(DetSan, SumArraysTasksAndSpillBlocksStillReplayed) {
+  for (const bool spill : {false, true}) {
+    Context::Options opts = detsan_on(1.0);
+    opts.host_threads = 4;
+    if (spill) opts.cluster.shuffle_buffer_bytes = 1;
+    Context ctx(opts);
+    simfs::SimFS fs(ctx.cluster());
+    ctx.set_spill_fs(&fs);
+    std::vector<std::vector<u64>> arrays(16, std::vector<u64>(40, 3));
+    const auto merged = ctx.parallelize(std::move(arrays), 8).sum_arrays(40);
+    EXPECT_EQ(merged, std::vector<u64>(40, 48));
+    // One replay per map task, plus one re-serialization per spill block.
+    EXPECT_EQ(ctx.detsan().tasks_replayed(), spill ? 16u : 8u);
+    EXPECT_EQ(ctx.detsan().divergences(), 0u);
+    EXPECT_EQ(ctx.memory_budget().spill_blocks_written(), spill ? 8u : 0u);
+  }
+}
+
+}  // namespace
+
+/// A spillable value whose encoding can be unstable, as uninitialized
+/// bytes would make it: an unstable one serializes differently each time.
+struct Flaky {
+  u64 value = 0;
+  bool unstable = false;
+};
+
+template <>
+struct detail::SpillFormat<Flaky> : std::true_type {};
+
+std::atomic<u64> g_flaky_writes{0};
+
+void spill_put(std::vector<u8>& out, const Flaky& f) {
+  const u64 v = f.unstable ? g_flaky_writes.fetch_add(1) : f.value;
+  const size_t at = out.size();
+  out.resize(at + sizeof(v));
+  std::memcpy(out.data() + at, &v, sizeof(v));
+}
+
+void spill_get(std::span<const u8> in, size_t& pos, Flaky& f) {
+  std::memcpy(&f.value, in.data() + pos, sizeof(f.value));
+  pos += sizeof(f.value);
+}
+
+namespace {
+
+/// 64 pairs over 8 partitions (8 per map task); the unstable values at 17
+/// and 43 put divergent bytes into spill blocks #2 and #5.
+std::vector<std::pair<u32, Flaky>> flaky_pairs() {
+  std::vector<std::pair<u32, Flaky>> pairs;
+  for (u32 i = 0; i < 64; ++i) {
+    pairs.emplace_back(i % 3, Flaky{i, i == 17 || i == 43});
+  }
+  return pairs;
+}
+
+Context::Options spilling_detsan(bool fail_fast) {
+  Context::Options opts = detsan_on(1.0, fail_fast);
+  opts.host_threads = 4;
+  opts.cluster.shuffle_buffer_bytes = 1;
+  return opts;
+}
+
+TEST(DetSan, UnstableSpillBlocksReportedInBlockOrder) {
+  Context ctx(spilling_detsan(/*fail_fast=*/false));
+  simfs::SimFS fs(ctx.cluster());
+  ctx.set_spill_fs(&fs);
+  const auto groups = ctx.parallelize(flaky_pairs(), 8)
+                          .group_by_key(4, std::hash<u32>{}, "gbk")
+                          .collect();
+  EXPECT_EQ(groups.size(), 3u);
+  EXPECT_EQ(ctx.detsan().divergences(), 2u);
+  std::vector<std::string> named;
+  for (const auto& diag : ctx.linter().diagnostics()) {
+    if (diag.rule == "YL007") named.push_back(diag.node_name);
+  }
+  EXPECT_EQ(named, (std::vector<std::string>{"spill block 'gbk' #2",
+                                             "spill block 'gbk' #5"}));
+}
+
+TEST(DetSan, FailFastNamesLowestDivergingSpillBlock) {
+  Context ctx(spilling_detsan(/*fail_fast=*/true));
+  simfs::SimFS fs(ctx.cluster());
+  ctx.set_spill_fs(&fs);
+  try {
+    (void)ctx.parallelize(flaky_pairs(), 8)
+        .group_by_key(4, std::hash<u32>{}, "gbk")
+        .collect();
+    FAIL() << "expected DetSanError";
+  } catch (const DetSanError& e) {
+    EXPECT_EQ(e.node_name(), "spill block 'gbk' #2");
+    EXPECT_NE(std::string(e.what()).find("spill-serialize"),
+              std::string::npos);
+  }
+  // The report comes before any block reaches simfs.
+  EXPECT_EQ(ctx.memory_budget().spill_blocks_written(), 0u);
+  EXPECT_TRUE(fs.list("spill/").empty());
 }
 
 // --- end-to-end: the stock pipelines replay clean ------------------------

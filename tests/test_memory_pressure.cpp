@@ -12,6 +12,7 @@
 // pricing round-up under executor blacklisting.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "fim/hash_tree.h"
 #include "fim/mr_apriori.h"
 #include "fim/yafim.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace yafim::fim {
@@ -282,6 +284,115 @@ TEST(MemoryPressure, MrAprioriSpillsUnderShuffleBudget) {
   const auto run = mr_apriori_mine(ctx, fs, db, opt);
   EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
   EXPECT_GT(ctx.memory_budget().spill_blocks_written(), 0u);
+}
+
+/// One partial's wire format, written independently of the engine's
+/// encoder: the u64 cell count, then the cells.
+std::vector<u8> serialize_partial(const std::vector<u64>& cells) {
+  const u64 n = cells.size();
+  std::vector<u8> out(sizeof(n) + n * sizeof(u64));
+  std::memcpy(out.data(), &n, sizeof(n));
+  std::memcpy(out.data() + sizeof(n), cells.data(), n * sizeof(u64));
+  return out;
+}
+
+TEST(MemoryPressure, SumArraysSpillsOneBlockPerMapTask) {
+  const u32 map_tasks = 12;
+  const size_t width = 300;
+  // parallelize slices contiguously, so partition p holds arrays 2p and
+  // 2p + 1 and its partial is their sum.
+  Rng rng(77);
+  std::vector<std::vector<u64>> arrays(2 * map_tasks,
+                                       std::vector<u64>(width, 0));
+  for (auto& a : arrays) {
+    for (u64& cell : a) {
+      if (rng.bernoulli(0.1)) cell = rng.below(9);
+    }
+  }
+
+  engine::Context mem_ctx(small_cluster());
+  const auto in_memory =
+      mem_ctx.parallelize(arrays, map_tasks).sum_arrays(width, "sum");
+
+  auto copts = small_cluster();
+  copts.cluster.shuffle_buffer_bytes = 16;
+  engine::Context ctx(copts);
+  simfs::SimFS fs(ctx.cluster());
+  ctx.set_spill_fs(&fs);
+  const auto spilled =
+      ctx.parallelize(arrays, map_tasks).sum_arrays(width, "sum");
+  EXPECT_EQ(spilled, in_memory);
+
+  const engine::MemoryBudget& mb = ctx.memory_budget();
+  EXPECT_EQ(mb.spill_blocks_written(), map_tasks);
+  EXPECT_EQ(mb.spill_blocks_read(), map_tasks);
+  u64 raw = 0;
+  u64 stored = 0;
+  for (u32 p = 0; p < map_tasks; ++p) {
+    std::vector<u64> partial(width);
+    for (size_t i = 0; i < width; ++i) {
+      partial[i] = arrays[2 * p][i] + arrays[2 * p + 1][i];
+    }
+    const std::vector<u8> bytes = serialize_partial(partial);
+    raw += bytes.size();
+    stored += yz_compress(bytes).size();
+  }
+  EXPECT_EQ(mb.spill_bytes_raw(), raw);
+  EXPECT_EQ(mb.spill_bytes_stored(), stored);
+  // The action leaves no spill files behind and a balanced ledger.
+  EXPECT_TRUE(fs.list("spill/").empty());
+  EXPECT_EQ(mb.shuffle_buffered_bytes(), 0u);
+}
+
+TEST(MemoryPressure, SpillingGroupByKeyUnderCorruptionIsThreadCountInvariant) {
+  struct Outcome {
+    std::vector<std::pair<u32, std::vector<u64>>> groups;
+    simfs::IntegrityStats integrity;
+    u64 blocks = 0;
+    u64 stored = 0;
+  };
+  auto run = [](u32 threads) {
+    auto copts = small_cluster();
+    copts.host_threads = threads;
+    copts.cluster.shuffle_buffer_bytes = 64;
+    engine::Context ctx(copts);
+    sim::CorruptionProfile corrupt;
+    corrupt.seed = 23;
+    corrupt.block_p = 0.2;
+    simfs::SimFS fs(ctx.cluster(), corrupt);
+    ctx.set_spill_fs(&fs);
+    std::vector<std::pair<u32, u64>> pairs;
+    for (u64 i = 0; i < 2000; ++i) {
+      pairs.emplace_back(static_cast<u32>(i % 37), i * 7);
+    }
+    Outcome out;
+    out.groups =
+        ctx.parallelize(std::move(pairs), 16).group_by_key(5).collect();
+    out.integrity = fs.integrity();
+    out.blocks = ctx.memory_budget().spill_blocks_written();
+    out.stored = ctx.memory_budget().spill_bytes_stored();
+    return out;
+  };
+
+  const Outcome one = run(1);
+  EXPECT_EQ(one.blocks, 16u);
+  EXPECT_GT(one.integrity.corrupt_detected, 0u) << "the profile must fire";
+  EXPECT_GT(one.integrity.repaired_by_replica, 0u);
+  EXPECT_EQ(one.integrity.unrecoverable, 0u);
+  u64 values = 0;
+  for (const auto& [key, vs] : one.groups) values += vs.size();
+  EXPECT_EQ(values, 2000u);
+
+  const Outcome four = run(4);
+  EXPECT_EQ(four.groups, one.groups);
+  EXPECT_EQ(four.blocks, one.blocks);
+  EXPECT_EQ(four.stored, one.stored);
+  EXPECT_EQ(four.integrity.blocks_verified, one.integrity.blocks_verified);
+  EXPECT_EQ(four.integrity.corrupt_injected, one.integrity.corrupt_injected);
+  EXPECT_EQ(four.integrity.corrupt_detected, one.integrity.corrupt_detected);
+  EXPECT_EQ(four.integrity.repaired_by_replica,
+            one.integrity.repaired_by_replica);
+  EXPECT_EQ(four.integrity.unrecoverable, one.integrity.unrecoverable);
 }
 
 // ---- deterministic memory fault axis ------------------------------------
