@@ -2,22 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
 
 namespace yafim::fim {
-
-namespace {
-
-/// Build-time node: owns its bucket/children vectors while the insert/split
-/// algorithm is still moving candidates around. Flattened into the arena
-/// representation (HashTree::Node + the two slot arenas) once the shape is
-/// final, then discarded.
-struct BuildNode {
-  bool leaf = true;
-  std::vector<u32> bucket;    ///< candidate ids (leaf only)
-  std::vector<u32> children;  ///< branching slots -> node index (interior)
-};
-
-}  // namespace
 
 u32 HashTree::default_branching(u64 num_candidates, u32 k) {
   if (num_candidates == 0 || k == 0) return 8;
@@ -29,127 +17,90 @@ u32 HashTree::default_branching(u64 num_candidates, u32 k) {
 
 HashTree::HashTree(std::vector<Itemset> candidates, u32 branching,
                    u32 leaf_capacity)
-    : branching_(branching), leaf_capacity_(leaf_capacity) {
-  size_ = static_cast<u32>(candidates.size());
-  if (branching_ == 0) {
-    const u32 k =
-        candidates.empty() ? 1 : static_cast<u32>(candidates.front().size());
-    branching_ = default_branching(candidates.size(), k);
-  }
+    : HashTree(to_rows(candidates), branching, leaf_capacity) {}
+
+HashTree::HashTree(ItemsetRows candidates, u32 branching, u32 leaf_capacity)
+    : rows_(std::move(candidates)),
+      branching_(branching),
+      leaf_capacity_(leaf_capacity) {
+  size_ = static_cast<u32>(rows_.size());
+  if (branching_ == 0) branching_ = default_branching(size_, rows_.width);
   YAFIM_CHECK(branching_ >= 2, "branching must be >= 2");
   YAFIM_CHECK(leaf_capacity_ >= 1, "leaf capacity must be >= 1");
-  if (!candidates.empty()) {
-    k_ = static_cast<u32>(candidates.front().size());
-    YAFIM_CHECK(k_ >= 1, "candidates must be non-empty itemsets");
-    for (const Itemset& c : candidates) {
-      YAFIM_CHECK(c.size() == k_, "all candidates must have equal size");
-      YAFIM_DCHECK(is_canonical(c), "candidates must be canonical");
-    }
+  YAFIM_CHECK(rows_.items.size() == size_t{size_} * rows_.width,
+              "candidate rows must be whole, non-empty itemsets");
+  for (u32 ci = 0; ci < size_; ++ci) {
+    YAFIM_DCHECK(std::adjacent_find(candidate_items(ci),
+                                    candidate_items(ci) + k(),
+                                    std::greater_equal<Item>()) ==
+                     candidate_items(ci) + k(),
+                 "candidates must be canonical");
   }
+  build();
+}
 
-  item_arena_.reserve(size_t{size_} * k_);
-  for (const Itemset& c : candidates) {
-    item_arena_.insert(item_arena_.end(), c.begin(), c.end());
-  }
-
-  // Phase 1: grow the tree through vector-backed build nodes (the classic
-  // insert-and-split loop). Candidate items are read from the arena so the
-  // input vector is no longer needed past this point.
-  std::vector<BuildNode> build;
-  build.emplace_back();  // root starts as an empty leaf
-
-  const auto insert = [&](u32 candidate_id) {
-    const Item* items = candidate_items(candidate_id);
-    u32 node_idx = kRoot;
-    u32 depth = 0;
-    // Descend through interior nodes along the candidate's own items.
-    while (!build[node_idx].leaf) {
-      const u32 slot = child_slot(items[depth]);
-      u32 child = build[node_idx].children[slot];
-      if (child == kNone) {
-        child = static_cast<u32>(build.size());
-        build.emplace_back();  // new empty leaf (may invalidate references)
-        build[node_idx].children[slot] = child;
-      }
-      node_idx = child;
+void HashTree::build() {
+  // Node i's candidates are the run bucket_arena_[first, first + count);
+  // the root's run is every id in ascending order. Nodes are processed in
+  // index order, which is breadth-first because children are appended.
+  bucket_arena_.resize(size_);
+  std::iota(bucket_arena_.begin(), bucket_arena_.end(), 0u);
+  nodes_.push_back(Node{0, size_, kNone});
+  std::vector<u32> slot_of;  // child slot per position of the run
+  std::vector<u32> sorted;   // the run, stably ordered by child slot
+  std::vector<u32> cursor(branching_);
+  u32 depth = 0;
+  size_t level_end = 1;  // first node of depth + 1
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (i == level_end) {
       ++depth;
+      level_end = nodes_.size();
     }
-    build[node_idx].bucket.push_back(candidate_id);
-    return std::pair<u32, u32>{node_idx, depth};
-  };
-
-  // A just-split child can itself overflow when many candidates share a
-  // hash path; recurse (bounded by depth < k).
-  const auto split = [&](auto&& self, u32 node_idx, u32 depth) -> void {
-    std::vector<u32> bucket = std::move(build[node_idx].bucket);
-    build[node_idx].bucket.clear();
-    build[node_idx].leaf = false;
-    build[node_idx].children.assign(branching_, kNone);
-
-    for (u32 candidate_id : bucket) {
-      const u32 slot = child_slot(candidate_items(candidate_id)[depth]);
-      u32 child = build[node_idx].children[slot];
-      if (child == kNone) {
-        child = static_cast<u32>(build.size());
-        build.emplace_back();
-        build[node_idx].children[slot] = child;
-      }
-      build[child].bucket.push_back(candidate_id);
-      if (build[child].bucket.size() > leaf_capacity_ && depth + 1 < k_) {
-        self(self, child, depth + 1);
-      }
+    const u32 first = nodes_[i].first;
+    const u32 count = nodes_[i].count;
+    if (count <= leaf_capacity_ || depth >= k()) {
+      nodes_[i].leaf_id = num_leaves_++;
+      continue;
     }
-  };
-
-  for (u32 i = 0; i < size_; ++i) {
-    const auto [node_idx, depth] = insert(i);
-    if (build[node_idx].bucket.size() > leaf_capacity_ && depth < k_) {
-      split(split, node_idx, depth);
+    // Interior: counting sort of the run by child_slot(items[depth]); each
+    // non-empty slot becomes a child over its sub-run.
+    u32* run = bucket_arena_.data() + first;
+    slot_of.resize(count);
+    sorted.resize(count);
+    std::fill(cursor.begin(), cursor.end(), 0u);
+    for (u32 p = 0; p < count; ++p) {
+      slot_of[p] = child_slot(candidate_items(run[p])[depth]);
+      ++cursor[slot_of[p]];
     }
-  }
-
-  // Phase 2: flatten. Node indices are preserved, so probe traversal order
-  // (and leaf_id assignment, which follows node order) matches the build
-  // tree exactly.
-  nodes_.resize(build.size());
-  bucket_arena_.reserve(size_);
-  num_leaves_ = 0;
-  for (size_t i = 0; i < build.size(); ++i) {
-    const BuildNode& src = build[i];
-    Node& dst = nodes_[i];
-    if (src.leaf) {
-      dst.first = static_cast<u32>(bucket_arena_.size());
-      dst.count = static_cast<u32>(src.bucket.size());
-      dst.leaf_id = num_leaves_++;
-      bucket_arena_.insert(bucket_arena_.end(), src.bucket.begin(),
-                           src.bucket.end());
-    } else {
-      dst.first = static_cast<u32>(child_arena_.size());
-      dst.count = branching_;
-      dst.leaf_id = kNone;
-      child_arena_.insert(child_arena_.end(), src.children.begin(),
-                          src.children.end());
+    const u32 children = static_cast<u32>(child_arena_.size());
+    child_arena_.resize(children + branching_, kNone);
+    u32 offset = 0;
+    for (u32 slot = 0; slot < branching_; ++slot) {
+      const u32 n = cursor[slot];
+      cursor[slot] = offset;
+      if (n == 0) continue;
+      child_arena_[children + slot] = static_cast<u32>(nodes_.size());
+      nodes_.push_back(Node{first + offset, n, kNone});
+      offset += n;
     }
+    for (u32 p = 0; p < count; ++p) sorted[cursor[slot_of[p]]++] = run[p];
+    std::copy(sorted.begin(), sorted.end(), run);
+    nodes_[i] = Node{children, branching_, kNone};
   }
 }
 
-std::vector<Itemset> HashTree::candidates() const {
-  std::vector<Itemset> out;
-  out.reserve(size_);
-  for (u32 i = 0; i < size_; ++i) out.push_back(candidate(i));
-  return out;
-}
+std::vector<Itemset> HashTree::candidates() const { return to_itemsets(rows_); }
 
 std::vector<TreeShard> shard_hash_tree(const HashTree& tree, u32 nshards,
                                        u32 branching, u32 leaf_capacity) {
   YAFIM_CHECK(nshards >= 1, "shard count must be >= 1");
-  std::vector<std::vector<Itemset>> parts(nshards);
+  std::vector<ItemsetRows> parts(nshards, ItemsetRows{tree.k(), {}});
   std::vector<std::vector<u64>> ids(nshards);
   for (u32 ci = 0; ci < tree.size(); ++ci) {
     engine::work::add(1);
-    const u32 s =
-        nshards == 1 ? 0 : candidate_shard(tree.candidate_items(ci)[0], nshards);
-    parts[s].push_back(tree.candidate(ci));
+    const Item* items = tree.candidate_items(ci);
+    const u32 s = nshards == 1 ? 0 : candidate_shard(items[0], nshards);
+    parts[s].items.insert(parts[s].items.end(), items, items + tree.k());
     ids[s].push_back(tree.id_offset() + ci);
   }
   std::vector<TreeShard> out;
@@ -168,7 +119,7 @@ u64 HashTree::serialized_bytes() const {
   // child slot. Every candidate id occupies exactly one bucket slot and
   // every interior node carries branching_ child slots, so the arena sizes
   // are those same sums.
-  return 16 + u64{size_} * (8 + u64{k_} * sizeof(Item)) +
+  return 16 + u64{size_} * (8 + u64{k()} * sizeof(Item)) +
          nodes_.size() * 8 + bucket_arena_.size() * sizeof(u32) +
          child_arena_.size() * sizeof(u32);
 }

@@ -8,16 +8,25 @@
 // take and containment-checks the reached leaves, visiting each leaf at most
 // once per transaction (stamp-based dedup in Probe).
 //
-// Storage is arena-allocated and index-linked: the tree is built through
-// temporary per-node vectors, then flattened into four contiguous arrays --
+// Storage is arena-allocated and index-linked: four contiguous arrays --
 // fixed-size Node records, a leaf-bucket arena, an interior-child arena, and
-// the candidate item arena (all candidates are size k, so candidate ci's
-// items live at [ci*k, (ci+1)*k) with no per-itemset vector header). A probe
-// therefore never chases a heap pointer: every hop is an index into one of
-// the four arrays, and the broadcast payload is four flat buffers instead of
-// a node-count's worth of small allocations.
+// the candidate rows (ItemsetRows: all candidates are size k, so candidate
+// ci's items live at [ci*k, (ci+1)*k) with no per-itemset vector header). A
+// probe therefore never chases a heap pointer: every hop is an index into one
+// of the four arrays, and the broadcast payload is four flat buffers instead
+// of a node-count's worth of small allocations.
+//
+// The shape is a function of the candidates alone: a node at depth d is
+// interior exactly when more than leaf_capacity candidates route to it and
+// d < k (the shape the classic insert-and-split loop grows). The constructor
+// builds it breadth-first over one candidate-id array: each interior node
+// stably counting-sorts its run of ids by child slot, so every child's
+// candidates form a contiguous sub-run. Each leaf's bucket is thus an
+// ascending run of that array, which becomes the bucket arena as is. Nodes
+// (and leaf ids) are numbered breadth-first, siblings in slot order.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "engine/work.h"
@@ -86,10 +95,13 @@ struct DenseIdHash {
 
 class HashTree {
  public:
-  /// All candidates must be canonical and of equal size k >= 1.
-  /// `branching` is the interior fan-out (0 = auto-size from the candidate
-  /// count, see default_branching()); `leaf_capacity` the bucket size that
-  /// triggers a split (leaves at depth k never split).
+  /// Takes ownership of `candidates`, canonical rows of size k >= 1;
+  /// candidate ids are row indices. `branching` is the interior fan-out (0 =
+  /// auto-size from the candidate count, see default_branching());
+  /// `leaf_capacity` the most candidates a leaf above depth k holds.
+  HashTree(ItemsetRows candidates, u32 branching, u32 leaf_capacity);
+
+  /// The same tree over owning itemsets, flattened with to_rows().
   explicit HashTree(std::vector<Itemset> candidates, u32 branching = 0,
                     u32 leaf_capacity = 16);
 
@@ -98,7 +110,7 @@ class HashTree {
   /// a large C2 degenerates to huge leaves that every probe has to scan.
   static u32 default_branching(u64 num_candidates, u32 k);
 
-  u32 k() const { return k_; }
+  u32 k() const { return rows_.width; }
   u32 size() const { return size_; }
   u32 num_leaves() const { return num_leaves_; }
   u32 num_nodes() const { return static_cast<u32>(nodes_.size()); }
@@ -106,15 +118,12 @@ class HashTree {
   /// Candidate `idx`'s items, a k()-item run in the flat item arena. The
   /// zero-indirection accessor the hot paths (probe containment checks,
   /// bitmap AND loops) read.
-  const Item* candidate_items(u32 idx) const {
-    return item_arena_.data() + size_t{idx} * k_;
-  }
+  const Item* candidate_items(u32 idx) const { return rows_.row(idx); }
 
   /// Candidate `idx` materialized as an owning Itemset (driver-side
   /// survivor materialization, MR reducers, tests).
   Itemset candidate(u32 idx) const {
-    const Item* items = candidate_items(idx);
-    return Itemset(items, items + k_);
+    return rows_.itemset(idx);
   }
 
   /// All candidates, materialized (tests/debug only -- the tree itself
@@ -149,6 +158,15 @@ class HashTree {
   u32 child_arena_size() const { return static_cast<u32>(child_arena_.size()); }
   u32 branching() const { return branching_; }
 
+  /// Shape introspection (tests): fn(depth, leaf, below, bucket) for every
+  /// node, children before parents, where `below` counts the candidates
+  /// routed to the node and `bucket` is a leaf's candidate ids (empty for
+  /// interior nodes).
+  template <typename Fn>
+  void for_each_node(Fn&& fn) const {
+    visit(kRoot, 0, fn);
+  }
+
   /// Per-thread scratch for containment enumeration. Reusable across
   /// probes and across trees; never share one Probe between threads.
   /// The visit counters are probe-local running totals, flushed to the obs
@@ -166,7 +184,7 @@ class HashTree {
   /// stage task costs reflect real probe effort.
   template <typename Fn>
   void for_each_contained(const Transaction& t, Probe& probe, Fn&& fn) const {
-    if (size_ == 0 || t.size() < k_) return;
+    if (size_ == 0 || t.size() < rows_.width) return;
     ++probe.counter;
     if (probe.leaf_stamp.size() < num_leaves_) {
       probe.leaf_stamp.resize(num_leaves_, 0);
@@ -208,12 +226,33 @@ class HashTree {
 
   u32 child_slot(Item item) const { return item % branching_; }
 
+  /// Lay out nodes_, bucket_arena_ and child_arena_ over rows_ (see the
+  /// header comment).
+  void build();
+
+  template <typename Fn>
+  u32 visit(u32 node_idx, u32 depth, Fn& fn) const {
+    const Node& node = nodes_[node_idx];
+    if (node.leaf_id != kNone) {
+      fn(depth, true, node.count,
+         std::span<const u32>(bucket_arena_.data() + node.first, node.count));
+      return node.count;
+    }
+    u32 below = 0;
+    for (u32 slot = 0; slot < branching_; ++slot) {
+      const u32 child = child_arena_[node.first + slot];
+      if (child != kNone) below += visit(child, depth + 1, fn);
+    }
+    fn(depth, false, below, std::span<const u32>());
+    return below;
+  }
+
   /// contains_all() against the item arena: linear merge of the (canonical)
   /// transaction and candidate `ci`'s k-item run.
   bool contains_candidate(const Transaction& t, u32 ci) const {
     const Item* c = candidate_items(ci);
     size_t ti = 0;
-    for (u32 j = 0; j < k_; ++j) {
+    for (u32 j = 0; j < rows_.width; ++j) {
       while (ti < t.size() && t[ti] < c[j]) ++ti;
       if (ti == t.size() || t[ti] != c[j]) return false;
       ++ti;
@@ -240,7 +279,7 @@ class HashTree {
     }
     // Choose the next transaction item; keep enough items in reserve to
     // complete a k-path (candidates have exactly k items).
-    const size_t remaining_needed = k_ - depth;
+    const size_t remaining_needed = rows_.width - depth;
     const u32* children = child_arena_.data() + node.first;
     for (size_t i = pos; i + remaining_needed <= t.size(); ++i) {
       const u32 child = children[child_slot(t[i])];
@@ -248,16 +287,16 @@ class HashTree {
     }
   }
 
-  /// Candidate items, size_ * k_ entries; candidate ci at [ci*k_, ci*k_+k_).
-  std::vector<Item> item_arena_;
-  /// Leaf buckets, concatenated; exactly one slot per candidate.
+  /// Candidate items, one k-item row per candidate id.
+  ItemsetRows rows_;
+  /// Leaf buckets, concatenated in node order; exactly one slot per
+  /// candidate.
   std::vector<u32> bucket_arena_;
   /// Interior child tables, concatenated; branching_ slots per interior.
   std::vector<u32> child_arena_;
   std::vector<Node> nodes_;
   u64 id_offset_ = 0;
   u32 size_ = 0;
-  u32 k_ = 0;
   u32 branching_ = 8;
   u32 leaf_capacity_ = 16;
   u32 num_leaves_ = 0;

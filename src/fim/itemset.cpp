@@ -43,6 +43,33 @@ std::string to_string(const Itemset& s) {
   return out.str();
 }
 
+ItemsetRows to_rows(const std::vector<Itemset>& sets) {
+  ItemsetRows rows;
+  if (sets.empty()) return rows;
+  rows.width = static_cast<u32>(sets.front().size());
+  YAFIM_CHECK(rows.width >= 1, "itemsets must be non-empty");
+  rows.items.reserve(sets.size() * rows.width);
+  for (const Itemset& s : sets) {
+    YAFIM_CHECK(s.size() == rows.width, "all itemsets must have equal size");
+    rows.items.insert(rows.items.end(), s.begin(), s.end());
+  }
+  return rows;
+}
+
+ItemsetRows to_sorted_rows(const std::vector<Itemset>& sets) {
+  if (std::is_sorted(sets.begin(), sets.end())) return to_rows(sets);
+  std::vector<Itemset> sorted = sets;
+  std::sort(sorted.begin(), sorted.end());
+  return to_rows(sorted);
+}
+
+std::vector<Itemset> to_itemsets(const ItemsetRows& rows) {
+  std::vector<Itemset> out;
+  out.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) out.push_back(rows.itemset(i));
+  return out;
+}
+
 size_t ItemsetHash::operator()(const Itemset& s) const {
   // FNV-style fold of each item through a strong 64-bit mixer; stable
   // across platforms and runs (required by the shuffle partitioner).

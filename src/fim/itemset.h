@@ -45,4 +45,27 @@ struct ItemsetEq {
   bool operator()(const Itemset& a, const Itemset& b) const { return a == b; }
 };
 
+/// Equal-size canonical itemsets stored row after row in one flat array:
+/// row i is items[i*width, (i+1)*width). The driver's candidate form from
+/// apriori_gen_rows() to the built HashTree -- no allocation per itemset.
+struct ItemsetRows {
+  u32 width = 0;
+  std::vector<Item> items;
+
+  size_t size() const { return width == 0 ? 0 : items.size() / width; }
+  bool empty() const { return items.empty(); }
+  const Item* row(size_t i) const { return items.data() + i * width; }
+  Itemset itemset(size_t i) const { return Itemset(row(i), row(i) + width); }
+};
+
+/// Flatten `sets` in their order; all must have the same non-zero size.
+ItemsetRows to_rows(const std::vector<Itemset>& sets);
+
+/// to_rows() in lexicographic row order: sorts a copy only when `sets` is
+/// not sorted already.
+ItemsetRows to_sorted_rows(const std::vector<Itemset>& sets);
+
+/// Every row materialized as an owning Itemset.
+std::vector<Itemset> to_itemsets(const ItemsetRows& rows);
+
 }  // namespace yafim::fim

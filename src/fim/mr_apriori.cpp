@@ -163,7 +163,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
 
     engine::work::Scope driver_scope;
-    std::vector<Itemset> candidates = apriori_gen(frequent, k);
+    ItemsetRows candidates = apriori_gen_rows(to_sorted_rows(frequent), k);
     if (candidates.empty()) break;
     auto tree = std::make_shared<const HashTree>(
         std::move(candidates), options.branching, options.leaf_capacity);

@@ -105,14 +105,15 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
   // ---- Combined counting jobs -----------------------------------------
   for (u32 k = 2; !frequent.empty();) {
     // Build the batch of candidate levels [k, k + batch).
-    std::vector<std::vector<Itemset>> batch_candidates;
+    std::vector<ItemsetRows> batch_candidates;
     u64 total_candidates = 0;
     const u32 limit = batch_limit(k);
+    const ItemsetRows frequent_rows = to_sorted_rows(frequent);
     for (u32 level = k; level - k < limit; ++level) {
       // The first level generates from the verified frequent sets, each
       // later level from the candidates just generated.
-      const std::vector<Itemset>& base =
-          batch_candidates.empty() ? frequent : batch_candidates.back();
+      const ItemsetRows& base =
+          batch_candidates.empty() ? frequent_rows : batch_candidates.back();
       // Pre-generation guard: joining a large *unverified* level is a
       // combinatorial explosion (e.g. C2 = all pairs of L1 would join to
       // nearly C(|L1|, 3) triples). Generate speculative levels only from
@@ -122,7 +123,7 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
           base.size() > options.dynamic_candidate_budget) {
         break;
       }
-      std::vector<Itemset> candidates = apriori_gen(base, level);
+      ItemsetRows candidates = apriori_gen_rows(base, level);
       if (candidates.empty()) break;
       if (options.strategy == CombineStrategy::kDynamic &&
           !batch_candidates.empty() &&

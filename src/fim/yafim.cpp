@@ -207,17 +207,18 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
                        "pass" + std::to_string(k) + ":ap_gen+buildHashTree");
     }
     engine::work::Scope driver_scope;
-    std::vector<std::vector<Itemset>> batch;
+    const ItemsetRows frequent_rows = to_sorted_rows(frequent);
+    std::vector<ItemsetRows> batch;
     for (u32 j = 0; j < combine; ++j) {
       // Level k generates from the verified frequent sets, each later
       // level from the candidates just generated.
-      const std::vector<Itemset>& base = j == 0 ? frequent : batch.back();
+      const ItemsetRows& base = j == 0 ? frequent_rows : batch.back();
       // Guard speculative growth: generating level j+1 from a large
       // *unverified* level j is a combinatorial explosion (the join is
       // quadratic within shared-prefix groups). Verified levels (j == 0)
       // are always generated.
       if (j > 0 && base.size() > options.combine_candidate_budget) break;
-      std::vector<Itemset> candidates = apriori_gen(base, k + j);
+      ItemsetRows candidates = apriori_gen_rows(base, k + j);
       if (candidates.empty()) break;
       if (j > 0 && candidates.size() > options.combine_candidate_budget) {
         break;  // count this level next batch, from verified sets

@@ -250,7 +250,8 @@ std::string Tracer::summary() {
   const std::vector<TraceEvent> drained = events();
 
   // Aggregate stage spans and their task spans by label (task events carry
-  // the stage label as their name).
+  // the stage label as their name), plus driver spans -- driver-side steps
+  // such as the per-pass ap_gen + hash-tree build, which run no tasks.
   struct StageAgg {
     u64 runs = 0;
     u64 wall_us = 0;
@@ -272,7 +273,7 @@ std::string Tracer::summary() {
   for (const TraceEvent& event : drained) {
     if (event.phase != TraceEvent::Phase::kComplete) continue;
     const std::string cat = event.cat;
-    if (cat == "stage") {
+    if (cat == "stage" || cat == "driver") {
       StageAgg& agg = agg_of(event.name);
       ++agg.runs;
       agg.wall_us += event.dur_us;
@@ -284,7 +285,8 @@ std::string Tracer::summary() {
     }
   }
 
-  std::string out = "== trace summary: stages (wall-clock) ==\n";
+  std::string out =
+      "== trace summary: stages and driver steps (wall-clock) ==\n";
   Table table({"stage", "runs", "tasks", "wall ms", "task ms", "avg task ms",
                "max task ms"});
   for (const std::string& label : order) {

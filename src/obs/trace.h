@@ -81,8 +81,8 @@ class Tracer {
   /// Write chrome_json() to `path`; returns false on I/O failure.
   bool write_chrome_json(const std::string& path);
 
-  /// Per-stage wall-clock summary table plus counter totals -- the "Spark
-  /// UI" for a traced run.
+  /// Per-stage and per-driver-step wall-clock summary table plus counter
+  /// totals -- the "Spark UI" for a traced run.
   std::string summary();
 
  private:

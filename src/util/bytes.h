@@ -85,7 +85,8 @@ class ByteReader {
     const u64 n = read_u64();
     YAFIM_CHECK(pos_ + n * sizeof(u32) <= data_.size(), "truncated vector");
     std::vector<u32> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(u32));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(u32));
     pos_ += n * sizeof(u32);
     return v;
   }

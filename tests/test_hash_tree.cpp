@@ -4,8 +4,11 @@
 // transaction) combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 
 #include "fim/candidate_gen.h"
 #include "fim/hash_tree.h"
@@ -143,6 +146,107 @@ TEST(HashTree, ArenaSingleBucketAdversarialHash) {
   EXPECT_EQ(probe_tree(tree, t, probe).size(), candidates.size());
 }
 
+// ---- shape: rows vs itemsets, pinned to the insert-and-split builder -----
+
+/// `n` distinct random canonical 3-itemsets over [0, 200), sorted.
+std::vector<Itemset> random_3_itemsets(u32 n, u64 seed) {
+  Rng rng(seed);
+  std::set<Itemset> unique;
+  while (unique.size() < n) {
+    Itemset c;
+    while (c.size() < 3) {
+      const Item item = static_cast<Item>(rng.below(200));
+      if (std::find(c.begin(), c.end(), item) == c.end()) c.push_back(item);
+    }
+    canonicalize(c);
+    unique.insert(c);
+  }
+  return {unique.begin(), unique.end()};
+}
+
+/// Sizes recorded from the insert-and-split builder the partition build
+/// replaced; pricing (serialized_bytes) and probe effort depend on them.
+struct Shape {
+  u32 nodes;
+  u32 leaves;
+  u32 children;
+  u64 bytes;
+};
+
+/// The shape rule: a node at depth d is interior exactly when more than
+/// `leaf_capacity` candidates route to it and d < k. Every candidate sits in
+/// one leaf bucket, and buckets list ids in ascending order.
+void expect_shape_rule(const HashTree& tree, u32 leaf_capacity) {
+  std::vector<u32> seen(tree.size(), 0);
+  tree.for_each_node([&](u32 depth, bool leaf, u32 below,
+                         std::span<const u32> bucket) {
+    if (!leaf) {
+      EXPECT_LT(depth, tree.k());
+      EXPECT_GT(below, leaf_capacity);
+      return;
+    }
+    EXPECT_EQ(below, bucket.size());
+    EXPECT_TRUE(depth == tree.k() || below <= leaf_capacity)
+        << "depth=" << depth << " bucket=" << below;
+    EXPECT_TRUE(std::adjacent_find(bucket.begin(), bucket.end(),
+                                   std::greater_equal<u32>()) == bucket.end())
+        << "bucket not ascending at depth " << depth;
+    for (u32 ci : bucket) ++seen[ci];
+  });
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1u),
+            static_cast<std::ptrdiff_t>(tree.size()));
+}
+
+void expect_rows_and_itemsets_agree(const std::vector<Itemset>& candidates,
+                                    u32 branching, u32 leaf_capacity,
+                                    const Shape& shape) {
+  const HashTree from_sets(candidates, branching, leaf_capacity);
+  const HashTree from_rows(to_rows(candidates), branching, leaf_capacity);
+  for (const HashTree* tree : {&from_sets, &from_rows}) {
+    EXPECT_EQ(tree->size(), candidates.size());
+    EXPECT_EQ(tree->num_nodes(), shape.nodes);
+    EXPECT_EQ(tree->num_leaves(), shape.leaves);
+    EXPECT_EQ(tree->bucket_arena_size(), candidates.size());
+    EXPECT_EQ(tree->child_arena_size(), shape.children);
+    EXPECT_EQ(tree->serialized_bytes(), shape.bytes);
+    expect_shape_rule(*tree, leaf_capacity);
+  }
+  EXPECT_EQ(from_rows.candidates(), candidates);
+}
+
+TEST(HashTree, ShapeOfRandomThousand) {
+  const auto candidates = random_3_itemsets(1000, 1);
+  expect_rows_and_itemsets_agree(candidates, 0, 16, {392, 371, 420, 28832});
+  expect_rows_and_itemsets_agree(candidates, 8, 4, {512, 439, 584, 30448});
+}
+
+TEST(HashTree, ShapeOfRandomHundredThousand) {
+  const auto candidates = random_3_itemsets(100000, 2);
+  expect_rows_and_itemsets_agree(candidates, 0, 16,
+                                 {51368, 49160, 205344, 3632336});
+  expect_rows_and_itemsets_agree(candidates, 8, 16,
+                                 {585, 512, 584, 2407032});
+}
+
+TEST(HashTree, ShapeOfSingleBucketAdversarialHash) {
+  std::vector<Itemset> candidates;
+  for (u32 a = 0; a < 6; ++a) {
+    for (u32 b = a + 1; b < 7; ++b) candidates.push_back({a * 8, b * 8});
+  }
+  expect_rows_and_itemsets_agree(candidates, 8, 2, {3, 1, 16, 524});
+}
+
+TEST(HashTree, ShapeOfEmptyBatch) {
+  expect_rows_and_itemsets_agree({}, 0, 16, {1, 1, 0, 24});
+  // Rows keep their width when empty; the tree is still one empty leaf.
+  const HashTree tree(ItemsetRows{3, {}}, 0, 16);
+  EXPECT_EQ(tree.num_nodes(), 1u);
+  EXPECT_EQ(tree.num_leaves(), 1u);
+  EXPECT_EQ(tree.serialized_bytes(), 24u);
+  HashTree::Probe probe;
+  EXPECT_TRUE(probe_tree(tree, {1, 2, 3}, probe).empty());
+}
+
 TEST(HashTree, IdOffsetAssignmentAcrossBatches) {
   std::vector<HashTree> trees;
   trees.emplace_back(std::vector<Itemset>{{1, 2}, {2, 3}, {3, 4}});
@@ -205,6 +309,8 @@ TEST_P(HashTreeSweep, AgreesWithLinearScan) {
   }
   HashTree tree(std::vector<Itemset>(unique.begin(), unique.end()), branching,
                 leaf_capacity);
+  const std::vector<TreeShard> shards =
+      shard_hash_tree(tree, 3, branching, leaf_capacity);
 
   HashTree::Probe probe;
   for (int trial = 0; trial < 40; ++trial) {
@@ -220,7 +326,19 @@ TEST_P(HashTreeSweep, AgreesWithLinearScan) {
     // No duplicates: multiset == set size.
     EXPECT_EQ(tree_hits.size(),
               std::set<u32>(tree_hits.begin(), tree_hits.end()).size());
+
+    // The partitioned store: each shard agrees with its own linear scan,
+    // and the shards' hits, mapped to global ids, are the full tree's.
+    std::multiset<u64> shard_hits;
+    for (const TreeShard& shard : shards) {
+      const auto hits = probe_tree(shard.tree, t, probe);
+      ASSERT_EQ(hits, probe_linear(shard.tree, t)) << "trial=" << trial;
+      for (u32 ci : hits) shard_hits.insert(shard.global_ids[ci]);
+    }
+    EXPECT_EQ(shard_hits,
+              std::multiset<u64>(tree_hits.begin(), tree_hits.end()));
   }
+  expect_shape_rule(tree, leaf_capacity);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <numeric>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -309,9 +310,34 @@ TEST_F(TraceTest, SummaryAggregatesStages) {
     Span stage("stage", "sum:stage");
     Span task("task", "sum:stage");
   }
+  // Driver-side steps (the per-pass ap_gen + tree build) get rows too:
+  // two runs, no tasks.
+  for (int run = 0; run < 2; ++run) {
+    Span driver("driver", "pass2:ap_gen+buildHashTree");
+  }
   const std::string summary = Tracer::instance().summary();
   EXPECT_NE(summary.find("sum:stage"), std::string::npos);
   EXPECT_NE(summary.find("counter"), std::string::npos);
+  std::istringstream lines(summary);
+  std::string line, driver_row;
+  while (std::getline(lines, line)) {
+    if (line.find("pass2:ap_gen+buildHashTree") != std::string::npos) {
+      EXPECT_TRUE(driver_row.empty()) << "one row per label:\n" << summary;
+      driver_row = line;
+    }
+  }
+  ASSERT_FALSE(driver_row.empty()) << summary;
+  // Columns: stage | runs | tasks | wall ms | ...
+  std::vector<std::string> cells;
+  std::istringstream row(driver_row);
+  for (std::string cell; std::getline(row, cell, '|');) {
+    cell.erase(0, cell.find_first_not_of(' '));
+    cell.erase(cell.find_last_not_of(' ') + 1);
+    if (!cell.empty()) cells.push_back(cell);
+  }
+  ASSERT_GE(cells.size(), 4u) << driver_row;
+  EXPECT_EQ(cells[1], "2") << driver_row;
+  EXPECT_EQ(cells[2], "0") << driver_row;
 }
 
 TEST_F(TraceTest, DisabledPathEmitsNothing) {
