@@ -52,8 +52,8 @@ if ((fixtures)); then
     scripts/static/fixtures/impure_closures.cpp
 fi
 
-mapfile -t files < <(git ls-files 'src/*.cpp' 'src/*.h' 'src/*/*.cpp' \
-  'src/*/*.h' 'examples/*.cpp')
+mapfile -t files < <({ find src -name '*.cpp' -o -name '*.h';
+  find examples -name '*.cpp'; } | sort)
 echo "closure check: scanning ${#files[@]} files (src/ + examples/)"
 exec "$python" scripts/static/closure_matchers.py \
   --build-dir="$build_dir" "${extra_args[@]}" "${files[@]}"

@@ -20,6 +20,14 @@ const std::string& empty_stage() {
   return kEmpty;
 }
 
+/// YL007 text for a permuted replay whose output diverged.
+std::string replay_message(const char* op, const std::string& element) {
+  return std::string("replay of ") + op +
+         " with permuted input order diverged at " + element +
+         "; the closure is impure or the reduce fn is "
+         "non-commutative/non-associative";
+}
+
 }  // namespace
 
 DetSanError::DetSanError(std::string node_name, std::string stage,
@@ -78,32 +86,30 @@ void DetSan::note_replayed() {
 
 void DetSan::report_divergence(u32 node_id, const char* op,
                                const std::string& element) {
-  std::string node_name = "rdd#" + std::to_string(node_id);
-  if (linter_ != nullptr) node_name = linter_->node_label(node_id);
-  std::ostringstream os;
-  os << "replay of " << op << " with permuted input order diverged at "
-     << element << "; the closure is impure or the reduce fn is "
-        "non-commutative/non-associative";
-  if (linter_ != nullptr) {
-    linter_->note_detsan_divergence(node_id, node_name, os.str());
-  }
-  diverged(node_name, op, element);
+  const std::string node_name = linter_ != nullptr
+                                    ? linter_->node_label(node_id)
+                                    : "rdd#" + std::to_string(node_id);
+  diverged(node_id, node_name, op, element, replay_message(op, element));
+}
+
+void DetSan::report_divergence(const std::string& what, const char* op,
+                               const std::string& element) {
+  diverged(/*node=*/0, what, op, element, replay_message(op, element));
 }
 
 void DetSan::report_divergence_raw(const std::string& what, const char* op,
                                    const std::string& element) {
-  std::ostringstream os;
-  os << "re-serialization of " << what << " diverged at " << element
-     << "; the serialized block contains unstable (uninitialized or "
-        "address-dependent) bytes";
-  if (linter_ != nullptr) {
-    linter_->note_detsan_divergence(/*node=*/0, what, os.str());
-  }
-  diverged(what, op, element);
+  diverged(/*node=*/0, what, op, element,
+           "re-serialization of " + what + " diverged at " + element +
+               "; the serialized block contains unstable (uninitialized or "
+               "address-dependent) bytes");
 }
 
-void DetSan::diverged(const std::string& node_name, const char* op,
-                      const std::string& element) {
+void DetSan::diverged(u32 node, const std::string& node_name, const char* op,
+                      const std::string& element, const std::string& message) {
+  if (linter_ != nullptr) {
+    linter_->note_detsan_divergence(node, node_name, message);
+  }
   divergences_.fetch_add(1, std::memory_order_relaxed);
   obs::count(obs::CounterId::kDetsanDivergences);
   if (!fail_fast_) return;

@@ -16,8 +16,10 @@
 // the operator's determinism contract (see DESIGN.md "Determinism model"):
 //
 //   map / flat_map / filter     permuted input, multiset-equal output
+//                               (one element-wise node replays all three)
 //   reduce (partition fold)     permuted fold order, equal result
 //   reduce_by_key / aggregate   permuted combine order, multiset-equal map
+//   MapReduce combine_fn        (the same combine replay, in mapreduce/job.h)
 //   sum_arrays                  permuted accumulation order, equal arrays
 //   map_partitions              same-order re-run, identical output
 //                               (partition functions may legitimately
@@ -25,6 +27,10 @@
 //                               they are a *function* of it)
 //   shuffle spill               serialize twice, identical bytes
 //                               (catches uninitialized bytes in blocks)
+//
+// Unhooked by design: group_by_key (its per-key lists are order-sensitive
+// by spec), and the seeded samples and zip_with_index (functions of
+// position).
 //
 // A divergence is reported as PlanLinter rule YL007 (severity error) naming
 // the node, the executing stage, and the first diverging element; with
@@ -113,8 +119,12 @@ class DetSan {
   /// fail_fast is set.
   void report_divergence(u32 node_id, const char* op,
                          const std::string& element);
-  /// As above for checks that run outside the plan shadow (shuffle spill
-  /// blocks have no rdd id); `what` names the checked object instead.
+  /// As above for a permuted replay outside the plan shadow (a MapReduce
+  /// combiner task has no rdd id); `what` names the replayed task.
+  void report_divergence(const std::string& what, const char* op,
+                         const std::string& element);
+  /// As above for a serialize-twice check of a shuffle spill block, which
+  /// `what` names: the block's wire bytes are unstable.
   void report_divergence_raw(const std::string& what, const char* op,
                              const std::string& element);
 
@@ -144,8 +154,10 @@ class DetSan {
   };
 
  private:
-  void diverged(const std::string& node_name, const char* op,
-                const std::string& element);
+  /// Shared tail of the reports: YL007 with `message`, counters, and the
+  /// fail_fast throw.
+  void diverged(u32 node, const std::string& node_name, const char* op,
+                const std::string& element, const std::string& message);
 
   // Set once in configure() before any worker thread exists; read-only
   // afterwards.

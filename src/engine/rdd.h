@@ -19,6 +19,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -141,13 +142,14 @@ void detsan_check_ordered(DetSan& ds, u32 node_id, const char* op,
                            std::to_string(primary.size()));
 }
 
-/// Map-side combine accumulators (reduce_by_key / aggregate_by_key): the
-/// key -> accumulated-value maps of the primary and the permuted-order
-/// replay must agree as multisets of (key, value) pairs -- this is exactly
-/// the engine's commutativity contract for the combine fn, and it also
-/// catches hash-map iteration order leaking *into* the values.
-template <typename K, typename V, typename Hash>
-void detsan_check_kv(DetSan& ds, u32 node_id, const char* op,
+/// Map-side combine accumulators (reduce_by_key / aggregate_by_key and the
+/// MapReduce combiner): the key -> accumulated-value maps of the primary
+/// and the permuted-order replay must agree as multisets of (key, value)
+/// pairs -- this is exactly the engine's commutativity contract for the
+/// combine fn, and it also catches hash-map iteration order leaking *into*
+/// the values. `who` is an rdd id, or names a task outside the plan.
+template <typename Who, typename K, typename V, typename Hash>
+void detsan_check_kv(DetSan& ds, const Who& who, const char* op,
                      const std::unordered_map<K, V, Hash>& primary,
                      const std::unordered_map<K, V, Hash>& replay) {
   ds.note_replayed();
@@ -162,7 +164,7 @@ void detsan_check_kv(DetSan& ds, u32 node_id, const char* op,
       continue;
     }
     ds.report_divergence(
-        node_id, op,
+        who, op,
         std::string(it == replay.end() ? "key missing from replay"
                                        : "combined value for key") +
             " (key hash " + std::to_string(util::canon_hash_value(k)) + ", " +
@@ -170,7 +172,7 @@ void detsan_check_kv(DetSan& ds, u32 node_id, const char* op,
             std::to_string(replay.size()) + " key(s))");
     return;
   }
-  ds.report_divergence(node_id, op,
+  ds.report_divergence(who, op,
                        "replay-only key(s): " + std::to_string(replay.size()) +
                            " vs " + std::to_string(primary.size()));
 }
@@ -193,6 +195,78 @@ void detsan_replay_fold(DetSan& ds, u32 node_id, u32 pid,
   ds.report_divergence(node_id, "reduce",
                        "partition fold over " + std::to_string(in.size()) +
                            " element(s): permuted fold order disagrees");
+}
+
+/// Visit `in` in place, or in `order` (a DetSan replay permutation; empty
+/// exactly when `in` is).
+template <typename Vec, typename F>
+void for_each_in(Vec& in, std::span<const u32> order, F&& f) {
+  if (order.empty()) {
+    for (auto& x : in) f(x);
+  } else {
+    for (u32 i : order) f(in[i]);
+  }
+}
+
+/// Map-side combine, the map half of Spark's combineByKey: fold the (k, v)
+/// pairs of `in` into one combiner per key -- create(v) for a key's first
+/// value, merge(c, v) for each later one -- visiting them as for_each_in
+/// does. One work unit per pair. An rvalue `in` gives up its keys to the
+/// map instead of copying them. Serves reduce_by_key, aggregate_by_key and
+/// the MapReduce combiner, and their DetSan replays.
+template <typename Hash, typename Pairs, typename Create, typename Merge>
+auto combine_pairs(Pairs&& in, std::span<const u32> order, Create& create,
+                   Merge& merge) {
+  using P = typename std::remove_cvref_t<Pairs>::value_type;
+  using K = typename P::first_type;
+  using V = typename P::second_type;
+  using C = std::decay_t<std::invoke_result_t<Create&, const V&>>;
+  using Key = std::conditional_t<std::is_lvalue_reference_v<Pairs>, const K&,
+                                 K&&>;
+  // Becomes create(v) only when try_emplace inserts: one lookup per pair.
+  struct First {
+    Create& create;
+    const V& v;
+    operator C() const { return create(v); }
+  };
+  std::unordered_map<K, C, Hash> acc;
+  acc.reserve(std::min(in.size(), kCombineReserveCap));
+  for_each_in(in, order, [&](auto& kv) {
+    work::add(1);
+    auto [it, inserted] = acc.try_emplace(static_cast<Key>(kv.first),
+                                          First{create, kv.second});
+    if (!inserted) it->second = merge(std::move(it->second), kv.second);
+  });
+  return acc;
+}
+
+/// DetSan replay of a map-side combine: rebuild the combiners with `in`
+/// visited in a permuted order and compare the key -> value maps. The
+/// caller decides whether the task is sampled.
+template <typename Who, typename P, typename Map, typename Create,
+          typename Merge>
+void detsan_replay_combine(DetSan& ds, const Who& who, u64 seed,
+                           const char* op, const std::vector<P>& in,
+                           const Map& primary, Create& create, Merge& merge) {
+  const std::vector<u32> order = DetSan::permutation(in.size(), seed);
+  detsan_check_kv(ds, who, op, primary,
+                  combine_pairs<typename Map::hasher>(in, order, create,
+                                                      merge));
+}
+
+/// Move every (k, v) of `pairs` into bucket hash(k) % buckets.size() and
+/// return the shuffle bytes: byte_size(k) + byte_size(v) per pair.
+template <typename Pairs, typename K, typename V, typename Hash>
+u64 hash_partition(Pairs& pairs,
+                   std::vector<std::vector<std::pair<K, V>>>& buckets,
+                   const Hash& hash) {
+  u64 bytes = 0;
+  for (auto& [k, v] : pairs) {
+    bytes += byte_size(k) + byte_size(v);
+    buckets[hash(k) % buckets.size()].emplace_back(
+        std::move(const_cast<K&>(k)), std::move(v));
+  }
+  return bytes;
 }
 
 /// Base lineage node: owns the partition cache and fault-recovery logic.
@@ -314,9 +388,8 @@ class Node : public CacheHolder {
 
  private:
   // CacheHolder drop thunk. Runs with the injector lock held, possibly
-  // concurrently with the derived destructors (~MapNode etc.); it must only
-  // touch Node<T> members, which are destroyed after ~Node's body has
-  // unregistered us.
+  // concurrently with a derived destructor; it must only touch Node<T>
+  // members, which are destroyed after ~Node's body has unregistered us.
   static bool drop_thunk(CacheHolder* holder, u32 pid) {
     auto* self = static_cast<Node*>(holder);
     util::MutexLock lock(self->mutex_);
@@ -364,76 +437,76 @@ class MaterializedNode final : public Node<T> {
   std::vector<typename Node<T>::Part> data_;
 };
 
-template <typename T, typename U, typename F>
-class MapNode final : public Node<U> {
+/// Element-wise narrow node (map / flat_map / filter): `step(x, out)`
+/// appends x's outputs to `out` and charges its own work. DetSan replays
+/// the same step over a permuted input: a pure step yields the same
+/// multiset.
+template <typename T, typename U, typename Step>
+class ElementwiseNode final : public Node<U> {
  public:
-  MapNode(std::shared_ptr<Node<T>> parent, F f)
+  ElementwiseNode(std::shared_ptr<Node<T>> parent, PlanOp op, Step step)
       : Node<U>(parent->ctx(), parent->num_partitions()),
         parent_(std::move(parent)),
-        f_(std::move(f)) {
-    this->lint_register(PlanOp::kMap, {parent_->id()});
+        op_(op),
+        step_(std::move(step)) {
+    this->lint_register(op_, {parent_->id()});
   }
 
   std::vector<U> compute(u32 pid) override {
     auto in = parent_->get(pid);
+    std::vector<U> out = run(*in, {});
+    if constexpr (util::is_canon_hashable_v<U>) {
+      DetSan& ds = this->ctx().detsan();
+      if (ds.should_replay(this->id(), pid)) {
+        const std::vector<u32> order =
+            DetSan::permutation(in->size(), ds.replay_seed(this->id(), pid));
+        detsan_check_multiset(ds, this->id(), plan_op_name(op_), out,
+                              run(*in, order));
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::vector<U> run(const std::vector<T>& in, std::span<const u32> order) {
     std::vector<U> out;
-    out.reserve(in->size());
-    for (const T& x : *in) {
-      work::add(1);
-      out.push_back(f_(x));
-    }
-    if constexpr (util::is_canon_hashable_v<U>) {
-      DetSan& ds = this->ctx().detsan();
-      if (ds.should_replay(this->id(), pid)) {
-        std::vector<U> replay;
-        replay.reserve(in->size());
-        for (u32 i : DetSan::permutation(in->size(),
-                                         ds.replay_seed(this->id(), pid))) {
-          work::add(1);
-          replay.push_back(f_((*in)[i]));
-        }
-        detsan_check_multiset(ds, this->id(), "map", out, replay);
-      }
-    }
+    out.reserve(in.size());
+    for_each_in(in, order, [&](const T& x) { step_(x, out); });
     return out;
   }
 
- private:
   std::shared_ptr<Node<T>> parent_;
-  F f_;
+  PlanOp op_;
+  Step step_;
 };
 
-template <typename T, typename U, typename F>
-class FlatMapNode final : public Node<U> {
+/// Narrow node computing a whole partition at once: `fn(pid, partition)`
+/// returns the output partition and charges its own work. With a DetSan
+/// op name (map_partitions) the replay re-runs fn on the *same* input and
+/// must reproduce the output element for element: partition functions may
+/// legitimately depend on element order (tid assignment, zips), so only
+/// their determinism is checked. Without one (the seeded samples,
+/// zip_with_index) the node is unhooked: its output is a function of
+/// position by design.
+template <typename T, typename U, typename Fn>
+class PartitionNode final : public Node<U> {
  public:
-  FlatMapNode(std::shared_ptr<Node<T>> parent, F f)
+  PartitionNode(std::shared_ptr<Node<T>> parent, PlanOp op,
+                const char* detsan_op, Fn fn)
       : Node<U>(parent->ctx(), parent->num_partitions()),
         parent_(std::move(parent)),
-        f_(std::move(f)) {
-    this->lint_register(PlanOp::kFlatMap, {parent_->id()});
+        detsan_op_(detsan_op),
+        fn_(std::move(fn)) {
+    this->lint_register(op, {parent_->id()});
   }
 
   std::vector<U> compute(u32 pid) override {
     auto in = parent_->get(pid);
-    std::vector<U> out;
-    for (const T& x : *in) {
-      auto produced = f_(x);
-      work::add(1 + produced.size());
-      out.insert(out.end(), std::make_move_iterator(produced.begin()),
-                 std::make_move_iterator(produced.end()));
-    }
+    std::vector<U> out = fn_(pid, *in);
     if constexpr (util::is_canon_hashable_v<U>) {
       DetSan& ds = this->ctx().detsan();
-      if (ds.should_replay(this->id(), pid)) {
-        std::vector<U> replay;
-        for (u32 i : DetSan::permutation(in->size(),
-                                         ds.replay_seed(this->id(), pid))) {
-          auto produced = f_((*in)[i]);
-          work::add(1 + produced.size());
-          replay.insert(replay.end(), std::make_move_iterator(produced.begin()),
-                        std::make_move_iterator(produced.end()));
-        }
-        detsan_check_multiset(ds, this->id(), "flat_map", out, replay);
+      if (detsan_op_ != nullptr && ds.should_replay(this->id(), pid)) {
+        detsan_check_ordered(ds, this->id(), detsan_op_, out, fn_(pid, *in));
       }
     }
     return out;
@@ -441,78 +514,8 @@ class FlatMapNode final : public Node<U> {
 
  private:
   std::shared_ptr<Node<T>> parent_;
-  F f_;
-};
-
-template <typename T, typename F>
-class FilterNode final : public Node<T> {
- public:
-  FilterNode(std::shared_ptr<Node<T>> parent, F f)
-      : Node<T>(parent->ctx(), parent->num_partitions()),
-        parent_(std::move(parent)),
-        f_(std::move(f)) {
-    this->lint_register(PlanOp::kFilter, {parent_->id()});
-  }
-
-  std::vector<T> compute(u32 pid) override {
-    auto in = parent_->get(pid);
-    std::vector<T> out;
-    for (const T& x : *in) {
-      work::add(1);
-      if (f_(x)) out.push_back(x);
-    }
-    if constexpr (util::is_canon_hashable_v<T>) {
-      DetSan& ds = this->ctx().detsan();
-      if (ds.should_replay(this->id(), pid)) {
-        std::vector<T> replay;
-        for (u32 i : DetSan::permutation(in->size(),
-                                         ds.replay_seed(this->id(), pid))) {
-          work::add(1);
-          const T& x = (*in)[i];
-          if (f_(x)) replay.push_back(x);
-        }
-        detsan_check_multiset(ds, this->id(), "filter", out, replay);
-      }
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  F f_;
-};
-
-template <typename T, typename U, typename F>
-class MapPartitionsNode final : public Node<U> {
- public:
-  MapPartitionsNode(std::shared_ptr<Node<T>> parent, F f)
-      : Node<U>(parent->ctx(), parent->num_partitions()),
-        parent_(std::move(parent)),
-        f_(std::move(f)) {
-    this->lint_register(PlanOp::kMapPartitions, {parent_->id()});
-  }
-
-  std::vector<U> compute(u32 pid) override {
-    auto in = parent_->get(pid);
-    work::add(in->size());
-    std::vector<U> out = f_(*in);
-    if constexpr (util::is_canon_hashable_v<U>) {
-      // Partition functions may legitimately depend on element order
-      // (tid assignment, zips), so the replay feeds the *same* order and
-      // only checks the output is a pure function of it.
-      DetSan& ds = this->ctx().detsan();
-      if (ds.should_replay(this->id(), pid)) {
-        work::add(in->size());
-        std::vector<U> replay = f_(*in);
-        detsan_check_ordered(ds, this->id(), "map_partitions", out, replay);
-      }
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  F f_;
+  const char* detsan_op_;
+  Fn fn_;
 };
 
 template <typename T>
@@ -545,92 +548,6 @@ class UnionNode final : public Node<T> {
 };
 
 template <typename T>
-class SampleNode final : public Node<T> {
- public:
-  SampleNode(std::shared_ptr<Node<T>> parent, double fraction, u64 seed)
-      : Node<T>(parent->ctx(), parent->num_partitions()),
-        parent_(std::move(parent)),
-        fraction_(fraction),
-        seed_(seed) {
-    this->lint_register(PlanOp::kSample, {parent_->id()});
-  }
-
-  std::vector<T> compute(u32 pid) override {
-    auto in = parent_->get(pid);
-    Rng rng = Rng(seed_).split(pid);
-    std::vector<T> out;
-    for (const T& x : *in) {
-      work::add(1);
-      if (rng.bernoulli(fraction_)) out.push_back(x);
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  double fraction_;
-  u64 seed_;
-};
-
-/// One-pass multi-sampling: tags each element with the ids of the samples
-/// that keep it, so `n` Bernoulli(fraction) samples (or `n` disjoint
-/// splits) are drawn in a single scan of the parent. Each (partition,
-/// sample) pair gets its own Rng stream, so sample s's membership is
-/// independent of how many sibling samples are drawn alongside it and
-/// deterministic in (seed, pid) alone.
-template <typename T>
-class MultiSampleNode final : public Node<std::pair<u32, T>> {
- public:
-  MultiSampleNode(std::shared_ptr<Node<T>> parent, u32 n, double fraction,
-                  u64 seed, bool disjoint)
-      : Node<std::pair<u32, T>>(parent->ctx(), parent->num_partitions()),
-        parent_(std::move(parent)),
-        n_(n),
-        fraction_(fraction),
-        seed_(seed),
-        disjoint_(disjoint) {
-    YAFIM_CHECK(n_ > 0, "multi-sample needs at least one sample");
-    this->lint_register(PlanOp::kSample, {parent_->id()});
-  }
-
-  std::vector<std::pair<u32, T>> compute(u32 pid) override {
-    auto in = parent_->get(pid);
-    std::vector<std::pair<u32, T>> out;
-    if (disjoint_) {
-      // Round-robin split assignment, offset by pid so split 0 does not
-      // collect every partition's first element. Exactly one split per
-      // element: the splits partition the parent.
-      out.reserve(in->size());
-      u64 j = 0;
-      for (const T& x : *in) {
-        work::add(1);
-        out.emplace_back(static_cast<u32>((pid + j++) % n_), x);
-      }
-      return out;
-    }
-    std::vector<Rng> streams;
-    streams.reserve(n_);
-    for (u32 s = 0; s < n_; ++s) {
-      streams.push_back(Rng(seed_).split(pid).split(s));
-    }
-    for (const T& x : *in) {
-      work::add(1);
-      for (u32 s = 0; s < n_; ++s) {
-        if (streams[s].bernoulli(fraction_)) out.emplace_back(s, x);
-      }
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  u32 n_;
-  double fraction_;
-  u64 seed_;
-  bool disjoint_;
-};
-
-template <typename T>
 class CoalesceNode final : public Node<T> {
  public:
   CoalesceNode(std::shared_ptr<Node<T>> parent, u32 num_partitions)
@@ -655,33 +572,6 @@ class CoalesceNode final : public Node<T> {
 
  private:
   std::shared_ptr<Node<T>> parent_;
-};
-
-template <typename T>
-class ZipWithIndexNode final : public Node<std::pair<T, u64>> {
- public:
-  ZipWithIndexNode(std::shared_ptr<Node<T>> parent, std::vector<u64> offsets)
-      : Node<std::pair<T, u64>>(parent->ctx(), parent->num_partitions()),
-        parent_(std::move(parent)),
-        offsets_(std::move(offsets)) {
-    this->lint_register(PlanOp::kZipWithIndex, {parent_->id()});
-  }
-
-  std::vector<std::pair<T, u64>> compute(u32 pid) override {
-    auto in = parent_->get(pid);
-    std::vector<std::pair<T, u64>> out;
-    out.reserve(in->size());
-    u64 index = offsets_[pid];
-    for (const T& x : *in) {
-      work::add(1);
-      out.emplace_back(x, index++);
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
-  std::vector<u64> offsets_;
 };
 
 // --- shuffle spill (memory-pressure degradation) -----------------------
@@ -1035,8 +925,12 @@ class RDD {
   template <typename F>
   auto map(F f) const {
     using U = std::decay_t<std::invoke_result_t<F, const T&>>;
-    return RDD<U>(std::make_shared<detail::MapNode<T, U, F>>(node_,
-                                                             std::move(f)));
+    return elementwise<U>(
+        PlanOp::kMap,
+        [f = std::move(f)](const T& x, std::vector<U>& out) mutable {
+          work::add(1);
+          out.push_back(f(x));
+        });
   }
 
   /// `f` must return an iterable container of the output element type.
@@ -1044,14 +938,24 @@ class RDD {
   auto flat_map(F f) const {
     using C = std::decay_t<std::invoke_result_t<F, const T&>>;
     using U = typename C::value_type;
-    return RDD<U>(
-        std::make_shared<detail::FlatMapNode<T, U, F>>(node_, std::move(f)));
+    return elementwise<U>(
+        PlanOp::kFlatMap,
+        [f = std::move(f)](const T& x, std::vector<U>& out) mutable {
+          auto produced = f(x);
+          work::add(1 + produced.size());
+          out.insert(out.end(), std::make_move_iterator(produced.begin()),
+                     std::make_move_iterator(produced.end()));
+        });
   }
 
   template <typename F>
   RDD<T> filter(F f) const {
-    return RDD<T>(
-        std::make_shared<detail::FilterNode<T, F>>(node_, std::move(f)));
+    return elementwise<T>(
+        PlanOp::kFilter,
+        [f = std::move(f)](const T& x, std::vector<T>& out) mutable {
+          work::add(1);
+          if (f(x)) out.push_back(x);
+        });
   }
 
   /// `f(const std::vector<T>& partition) -> std::vector<U>`.
@@ -1059,8 +963,13 @@ class RDD {
   auto map_partitions(F f) const {
     using C = std::decay_t<std::invoke_result_t<F, const std::vector<T>&>>;
     using U = typename C::value_type;
-    return RDD<U>(std::make_shared<detail::MapPartitionsNode<T, U, F>>(
-        node_, std::move(f)));
+    return per_partition(
+        PlanOp::kMapPartitions, "map_partitions",
+        [f = std::move(f)](u32, const std::vector<T>& part) mutable
+        -> std::vector<U> {
+          work::add(part.size());
+          return f(part);
+        });
   }
 
   RDD<T> union_with(const RDD<T>& other) const {
@@ -1070,25 +979,63 @@ class RDD {
 
   /// Bernoulli sample without replacement; deterministic in `seed`.
   RDD<T> sample(double fraction, u64 seed) const {
-    return RDD<T>(
-        std::make_shared<detail::SampleNode<T>>(node_, fraction, seed));
+    return per_partition(
+        PlanOp::kSample, nullptr,
+        [fraction, seed](u32 pid, const std::vector<T>& in) {
+          Rng rng = Rng(seed).split(pid);
+          std::vector<T> out;
+          for (const T& x : in) {
+            work::add(1);
+            if (rng.bernoulli(fraction)) out.push_back(x);
+          }
+          return out;
+        });
   }
 
   /// Draw `n` independent Bernoulli(fraction) samples in one pass over the
   /// data: emits (sample_id, element) for every sample that keeps the
-  /// element. Deterministic in (seed, partition); each sample's membership
-  /// is independent of its siblings'.
+  /// element. Each (partition, sample) pair gets its own Rng stream, so
+  /// sample s's membership is deterministic in (seed, partition) alone and
+  /// independent of how many sibling samples are drawn alongside it.
   RDD<std::pair<u32, T>> sample_each(u32 n, double fraction, u64 seed) const {
-    return RDD<std::pair<u32, T>>(std::make_shared<detail::MultiSampleNode<T>>(
-        node_, n, fraction, seed, /*disjoint=*/false));
+    YAFIM_CHECK(n > 0, "multi-sample needs at least one sample");
+    return per_partition(
+        PlanOp::kSample, nullptr,
+        [n, fraction, seed](u32 pid, const std::vector<T>& in) {
+          std::vector<Rng> streams;
+          streams.reserve(n);
+          for (u32 s = 0; s < n; ++s) {
+            streams.push_back(Rng(seed).split(pid).split(s));
+          }
+          std::vector<std::pair<u32, T>> out;
+          for (const T& x : in) {
+            work::add(1);
+            for (u32 s = 0; s < n; ++s) {
+              if (streams[s].bernoulli(fraction)) out.emplace_back(s, x);
+            }
+          }
+          return out;
+        });
   }
 
   /// Deterministically scatter elements round-robin into `n` disjoint
   /// splits: emits (split_id, element) with every element in exactly one
   /// split (the SON "mapper split" shape, without a shuffle).
   RDD<std::pair<u32, T>> disjoint_splits(u32 n) const {
-    return RDD<std::pair<u32, T>>(std::make_shared<detail::MultiSampleNode<T>>(
-        node_, n, /*fraction=*/1.0, /*seed=*/0, /*disjoint=*/true));
+    YAFIM_CHECK(n > 0, "multi-sample needs at least one sample");
+    return per_partition(
+        PlanOp::kSample, nullptr, [n](u32 pid, const std::vector<T>& in) {
+          // Offset by pid so split 0 does not collect every partition's
+          // first element.
+          std::vector<std::pair<u32, T>> out;
+          out.reserve(in.size());
+          u64 j = 0;
+          for (const T& x : in) {
+            work::add(1);
+            out.emplace_back(static_cast<u32>((pid + j++) % n), x);
+          }
+          return out;
+        });
   }
 
   // --- pair-RDD operations --------------------------------------------
@@ -1104,17 +1051,21 @@ class RDD {
   /// Pair every element with its global index in partition order (Spark's
   /// zipWithIndex). Runs one counting stage to learn partition offsets.
   auto zip_with_index(const std::string& label = "zipWithIndex") const {
-    Context& ctx = node_->ctx();
-    const u32 n = node_->num_partitions();
-    lint_consume(PlanLinter::Consume::kAction, label + ":count");
-    std::vector<u64> sizes(n, 0);
-    ctx.run_stage(label + ":count", n,
-                  [&](u32 pid) { sizes[pid] = node_->get(pid)->size(); });
-    std::vector<u64> offsets(n, 0);
-    for (u32 p = 1; p < n; ++p) offsets[p] = offsets[p - 1] + sizes[p - 1];
-    return RDD<std::pair<T, u64>>(
-        std::make_shared<detail::ZipWithIndexNode<T>>(node_,
-                                                      std::move(offsets)));
+    std::vector<u64> offsets = partition_sizes(label + ":count");
+    std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(),
+                        u64{0});
+    return per_partition(
+        PlanOp::kZipWithIndex, nullptr,
+        [offsets = std::move(offsets)](u32 pid, const std::vector<T>& in) {
+          std::vector<std::pair<T, u64>> out;
+          out.reserve(in.size());
+          u64 index = offsets[pid];
+          for (const T& x : in) {
+            work::add(1);
+            out.emplace_back(x, index++);
+          }
+          return out;
+        });
   }
 
   // --- pair-RDD operations (continued) ---------------------------------
@@ -1128,74 +1079,12 @@ class RDD {
   auto aggregate_by_key(A zero, Seq seq, Comb comb, u32 out_partitions = 0,
                         Hash hash = Hash{},
                         const std::string& label = "aggregateByKey") const {
-    using K = typename detail::PairTraits<T>::key_type;
-
-    Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    using KA = std::pair<K, A>;
-    lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<std::vector<KA>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":map-combine", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          std::unordered_map<K, A, Hash> acc;
-          for (const auto& [k, v] : *in) {
-            work::add(1);
-            auto [it, inserted] = acc.try_emplace(k, zero);
-            it->second = seq(std::move(it->second), v);
-            (void)inserted;
-          }
-          if constexpr (util::is_canon_hashable_v<K> &&
-                        util::is_canon_hashable_v<A>) {
-            DetSan& ds = ctx.detsan();
-            if (ds.should_replay(node_->id(), pid)) {
-              std::unordered_map<K, A, Hash> racc;
-              for (u32 i : DetSan::permutation(
-                       in->size(), ds.replay_seed(node_->id(), pid))) {
-                work::add(1);
-                const auto& [k, v] = (*in)[i];
-                auto [it, inserted] = racc.try_emplace(k, zero);
-                it->second = seq(std::move(it->second), v);
-                (void)inserted;
-              }
-              detail::detsan_check_kv(ds, node_->id(), "aggregate_by_key",
-                                      acc, racc);
-            }
-          }
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (auto& [k, a] : acc) {
-            const u32 r = static_cast<u32>(hash(k) % reduce_tasks);
-            bytes += byte_size(k) + byte_size(a);
-            buckets[r].emplace_back(std::move(const_cast<K&>(k)),
-                                    std::move(a));
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
-
-    std::vector<std::vector<KA>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, A, Hash> acc;
-      for (u32 m = 0; m < map_tasks; ++m) {
-        for (auto& [k, a] : map_out[m][r]) {
-          work::add(1);
-          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(a));
-          if (!inserted) it->second = comb(std::move(it->second), a);
-        }
-      }
-      out[r].reserve(acc.size());
-      for (auto& [k, a] : acc) {
-        out[r].emplace_back(std::move(const_cast<K&>(k)), std::move(a));
-      }
-    });
-    return ctx.from_partitions(std::move(out));
+    using V = typename detail::PairTraits<T>::mapped_type;
+    return combine_by_key<Hash>(
+        [&](const V& v) -> A { return seq(A(zero), v); },
+        [&](A&& acc, const V& v) -> A { return seq(std::move(acc), v); },
+        [&](A&& a, A& b) -> A { return comb(std::move(a), b); },
+        out_partitions, hash, label, "aggregate_by_key");
   }
 
   /// Shuffle + aggregate values per key, with map-side combining (Spark's
@@ -1206,80 +1095,11 @@ class RDD {
     requires detail::PairTraits<T>::is_pair
   RDD<T> reduce_by_key(F combine, u32 out_partitions = 0, Hash hash = Hash{},
                        const std::string& label = "reduceByKey") const {
-    using K = typename detail::PairTraits<T>::key_type;
     using V = typename detail::PairTraits<T>::mapped_type;
-
-    Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    // Map side: combine locally, then hash-partition into reduce buckets.
-    lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<std::vector<T>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":map-combine", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          std::unordered_map<K, V, Hash> acc;
-          acc.reserve(std::min(in->size(), kCombineReserveCap));
-          for (const auto& [k, v] : *in) {
-            work::add(1);
-            auto [it, inserted] = acc.try_emplace(k, v);
-            if (!inserted) it->second = combine(it->second, v);
-          }
-          // The combine fn is checked here at the map-combine stage; the
-          // reduce side applies the same fn, so a non-commutative combine
-          // cannot slip through unexercised.
-          if constexpr (util::is_canon_hashable_v<K> &&
-                        util::is_canon_hashable_v<V>) {
-            DetSan& ds = ctx.detsan();
-            if (ds.should_replay(node_->id(), pid)) {
-              std::unordered_map<K, V, Hash> racc;
-              racc.reserve(std::min(in->size(), kCombineReserveCap));
-              for (u32 i : DetSan::permutation(
-                       in->size(), ds.replay_seed(node_->id(), pid))) {
-                work::add(1);
-                const auto& [k, v] = (*in)[i];
-                auto [it, inserted] = racc.try_emplace(k, v);
-                if (!inserted) it->second = combine(it->second, v);
-              }
-              detail::detsan_check_kv(ds, node_->id(), "reduce_by_key", acc,
-                                      racc);
-            }
-          }
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (auto& [k, v] : acc) {
-            const u32 r = static_cast<u32>(hash(k) % reduce_tasks);
-            bytes += byte_size(k) + byte_size(v);
-            buckets[r].emplace_back(std::move(const_cast<K&>(k)), std::move(v));
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
-
-    // Reduce side: merge this key's contributions from every map task.
-    std::vector<std::vector<T>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, V, Hash> acc;
-      for (u32 m = 0; m < map_tasks; ++m) {
-        for (auto& [k, v] : map_out[m][r]) {
-          work::add(1);
-          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(v));
-          if (!inserted) it->second = combine(it->second, v);
-        }
-      }
-      auto& result = out[r];
-      result.reserve(acc.size());
-      for (auto& [k, v] : acc) {
-        result.emplace_back(std::move(const_cast<K&>(k)), std::move(v));
-      }
-    });
-
-    return ctx.from_partitions(std::move(out));
+    auto merge = [&](V&& a, const V& b) -> V { return combine(a, b); };
+    return combine_by_key<Hash>([](const V& v) { return v; }, merge, merge,
+                                out_partitions, hash, label,
+                                "reduce_by_key");
   }
 
   /// Shuffle + gather all values per key (Spark's groupByKey). No map-side
@@ -1299,33 +1119,17 @@ class RDD {
         out_partitions ? out_partitions : node_->num_partitions();
 
     lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<std::vector<T>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":map", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (const auto& kv : *in) {
-            work::add(1);
-            const u32 r = static_cast<u32>(hash(kv.first) % reduce_tasks);
-            bytes += byte_size(kv);
-            buckets[r].push_back(kv);
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
+    Buckets map_out;
+    const u64 shuffle_bytes = scatter(
+        label + ":map", reduce_tasks,
+        [&](const T& kv) { return hash(kv.first) % reduce_tasks; }, map_out);
 
     // Spillable key/value shapes degrade to simfs when the buffered bytes
     // exceed the shuffle budget; other shapes keep the in-memory path.
     std::optional<detail::ShuffleSpill<std::vector<std::vector<T>>>> spill;
     if constexpr (detail::is_spillable_v<T>) {
       spill.emplace(ctx, label);
-      if (spill->admit(shuffle_bytes.load(std::memory_order_relaxed))) {
-        spill->round_trip(map_out);
-      }
+      if (spill->admit(shuffle_bytes)) spill->round_trip(map_out);
     }
 
     std::vector<std::vector<Out>> out(reduce_tasks);
@@ -1363,33 +1167,13 @@ class RDD {
         out_partitions ? out_partitions : node_->num_partitions();
 
     // Hash-partition both sides.
-    auto partition_side = [&](auto node, const char* side) {
-      using E = typename decltype(node->get(0))::element_type::value_type;
-      const u32 tasks = node->num_partitions();
-      std::vector<std::vector<std::vector<E>>> buckets(tasks);
-      std::atomic<u64> bytes{0};
-      ctx.run_stage_with_shuffle(
-          label + ":" + side, tasks,
-          [&](u32 pid) {
-            auto in = node->get(pid);
-            auto& mine = buckets[pid];
-            mine.resize(reduce_tasks);
-            u64 b = 0;
-            for (const auto& kv : *in) {
-              work::add(1);
-              const u32 r = static_cast<u32>(hash(kv.first) % reduce_tasks);
-              b += byte_size(kv);
-              mine[r].push_back(kv);
-            }
-            bytes.fetch_add(b, std::memory_order_relaxed);
-          },
-          bytes);
-      return buckets;
-    };
+    auto route = [&](const auto& kv) { return hash(kv.first) % reduce_tasks; };
     lint_consume(PlanLinter::Consume::kShuffle, label + ":left");
-    auto left = partition_side(node_, "left");
+    Buckets left;
+    scatter(label + ":left", reduce_tasks, route, left);
     other.lint_consume(PlanLinter::Consume::kShuffle, label + ":right");
-    auto right = partition_side(other.node(), "right");
+    typename RDD<std::pair<K, W>>::Buckets right;
+    other.scatter(label + ":right", reduce_tasks, route, right);
 
     std::vector<std::vector<Out>> out(reduce_tasks);
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
@@ -1454,30 +1238,16 @@ class RDD {
       splitters.push_back(sample[sample.size() * s / reduce_tasks]);
     }
 
-    auto range_of = [&](const K& k) -> u32 {
-      return static_cast<u32>(
-          std::upper_bound(splitters.begin(), splitters.end(), k) -
-          splitters.begin());
-    };
-
     lint_consume(PlanLinter::Consume::kShuffle, label + ":partition");
-    std::vector<std::vector<std::vector<T>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":partition", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (const auto& kv : *in) {
-            work::add(1);
-            bytes += byte_size(kv);
-            buckets[range_of(kv.first)].push_back(kv);
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    Buckets map_out;
+    scatter(
+        label + ":partition", reduce_tasks,
+        [&](const T& kv) {
+          return std::upper_bound(splitters.begin(), splitters.end(),
+                                  kv.first) -
+                 splitters.begin();
         },
-        shuffle_bytes);
+        map_out);
 
     std::vector<std::vector<T>> out(reduce_tasks);
     ctx.run_stage(label + ":sort", reduce_tasks, [&](u32 r) {
@@ -1544,15 +1314,8 @@ class RDD {
   }
 
   u64 count(const std::string& label = "count") const {
-    Context& ctx = node_->ctx();
-    const u32 n = node_->num_partitions();
-    lint_consume(PlanLinter::Consume::kAction, label);
-    std::vector<u64> sizes(n, 0);
-    ctx.run_stage(label, n,
-                  [&](u32 pid) { sizes[pid] = node_->get(pid)->size(); });
-    u64 total = 0;
-    for (u64 s : sizes) total += s;
-    return total;
+    const std::vector<u64> sizes = partition_sizes(label);
+    return std::accumulate(sizes.begin(), sizes.end(), u64{0});
   }
 
   /// Fold all elements with an associative, commutative `f`. Aborts on an
@@ -1772,6 +1535,9 @@ class RDD {
   template <typename U>
   friend class RDD;
 
+  /// A shuffle's map-side output: [map task][reduce task] -> elements.
+  using Buckets = std::vector<std::vector<std::vector<T>>>;
+
   /// Plan-linter consumption hook, called right before an action/shuffle
   /// pulls this RDD's partitions (engine/lint.h walks the lineage then).
   void lint_consume(PlanLinter::Consume kind, const std::string& label) const {
@@ -1779,6 +1545,123 @@ class RDD {
     if (ctx.linter().enabled()) {
       ctx.linter().before_execute(node_->id(), kind, label);
     }
+  }
+
+  template <typename U, typename Step>
+  RDD<U> elementwise(PlanOp op, Step step) const {
+    return RDD<U>(std::make_shared<detail::ElementwiseNode<T, U, Step>>(
+        node_, op, std::move(step)));
+  }
+
+  template <typename Fn>
+  auto per_partition(PlanOp op, const char* detsan_op, Fn fn) const {
+    using U = typename std::invoke_result_t<Fn&, u32,
+                                            const std::vector<T>&>::value_type;
+    return RDD<U>(std::make_shared<detail::PartitionNode<T, U, Fn>>(
+        node_, op, detsan_op, std::move(fn)));
+  }
+
+  /// One stage reading every partition's size (count, zip_with_index).
+  std::vector<u64> partition_sizes(const std::string& label) const {
+    Context& ctx = node_->ctx();
+    const u32 n = node_->num_partitions();
+    lint_consume(PlanLinter::Consume::kAction, label);
+    std::vector<u64> sizes(n, 0);
+    ctx.run_stage(label, n,
+                  [&](u32 pid) { sizes[pid] = node_->get(pid)->size(); });
+    return sizes;
+  }
+
+  /// Shuffle map stage without a combine (group_by_key, join, sort_by_key):
+  /// copies every element into `map_out[task][route(x)]`, charging one work
+  /// unit and byte_size(x) shuffle bytes per element. Returns the bytes.
+  template <typename Route>
+  u64 scatter(const std::string& stage, u32 reduce_tasks, const Route& route,
+              Buckets& map_out) const {
+    const u32 map_tasks = node_->num_partitions();
+    map_out.assign(map_tasks, {});
+    std::atomic<u64> shuffle_bytes{0};
+    node_->ctx().run_stage_with_shuffle(
+        stage, map_tasks,
+        [&](u32 pid) {
+          auto in = node_->get(pid);
+          auto& buckets = map_out[pid];
+          buckets.resize(reduce_tasks);
+          u64 bytes = 0;
+          for (const T& x : *in) {
+            work::add(1);
+            bytes += byte_size(x);
+            buckets[route(x)].push_back(x);
+          }
+          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
+        },
+        shuffle_bytes);
+    return shuffle_bytes.load(std::memory_order_relaxed);
+  }
+
+  /// Spark's combineByKey, the body of reduce_by_key and aggregate_by_key.
+  /// Map side: each task folds its pairs into one combiner per key --
+  /// create(v) for the first value, merge_value(c, v) after -- which DetSan
+  /// replays in a permuted order under `op`, then hash-partitions the
+  /// combiners. Reduce side: merge_combiners(c1, c2) per key. One work unit
+  /// per pair on each side.
+  template <typename Hash, typename Create, typename MergeValue,
+            typename MergeCombiners>
+  auto combine_by_key(Create create, MergeValue merge_value,
+                      MergeCombiners merge_combiners, u32 out_partitions,
+                      const Hash& hash, const std::string& label,
+                      const char* op) const {
+    using K = typename detail::PairTraits<T>::key_type;
+    using V = typename detail::PairTraits<T>::mapped_type;
+    using C = std::decay_t<std::invoke_result_t<Create&, const V&>>;
+
+    Context& ctx = node_->ctx();
+    const u32 map_tasks = node_->num_partitions();
+    const u32 reduce_tasks = out_partitions ? out_partitions : map_tasks;
+
+    lint_consume(PlanLinter::Consume::kShuffle, label);
+    std::vector<std::vector<std::vector<std::pair<K, C>>>> map_out(map_tasks);
+    std::atomic<u64> shuffle_bytes{0};
+    ctx.run_stage_with_shuffle(
+        label + ":map-combine", map_tasks,
+        [&](u32 pid) {
+          auto in = node_->get(pid);
+          auto acc = detail::combine_pairs<Hash>(*in, {}, create, merge_value);
+          // The fns are checked here at the map-combine stage; the reduce
+          // side applies the same merge, so a non-commutative one cannot
+          // slip through unexercised.
+          if constexpr (util::is_canon_hashable_v<K> &&
+                        util::is_canon_hashable_v<C>) {
+            DetSan& ds = ctx.detsan();
+            if (ds.should_replay(node_->id(), pid)) {
+              detail::detsan_replay_combine(
+                  ds, node_->id(), ds.replay_seed(node_->id(), pid), op, *in,
+                  acc, create, merge_value);
+            }
+          }
+          map_out[pid].resize(reduce_tasks);
+          shuffle_bytes.fetch_add(
+              detail::hash_partition(acc, map_out[pid], hash),
+              std::memory_order_relaxed);
+        },
+        shuffle_bytes);
+
+    std::vector<std::vector<std::pair<K, C>>> out(reduce_tasks);
+    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
+      std::unordered_map<K, C, Hash> acc;
+      for (u32 m = 0; m < map_tasks; ++m) {
+        for (auto& [k, c] : map_out[m][r]) {
+          work::add(1);
+          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(c));
+          if (!inserted) it->second = merge_combiners(std::move(it->second), c);
+        }
+      }
+      out[r].reserve(acc.size());
+      for (auto& [k, c] : acc) {
+        out[r].emplace_back(std::move(const_cast<K&>(k)), std::move(c));
+      }
+    });
+    return ctx.from_partitions(std::move(out));
   }
 
   std::shared_ptr<detail::Node<T>> node_;

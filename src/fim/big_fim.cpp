@@ -23,17 +23,6 @@ using IndexedTx = std::pair<u64, Transaction>;
 /// Phase-2 output record: the frequent itemsets of one prefix's subtree.
 using Subtree = std::vector<CountPair>;
 
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
 }  // namespace
 
 BigFimRun big_fim_mine(engine::Context& ctx, simfs::SimFS& fs,
@@ -70,7 +59,7 @@ BigFimRun big_fim_mine(engine::Context& ctx, simfs::SimFS& fs,
   big.prefixes = prefixes.size();
   if (prefixes.empty()) {
     ctx.set_pass(0);
-    price_passes(ctx, first_stage, run);
+    price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
     return big;  // the lattice ended before the switch
   }
   auto frequent_items = std::make_shared<std::unordered_set<Item>>();
@@ -179,7 +168,7 @@ BigFimRun big_fim_mine(engine::Context& ctx, simfs::SimFS& fs,
   run.passes.push_back(PassStats{phase2_pass, big.prefixes, deep, 0.0});
 
   ctx.set_pass(0);
-  price_passes(ctx, first_stage, run);
+  price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
   return big;
 }
 

@@ -1,50 +1,10 @@
 #include "fim/eclat.h"
 
-#include <algorithm>
 #include <map>
 
+#include "fim/tidlist_mining.h"
+
 namespace yafim::fim {
-
-namespace {
-
-using TidList = std::vector<u32>;
-
-TidList intersect(const TidList& a, const TidList& b) {
-  TidList out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-struct Entry {
-  Item item;
-  TidList tids;
-};
-
-void mine_class(std::vector<Entry>& siblings, Itemset& prefix, u64 min_count,
-                FrequentItemsets& out) {
-  for (size_t i = 0; i < siblings.size(); ++i) {
-    prefix.push_back(siblings[i].item);
-    Itemset found = prefix;
-    canonicalize(found);
-    out.add(std::move(found), siblings[i].tids.size());
-
-    std::vector<Entry> extensions;
-    for (size_t j = i + 1; j < siblings.size(); ++j) {
-      TidList tids = intersect(siblings[i].tids, siblings[j].tids);
-      if (tids.size() >= min_count) {
-        extensions.push_back(Entry{siblings[j].item, std::move(tids)});
-      }
-    }
-    if (!extensions.empty()) {
-      mine_class(extensions, prefix, min_count, out);
-    }
-    prefix.pop_back();
-  }
-}
-
-}  // namespace
 
 MiningRun eclat_mine(const TransactionDB& db, double min_support) {
   const u64 min_count = db.min_support_count(min_support);
@@ -52,22 +12,22 @@ MiningRun eclat_mine(const TransactionDB& db, double min_support) {
   run.itemsets = FrequentItemsets(min_count, db.size());
 
   // Vertical layout: item -> sorted tid list. std::map keeps item order
-  // deterministic for the prefix-class recursion.
+  // ascending, as the prefix-class recursion requires.
   std::map<Item, TidList> vertical;
   const auto& tx = db.transactions();
   for (u32 tid = 0; tid < tx.size(); ++tid) {
     for (Item i : tx[tid]) vertical[i].push_back(tid);
   }
 
-  std::vector<Entry> roots;
+  std::vector<std::pair<Item, TidList>> roots;
   for (auto& [item, tids] : vertical) {
-    if (tids.size() >= min_count) {
-      roots.push_back(Entry{item, std::move(tids)});
-    }
+    if (tids.size() >= min_count) roots.emplace_back(item, std::move(tids));
   }
-
-  Itemset prefix;
-  mine_class(roots, prefix, min_count, run.itemsets);
+  std::vector<std::pair<Itemset, u64>> found;
+  mine_tidlist_class({}, roots, min_count, found);
+  for (auto& [itemset, support] : found) {
+    run.itemsets.add(std::move(itemset), support);
+  }
 
   for (u32 k = 1; k <= run.itemsets.max_k(); ++k) {
     run.passes.push_back(

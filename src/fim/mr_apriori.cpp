@@ -26,20 +26,6 @@ std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
   return TransactionDB::deserialize(bytes).release();
 }
 
-/// Shared by yafim.cpp's twin; duplicated locally to keep layering flat.
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    // Checkpoint-restored passes keep the snapshot's numbers.
-    if (pass.k <= run.resumed_pass) continue;
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
 }  // namespace
 
 MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
@@ -84,7 +70,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
   auto maybe_checkpoint = [&](u32 completed_pass,
                               const std::vector<Itemset>& frontier) {
     if (!options.checkpoint) return;
-    price_passes(ctx, first_stage, run);
+    price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
     CheckpointState state;
     state.fingerprint = fingerprint;
     state.pass = completed_pass;
@@ -354,7 +340,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   ctx.set_pass(0);
-  price_passes(ctx, first_stage, run);
+  price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
   return run;
 }
 

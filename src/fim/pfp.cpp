@@ -25,17 +25,6 @@ struct RankTable {
   u64 byte_size() const { return 16 + 12ull * rank_to_item.size(); }
 };
 
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
 }  // namespace
 
 PfpRun pfp_mine(engine::Context& ctx, simfs::SimFS& fs,
@@ -104,7 +93,7 @@ PfpRun pfp_mine(engine::Context& ctx, simfs::SimFS& fs,
   run.passes.push_back(PassStats{1, counts.size(), frequent.size(), 0.0});
   if (frequent.empty()) {
     ctx.set_pass(0);
-    price_passes(ctx, first_stage, run);
+    price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
     return result;
   }
 
@@ -175,7 +164,7 @@ PfpRun pfp_mine(engine::Context& ctx, simfs::SimFS& fs,
                 run.itemsets.total() - frequent.size(), 0.0});
 
   ctx.set_pass(0);
-  price_passes(ctx, first_stage, run);
+  price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
   return result;
 }
 

@@ -11,6 +11,11 @@
 #include "fim/itemset.h"
 #include "util/common.h"
 
+namespace yafim::sim {
+class CostModel;
+class SimReport;
+}  // namespace yafim::sim
+
 namespace yafim::fim {
 
 using SupportMap = std::unordered_map<Itemset, u64, ItemsetHash, ItemsetEq>;
@@ -89,5 +94,12 @@ struct MiningRun {
     return total;
   }
 };
+
+/// Fill run.setup_seconds and each PassStats::sim_seconds by pricing the
+/// stages the run appended to `report` (those from `first_stage` on) per
+/// pass tag. Passes k <= run.resumed_pass keep their snapshot's numbers:
+/// they were restored from a checkpoint, not executed here.
+void price_passes(const sim::SimReport& report, const sim::CostModel& model,
+                  size_t first_stage, MiningRun& run);
 
 }  // namespace yafim::fim

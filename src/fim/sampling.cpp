@@ -43,17 +43,6 @@ u64 byte_size(const LocalResult& r) {
          engine::byte_size(r.frequent) + engine::byte_size(r.border);
 }
 
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
 }  // namespace
 
 std::vector<Itemset> negative_border(const FrequentItemsets& frequent,
@@ -377,7 +366,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   run.passes[0].frequent = verified.size();
 
   ctx.set_pass(0);
-  price_passes(ctx, first_stage, run);
+  price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
   return sres;
 }
 

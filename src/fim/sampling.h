@@ -4,7 +4,7 @@
 // exactly two full-data passes, independent of the lattice depth.
 //
 //   Phase 1 (local mine):  one scan of the staged dataset tags every
-//     transaction with the samples that draw it (engine::MultiSampleNode,
+//     transaction with the samples that draw it (RDD::sample_each,
 //     seeded per-partition Bernoulli streams), a shuffle gathers each
 //     sample, and an in-memory Apriori (fim/apriori_seq.h) mines it at the
 //     relaxed threshold s*r. Each sample also reports its *negative

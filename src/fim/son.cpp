@@ -20,17 +20,6 @@ std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
   return TransactionDB::deserialize(bytes).release();
 }
 
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
 }  // namespace
 
 SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
@@ -160,7 +149,7 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
   run.passes[0].frequent = counted.output.size();
 
   ctx.set_pass(0);
-  price_passes(ctx, first_stage, run);
+  price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
   return son;
 }
 

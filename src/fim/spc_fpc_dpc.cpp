@@ -20,21 +20,6 @@ std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
   return TransactionDB::deserialize(bytes).release();
 }
 
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    // Combined jobs are tagged with their batch's first level; later levels
-    // in the same batch keep the 0 they were initialised with.
-    if (pass.sim_seconds == 0.0 && pass.k < by_pass.size()) {
-      pass.sim_seconds = by_pass[pass.k];
-    }
-  }
-}
-
 }  // namespace
 
 LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
@@ -210,7 +195,7 @@ LinRun lin_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   ctx.set_pass(0);
-  price_passes(ctx, first_stage, run);
+  price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
   return lin;
 }
 

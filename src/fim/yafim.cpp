@@ -19,26 +19,6 @@
 
 namespace yafim::fim {
 
-namespace {
-
-/// Fill PassStats::sim_seconds (and the setup time) by pricing the stages
-/// this run appended to the context's report.
-void price_passes(engine::Context& ctx, size_t first_stage, MiningRun& run) {
-  sim::SimReport slice;
-  const auto& stages = ctx.report().stages();
-  for (size_t i = first_stage; i < stages.size(); ++i) slice.add(stages[i]);
-  const std::vector<double> by_pass = slice.pass_seconds(ctx.cost_model());
-  run.setup_seconds = by_pass.empty() ? 0.0 : by_pass[0];
-  for (PassStats& pass : run.passes) {
-    // Passes restored from a checkpoint were not executed here; keep the
-    // snapshot's numbers instead of zeroing them against this run's stages.
-    if (pass.k <= run.resumed_pass) continue;
-    pass.sim_seconds = pass.k < by_pass.size() ? by_pass[pass.k] : 0.0;
-  }
-}
-
-}  // namespace
-
 MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
                      const std::string& input_path,
                      const YafimOptions& options) {
@@ -102,7 +82,8 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   auto maybe_checkpoint = [&](u32 completed_pass,
                               const std::vector<Itemset>& frontier) {
     if (!options.checkpoint) return;
-    price_passes(ctx, first_stage, run);  // snapshot carries priced passes
+    // The snapshot carries priced passes.
+    price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
     CheckpointState state;
     state.fingerprint = fingerprint;
     state.pass = completed_pass;
@@ -350,7 +331,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   ctx.set_pass(0);
-  price_passes(ctx, first_stage, run);
+  price_passes(ctx.report(), ctx.cost_model(), first_stage, run);
   if (mine_span) {
     mine_span->arg("passes", run.passes.size());
     mine_span->arg("frequent_itemsets", run.itemsets.total());

@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/bytes_of.h"
 #include "engine/context.h"
 #include "engine/detsan.h"
 #include "engine/rdd.h"
@@ -148,6 +147,11 @@ class JobRunner {
     // and stragglers as Spark stages (keeping the comparison fair).
     std::vector<std::vector<std::vector<std::pair<K, V>>>> map_out(map_tasks);
     std::atomic<u64> shuffle_bytes{0};
+    // Names the job's map tasks in DetSan's sampling draw (no rdd id).
+    const u32 replay_id =
+        static_cast<u32>(mix64(xxh64(spec.name.data(), spec.name.size(), 0)));
+    constexpr bool kReplayable =
+        util::is_canon_hashable_v<K> && util::is_canon_hashable_v<V>;
     std::optional<obs::Span> map_span;
     if (obs::enabled()) {
       map_span.emplace("stage", spec.name + ":map");
@@ -173,74 +177,36 @@ class JobRunner {
 
       auto& buckets = map_out[m];
       buckets.resize(reduce_tasks);
+      std::vector<std::pair<K, V>>& pairs = emitter.pairs();
       u64 bytes = 0;
-      auto spill = [&](K&& k, V&& v) {
-        const u32 r = static_cast<u32>(spec.hash(k) % reduce_tasks);
-        bytes += engine::byte_size(k) + engine::byte_size(v);
-        buckets[r].emplace_back(std::move(k), std::move(v));
-      };
       if (spec.combine_fn) {
-        // DetSan: when this task is sampled, re-run the combiner over a
-        // permuted emission order and compare multisets -- the MapReduce
-        // analogue of the RDD map-combine replay, catching
-        // non-commutative/non-associative combine fns. The snapshot is
-        // taken up front because the primary build below moves the pairs
-        // out of the emitter.
+        // The RDD map-side combine (engine::detail::combine_pairs), with
+        // the same DetSan replay over a permuted emission order, catching
+        // impure or non-commutative combine fns. The replay re-reads the
+        // emitted pairs, so only a sampled task's combine copies the keys.
+        auto keep = [](const V& v) { return v; };
+        auto merge = [&](V&& a, const V& b) -> V {
+          return spec.combine_fn(a, b);
+        };
         engine::DetSan& ds = ctx_.detsan();
-        u32 replay_id = 0;
-        std::vector<std::pair<K, V>> replay_input;
-        if constexpr (util::is_canon_hashable_v<K> &&
-                      util::is_canon_hashable_v<V>) {
-          if (ds.enabled() && emitter.pairs().size() >= 2) {
-            replay_id = static_cast<u32>(
-                mix64(xxh64(spec.name.data(), spec.name.size(), 0)));
-            if (ds.should_replay(replay_id, m)) {
-              replay_input = emitter.pairs();
-            }
+        if (kReplayable && ds.enabled() && pairs.size() >= 2 &&
+            ds.should_replay(replay_id, m)) {
+          auto combined =
+              engine::detail::combine_pairs<Hash>(pairs, {}, keep, merge);
+          if constexpr (kReplayable) {
+            engine::detail::detsan_replay_combine(
+                ds, "job '" + spec.name + "' map task " + std::to_string(m),
+                ds.replay_seed(replay_id, m), "combine", pairs, combined,
+                keep, merge);
           }
-        }
-        std::unordered_map<K, V, Hash> combined;
-        combined.reserve(
-            std::min(emitter.pairs().size(), engine::kCombineReserveCap));
-        for (auto& [k, v] : emitter.pairs()) {
-          engine::work::add(1);
-          auto [it, inserted] = combined.try_emplace(std::move(k), v);
-          if (!inserted) it->second = spec.combine_fn(it->second, v);
-        }
-        if constexpr (util::is_canon_hashable_v<K> &&
-                      util::is_canon_hashable_v<V>) {
-          if (!replay_input.empty()) {
-            const std::vector<u32> perm = engine::DetSan::permutation(
-                replay_input.size(), ds.replay_seed(replay_id, m));
-            std::unordered_map<K, V, Hash> rcombined;
-            rcombined.reserve(combined.size());
-            for (u32 idx : perm) {
-              engine::work::add(1);
-              const auto& [k, v] = replay_input[idx];
-              auto [it, inserted] = rcombined.try_emplace(k, v);
-              if (!inserted) it->second = spec.combine_fn(it->second, v);
-            }
-            ds.note_replayed();
-            if (util::canon_hash_unordered(combined) !=
-                util::canon_hash_unordered(rcombined)) {
-              ds.report_divergence_raw(
-                  "job '" + spec.name + "' map task " + std::to_string(m),
-                  "combine",
-                  combined.size() == rcombined.size()
-                      ? "a combined value differs between emission orders"
-                      : std::to_string(rcombined.size()) +
-                            " combined key(s) on replay vs " +
-                            std::to_string(combined.size()));
-            }
-          }
-        }
-        for (auto& [k, v] : combined) {
-          spill(std::move(const_cast<K&>(k)), std::move(v));
+          bytes = engine::detail::hash_partition(combined, buckets, spec.hash);
+        } else {
+          auto combined = engine::detail::combine_pairs<Hash>(
+              std::move(pairs), {}, keep, merge);
+          bytes = engine::detail::hash_partition(combined, buckets, spec.hash);
         }
       } else {
-        for (auto& [k, v] : emitter.pairs()) {
-          spill(std::move(k), std::move(v));
-        }
+        bytes = engine::detail::hash_partition(pairs, buckets, spec.hash);
       }
       shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
     });

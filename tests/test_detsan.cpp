@@ -219,6 +219,81 @@ TEST(DetSan, StatefulByRefCaptureDivergesWithNodeName) {
   EXPECT_TRUE(named);
 }
 
+/// Expect a YL007 diagnostic naming node `name` whose message names the
+/// replayed operator `op`.
+void expect_yl007(const Context& ctx, const std::string& name,
+                  const std::string& op) {
+  EXPECT_GT(ctx.detsan().divergences(), 0u);
+  bool found = false;
+  for (const auto& diag : ctx.linter().diagnostics()) {
+    if (diag.rule != "YL007" || diag.node_name != name) continue;
+    found = true;
+    EXPECT_NE(diag.message.find("replay of " + op + " with permuted input"),
+              std::string::npos)
+        << diag.message;
+  }
+  EXPECT_TRUE(found) << "no YL007 on '" << name << "'";
+}
+
+// Each impurity below diverges on every permutation: one partition, so the
+// replay follows its primary pass with no other task in between, and a
+// replay order that is never the identity.
+
+TEST(DetSan, StatefulFlatMapDivergesNamingTheOp) {
+  Context ctx(detsan_on(1.0));
+  std::atomic<int> calls{0};
+  // detsan: intentional-divergence -- the impurity under test.
+  auto fanned = ctx.parallelize(iota(32), 1).flat_map([&calls](const int& x) {
+    // Every call draws a fresh count, so no replay output repeats one.
+    return std::vector<int>{x * 1000 + calls.fetch_add(1)};
+  });
+  fanned.named("leaky-flat-map");
+  fanned.collect();
+  expect_yl007(ctx, "leaky-flat-map", "flat_map");
+}
+
+TEST(DetSan, StatefulFilterDivergesNamingTheOp) {
+  Context ctx(detsan_on(1.0));
+  std::atomic<int> calls{0};
+  // detsan: intentional-divergence -- the impurity under test.
+  auto kept = ctx.parallelize(iota(32), 1).filter([&calls](const int&) {
+    return calls.fetch_add(1) < 32;  // keeps the primary pass, drops the replay
+  });
+  kept.named("leaky-filter");
+  kept.collect();
+  expect_yl007(ctx, "leaky-filter", "filter");
+}
+
+/// One key whose values are the decimal digits 1..6: folding them with
+/// `acc * 10 + v` spells the visiting order, so any reordering changes it.
+RDD<std::pair<u32, u64>> digits(Context& ctx) {
+  std::vector<std::pair<u32, u64>> pairs;
+  for (u64 d = 1; d <= 6; ++d) pairs.emplace_back(0, d);
+  auto rdd = ctx.parallelize(std::move(pairs), 1);
+  rdd.named("digits");
+  return rdd;
+}
+
+TEST(DetSan, NonCommutativeReduceByKeyDivergesNamingTheOp) {
+  Context ctx(detsan_on(1.0));
+  // detsan: intentional-divergence -- the impurity under test.
+  (void)digits(ctx)
+      .reduce_by_key([](u64 a, u64 b) { return a * 10 + b; })
+      .collect();
+  expect_yl007(ctx, "digits", "reduce_by_key");
+}
+
+TEST(DetSan, NonCommutativeAggregateByKeyDivergesNamingTheOp) {
+  Context ctx(detsan_on(1.0));
+  // detsan: intentional-divergence -- the impurity under test.
+  (void)digits(ctx)
+      .aggregate_by_key(
+          u64{0}, [](u64 acc, const u64& v) { return acc * 10 + v; },
+          [](u64 a, const u64& b) { return a + b; })
+      .collect();
+  expect_yl007(ctx, "digits", "aggregate_by_key");
+}
+
 TEST(DetSan, FailFastThrowsDetSanErrorNamingNodeAndStage) {
   Context ctx(detsan_on(1.0, /*fail_fast=*/true));
   auto rdd = ctx.parallelize(iota(64), 4);
@@ -311,6 +386,22 @@ TEST(DetSan, MapReduceCombinerHookFlagsNonCommutativeCombine) {
   (void)runner.run(combine_spec(/*commutative=*/false), "in", "out");
   EXPECT_GT(ctx.detsan().tasks_replayed(), 0u);
   EXPECT_GT(ctx.detsan().divergences(), 0u);
+  // The finding blames the combine fn's order sensitivity, not the
+  // serialization of a spill block.
+  const auto diags = ctx.linter().diagnostics();
+  ASSERT_FALSE(diags.empty());
+  for (const auto& diag : diags) {
+    EXPECT_EQ(diag.rule, "YL007");
+    EXPECT_EQ(diag.node_name.rfind("job 'dirty-combine' map task ", 0), 0u)
+        << diag.node_name;
+    EXPECT_NE(diag.message.find("replay of combine with permuted input"),
+              std::string::npos)
+        << diag.message;
+    EXPECT_NE(diag.message.find("non-commutative"), std::string::npos)
+        << diag.message;
+    EXPECT_EQ(diag.message.find("serializ"), std::string::npos)
+        << diag.message;
+  }
 }
 
 TEST(DetSan, MapReduceCombinerHookCleanOnCommutativeCombine) {

@@ -1,10 +1,13 @@
 // Unit tests for the MapReduce-on-SimFS substrate: a word-count style job,
-// combiner equivalence, cost recording, and the distributed cache.
+// combiner equivalence, cost recording, the distributed cache, and the
+// pricing pin of a combiner job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "mapreduce/job.h"
+#include "sim/corruption.h"
 #include "util/bytes.h"
 
 namespace yafim::mr {
@@ -232,6 +235,77 @@ TEST(MapReduce, ReduceCanDropKeys) {
   };
   auto result = JobRunner(ctx, fs).run(spec, "in", "out");
   EXPECT_EQ(result.output.size(), 3u);  // the, fox, dog
+}
+
+// Pricing pin: the stages one combiner job records -- label, kind, task
+// count, summed task work, shuffle and DFS bytes -- and DetSan's replay
+// count, recorded once; the combiner may change how it computes but never
+// these numbers.
+struct PinnedJob {
+  std::vector<std::string> rows;
+  u64 tasks_replayed = 0;
+  u64 divergences = 0;
+  std::vector<std::pair<std::string, u64>> output;  // sorted
+};
+
+PinnedJob run_pinned_job(bool detsan) {
+  auto opts = small_cluster();
+  opts.fault = engine::FaultProfile{};
+  opts.detsan.enabled = detsan;
+  opts.detsan.sample_rate = 1.0;
+  engine::Context ctx(opts);
+  simfs::SimFS fs(ctx.cluster(), sim::CorruptionProfile{});
+  std::vector<std::string> lines;
+  for (int i = 0; i < 40; ++i) {
+    std::string line;
+    for (int j = 0; j <= i % 6; ++j) {
+      line += "w" + std::to_string((i * j + j) % 7) + " ";
+    }
+    lines.push_back(line);
+  }
+  fs.write("in", encode_lines(lines));
+  auto spec = word_count_spec(true);
+  spec.num_mappers = 3;
+  spec.num_reducers = 2;
+  auto result = JobRunner(ctx, fs).run(spec, "in", "out");
+
+  PinnedJob out;
+  out.output = std::move(result.output);
+  std::sort(out.output.begin(), out.output.end());
+  for (const sim::StageRecord& stage : ctx.report().stages()) {
+    u64 work = 0;
+    for (const sim::TaskRecord& task : stage.tasks) work += task.work;
+    std::ostringstream row;
+    row << stage.label << ' ' << static_cast<int>(stage.kind) << ' '
+        << stage.tasks.size() << ' ' << work << ' ' << stage.shuffle_bytes
+        << ' ' << stage.dfs_read_bytes + stage.dfs_write_bytes;
+    out.rows.push_back(row.str());
+  }
+  out.tasks_replayed = ctx.detsan().tasks_replayed();
+  out.divergences = ctx.detsan().divergences();
+  return out;
+}
+
+TEST(MapReduce, CombinerJobPricingPinned) {
+  const PinnedJob plain = run_pinned_job(/*detsan=*/false);
+  EXPECT_EQ(plain.tasks_replayed, 0u);
+  EXPECT_EQ(plain.rows, (std::vector<std::string>{
+                            "wordcount:startup 3 0 0 0 0",
+                            "wordcount:map 1 3 80312 0 736",
+                            "wordcount:reduce 2 2 42 378 134",
+                        }));
+  const PinnedJob replayed = run_pinned_job(/*detsan=*/true);
+  EXPECT_EQ(replayed.tasks_replayed, 3u);
+  EXPECT_EQ(replayed.rows, (std::vector<std::string>{
+                               "wordcount:startup 3 0 0 0 0",
+                               "wordcount:map 1 3 80448 0 736",
+                               "wordcount:reduce 2 2 42 378 134",
+                           }));
+  // A replayed map task's combine copies the emitted keys, which the replay
+  // then re-reads; an unreplayed one moves them. Both reach one output.
+  EXPECT_EQ(replayed.divergences, 0u);
+  EXPECT_EQ(plain.output.size(), 7u);
+  EXPECT_EQ(replayed.output, plain.output);
 }
 
 TEST(MapReduce, OutputRoundTripsThroughDfs) {

@@ -1,11 +1,14 @@
 // Tests for the extended RDD operator set: group_by_key, join, sort_by_key,
-// distinct, take/first, count_by_value.
+// distinct, take/first, count_by_value; plus the pricing pins every
+// operator must reproduce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <sstream>
 
 #include "engine/rdd.h"
+#include "sim/corruption.h"
 #include "util/rng.h"
 
 namespace yafim::engine {
@@ -362,6 +365,153 @@ TEST_P(JoinSweep, MatchesSerialJoin) {
 INSTANTIATE_TEST_SUITE_P(Sweep, JoinSweep,
                          ::testing::Combine(::testing::Values(1u, 3u, 8u),
                                             ::testing::Values(1u, 5u)));
+
+// --- pricing pins ------------------------------------------------------
+//
+// One fixed plan through every operator. The cost model prices exactly
+// what the stages record -- label, kind, task count, summed task work,
+// shuffle and DFS bytes -- and DetSan's replays are priced as task work,
+// so an operator may change how it computes but never these numbers.
+
+/// "label kind tasks work shuffle dfs" for every recorded stage.
+std::vector<std::string> stage_rows(const sim::SimReport& report) {
+  std::vector<std::string> rows;
+  for (const sim::StageRecord& stage : report.stages()) {
+    u64 work = 0;
+    for (const sim::TaskRecord& task : stage.tasks) work += task.work;
+    std::ostringstream row;
+    row << stage.label << ' ' << static_cast<int>(stage.kind) << ' '
+        << stage.tasks.size() << ' ' << work << ' ' << stage.shuffle_bytes
+        << ' ' << stage.dfs_read_bytes + stage.dfs_write_bytes;
+    rows.push_back(row.str());
+  }
+  return rows;
+}
+
+struct PinnedRun {
+  std::vector<std::string> rows;
+  u64 tasks_replayed = 0;
+};
+
+PinnedRun run_pinned_plan(bool detsan) {
+  Context::Options opts = small_cluster();
+  opts.fault = FaultProfile{};
+  // One byte of shuffle buffer: a shuffle spills whenever a spill
+  // filesystem is attached.
+  opts.cluster.shuffle_buffer_bytes = 1;
+  opts.detsan.enabled = detsan;
+  opts.detsan.sample_rate = 1.0;
+  Context ctx(opts);
+  simfs::SimFS fs(ctx.cluster(), sim::CorruptionProfile{});
+
+  using KV = std::pair<u32, u64>;
+  auto nums = ctx.parallelize(iota(90), 6);
+  auto tripled = nums.map([](const int& x) { return x * 3; });
+  auto fanned = tripled.flat_map([](const int& x) {
+    return std::vector<int>(static_cast<size_t>(x % 4), x);
+  });
+  auto even = fanned.filter([](const int& x) { return x % 2 == 0; });
+  auto prefix = even.map_partitions([](const std::vector<int>& part) {
+    std::vector<int> out;
+    int acc = 0;
+    for (int x : part) out.push_back(acc += x);
+    return out;
+  });
+  auto mixed = prefix.sample(0.5, 7).union_with(even).coalesce(4);
+  auto pairs = mixed.zip_with_index("zip").map(
+      [](const std::pair<int, u64>& p) {
+        return KV(static_cast<u32>(p.first % 7), p.second);
+      });
+  const std::hash<u32> hash;
+
+  (void)pairs.reduce_by_key([](u64 a, u64 b) { return a + b; }, 3, hash, "rbk")
+      .collect("rbk:collect");
+  (void)pairs
+      .aggregate_by_key(
+          u64{1}, [](u64 acc, const u64& v) { return acc + v; },
+          [](u64 a, const u64& b) { return a + b; }, 3, hash, "abk")
+      .collect("abk:collect");
+  (void)pairs.group_by_key(3, hash, "gbk").collect("gbk:collect");
+  ctx.set_spill_fs(&fs);
+  (void)pairs.group_by_key(3, hash, "gbk-spill").collect("gbk-spill:collect");
+  ctx.set_spill_fs(nullptr);
+  auto names = ctx.parallelize(
+      std::vector<std::pair<u32, int>>{{0, 10}, {2, 20}, {2, 21}, {5, 50}}, 2);
+  (void)pairs.join(names, 3, hash, "join").collect("join:collect");
+  (void)pairs.sort_by_key(3, "sort").collect("sort:collect");
+  (void)nums.sample_each(3, 0.4, 11).count("sample_each:count");
+  (void)nums.disjoint_splits(3).count("splits:count");
+  (void)fanned.reduce([](int a, int b) { return a + b; }, "reduce");
+
+  EXPECT_EQ(ctx.detsan().divergences(), 0u) << "the plan is pure";
+  return {stage_rows(ctx.report()), ctx.detsan().tasks_replayed()};
+}
+
+TEST(PricingPins, EveryOperatorRecordsTheSameStages) {
+  const PinnedRun run = run_pinned_plan(/*detsan=*/false);
+  EXPECT_EQ(run.tasks_replayed, 0u);
+  EXPECT_EQ(run.rows, (std::vector<std::string>{
+                          "zip:count 0 4 1059 0 0",
+                          "rbk:map-combine 0 4 1272 312 0",
+                          "rbk:reduce 0 3 26 0 0",
+                          "rbk:collect 0 3 0 0 0",
+                          "abk:map-combine 0 4 1272 312 0",
+                          "abk:reduce 0 3 26 0 0",
+                          "abk:collect 0 3 0 0 0",
+                          "gbk:map 0 4 1272 852 0",
+                          "gbk:reduce 0 3 71 0 0",
+                          "gbk:collect 0 3 0 0 0",
+                          "gbk-spill:map 0 4 1272 852 0",
+                          "gbk-spill:spill 0 4 0 0 1048",
+                          "gbk-spill:spill-read 0 4 0 0 1048",
+                          "gbk-spill:reduce 0 3 71 0 0",
+                          "gbk-spill:collect 0 3 0 0 0",
+                          "join:left 0 4 1272 852 0",
+                          "join:right 0 2 4 32 0",
+                          "join:reduce 0 3 75 0 0",
+                          "join:collect 0 3 0 0 0",
+                          "sort:sample 0 4 1208 0 0",
+                          "sort:partition 0 4 1272 852 0",
+                          "sort:sort 0 3 71 0 0",
+                          "sort:collect 0 3 0 0 0",
+                          "sample_each:count 0 6 90 0 0",
+                          "splits:count 0 6 90 0 0",
+                          "reduce 0 6 444 0 0",
+                      }));
+}
+
+TEST(PricingPins, DetSanReplaysArePricedTheSame) {
+  const PinnedRun run = run_pinned_plan(/*detsan=*/true);
+  EXPECT_EQ(run.tasks_replayed, 394u);
+  EXPECT_EQ(run.rows, (std::vector<std::string>{
+                          "zip:count 0 4 2003 0 0",
+                          "rbk:map-combine 0 4 2358 312 0",
+                          "rbk:reduce 0 3 26 0 0",
+                          "rbk:collect 0 3 0 0 0",
+                          "abk:map-combine 0 4 2358 312 0",
+                          "abk:reduce 0 3 26 0 0",
+                          "abk:collect 0 3 0 0 0",
+                          "gbk:map 0 4 2287 852 0",
+                          "gbk:reduce 0 3 71 0 0",
+                          "gbk:collect 0 3 0 0 0",
+                          "gbk-spill:map 0 4 2287 852 0",
+                          "gbk-spill:spill 0 4 0 0 1048",
+                          "gbk-spill:spill-read 0 4 0 0 1048",
+                          "gbk-spill:reduce 0 3 71 0 0",
+                          "gbk-spill:collect 0 3 0 0 0",
+                          "join:left 0 4 2287 852 0",
+                          "join:right 0 2 4 32 0",
+                          "join:reduce 0 3 75 0 0",
+                          "join:collect 0 3 0 0 0",
+                          "sort:sample 0 4 2223 0 0",
+                          "sort:partition 0 4 2287 852 0",
+                          "sort:sort 0 3 71 0 0",
+                          "sort:collect 0 3 0 0 0",
+                          "sample_each:count 0 6 90 0 0",
+                          "splits:count 0 6 90 0 0",
+                          "reduce 0 6 888 0 0",
+                      }));
+}
 
 }  // namespace
 }  // namespace yafim::engine
