@@ -55,7 +55,7 @@ struct Options {
   u64 top = 20;
   bool quiet = false;
   /// Parse --input leniently: skip + count malformed lines instead of
-  /// letting them degrade silently.
+  /// rejecting the first one.
   bool lenient = false;
   /// Print the per-stage simulated-cost breakdown (parallel engines only).
   bool stages = false;
@@ -139,7 +139,7 @@ struct Options {
       "          [--approx] [--sample-fraction=F] [--samples=N] [--relax=F]\n"
       "generate names: mushroom t10 chess pumsb medical\n"
       "--lenient: skip + count malformed --input lines instead of\n"
-      "  silently taking each line's numeric prefix\n"
+      "  rejecting the first one (exit 2, naming its line)\n"
       "--trace FILE: write wall-clock spans + counters as Chrome\n"
       "  trace-event JSON (chrome://tracing, Perfetto) and print the\n"
       "  per-stage summary table\n"
@@ -184,7 +184,8 @@ struct Options {
       "  '# approx:' line with the certificate: exact=true means the\n"
       "  output is provably the complete exact answer; otherwise\n"
       "  border_survivors and miss_bound quantify what may be missing\n"
-      "exit codes: 0 success; 2 bad flags; 3 --lint=error diagnostic;\n"
+      "exit codes: 0 success; 2 bad flags or unusable --input;\n"
+      "  3 --lint=error diagnostic;\n"
       "  4 --detsan=error divergence; 9 stream killed at an injected kill\n"
       "  point\n",
       argv0);
@@ -387,13 +388,25 @@ Options parse(int argc, char** argv) {
 
 fim::TransactionDB load(const Options& opt, double* minsup) {
   if (!opt.input.empty()) {
+    // Unusable input ends in one line naming the file, exit 2.
     std::ifstream file(opt.input);
-    YAFIM_CHECK(file.good(), "cannot open --input file");
+    if (!file.good()) {
+      std::fprintf(stderr, "cannot read --input file %s\n",
+                   opt.input.c_str());
+      std::exit(2);
+    }
     std::ostringstream text;
     text << file.rdbuf();
-    auto db = fim::TransactionDB::from_text(
-        text.str(), opt.lenient ? fim::TransactionDB::ParseMode::kLenient
-                                : fim::TransactionDB::ParseMode::kStrict);
+    fim::TransactionDB db;
+    try {
+      db = fim::TransactionDB::from_text(
+          text.str(), opt.lenient ? fim::TransactionDB::ParseMode::kLenient
+                                  : fim::TransactionDB::ParseMode::kStrict);
+    } catch (const fim::ParseError& e) {
+      std::fprintf(stderr, "--input file %s: %s\n", opt.input.c_str(),
+                   e.what());
+      std::exit(2);
+    }
     const fim::ParseStats& p = db.parse_stats();
     if (p.malformed() > 0 && !opt.quiet) {
       std::fprintf(stderr,
@@ -593,8 +606,8 @@ int main(int argc, char** argv) {
         mine_opt.cache_transactions = !opt.no_cache;
         mine_opt.broadcast_mode = bmode;
         fim::SamplingRun sres = fim::sampling_mine(ctx, fs, db, mine_opt);
-        // Printed even under --quiet: the CI approx-smoke lane greps
-        // exact=/border_survivors= out of this line, and the negative
+        // Printed even under --quiet: tests/cli/approx_contract.sh greps
+        // exact=/border_survivors= out of this line, and its negative
         // control asserts the certificate is refused.
         std::printf(
             "# approx: samples=%llu fraction=%g relax=%g candidates=%llu "

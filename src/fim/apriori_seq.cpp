@@ -21,45 +21,38 @@ MiningRun apriori_mine(const TransactionDB& db,
   for (const Transaction& t : db.transactions()) {
     for (Item i : t) ++item_counts[i];
   }
-  std::vector<Itemset> frequent;
+  ItemsetRows frequent{1, {}};
   for (const auto& [item, count] : item_counts) {
     if (count >= min_count) {
       run.itemsets.add(Itemset{item}, count);
-      frequent.push_back(Itemset{item});
+      frequent.items.push_back(item);
     }
   }
+  std::sort(frequent.items.begin(), frequent.items.end());
   run.passes.push_back(
       PassStats{1, item_counts.size(), frequent.size(), 0.0});
 
   // Lk from L(k-1) until no candidates survive.
   for (u32 k = 2; !frequent.empty(); ++k) {
-    std::vector<Itemset> candidates = apriori_gen(frequent, k);
+    ItemsetRows candidates = apriori_gen_rows(frequent, k);
     if (candidates.empty()) break;
-
-    std::vector<u64> counts(candidates.size(), 0);
-    if (options.use_hash_tree) {
-      HashTree tree(candidates, options.branching, options.leaf_capacity);
-      HashTree::Probe probe;
-      for (const Transaction& t : db.transactions()) {
-        tree.for_each_contained(t, probe, [&](u32 ci) { ++counts[ci]; });
-      }
-    } else {
-      for (const Transaction& t : db.transactions()) {
-        for (size_t ci = 0; ci < candidates.size(); ++ci) {
-          if (contains_all(t, candidates[ci])) ++counts[ci];
-        }
-      }
+    const HashTree tree(std::move(candidates), options.branching,
+                        options.leaf_capacity);
+    std::vector<u64> counts(tree.size(), 0);
+    HashTree::Probe probe;
+    for (const Transaction& t : db.transactions()) {
+      tree.for_each_contained(t, probe, [&](u32 ci) { ++counts[ci]; });
     }
 
-    frequent.clear();
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
+    frequent = ItemsetRows{k, {}};
+    for (u32 ci = 0; ci < tree.size(); ++ci) {
       if (counts[ci] >= min_count) {
-        run.itemsets.add(candidates[ci], counts[ci]);
-        frequent.push_back(candidates[ci]);
+        run.itemsets.add(tree.candidate(ci), counts[ci]);
+        frequent.items.insert(frequent.items.end(), tree.candidate_items(ci),
+                              tree.candidate_items(ci) + k);
       }
     }
-    run.passes.push_back(
-        PassStats{k, candidates.size(), frequent.size(), 0.0});
+    run.passes.push_back(PassStats{k, tree.size(), frequent.size(), 0.0});
   }
   return run;
 }

@@ -17,9 +17,6 @@ struct AprioriOptions {
   /// set this explicitly so their local thresholds are computed by the one
   /// shared ceil helper rather than re-rounded per chunk.
   u64 min_count = 0;
-  /// Use the candidate hash tree for subset enumeration (the paper's
-  /// choice); false falls back to a linear candidate scan (ablation).
-  bool use_hash_tree = true;
   /// Hash-tree tuning.
   u32 branching = 0;  // 0 = auto (HashTree::default_branching)
   u32 leaf_capacity = 16;

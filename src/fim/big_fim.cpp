@@ -73,7 +73,8 @@ BigFimRun big_fim_mine(engine::Context& ctx, simfs::SimFS& fs,
   const u32 phase2_pass = options.switch_level + 1;
   ctx.set_pass(phase2_pass);
   engine::work::Scope driver_scope;
-  auto prefix_tree = std::make_shared<const HashTree>(prefixes);
+  auto prefix_tree = std::make_shared<const HashTree>(
+      to_rows(prefixes), /*branching=*/0, /*leaf_capacity=*/16);
   {
     sim::StageRecord gen;
     gen.label = "bigfim:build prefix tree";

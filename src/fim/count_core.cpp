@@ -3,8 +3,9 @@
 #include <algorithm>
 
 #include "engine/broadcast.h"
+#include "fim/dataset.h"
+#include "fim/mr_encode.h"
 #include "obs/metrics.h"
-#include "sim/metrics.h"
 
 namespace yafim::fim {
 
@@ -16,7 +17,75 @@ struct ShardIdHash {
   size_t operator()(u32 shard) const { return shard; }
 };
 
+/// Call on_hit(ci) for every candidate of `tree` contained in `t`: by the
+/// hash-tree walk, or by a linear scan for the no-hash-tree ablation.
+template <typename Fn>
+void for_each_hit(const HashTree& tree, const Transaction& t,
+                  bool use_hash_tree, Fn&& on_hit) {
+  if (use_hash_tree) {
+    static thread_local HashTree::Probe probe;
+    tree.for_each_contained(t, probe, on_hit);
+  } else {
+    tree.for_each_contained_linear(t, on_hit);
+  }
+}
+
+/// The MapReduce counting job shape: transactions in, u64 counts summed
+/// map-side, reducers keep keys whose sum reaches min_count and emit
+/// (itemset_of(key), sum).
+template <typename Job, typename ItemsetOf>
+Job counting_job(const std::string& name, u64 min_count, u32 num_mappers,
+                 u32 num_reducers, ItemsetOf itemset_of) {
+  Job job;
+  job.name = name;
+  job.decode_input = decode_transactions;
+  job.combine_fn = [](const u64& a, const u64& b) { return a + b; };
+  job.reduce_fn = [min_count, itemset_of](const auto& key,
+                                          std::vector<u64>& values)
+      -> std::optional<CountPair> {
+    u64 sum = 0;
+    for (u64 v : values) sum += v;
+    if (sum < min_count) return std::nullopt;
+    return CountPair(itemset_of(key), sum);
+  };
+  job.encode_output = encode_counts;
+  job.num_mappers = num_mappers;
+  job.num_reducers = num_reducers;
+  return job;
+}
+
 }  // namespace
+
+CandidateBatch::CandidateBatch(std::vector<ItemsetRows> levels,
+                               u32 branching, u32 leaf_capacity)
+    : trees_(std::make_shared<std::vector<HashTree>>()) {
+  for (ItemsetRows& level : levels) {
+    if (level.empty()) continue;
+    kmin_ = kmin_ == 0 ? level.width : std::min(kmin_, level.width);
+    trees_->emplace_back(std::move(level), branching, leaf_capacity);
+    tree_bytes_ += trees_->back().serialized_bytes();
+  }
+  id_space_ = HashTree::assign_id_offsets(*trees_);
+}
+
+std::vector<std::vector<CountPair>> CandidateBatch::split(
+    std::vector<CountPair> counted) const {
+  std::vector<std::vector<CountPair>> by_level(num_levels());
+  for (auto& [itemset, support] : counted) {
+    const size_t level = itemset.size() - kmin_;
+    YAFIM_CHECK(level < num_levels() && (*trees_)[level].k() == itemset.size(),
+                "counted itemset of a size the batch does not hold");
+    by_level[level].emplace_back(std::move(itemset), support);
+  }
+  return by_level;
+}
+
+bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
+                           u64 bytes) {
+  return mode == BroadcastMode::kPartitioned ||
+         (mode == BroadcastMode::kAuto &&
+          !ctx.memory_budget().broadcast_fits(bytes));
+}
 
 std::vector<CountPair> count_candidate_trees(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
@@ -39,15 +108,9 @@ std::vector<CountPair> count_candidate_trees(
             .flat_map([broadcast_trees, use_hash_tree](const Transaction& t) {
               std::vector<Itemset> occurrences;
               for (const HashTree& tree : **broadcast_trees) {
-                auto on_hit = [&](u32 ci) {
+                for_each_hit(tree, t, use_hash_tree, [&](u32 ci) {
                   occurrences.push_back(tree.candidate(ci));
-                };
-                if (use_hash_tree) {
-                  static thread_local HashTree::Probe probe;
-                  tree.for_each_contained(t, probe, on_hit);
-                } else {
-                  tree.for_each_contained_linear(t, on_hit);
-                }
+                });
               }
               return occurrences;
             })
@@ -132,14 +195,9 @@ std::vector<CountPair> count_candidate_trees(
                   for (const auto& [shard, txns] : part) {
                     for (const TreeShard& ts : (*store)[shard]) {
                       const std::vector<u64>& ids = ts.global_ids;
-                      auto on_hit = [&acc, &ids](u32 ci) { ++acc[ids[ci]]; };
                       for (const Transaction& t : txns) {
-                        if (use_hash_tree) {
-                          static thread_local HashTree::Probe probe;
-                          ts.tree.for_each_contained(t, probe, on_hit);
-                        } else {
-                          ts.tree.for_each_contained_linear(t, on_hit);
-                        }
+                        for_each_hit(ts.tree, t, use_hash_tree,
+                                     [&acc, &ids](u32 ci) { ++acc[ids[ci]]; });
                       }
                     }
                   }
@@ -162,13 +220,8 @@ std::vector<CountPair> count_candidate_trees(
               for (const Transaction& t : part) {
                 for (const HashTree& tree : **broadcast_trees) {
                   u64* cells = acc.data() + tree.id_offset();
-                  auto on_hit = [cells](u32 ci) { ++cells[ci]; };
-                  if (use_hash_tree) {
-                    static thread_local HashTree::Probe probe;
-                    tree.for_each_contained(t, probe, on_hit);
-                  } else {
-                    tree.for_each_contained_linear(t, on_hit);
-                  }
+                  for_each_hit(tree, t, use_hash_tree,
+                               [cells](u32 ci) { ++cells[ci]; });
                 }
               }
               std::vector<std::vector<u64>> out;
@@ -222,6 +275,114 @@ std::vector<CountPair> count_candidate_trees(
   mat.driver_work = mat_scope.measured();
   ctx.record(std::move(mat));
   return level;
+}
+
+std::vector<CountPair> count_batch(
+    engine::Context& ctx, engine::RDD<Transaction>& transactions,
+    const CandidateBatch& batch, BroadcastMode broadcast_mode,
+    CountCoreOptions opt,
+    std::optional<engine::RDD<VerticalBitmapIndex>>* index,
+    const sim::StageRecord* lineage) {
+  opt.partitioned =
+      use_partitioned_store(ctx, broadcast_mode, batch.tree_bytes());
+  opt.kmin = batch.kmin();
+
+  // A partitioned pass re-partitions raw transactions instead of probing a
+  // per-partition index, so it neither builds nor reads one.
+  std::optional<engine::RDD<VerticalBitmapIndex>> per_call;
+  const bool kept = index != nullptr;
+  if (!kept) index = &per_call;
+  bool reads_transactions = true;
+  if (opt.count_mode == CountMode::kVerticalBitmap && !opt.partitioned) {
+    reads_transactions = !index->has_value();
+    if (reads_transactions) {
+      index->emplace(
+          transactions.map_partitions([](const std::vector<Transaction>& part) {
+            std::vector<VerticalBitmapIndex> out;
+            out.emplace_back(part);
+            return out;
+          }));
+      if (kept) {
+        (*index)->named("vertical:bitmaps").persist();
+      } else {
+        (*index)->named(opt.pass_name + ":bitmaps");
+      }
+    }
+  }
+
+  // Without caching, Spark recomputes the transactions lineage from HDFS on
+  // every action that reads them: charge the re-read and the re-parse.
+  if (lineage && reads_transactions) {
+    sim::StageRecord recompute = *lineage;
+    recompute.label = opt.pass_name + ":recompute lineage";
+    recompute.pass = ctx.pass();
+    ctx.record(std::move(recompute));
+  }
+  return count_candidate_trees(ctx, transactions, batch.trees(),
+                               batch.tree_bytes(), batch.id_space(), index,
+                               opt);
+}
+
+std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
+  return TransactionDB::deserialize(bytes).release();
+}
+
+ItemsetCountJob frequent_items_job(const std::string& name, u64 min_count,
+                                   u32 num_mappers, u32 num_reducers) {
+  auto job = counting_job<ItemsetCountJob>(
+      name, min_count, num_mappers, num_reducers,
+      [](const Itemset& key) { return key; });
+  job.map_fn = [](const Transaction& t, mr::Emitter<Itemset, u64>& emit) {
+    for (Item i : t) emit.emit(Itemset{i}, 1);
+  };
+  return job;
+}
+
+ItemsetCountJob itemset_count_job(
+    const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
+    u64 min_count, u32 num_mappers, u32 num_reducers) {
+  auto job = counting_job<ItemsetCountJob>(
+      name, min_count, num_mappers, num_reducers,
+      [](const Itemset& key) { return key; });
+  for (const HashTree& tree : *trees) {
+    job.distributed_cache_bytes += tree.serialized_bytes();
+  }
+  job.map_fn = [trees](const Transaction& t,
+                       mr::Emitter<Itemset, u64>& emit) {
+    for (const HashTree& tree : *trees) {
+      for_each_hit(tree, t, true,
+                   [&](u32 ci) { emit.emit(tree.candidate(ci), 1); });
+    }
+  };
+  return job;
+}
+
+CandidateIdJob candidate_id_job(
+    const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
+    CountMode mode, u64 min_count, u32 num_mappers, u32 num_reducers) {
+  YAFIM_CHECK(trees->size() == 1, "an id-keyed job counts one tree");
+  auto job = counting_job<CandidateIdJob>(
+      name, min_count, num_mappers, num_reducers,
+      [trees](u32 ci) { return trees->front().candidate(ci); });
+  job.distributed_cache_bytes = trees->front().serialized_bytes();
+  if (mode == CountMode::kVerticalBitmap) {
+    job.map_partition_fn = [trees](std::span<const Transaction> split,
+                                   mr::Emitter<u32, u64>& emit) {
+      const HashTree& tree = trees->front();
+      const VerticalBitmapIndex index(split);
+      std::vector<u64> cells(tree.size(), 0);
+      index.count_candidates(tree, cells.data());
+      for (u32 ci = 0; ci < cells.size(); ++ci) {
+        if (cells[ci] != 0) emit.emit(ci, cells[ci]);
+      }
+    };
+  } else {
+    job.map_fn = [trees](const Transaction& t, mr::Emitter<u32, u64>& emit) {
+      for_each_hit(trees->front(), t, true,
+                   [&](u32 ci) { emit.emit(ci, 1); });
+    };
+  }
+  return job;
 }
 
 }  // namespace yafim::fim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/bytes.h"
@@ -106,25 +107,25 @@ namespace {
 
 bool is_field_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
-/// Parse one lenient-mode line: every token must be a pure decimal u32.
-/// Returns false (leaving *t in an unspecified state) on any bad token.
-bool parse_line_lenient(const std::string& line, Transaction* t) {
+/// Append one line's items to *t: every token must be a pure decimal u32.
+/// Returns the first token that is not (empty when the whole line parsed).
+std::string_view parse_items(const std::string& line, Transaction* t) {
   size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && is_field_space(line[i])) ++i;
     if (i >= line.size()) break;
-    u64 value = 0;
     const size_t start = i;
-    while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-      value = value * 10 + static_cast<u64>(line[i] - '0');
-      if (value > 0xFFFFFFFFull) return false;
-      ++i;
+    while (i < line.size() && !is_field_space(line[i])) ++i;
+    const std::string_view token(line.data() + start, i - start);
+    u64 value = 0;
+    for (char c : token) {
+      if (c < '0' || c > '9') return token;
+      value = value * 10 + static_cast<u64>(c - '0');
+      if (value > 0xFFFFFFFFull) return token;
     }
-    if (i == start) return false;                          // non-numeric
-    if (i < line.size() && !is_field_space(line[i])) return false;  // "12x"
     t->push_back(static_cast<Item>(value));
   }
-  return true;
+  return {};
 }
 
 bool is_blank(const std::string& line) {
@@ -136,25 +137,32 @@ bool is_blank(const std::string& line) {
 
 }  // namespace
 
+ParseError::ParseError(u64 line, std::string token)
+    : std::runtime_error("line " + std::to_string(line) + ": bad item '" +
+                         token + "' (want a decimal id below 2^32)"),
+      line_(line),
+      token_(std::move(token)) {}
+
 TransactionDB TransactionDB::from_text(const std::string& text,
                                        ParseMode mode) {
   std::vector<Transaction> tx;
   ParseStats stats;
   std::istringstream lines(text);
   std::string line;
+  u64 line_no = 0;
   while (std::getline(lines, line)) {
+    ++line_no;
     // Strict preserves the historical skip (only truly empty lines);
     // lenient also ignores whitespace-only lines.
     if (mode == ParseMode::kStrict ? line.empty() : is_blank(line)) continue;
     ++stats.lines_total;
     Transaction t;
+    const std::string_view bad = parse_items(line, &t);
     if (mode == ParseMode::kStrict) {
-      std::istringstream fields(line);
-      u64 item;
-      while (fields >> item) t.push_back(static_cast<Item>(item));
+      if (!bad.empty()) throw ParseError(line_no, std::string(bad));
       canonicalize(t);
     } else {
-      if (!parse_line_lenient(line, &t)) {
+      if (!bad.empty()) {
         ++stats.bad_token_lines;
         continue;
       }

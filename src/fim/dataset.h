@@ -5,6 +5,7 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ namespace yafim::fim {
 u64 min_count_ceil(double frac, u64 n);
 
 /// What the text parser saw. All-zero unless the DB came from from_text();
-/// the malformed counters stay zero in strict mode (which never skips).
+/// the malformed counters stay zero in strict mode (which throws instead).
 struct ParseStats {
   u64 lines_total = 0;
   /// Lines skipped by the lenient parser, by reason (their sum is the
@@ -50,6 +51,21 @@ struct DatasetStats {
   double density = 0.0;
   /// Text-parse provenance (see ParseStats).
   ParseStats parse;
+};
+
+/// Strict from_text()'s rejection of a malformed line: a token that is not
+/// a decimal item id below 2^32 (non-numeric, with glued characters such as
+/// "2x", or too large).
+class ParseError : public std::runtime_error {
+ public:
+  ParseError(u64 line, std::string token);
+  /// 1-based line number in the parsed text.
+  u64 line() const { return line_; }
+  const std::string& token() const { return token_; }
+
+ private:
+  u64 line_;
+  std::string token_;
 };
 
 class TransactionDB {
@@ -87,12 +103,13 @@ class TransactionDB {
 
   // --- text interop (one transaction per line, items space-separated) --
 
-  /// kStrict is the historical behavior: each line contributes its leading
-  /// numeric tokens (parsing stops at the first non-numeric field) and the
-  /// result is canonicalized -- garbage degrades silently. kLenient treats
-  /// any anomaly (non-numeric token, duplicate/unsorted items, overlong
-  /// line) as a malformed line: the line is skipped and counted in
-  /// ParseStats instead of contaminating the database.
+  /// kStrict throws a ParseError at the first line holding a token that is
+  /// not a decimal item id below 2^32; it canonicalizes unsorted or
+  /// duplicate items and accepts overlong lines. kLenient treats any
+  /// anomaly (bad token, duplicate/unsorted items, overlong line) as a
+  /// malformed line: the line is skipped and counted in ParseStats instead
+  /// of contaminating the database. Both modes split lines into tokens the
+  /// same way.
   enum class ParseMode { kStrict, kLenient };
 
   /// Lenient-mode ceiling on items per transaction; longer lines are

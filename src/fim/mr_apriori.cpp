@@ -1,32 +1,16 @@
 #include "fim/mr_apriori.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
+#include "fim/count_core.h"
 #include "fim/hash_tree.h"
-#include "fim/mr_encode.h"
-#include "mapreduce/job.h"
 #include "obs/metrics.h"
 #include "util/checksum.h"
 #include "util/stopwatch.h"
 
 namespace yafim::fim {
-
-namespace {
-
-using CountPair = std::pair<Itemset, u64>;
-using Spec = mr::JobSpec<Transaction, Itemset, u64, CountPair, ItemsetHash>;
-/// Dense twin for jobs k >= 2: intermediate keys are candidate ids.
-using IdSpec = mr::JobSpec<Transaction, u32, u64, CountPair, DenseIdHash>;
-
-std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
-  return TransactionDB::deserialize(bytes).release();
-}
-
-}  // namespace
 
 MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                           const std::string& input_path,
@@ -84,14 +68,6 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     save_snapshot(*options.checkpoint, state);
   };
 
-  auto make_reduce = [min_count](const Itemset& key, std::vector<u64>& values)
-      -> std::optional<CountPair> {
-    u64 sum = 0;
-    for (u64 v : values) sum += v;
-    if (sum < min_count) return std::nullopt;
-    return CountPair(key, sum);
-  };
-
   // ---- Job 1: frequent items ------------------------------------------
   std::vector<Itemset> frequent;
   u32 last_completed = 1;
@@ -105,19 +81,10 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     obs::count(obs::CounterId::kCheckpointPassesSkipped, restored->pass);
   } else {
     ctx.set_pass(1);
-    Spec job1;
-    job1.name = "mrapriori:job1";
-    job1.decode_input = decode_transactions;
-    job1.map_fn = [](const Transaction& t, mr::Emitter<Itemset, u64>& emit) {
-      for (Item i : t) emit.emit(Itemset{i}, 1);
-    };
-    job1.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-    job1.reduce_fn = make_reduce;
-    job1.encode_output = encode_counts;
-    job1.num_mappers = options.num_mappers;
-    job1.num_reducers = options.num_reducers;
-
-    auto result = runner.run(job1, input_path, options.work_dir + "/L1");
+    auto result = runner.run(
+        frequent_items_job("mrapriori:job1", min_count, options.num_mappers,
+                           options.num_reducers),
+        input_path, options.work_dir + "/L1");
     frequent.reserve(result.output.size());
     for (const auto& [itemset, support] : result.output) {
       run.itemsets.add(itemset, support);
@@ -149,10 +116,11 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
 
     engine::work::Scope driver_scope;
-    ItemsetRows candidates = apriori_gen_rows(to_sorted_rows(frequent), k);
-    if (candidates.empty()) break;
-    auto tree = std::make_shared<const HashTree>(
-        std::move(candidates), options.branching, options.leaf_capacity);
+    std::vector<ItemsetRows> level(1);
+    level[0] = apriori_gen_rows(to_sorted_rows(frequent), k);
+    if (level[0].empty()) break;
+    const CandidateBatch batch(std::move(level), options.branching,
+                               options.leaf_capacity);
     {
       sim::StageRecord gen;
       gen.label = "mrapriori:ap_gen L" + std::to_string(k);
@@ -162,101 +130,27 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
       ctx.record(std::move(gen));
     }
 
-    const u64 num_candidates = tree->size();
     const std::string job_name = "mrapriori:job" + std::to_string(k);
     const std::string out_path = options.work_dir + "/L" + std::to_string(k);
-    const bool use_hash_tree = options.use_hash_tree;
 
-    // One counting job over `t`'s candidates -- the full tree, or one
-    // shard of it under the partitioned fallback; `t` travels to the
-    // mappers via the distributed cache either way.
-    auto run_level_job = [&](std::shared_ptr<const HashTree> t,
-                             const std::string& name,
-                             const std::string& out) {
-      if (options.count_mode == CountMode::kVerticalBitmap) {
-      // Vertical: each map split builds a bitmap index over its
-      // transactions (MapReduce has no cross-job cache, so the index is
-      // rebuilt per level -- the honest cost of the substrate) and emits
-      // one (candidate_id, count) pair per candidate with nonzero support.
-      IdSpec job;
-      job.name = name;
-      job.decode_input = decode_transactions;
-      job.map_partition_fn = [t](std::span<const Transaction> split,
-                                 mr::Emitter<u32, u64>& emit) {
-        const VerticalBitmapIndex index(split);
-        std::vector<u64> cells(t->size(), 0);
-        index.count_candidates(*t, cells.data());
-        for (u32 ci = 0; ci < cells.size(); ++ci) {
-          if (cells[ci] != 0) emit.emit(ci, cells[ci]);
-        }
-      };
-      job.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-      job.reduce_fn = [t, min_count](const u32& ci, std::vector<u64>& values)
-          -> std::optional<CountPair> {
-        u64 sum = 0;
-        for (u64 v : values) sum += v;
-        if (sum < min_count) return std::nullopt;
-        return CountPair(t->candidate(ci), sum);
-      };
-      job.encode_output = encode_counts;
-      job.num_mappers = options.num_mappers;
-      job.num_reducers = options.num_reducers;
-      job.distributed_cache_bytes = t->serialized_bytes();
-      return runner.run(job, input_path, out);
-    } else if (options.count_mode == CountMode::kItemsetKey) {
-      // Paper-faithful: mappers emit (itemset, 1) for every hit.
-      Spec job;
-      job.name = name;
-      job.decode_input = decode_transactions;
-      job.map_fn = [t, use_hash_tree](const Transaction& txn,
-                                      mr::Emitter<Itemset, u64>& emit) {
-        auto on_hit = [&](u32 ci) { emit.emit(t->candidate(ci), 1); };
-        if (use_hash_tree) {
-          static thread_local HashTree::Probe probe;
-          t->for_each_contained(txn, probe, on_hit);
-        } else {
-          t->for_each_contained_linear(txn, on_hit);
-        }
-      };
-      job.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-      job.reduce_fn = make_reduce;
-      job.encode_output = encode_counts;
-      job.num_mappers = options.num_mappers;
-      job.num_reducers = options.num_reducers;
-      // Candidate hash tree travels to every node via the distributed cache.
-      job.distributed_cache_bytes = t->serialized_bytes();
-      return runner.run(job, input_path, out);
-    } else {
-      // Dense: mappers emit (candidate_id, 1); reducers sum, threshold,
-      // and map survivors back to itemsets through their copy of the tree
-      // (already localized via the distributed cache).
-      IdSpec job;
-      job.name = name;
-      job.decode_input = decode_transactions;
-      job.map_fn = [t, use_hash_tree](const Transaction& txn,
-                                      mr::Emitter<u32, u64>& emit) {
-        auto on_hit = [&](u32 ci) { emit.emit(ci, 1); };
-        if (use_hash_tree) {
-          static thread_local HashTree::Probe probe;
-          t->for_each_contained(txn, probe, on_hit);
-        } else {
-          t->for_each_contained_linear(txn, on_hit);
-        }
-      };
-      job.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-      job.reduce_fn = [t, min_count](const u32& ci, std::vector<u64>& values)
-          -> std::optional<CountPair> {
-        u64 sum = 0;
-        for (u64 v : values) sum += v;
-        if (sum < min_count) return std::nullopt;
-        return CountPair(t->candidate(ci), sum);
-      };
-      job.encode_output = encode_counts;
-      job.num_mappers = options.num_mappers;
-      job.num_reducers = options.num_reducers;
-      job.distributed_cache_bytes = t->serialized_bytes();
-      return runner.run(job, input_path, out);
+    // One counting job over `trees` -- the level's tree, or one shard of it
+    // under the partitioned fallback; the tree travels to the mappers via
+    // the distributed cache either way. kItemsetKey is the paper-faithful
+    // shuffle keyed on itemsets; the dense modes key on candidate id and
+    // map survivors back through the reducers' copy of the tree.
+    auto run_level_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
+                             const std::string& name, const std::string& out) {
+      if (options.count_mode == CountMode::kItemsetKey) {
+        return runner.run(
+            itemset_count_job(name, std::move(trees), min_count,
+                              options.num_mappers, options.num_reducers),
+            input_path, out);
       }
+      return runner.run(
+          candidate_id_job(name, std::move(trees), options.count_mode,
+                           min_count, options.num_mappers,
+                           options.num_reducers),
+          input_path, out);
     };
 
     // Broadcast ceiling (engine/memory.h): when the tree would not fit
@@ -264,11 +158,9 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     // level as one sub-job per candidate shard, each localizing only its
     // shard's tree -- at the honest MapReduce price of re-reading the
     // input per sub-job.
-    const u64 tree_bytes = tree->serialized_bytes();
+    const u64 tree_bytes = batch.tree_bytes();
     const bool partitioned =
-        options.broadcast_mode == BroadcastMode::kPartitioned ||
-        (options.broadcast_mode == BroadcastMode::kAuto &&
-         !ctx.memory_budget().broadcast_fits(tree_bytes));
+        use_partitioned_store(ctx, options.broadcast_mode, tree_bytes);
     Stopwatch count_clock;
     mr::JobResult<CountPair> result;
     if (partitioned) {
@@ -288,8 +180,8 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                          : std::max(1u, ctx.cluster().nodes));
       std::vector<TreeShard> shards;
       for (;;) {
-        shards = shard_hash_tree(*tree, nshards, options.branching,
-                                 options.leaf_capacity);
+        shards = shard_hash_tree(batch.trees()->front(), nshards,
+                                 options.branching, options.leaf_capacity);
         if (budget == 0 || nshards >= 1024) break;
         u64 worst = 0;
         for (const TreeShard& s : shards) {
@@ -308,9 +200,9 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
       }
       for (u32 s = 0; s < static_cast<u32>(shards.size()); ++s) {
         if (shards[s].tree.size() == 0) continue;
-        auto shard_tree =
-            std::make_shared<const HashTree>(std::move(shards[s].tree));
-        auto r = run_level_job(shard_tree,
+        auto shard_tree = std::make_shared<std::vector<HashTree>>();
+        shard_tree->push_back(std::move(shards[s].tree));
+        auto r = run_level_job(std::move(shard_tree),
                                job_name + ":shard" + std::to_string(s),
                                out_path + "-shard" + std::to_string(s));
         result.map_tasks = r.map_tasks;
@@ -323,7 +215,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                              std::make_move_iterator(r.output.end()));
       }
     } else {
-      result = run_level_job(tree, job_name, out_path);
+      result = run_level_job(batch.trees(), job_name, out_path);
     }
     run.count_host_seconds += count_clock.seconds();
     frequent.clear();
@@ -333,7 +225,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
       frequent.push_back(itemset);
     }
     run.passes.push_back(
-        PassStats{k, num_candidates, result.output.size(), 0.0});
+        PassStats{k, batch.id_space(), result.output.size(), 0.0});
     prev_output_bytes = result.output_bytes;
     last_completed = k;
     maybe_checkpoint(k, frequent);

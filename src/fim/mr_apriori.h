@@ -27,8 +27,7 @@ struct MrAprioriOptions {
   /// simulated core, one reducer per node).
   u32 num_mappers = 0;
   u32 num_reducers = 0;
-  /// Candidate probing structure (matches YafimOptions for fair compares).
-  bool use_hash_tree = true;
+  /// Hash-tree tuning (matches YafimOptions for fair compares).
   u32 branching = 0;  // 0 = auto (HashTree::default_branching)
   u32 leaf_capacity = 16;
   /// Counting-shuffle key for jobs k >= 2 (matches YafimOptions so the

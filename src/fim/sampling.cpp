@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "engine/rdd.h"
 #include "fim/apriori_seq.h"
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
-#include "fim/hash_tree.h"
 #include "util/stopwatch.h"
 
 namespace yafim::fim {
@@ -68,7 +64,10 @@ std::vector<Itemset> negative_border(const FrequentItemsets& frequent,
       (void)support;
       prev_sets.push_back(itemset);
     }
-    for (Itemset& candidate : apriori_gen(prev_sets, k)) {
+    const ItemsetRows candidates =
+        apriori_gen_rows(to_sorted_rows(prev_sets), k);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      Itemset candidate = candidates.itemset(i);
       if (!frequent.contains(candidate)) border.push_back(std::move(candidate));
     }
   }
@@ -102,19 +101,14 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   TransactionDB db = TransactionDB::deserialize(raw);
   const u32 load_tasks =
       options.partitions ? options.partitions : ctx.default_partitions();
-  const u64 parse_records = db.size();
-  auto parse_stage = [&ctx, &raw, parse_records,
-                      load_tasks](const std::string& label) {
-    sim::StageRecord stage;
-    stage.label = label;
-    stage.kind = sim::StageKind::kSparkStage;
-    stage.pass = ctx.pass();
-    stage.tasks = sim::split_work(
-        parse_records * (1 + ctx.cluster().record_parse_work), load_tasks);
-    stage.dfs_read_bytes = raw.size();
-    return stage;
-  };
-  ctx.record(parse_stage("load:textFile+parse"));
+  sim::StageRecord load;
+  load.label = "load:textFile+parse";
+  load.kind = sim::StageKind::kSparkStage;
+  load.pass = ctx.pass();
+  load.tasks = sim::split_work(
+      db.size() * (1 + ctx.cluster().record_parse_work), load_tasks);
+  load.dfs_read_bytes = raw.size();
+  ctx.record(load);
 
   const u64 num_transactions = db.size();
   const u64 min_count = min_count_ceil(options.min_support, num_transactions);
@@ -171,14 +165,13 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
                     .named("twophase:tagged");
   const double local_support = options.min_support * relax;
   const bool with_border = !disjoint;
-  const bool use_hash_tree = options.use_hash_tree;
   const u32 branching = options.branching;
   const u32 leaf_capacity = options.leaf_capacity;
   const std::vector<LocalResult> locals =
       tagged
           .group_by_key(num_samples, SampleIdHash{}, "twophase:gather")
           .map_partitions(
-              [universe, local_support, with_border, use_hash_tree, branching,
+              [universe, local_support, with_border, branching,
                leaf_capacity](
                   const std::vector<std::pair<u32, std::vector<Transaction>>>&
                       part) {
@@ -193,7 +186,6 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
                   // The relaxed local threshold goes through the same ceil
                   // helper as every global threshold (fim/dataset.h).
                   opt.min_count = min_count_ceil(local_support, txns.size());
-                  opt.use_hash_tree = use_hash_tree;
                   opt.branching = branching;
                   opt.leaf_capacity = leaf_capacity;
                   const MiningRun mined = apriori_mine(sample, opt);
@@ -268,15 +260,12 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   // Canonical candidate order inside each tree: keeps tree shapes (and so
   // probe work, stage pricing and the dense id layout) independent of the
   // unordered_map's iteration order.
-  for (auto& level : by_size) std::sort(level.begin(), level.end());
-  auto trees = std::make_shared<std::vector<HashTree>>();
-  u64 tree_bytes = 0;
-  for (auto& level : by_size) {
-    if (level.empty()) continue;
-    trees->emplace_back(std::move(level), options.branching,
-                        options.leaf_capacity);
-    tree_bytes += trees->back().serialized_bytes();
+  std::vector<ItemsetRows> levels;
+  for (const std::vector<Itemset>& level : by_size) {
+    levels.push_back(to_sorted_rows(level));
   }
+  const CandidateBatch batch(std::move(levels), options.branching,
+                             options.leaf_capacity);
   {
     sim::StageRecord stage;
     stage.label = "twophase:union+buildHashTree";
@@ -287,44 +276,20 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   // ---- Pass 2: one full-data verification pass over the whole batch ----
+  // The batch spans every level, singletons included; a bitmap index is
+  // built for this one pass only (a cached copy would never be reused).
   std::vector<CountPair> verified;
-  if (!trees->empty()) {
-    const bool partitioned =
-        options.broadcast_mode == BroadcastMode::kPartitioned ||
-        (options.broadcast_mode == BroadcastMode::kAuto &&
-         !ctx.memory_budget().broadcast_fits(tree_bytes));
-    std::optional<engine::RDD<VerticalBitmapIndex>> vertical;
-    const bool bitmap_mode =
-        options.count_mode == CountMode::kVerticalBitmap;
-    if (bitmap_mode && !partitioned) {
-      // One verification pass only: build the index inline, don't persist
-      // (a cached copy would never be reused).
-      vertical.emplace(
-          transactions
-              .map_partitions([](const std::vector<Transaction>& part) {
-                std::vector<VerticalBitmapIndex> out;
-                out.emplace_back(part);
-                return out;
-              })
-              .named("vertical:bitmaps"));
-    }
-    if (!options.cache_transactions) {
-      ctx.record(parse_stage("verify:recompute lineage"));
-    }
-    const u64 id_space = HashTree::assign_id_offsets(*trees);
-    CountCoreOptions count_opt;
-    count_opt.count_mode = options.count_mode;
-    count_opt.use_hash_tree = options.use_hash_tree;
-    count_opt.partitioned = partitioned;
-    count_opt.broadcast_shards = options.broadcast_shards;
-    count_opt.branching = options.branching;
-    count_opt.leaf_capacity = options.leaf_capacity;
-    count_opt.kmin = 1;  // the batch spans every level, singletons included
-    count_opt.min_count = min_count;
-    count_opt.pass_name = "verify";
+  if (!batch.empty()) {
     Stopwatch count_clock;
-    verified = count_candidate_trees(ctx, transactions, trees, tree_bytes,
-                                     id_space, &vertical, count_opt);
+    verified = count_batch(
+        ctx, transactions, batch, options.broadcast_mode,
+        {.count_mode = options.count_mode,
+         .broadcast_shards = options.broadcast_shards,
+         .branching = options.branching,
+         .leaf_capacity = options.leaf_capacity,
+         .min_count = min_count,
+         .pass_name = "verify"},
+        nullptr, options.cache_transactions ? nullptr : &load);
     run.count_host_seconds += count_clock.seconds();
   }
 

@@ -69,7 +69,6 @@ struct SamplingOptions {
   u32 partitions = 0;
   bool cache_transactions = true;
   /// Counting-path knobs, passed through to fim/count_core.h unchanged.
-  bool use_hash_tree = true;
   CountMode count_mode = CountMode::kItemsetKey;
   BroadcastMode broadcast_mode = BroadcastMode::kAuto;
   u32 broadcast_shards = 0;

@@ -1,26 +1,10 @@
 #include "fim/son.h"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-
 #include "fim/apriori_seq.h"
-#include "fim/hash_tree.h"
+#include "fim/count_core.h"
 #include "fim/mr_encode.h"
-#include "mapreduce/job.h"
 
 namespace yafim::fim {
-
-namespace {
-
-using CountPair = std::pair<Itemset, u64>;
-using Spec = mr::JobSpec<Transaction, Itemset, u64, CountPair, ItemsetHash>;
-
-std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
-  return TransactionDB::deserialize(bytes).release();
-}
-
-}  // namespace
 
 SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
                 const std::string& input_path, const SonOptions& options) {
@@ -40,7 +24,7 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
 
   // ---- Job 1: local Apriori per split, emit locally frequent itemsets --
   ctx.set_pass(1);
-  Spec local;
+  ItemsetCountJob local;
   local.name = "son:local-mining";
   local.decode_input = decode_transactions;
   const double min_support = options.min_support;
@@ -87,22 +71,16 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
   ctx.set_pass(2);
   engine::work::Scope driver_scope;
-  u32 max_size = 0;
+  std::vector<ItemsetRows> by_size;
   for (const auto& [itemset, unused] : candidates_result.output) {
-    max_size = std::max<u32>(max_size, static_cast<u32>(itemset.size()));
+    const size_t k = itemset.size();
+    if (by_size.size() < k) by_size.resize(k);
+    by_size[k - 1].width = static_cast<u32>(k);
+    by_size[k - 1].items.insert(by_size[k - 1].items.end(), itemset.begin(),
+                                itemset.end());
   }
-  std::vector<std::vector<Itemset>> by_size(max_size);
-  for (auto& [itemset, unused] : candidates_result.output) {
-    by_size[itemset.size() - 1].push_back(std::move(itemset));
-  }
-  auto trees = std::make_shared<std::vector<HashTree>>();
-  u64 cache_bytes = 0;
-  for (auto& level : by_size) {
-    if (level.empty()) continue;
-    trees->emplace_back(std::move(level), options.branching,
-                        options.leaf_capacity);
-    cache_bytes += trees->back().serialized_bytes();
-  }
+  const CandidateBatch batch(std::move(by_size), options.branching,
+                             options.leaf_capacity);
   {
     sim::StageRecord gen;
     gen.label = "son:build hash trees";
@@ -113,32 +91,10 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   // ---- Job 2: exact global counting of the candidate union -------------
-  Spec global;
-  global.name = "son:global-count";
-  global.decode_input = decode_transactions;
-  global.map_fn = [trees](const Transaction& t,
-                          mr::Emitter<Itemset, u64>& emit) {
-    static thread_local HashTree::Probe probe;
-    for (const HashTree& tree : *trees) {
-      tree.for_each_contained(t, probe, [&](u32 ci) {
-        emit.emit(tree.candidate(ci), 1);
-      });
-    }
-  };
-  global.combine_fn = [](const u64& a, const u64& b) { return a + b; };
-  global.reduce_fn = [min_count](const Itemset& key, std::vector<u64>& values)
-      -> std::optional<CountPair> {
-    u64 sum = 0;
-    for (u64 v : values) sum += v;
-    if (sum < min_count) return std::nullopt;
-    return CountPair(key, sum);
-  };
-  global.encode_output = encode_counts;
-  global.num_mappers = options.num_mappers;
-  global.num_reducers = options.num_reducers;
-  global.distributed_cache_bytes = cache_bytes;
-
-  auto counted = runner.run(global, input_path, options.work_dir + "/L");
+  auto counted = runner.run(
+      itemset_count_job("son:global-count", batch.trees(), min_count,
+                        options.num_mappers, options.num_reducers),
+      input_path, options.work_dir + "/L");
   for (const auto& [itemset, support] : counted.output) {
     run.itemsets.add(itemset, support);
   }

@@ -1,12 +1,10 @@
 #include "fim/yafim.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "engine/broadcast.h"
 #include "engine/rdd.h"
 #include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
@@ -41,20 +39,16 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   // Parsing records through the input format costs record_parse_work per
   // record; Spark pays it exactly once here (the cached RDD keeps the
   // deserialized objects), vs once per job on the MapReduce substrate.
-  // Snapshot the record count now -- db is released into the RDD below.
-  const u64 parse_records = db.size();
-  auto parse_stage = [&ctx, &raw, parse_records,
-                      load_tasks](const std::string& label) {
-    sim::StageRecord stage;
-    stage.label = label;
-    stage.kind = sim::StageKind::kSparkStage;
-    stage.pass = ctx.pass();
-    stage.tasks = sim::split_work(
-        parse_records * (1 + ctx.cluster().record_parse_work), load_tasks);
-    stage.dfs_read_bytes = raw.size();
-    return stage;
-  };
-  ctx.record(parse_stage("load:textFile+parse"));
+  // Without caching, every pass that reads the transactions records this
+  // stage again as its lineage recompute (count_batch).
+  sim::StageRecord load;
+  load.label = "load:textFile+parse";
+  load.kind = sim::StageKind::kSparkStage;
+  load.pass = ctx.pass();
+  load.tasks = sim::split_work(
+      db.size() * (1 + ctx.cluster().record_parse_work), load_tasks);
+  load.dfs_read_bytes = raw.size();
+  ctx.record(load);
 
   const u64 num_transactions = db.size();
   const u64 min_count = db.min_support_count(options.min_support);
@@ -189,11 +183,11 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
     engine::work::Scope driver_scope;
     const ItemsetRows frequent_rows = to_sorted_rows(frequent);
-    std::vector<ItemsetRows> batch;
+    std::vector<ItemsetRows> levels;
     for (u32 j = 0; j < combine; ++j) {
       // Level k generates from the verified frequent sets, each later
       // level from the candidates just generated.
-      const ItemsetRows& base = j == 0 ? frequent_rows : batch.back();
+      const ItemsetRows& base = j == 0 ? frequent_rows : levels.back();
       // Guard speculative growth: generating level j+1 from a large
       // *unverified* level j is a combinatorial explosion (the join is
       // quadratic within shared-prefix groups). Verified levels (j == 0)
@@ -204,25 +198,15 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
       if (j > 0 && candidates.size() > options.combine_candidate_budget) {
         break;  // count this level next batch, from verified sets
       }
-      batch.push_back(std::move(candidates));
+      levels.push_back(std::move(candidates));
     }
-    if (batch.empty()) break;
-    const u32 levels_in_batch = static_cast<u32>(batch.size());
-
-    auto trees = std::make_shared<std::vector<HashTree>>();
-    std::vector<u64> num_candidates;
-    u64 tree_bytes = 0;
-    for (auto& candidates : batch) {
-      num_candidates.push_back(candidates.size());
-      trees->emplace_back(std::move(candidates), options.branching,
-                          options.leaf_capacity);
-      tree_bytes += trees->back().serialized_bytes();
-    }
+    if (levels.empty()) break;
+    const CandidateBatch batch(std::move(levels), options.branching,
+                               options.leaf_capacity);
+    const u32 levels_in_batch = static_cast<u32>(batch.num_levels());
     {
       if (gen_span) {
-        u64 total_candidates = 0;
-        for (u64 n : num_candidates) total_candidates += n;
-        gen_span->arg("candidates", total_candidates);
+        gen_span->arg("candidates", batch.id_space());
         gen_span->arg("levels", levels_in_batch);
         gen_span->end();
       }
@@ -234,88 +218,37 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
       ctx.record(std::move(gen));
     }
 
-    // Graceful degradation (engine/memory.h): when this batch's trees
-    // would not fit next to what the ledger already places on the tightest
-    // executor, shard the candidate store over the cluster instead of
-    // broadcasting it whole. The decision is re-taken every pass, so a
-    // YAFIM_FAULT_MEM_* shrink mid-run degrades exactly the passes after
-    // the trigger.
-    const bool partitioned =
-        options.broadcast_mode == BroadcastMode::kPartitioned ||
-        (options.broadcast_mode == BroadcastMode::kAuto &&
-         !ctx.memory_budget().broadcast_fits(tree_bytes));
-
-    // Vertical mode: build the per-partition bitmap index once, on the
-    // first counting pass; the persisted RDD serves every later pass from
-    // cache, so candidate counting never rescans transactions again. A
-    // partitioned pass re-partitions raw transactions instead of probing
-    // the per-partition index, so it neither builds nor reads it.
-    const bool bitmap_mode = options.count_mode == CountMode::kVerticalBitmap;
-    const bool builds_vertical = bitmap_mode && !vertical && !partitioned;
-    if (builds_vertical) {
-      vertical.emplace(
-          transactions
-              .map_partitions([](const std::vector<Transaction>& part) {
-                std::vector<VerticalBitmapIndex> out;
-                out.emplace_back(part);
-                return out;
-              })
-              .named("vertical:bitmaps"));
-      vertical->persist();
-    }
-
-    // Without caching, Spark recomputes the transactions lineage from
-    // HDFS on every action: charge the re-read and the re-parse. Bitmap
-    // passes read the cached vertical index instead, so only the pass that
-    // builds it pays the recompute.
-    if (!options.cache_transactions &&
-        (!bitmap_mode || builds_vertical || partitioned)) {
-      ctx.record(
-          parse_stage("pass" + std::to_string(k) + ":recompute lineage"));
-    }
-
-    // Batch-global candidate ids: tree-local index + per-level offset, so
-    // one dense array spans every level counted this pass.
-    const u64 id_space = HashTree::assign_id_offsets(*trees);
-
-    // The counting job itself lives in fim/count_core.{h,cpp}, shared with
-    // the streaming miner so both count through identical stages.
-    CountCoreOptions count_opt;
-    count_opt.count_mode = options.count_mode;
-    count_opt.use_hash_tree = options.use_hash_tree;
-    count_opt.partitioned = partitioned;
-    count_opt.broadcast_shards = options.broadcast_shards;
-    count_opt.branching = options.branching;
-    count_opt.leaf_capacity = options.leaf_capacity;
-    count_opt.kmin = k;  // smallest candidate size in this batch
-    count_opt.min_count = min_count;
-    count_opt.pass_name = "pass" + std::to_string(k);
+    // The counting plan lives in fim/count_core: broadcast or shard (the
+    // decision is re-taken every pass), the bitmap index -- built on the
+    // first counting pass and served from cache after -- and the lineage
+    // recompute of uncached transactions.
     Stopwatch count_clock;
-    level = count_candidate_trees(ctx, transactions, trees, tree_bytes,
-                                  id_space, &vertical, count_opt);
+    level = count_batch(
+        ctx, transactions, batch, options.broadcast_mode,
+        {.count_mode = options.count_mode,
+         .use_hash_tree = options.use_hash_tree,
+         .broadcast_shards = options.broadcast_shards,
+         .branching = options.branching,
+         .leaf_capacity = options.leaf_capacity,
+         .min_count = min_count,
+         .pass_name = "pass" + std::to_string(k)},
+        &vertical, options.cache_transactions ? nullptr : &load);
     run.count_host_seconds += count_clock.seconds();
 
-    // Split the mixed-size result back into levels.
-    std::vector<std::vector<CountPair>> by_level(levels_in_batch);
-    for (auto& [itemset, support] : level) {
-      const u32 lvl = static_cast<u32>(itemset.size());
-      YAFIM_CHECK(lvl >= k && lvl < k + levels_in_batch,
-                  "unexpected itemset size in pass output");
-      by_level[lvl - k].emplace_back(std::move(itemset), support);
-    }
+    const std::vector<std::vector<CountPair>> by_level =
+        batch.split(std::move(level));
     for (u32 j = 0; j < levels_in_batch; ++j) {
       for (const auto& [itemset, support] : by_level[j]) {
         run.itemsets.add(itemset, support);
       }
-      run.passes.push_back(PassStats{k + j, num_candidates[j],
+      run.passes.push_back(PassStats{k + j, batch.level_size(j),
                                      by_level[j].size(), 0.0});
     }
     if (pass_span) {
-      u64 total_candidates = 0, total_frequent = 0;
-      for (u64 n : num_candidates) total_candidates += n;
+      u64 total_frequent = 0;
       for (const auto& lvl : by_level) total_frequent += lvl.size();
       if (levels_in_batch > 1) pass_span->arg("levels", levels_in_batch);
-      pass_span->arg("candidates", total_candidates);
+      pass_span->arg("candidates", batch.id_space());
       pass_span->arg("frequent", total_frequent);
       pass_span->end();
     }

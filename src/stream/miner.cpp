@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "engine/rdd.h"
 #include "engine/work.h"
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
-#include "fim/hash_tree.h"
 #include "obs/metrics.h"
 #include "util/bytes.h"
 #include "util/checksum.h"
@@ -70,7 +67,6 @@ class StreamingMiner {
     cfg.write_u64(options_.source.seed);
     cfg.write_u32(static_cast<u32>(options_.count_mode));
     cfg.write_u32(static_cast<u32>(options_.broadcast_mode));
-    cfg.write_u32(options_.use_hash_tree ? 1 : 0);
     cfg.write_u32(options_.branching);
     cfg.write_u32(options_.leaf_capacity);
     cfg.write_u32(options_.partitions);
@@ -241,10 +237,9 @@ class StreamingMiner {
     // Batch supports of every tracked k>=2 itemset, through the shared
     // counting core (min_count = 1: zero-support sets merge as +0).
     std::vector<CountPair> tracked_counts;
-    std::vector<std::vector<Itemset>> levels = tracked_by_level();
-    if (!levels.empty()) {
-      tracked_counts =
-          count_over(batch_rdd, std::move(levels), label + ":track", b);
+    const fim::CandidateBatch tracked = tracked_batch();
+    if (!tracked.empty()) {
+      tracked_counts = count_over(batch_rdd, tracked, label + ":track");
     }
 
     // ---- merge ----
@@ -271,7 +266,7 @@ class StreamingMiner {
 
     // ---- reverify ----
     maybe_kill(b, StreamPhase::kReverify);
-    stats.new_candidates = reverify(label, b, hi);
+    stats.new_candidates = reverify(label, hi);
     const u64 deferred = count_deferred(hi);
     obs::count(obs::CounterId::kStreamReverifyDeferred, deferred);
 
@@ -308,7 +303,7 @@ class StreamingMiner {
   /// tracked itemsets that fell out of the universe. Returns the number of
   /// candidates re-verified. Because level k's frontier is final before
   /// level k+1 is generated, a single walk reaches the fixpoint.
-  u64 reverify(const std::string& label, u64 b, u64 hi) {
+  u64 reverify(const std::string& label, u64 hi) {
     std::vector<Itemset> prev;
     for (const auto& [itemset, support] : supports_) {
       (void)support;
@@ -316,13 +311,13 @@ class StreamingMiner {
         prev.push_back(itemset);
       }
     }
-    std::sort(prev.begin(), prev.end(), itemset_less);
 
     ItemsetSet universe;
     u64 reverified = 0;
     for (u32 k = 2; !prev.empty(); ++k) {
       engine::work::Scope gen_scope;
-      std::vector<Itemset> candidates = fim::apriori_gen(prev, k);
+      const std::vector<Itemset> candidates = fim::to_itemsets(
+          fim::apriori_gen_rows(fim::to_sorted_rows(prev), k));
       {
         sim::StageRecord gen;
         gen.label = label + ":reverify" + std::to_string(k) + ":ap_gen";
@@ -344,11 +339,9 @@ class StreamingMiner {
         // ingested so far, so their supports are exact full-history values.
         for (const Itemset& c : fresh) supports_.emplace(c, 0);
         auto history_rdd = history();
-        std::vector<std::vector<Itemset>> level;
-        level.push_back(std::move(fresh));
-        for (auto& [itemset, support] : count_over(
-                 history_rdd, std::move(level),
-                 label + ":reverify" + std::to_string(k), b)) {
+        for (auto& [itemset, support] :
+             count_over(history_rdd, make_batch({fresh}),
+                        label + ":reverify" + std::to_string(k))) {
           supports_[itemset] = support;
         }
       }
@@ -383,63 +376,38 @@ class StreamingMiner {
     return reverified;
   }
 
-  /// Count a batch of candidate levels against `transactions` through the
-  /// shared core, min_count = 1. Caller owns merging the result.
+  /// Count `batch` against `transactions` through the shared core,
+  /// min_count = 1. Caller owns merging the result. Streaming data is new
+  /// every job, so a bitmap index is built per job rather than served from
+  /// a run-long cache like the batch miner's.
   std::vector<CountPair> count_over(engine::RDD<Transaction>& transactions,
-                                    std::vector<std::vector<Itemset>> levels,
-                                    const std::string& pass_name, u64 b) {
-    auto trees = std::make_shared<std::vector<fim::HashTree>>();
-    u64 tree_bytes = 0;
-    u32 kmin = 0;
-    for (auto& level : levels) {
-      std::sort(level.begin(), level.end(), itemset_less);
-      const u32 k = static_cast<u32>(level.front().size());
-      kmin = kmin == 0 ? k : std::min(kmin, k);
-      trees->emplace_back(std::move(level), options_.branching,
-                          options_.leaf_capacity);
-      tree_bytes += trees->back().serialized_bytes();
-    }
-    const u64 id_space = fim::HashTree::assign_id_offsets(*trees);
-
-    // Same degradation rule as the batch miner, re-taken per job: when the
-    // trees outgrow the tightest executor (e.g. PR-7's shrink axis fired),
-    // shard the candidate store instead of broadcasting it whole.
-    const bool partitioned =
-        options_.broadcast_mode == fim::BroadcastMode::kPartitioned ||
-        (options_.broadcast_mode == fim::BroadcastMode::kAuto &&
-         !ctx_.memory_budget().broadcast_fits(tree_bytes));
-
-    std::optional<engine::RDD<fim::VerticalBitmapIndex>> vertical;
-    if (options_.count_mode == fim::CountMode::kVerticalBitmap &&
-        !partitioned) {
-      // Streaming data is new every batch, so the index is rebuilt per job
-      // rather than served from a run-long cache like the batch miner's.
-      vertical.emplace(transactions.map_partitions(
-          [](const std::vector<Transaction>& part) {
-            std::vector<fim::VerticalBitmapIndex> out;
-            out.emplace_back(part);
-            return out;
-          }));
-      (void)vertical->named(pass_name + ":bitmaps");
-    }
-
-    fim::CountCoreOptions opt;
-    opt.count_mode = options_.count_mode;
-    opt.use_hash_tree = options_.use_hash_tree;
-    opt.partitioned = partitioned;
-    opt.broadcast_shards = options_.broadcast_shards;
-    opt.branching = options_.branching;
-    opt.leaf_capacity = options_.leaf_capacity;
-    opt.kmin = std::max<u32>(kmin, 2);
-    opt.min_count = 1;
-    opt.pass_name = pass_name;
-    (void)b;
-    return fim::count_candidate_trees(ctx_, transactions, trees, tree_bytes,
-                                      id_space, &vertical, opt);
+                                    const fim::CandidateBatch& batch,
+                                    const std::string& pass_name) {
+    return fim::count_batch(ctx_, transactions, batch,
+                            options_.broadcast_mode,
+                            {.count_mode = options_.count_mode,
+                             .broadcast_shards = options_.broadcast_shards,
+                             .branching = options_.branching,
+                             .leaf_capacity = options_.leaf_capacity,
+                             .min_count = 1,
+                             .pass_name = pass_name},
+                            nullptr, nullptr);
   }
 
-  /// Tracked k>=2 itemsets grouped into sorted levels (for tree builds).
-  std::vector<std::vector<Itemset>> tracked_by_level() const {
+  /// Candidate levels (itemsets of one size each, in any order) as one
+  /// counting batch; empty levels drop out.
+  fim::CandidateBatch make_batch(
+      const std::vector<std::vector<Itemset>>& levels) const {
+    std::vector<fim::ItemsetRows> rows;
+    for (const std::vector<Itemset>& level : levels) {
+      rows.push_back(fim::to_sorted_rows(level));
+    }
+    return fim::CandidateBatch(std::move(rows), options_.branching,
+                               options_.leaf_capacity);
+  }
+
+  /// Tracked k>=2 itemsets as one counting batch, a level per size.
+  fim::CandidateBatch tracked_batch() const {
     std::vector<std::vector<Itemset>> levels;
     for (const auto& [itemset, support] : supports_) {
       (void)support;
@@ -448,9 +416,7 @@ class StreamingMiner {
       if (levels.size() < k - 1) levels.resize(k - 1);
       levels[k - 2].push_back(itemset);
     }
-    while (!levels.empty() && levels.back().empty()) levels.pop_back();
-    std::erase_if(levels, [](const auto& l) { return l.empty(); });
-    return levels;
+    return make_batch(levels);
   }
 
   /// Fresh RDD over the full ingested history (driver-held replay buffer).
@@ -505,7 +471,7 @@ class StreamingMiner {
         frontier_.insert(itemset);
       }
     }
-    reverify("drain", options_.num_batches, minc_);
+    reverify("drain", minc_);
     deferred_at_close_ = count_deferred(entry_threshold());
   }
 

@@ -90,7 +90,6 @@ struct StreamOptions {
   // Counting configuration -- same semantics as YafimOptions.
   fim::CountMode count_mode = fim::CountMode::kItemsetKey;
   fim::BroadcastMode broadcast_mode = fim::BroadcastMode::kAuto;
-  bool use_hash_tree = true;
   u32 branching = 8;
   u32 leaf_capacity = 32;
   u32 partitions = 0;        ///< 0 = ctx.default_partitions()

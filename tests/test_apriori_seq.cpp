@@ -91,29 +91,6 @@ TEST(AprioriSeq, PassStatsAreConsistent) {
   }
 }
 
-TEST(AprioriSeq, HashTreeAndLinearScanAgree) {
-  Rng rng(5);
-  std::vector<Transaction> tx;
-  for (int i = 0; i < 150; ++i) {
-    Transaction t;
-    for (u32 item = 0; item < 15; ++item) {
-      if (rng.bernoulli(0.4)) t.push_back(item);
-    }
-    if (t.empty()) t.push_back(0);
-    tx.push_back(std::move(t));
-  }
-  TransactionDB db(std::move(tx));
-
-  AprioriOptions with_tree, without_tree;
-  with_tree.min_support = without_tree.min_support = 0.25;
-  with_tree.use_hash_tree = true;
-  without_tree.use_hash_tree = false;
-  const auto a = apriori_mine(db, with_tree);
-  const auto b = apriori_mine(db, without_tree);
-  EXPECT_TRUE(a.itemsets.same_itemsets(b.itemsets));
-  EXPECT_GT(a.itemsets.total(), 0u);
-}
-
 /// Property sweep: Apriori equals the brute-force oracle across densities
 /// and thresholds.
 class AprioriOracleSweep

@@ -2,6 +2,9 @@
 // replication, and both serialization formats.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "fim/dataset.h"
 #include "util/rng.h"
 
@@ -147,15 +150,39 @@ TEST(Dataset, LenientParserRejectsOverlongAndOverflow) {
   EXPECT_EQ(db2.parse_stats().bad_token_lines, 1u);
 }
 
-TEST(Dataset, StrictParserKeepsHistoricalBehavior) {
-  // Strict takes the numeric prefix of each line and canonicalizes --
-  // exactly what it always did -- and reports zero malformed lines.
-  const auto db = TransactionDB::from_text("3 1 x 9\n2 2\n");
+TEST(Dataset, StrictParserNamesTheFirstMalformedLine) {
+  // Each bad token -- non-numeric, glued garbage, above 2^32 - 1 -- stops
+  // the parse at its 1-based line (empty lines count), naming the token.
+  const std::pair<std::string, std::string> cases[] = {
+      {"3 1 2\n\nfoo bar\n", "foo"},
+      {"3 1 2\n\n1 2x 3\n", "2x"},
+      {"3 1 2\n\n99999999999999\n", "99999999999999"},
+      {"3 1 2\n\n4294967296 1\n", "4294967296"},
+  };
+  for (const auto& [text, token] : cases) {
+    try {
+      (void)TransactionDB::from_text(text);
+      ADD_FAILURE() << "accepted " << token;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 3u) << token;
+      EXPECT_EQ(e.token(), token);
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+    }
+  }
+  // The largest id, unsorted and duplicate items, and whitespace-only
+  // lines still parse; items are canonicalized.
+  const auto db = TransactionDB::from_text("4294967295 3 1 3\n \t\n");
   ASSERT_EQ(db.size(), 2u);
-  EXPECT_EQ(db.transactions()[0], (Transaction{1, 3}));
-  EXPECT_EQ(db.transactions()[1], (Transaction{2}));
-  EXPECT_EQ(db.parse_stats().lines_total, 2u);
+  EXPECT_EQ(db.transactions()[0], (Transaction{1, 3, 4294967295u}));
+  EXPECT_TRUE(db.transactions()[1].empty());
   EXPECT_EQ(db.parse_stats().malformed(), 0u);
+  // Overlong lines are only lenient mode's concern.
+  std::string overlong;
+  for (u32 i = 0; i <= TransactionDB::kMaxTransactionItems; ++i) {
+    overlong += std::to_string(i) + ' ';
+  }
+  EXPECT_EQ(TransactionDB::from_text(overlong).transactions()[0].size(),
+            TransactionDB::kMaxTransactionItems + 1);
 }
 
 TEST(Dataset, CorruptPayloadAborts) {
