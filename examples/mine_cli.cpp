@@ -28,6 +28,7 @@
 #include "engine/context.h"
 #include "engine/detsan.h"
 #include "engine/detsan_selftest.h"
+#include "engine/fault.h"
 #include "engine/lint.h"
 #include "fim/apriori_seq.h"
 #include "fim/checkpoint.h"
@@ -184,10 +185,11 @@ struct Options {
       "  '# approx:' line with the certificate: exact=true means the\n"
       "  output is provably the complete exact answer; otherwise\n"
       "  border_survivors and miss_bound quantify what may be missing\n"
-      "exit codes: 0 success; 2 bad flags or unusable --input;\n"
-      "  3 --lint=error diagnostic;\n"
-      "  4 --detsan=error divergence; 9 stream killed at an injected kill\n"
-      "  point\n",
+      "exit codes: 0 success; 1 --trace file not written;\n"
+      "  2 bad flags, unusable --input or --checkpoint-dir;\n"
+      "  3 --lint=error diagnostic; 4 --detsan=error divergence;\n"
+      "  5 a stage failed after exhausting its retries;\n"
+      "  9 stream killed at an injected kill point\n",
       argv0);
   std::exit(2);
 }
@@ -547,7 +549,13 @@ int main(int argc, char** argv) {
     std::unique_ptr<SleepyCheckpointStore> sleepy_store;
     fim::CheckpointStore* store = nullptr;
     if (!opt.checkpoint_dir.empty()) {
-      dir_store = std::make_unique<fim::DirCheckpointStore>(opt.checkpoint_dir);
+      try {
+        dir_store =
+            std::make_unique<fim::DirCheckpointStore>(opt.checkpoint_dir);
+      } catch (const fim::CheckpointError& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
       store = dir_store.get();
       if (opt.pass_sleep_ms > 0) {
         sleepy_store = std::make_unique<SleepyCheckpointStore>(
@@ -643,6 +651,14 @@ int main(int argc, char** argv) {
       std::printf("# detsan: %s\n", e.what());
       print_detsan();
       return 4;
+    } catch (const fim::CheckpointError& e) {
+      // A snapshot the directory would not take: one line naming it.
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    } catch (const engine::StageFailedError& e) {
+      // Retries exhausted (YAFIM_FAULT_*): one line naming the stage.
+      std::fprintf(stderr, "%s\n", e.what());
+      return 5;
     }
     sim_seconds = opt.stream ? ctx.sim_seconds() : run.total_seconds();
     {

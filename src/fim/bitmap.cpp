@@ -17,22 +17,36 @@ u64 and_popcount(const u64* const* rows, u32 k, u32 nwords) {
   return sum;
 }
 
+namespace {
+
+/// The distinct-item universe of `transactions`, ascending.
+std::vector<Item> distinct_items(std::span<const Transaction> transactions) {
+  std::vector<Item> items;
+  for (const Transaction& t : transactions) {
+    items.insert(items.end(), t.begin(), t.end());
+  }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  return items;
+}
+
+}  // namespace
+
 VerticalBitmapIndex::VerticalBitmapIndex(
     std::span<const Transaction> transactions)
-    : num_transactions_(static_cast<u32>(transactions.size())),
-      words_per_row_(static_cast<u32>((transactions.size() + 63) / 64)) {
-  // Pass 1: the distinct-item universe of this partition, ascending so slot
-  // order (and therefore the arena layout) is deterministic.
-  Item max_dense = 0;
-  for (const Transaction& t : transactions) {
-    for (Item i : t) {
-      items_.push_back(i);
-      if (i < kDenseSlotLimit) max_dense = std::max(max_dense, i);
-    }
-  }
-  std::sort(items_.begin(), items_.end());
-  items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
+    : VerticalBitmapIndex(transactions, distinct_items(transactions)) {}
 
+VerticalBitmapIndex::VerticalBitmapIndex(
+    std::span<const Transaction> transactions, std::vector<Item> items)
+    : num_transactions_(static_cast<u32>(transactions.size())),
+      words_per_row_(static_cast<u32>((transactions.size() + 63) / 64)),
+      items_(std::move(items)) {
+  // Slots follow the ascending item order, so the arena layout is
+  // deterministic.
+  Item max_dense = 0;
+  for (Item i : items_) {
+    if (i < kDenseSlotLimit) max_dense = std::max(max_dense, i);
+  }
   bool any_dense = false;
   for (u32 slot = 0; slot < items_.size(); ++slot) {
     const Item item = items_[slot];
@@ -47,21 +61,38 @@ VerticalBitmapIndex::VerticalBitmapIndex(
     }
   }
 
-  // Pass 2: set bit `tid` in each contained item's row.
+  // Set bit `tid` in each indexed item's row.
   words_.assign(u64{items_.size()} * words_per_row_, 0);
+  u64 occurrences = 0;
   for (u32 tid = 0; tid < transactions.size(); ++tid) {
+    occurrences += transactions[tid].size();
     for (Item i : transactions[tid]) {
-      u64* item_row = words_.data() + u64{slot_of(i)} * words_per_row_;
+      const u32 slot = slot_of(i);
+      if (slot == kNoSlot) continue;
+      u64* item_row = words_.data() + u64{slot} * words_per_row_;
       item_row[tid >> 6] |= u64{1} << (tid & 63);
     }
   }
 
   // Building touches every item occurrence once (same unit as parsing) plus
   // the zero-fill of the arena at the word exchange rate.
-  u64 occurrences = 0;
-  for (const Transaction& t : transactions) occurrences += t.size();
-  engine::work::add(occurrences + words_.size() / kBitmapWordsPerWorkUnit);
+  engine::work::add(
+      build_units(occurrences, items_.size(), num_transactions_));
   obs::count(obs::CounterId::kBitmapIndexBytes, bytes());
+}
+
+u64 VerticalBitmapIndex::build_units(u64 occurrences, u64 num_items,
+                                     u64 num_transactions) {
+  const u64 words_per_row = (num_transactions + 63) / 64;
+  return occurrences + num_items * words_per_row / kBitmapWordsPerWorkUnit;
+}
+
+u64 VerticalBitmapIndex::count_units(const HashTree& tree,
+                                     u64 num_transactions) {
+  const u64 words_per_row = (num_transactions + 63) / 64;
+  const u64 n = tree.size();
+  // and_words + popcounts of count_candidates: k + 1 words per row.
+  return n + n * (tree.k() + u64{1}) * words_per_row / kBitmapWordsPerWorkUnit;
 }
 
 u32 VerticalBitmapIndex::slot_of(Item item) const {
@@ -98,21 +129,16 @@ void VerticalBitmapIndex::count_candidates(const HashTree& tree,
   const u32 n = tree.size();
   if (n == 0) return;
   const u32 k = tree.k();
-  u64 and_words = 0;
-  u64 popcounts = 0;
   for (u32 ci = 0; ci < n; ++ci) {
-    const u64 sup = support(tree.candidate_items(ci), k);
-    cells[ci] += sup;
-    // The absent-item early-out makes the true touched-word count
-    // data-dependent; charging the full k*words keeps the sim price an
-    // upper bound and deterministic either way.
-    and_words += u64{k} * words_per_row_;
-    popcounts += words_per_row_;
+    cells[ci] += support(tree.candidate_items(ci), k);
   }
-  engine::work::add(n + (and_words + popcounts) / kBitmapWordsPerWorkUnit);
+  // The absent-item early-out makes the true touched-word count
+  // data-dependent; charging the full k words per candidate row keeps the
+  // sim price an upper bound and deterministic either way.
+  engine::work::add(count_units(tree, num_transactions_));
   if (obs::enabled()) {
-    obs::count(obs::CounterId::kBitmapAndWords, and_words);
-    obs::count(obs::CounterId::kBitmapPopcounts, popcounts);
+    obs::count(obs::CounterId::kBitmapAndWords, u64{n} * k * words_per_row_);
+    obs::count(obs::CounterId::kBitmapPopcounts, u64{n} * words_per_row_);
   }
 }
 

@@ -53,6 +53,20 @@ class VerticalBitmapIndex {
   /// (fim/itemset.h); partition-local tid = position in `transactions`.
   explicit VerticalBitmapIndex(std::span<const Transaction> transactions);
 
+  /// Index only `items` (ascending, distinct): one row each, all-zero for
+  /// an item no transaction contains; other items are skipped. The arena
+  /// is exactly items.size() x ceil(transactions/64) words.
+  VerticalBitmapIndex(std::span<const Transaction> transactions,
+                      std::vector<Item> items);
+
+  /// Work units a build charges: one per item occurrence read plus the
+  /// zero-filled arena of `num_items` rows at the word exchange rate.
+  static u64 build_units(u64 occurrences, u64 num_items,
+                         u64 num_transactions);
+  /// Work units count_candidates(tree, ...) charges on an index over
+  /// `num_transactions` transactions.
+  static u64 count_units(const HashTree& tree, u64 num_transactions);
+
   u32 num_transactions() const { return num_transactions_; }
   u32 words_per_row() const { return words_per_row_; }
   u32 num_items() const { return static_cast<u32>(items_.size()); }

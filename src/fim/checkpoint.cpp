@@ -16,12 +16,16 @@ namespace fs = std::filesystem;
 
 // --- stores --------------------------------------------------------------
 
+CheckpointError::CheckpointError(std::string dir, const std::string& problem)
+    : std::runtime_error("checkpoint dir '" + dir + "': " + problem),
+      dir_(std::move(dir)) {}
+
 DirCheckpointStore::DirCheckpointStore(std::string dir)
     : dir_(std::move(dir)) {
-  YAFIM_CHECK(!dir_.empty(), "checkpoint dir must be non-empty");
+  if (dir_.empty()) throw CheckpointError(dir_, "empty path");
   std::error_code ec;
   fs::create_directories(dir_, ec);
-  YAFIM_CHECK(!ec, "cannot create checkpoint dir");
+  if (ec) throw CheckpointError(dir_, "cannot create (" + ec.message() + ")");
   // Sweep *.tmp orphans left by a crash between tmp-write and rename.
   // list() already skips them, so they were never parsed, but without the
   // sweep they accumulate forever across crash/resume cycles.
@@ -41,14 +45,21 @@ void DirCheckpointStore::put(const std::string& name,
   const fs::path tmp = fs::path(dir_) / (name + ".tmp");
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    YAFIM_CHECK(out.good(), "cannot open checkpoint tmp file");
+    if (!out.good()) {
+      throw CheckpointError(dir_, "cannot open " + tmp.string());
+    }
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
-    YAFIM_CHECK(out.good(), "cannot write checkpoint tmp file");
+    if (!out.good()) {
+      throw CheckpointError(dir_, "cannot write " + tmp.string());
+    }
   }
   std::error_code ec;
   fs::rename(tmp, target, ec);
-  YAFIM_CHECK(!ec, "cannot rename checkpoint into place");
+  if (ec) {
+    throw CheckpointError(dir_, "cannot rename " + tmp.string() + " (" +
+                                    ec.message() + ")");
+  }
 }
 
 std::optional<std::vector<u8>> DirCheckpointStore::get(

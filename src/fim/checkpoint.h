@@ -32,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,20 @@ class CheckpointStore {
   virtual void remove(const std::string& name) = 0;
 };
 
+/// A checkpoint directory that cannot be created or written; what() names
+/// the directory and the failing step.
+class CheckpointError : public std::runtime_error {
+ public:
+  CheckpointError(std::string dir, const std::string& problem);
+  const std::string& dir() const { return dir_; }
+
+ private:
+  std::string dir_;
+};
+
 /// Snapshots as files in a real directory (created on demand). Puts write
-/// to a ".tmp" sibling and rename into place.
+/// to a ".tmp" sibling and rename into place. Throws CheckpointError when
+/// the directory cannot be created or a snapshot cannot be written.
 class DirCheckpointStore final : public CheckpointStore {
  public:
   explicit DirCheckpointStore(std::string dir);

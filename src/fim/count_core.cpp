@@ -56,6 +56,75 @@ Job counting_job(const std::string& name, u64 min_count, u32 num_mappers,
 
 }  // namespace
 
+std::vector<Item> candidate_items(const std::vector<HashTree>& trees) {
+  // Small ids are deduplicated through a direct-indexed table, so the sort
+  // sees each of them once; ids past the table go in as they come.
+  constexpr Item kDirectLimit = 1u << 20;
+  std::vector<Item> items;
+  std::vector<u8> seen;
+  for (const HashTree& tree : trees) {
+    for (u32 ci = 0; ci < tree.size(); ++ci) {
+      const Item* c = tree.candidate_items(ci);
+      for (u32 j = 0; j < tree.k(); ++j) {
+        const Item i = c[j];
+        if (i >= kDirectLimit) {
+          items.push_back(i);
+          continue;
+        }
+        if (i >= seen.size()) seen.resize(size_t{i} + 1, 0);
+        if (!seen[i]) {
+          seen[i] = 1;
+          items.push_back(i);
+        }
+      }
+    }
+  }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  return items;
+}
+
+void count_rows(std::span<const Transaction> rows,
+                const std::vector<HashTree>& trees,
+                std::span<const Item> items, u64* cells) {
+  __extension__ using u128 = unsigned __int128;
+  const u64 n = rows.size();
+  u64 occurrences_left = 0;  // item occurrences in rows [m, n)
+  for (const Transaction& t : rows) occurrences_left += t.size();
+  u64 spent = 0;  // probe work units charged to rows [0, m)
+  u64 m = 0;
+  for (; m < n; ++m) {
+    if (m > 0) {
+      // The bitmap kernel's exact price for indexing and counting the rows
+      // left, against the probe's pace so far scaled to them:
+      // spent / m * (n - m) > bitmap, cross-multiplied.
+      const u64 left = n - m;
+      u64 bitmap = VerticalBitmapIndex::build_units(occurrences_left,
+                                                    items.size(), left);
+      for (const HashTree& tree : trees) {
+        bitmap += VerticalBitmapIndex::count_units(tree, left);
+      }
+      if (u128{spent} * left > u128{bitmap} * m) break;
+    }
+    const u64 before = engine::work::current();
+    for (const HashTree& tree : trees) {
+      u64* tree_cells = cells + tree.id_offset();
+      for_each_hit(tree, rows[m], true,
+                   [tree_cells](u32 ci) { ++tree_cells[ci]; });
+    }
+    spent += engine::work::current() - before;
+    occurrences_left -= rows[m].size();
+  }
+  obs::count(obs::CounterId::kDenseRowsProbed, m);
+  if (m == n) return;
+  obs::count(obs::CounterId::kDenseRowsBitmap, n - m);
+  const VerticalBitmapIndex index(
+      rows.subspan(m), std::vector<Item>(items.begin(), items.end()));
+  for (const HashTree& tree : trees) {
+    index.count_candidates(tree, cells + tree.id_offset());
+  }
+}
+
 CandidateBatch::CandidateBatch(std::vector<ItemsetRows> levels,
                                u32 branching, u32 leaf_capacity)
     : trees_(std::make_shared<std::vector<HashTree>>()) {
@@ -208,20 +277,27 @@ std::vector<CountPair> count_candidate_trees(
             .named(pass_name + ":shard-count")
             .sum_arrays(id_space, pass_name + ":count");
   } else if (opt.count_mode == CountMode::kCandidateId) {
-    // Dense probing: per-transaction hash-tree walks, no per-hit itemset
-    // copies.
+    // Dense, kernel chosen per task (count_rows): hash-tree probes until
+    // the bitmap kernel is cheaper for the rows left. The no-hash-tree
+    // ablation scans every row linearly.
     auto broadcast_trees =
         ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
+    auto items = std::make_shared<const std::vector<Item>>(
+        use_hash_tree ? candidate_items(*trees) : std::vector<Item>{});
     counts =
         transactions
-            .map_partitions([broadcast_trees, use_hash_tree, id_space](
+            .map_partitions([broadcast_trees, items, use_hash_tree, id_space](
                                 const std::vector<Transaction>& part) {
               std::vector<u64> acc(id_space, 0);
-              for (const Transaction& t : part) {
-                for (const HashTree& tree : **broadcast_trees) {
-                  u64* cells = acc.data() + tree.id_offset();
-                  for_each_hit(tree, t, use_hash_tree,
-                               [cells](u32 ci) { ++cells[ci]; });
+              if (use_hash_tree) {
+                count_rows(part, **broadcast_trees, *items, acc.data());
+              } else {
+                for (const Transaction& t : part) {
+                  for (const HashTree& tree : **broadcast_trees) {
+                    u64* cells = acc.data() + tree.id_offset();
+                    for_each_hit(tree, t, false,
+                                 [cells](u32 ci) { ++cells[ci]; });
+                  }
                 }
               }
               std::vector<std::vector<u64>> out;
@@ -360,28 +436,29 @@ ItemsetCountJob itemset_count_job(
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     CountMode mode, u64 min_count, u32 num_mappers, u32 num_reducers) {
-  YAFIM_CHECK(trees->size() == 1, "an id-keyed job counts one tree");
+  YAFIM_CHECK(trees->size() == 1 && trees->front().id_offset() == 0,
+              "an id-keyed job counts one tree from id 0");
   auto job = counting_job<CandidateIdJob>(
       name, min_count, num_mappers, num_reducers,
       [trees](u32 ci) { return trees->front().candidate(ci); });
   job.distributed_cache_bytes = trees->front().serialized_bytes();
-  if (mode == CountMode::kVerticalBitmap) {
-    job.map_partition_fn = [trees](std::span<const Transaction> split,
-                                   mr::Emitter<u32, u64>& emit) {
-      const HashTree& tree = trees->front();
-      const VerticalBitmapIndex index(split);
-      std::vector<u64> cells(tree.size(), 0);
-      index.count_candidates(tree, cells.data());
-      for (u32 ci = 0; ci < cells.size(); ++ci) {
-        if (cells[ci] != 0) emit.emit(ci, cells[ci]);
-      }
-    };
-  } else {
-    job.map_fn = [trees](const Transaction& t, mr::Emitter<u32, u64>& emit) {
-      for_each_hit(trees->front(), t, true,
-                   [&](u32 ci) { emit.emit(ci, 1); });
-    };
-  }
+  const bool bitmap = mode == CountMode::kVerticalBitmap;
+  auto items = std::make_shared<const std::vector<Item>>(
+      bitmap ? std::vector<Item>{} : candidate_items(*trees));
+  job.map_partition_fn = [trees, items, bitmap](
+                             std::span<const Transaction> split,
+                             mr::Emitter<u32, u64>& emit) {
+    const HashTree& tree = trees->front();
+    std::vector<u64> cells(tree.size(), 0);
+    if (bitmap) {
+      VerticalBitmapIndex(split).count_candidates(tree, cells.data());
+    } else {
+      count_rows(split, *trees, *items, cells.data());
+    }
+    for (u32 ci = 0; ci < cells.size(); ++ci) {
+      if (cells[ci] != 0) emit.emit(ci, cells[ci]);
+    }
+  };
   return job;
 }
 

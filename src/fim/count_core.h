@@ -21,9 +21,11 @@
 //   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
 //                         a reduce_by_key shuffle.
 //   * kCandidateId     -- dense per-partition u64 arrays indexed by
-//                         batch-global candidate id, merged via sum_arrays.
-//   * kVerticalBitmap  -- a per-partition VerticalBitmapIndex answers each
-//                         candidate with AND + popcount.
+//                         batch-global candidate id, merged via sum_arrays;
+//                         each task picks its kernel row by row
+//                         (count_rows).
+//   * kVerticalBitmap  -- a persisted per-partition VerticalBitmapIndex
+//                         answers each candidate with AND + popcount.
 //   * partitioned      -- any mode degrades here when the trees outgrow the
 //                         executor budget: trees sharded by candidate
 //                         prefix, transactions routed to their shards.
@@ -31,6 +33,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,6 +84,28 @@ class CandidateBatch {
   u64 id_space_ = 0;
   u32 kmin_ = 0;
 };
+
+/// Every item some candidate of `trees` contains, ascending: the rows of
+/// the index count_rows builds when it switches kernels.
+std::vector<Item> candidate_items(const std::vector<HashTree>& trees);
+
+/// The dense counting kernel of one task: add, for every candidate of
+/// `trees` contained in a row of `rows`, one to
+/// cells[tree.id_offset() + ci]. `items` is candidate_items(trees).
+///
+/// Rows are probed through the hash trees in order. Before each row
+/// m > 0 the probe work units spent on rows [0, m), scaled to the n - m
+/// rows left, are compared with the exact units the bitmap kernel charges
+/// for them: a VerticalBitmapIndex over rows [m, n) restricted to `items`
+/// (build_units) plus count_candidates on every tree (count_units). Once
+/// the projection is larger, rows [m, n) are indexed and every candidate's
+/// AND+popcount is added to the same cells. The choice depends only on
+/// the rows, their order and the candidates, so the cells and the charged
+/// work are deterministic; the cells equal an all-probe count's. Bumps the
+/// obs dense.rows_probed and dense.rows_bitmap counters.
+void count_rows(std::span<const Transaction> rows,
+                const std::vector<HashTree>& trees,
+                std::span<const Item> items, u64* cells);
 
 /// Whether a candidate payload of `bytes` goes out as the partitioned
 /// candidate store instead of whole: always under kPartitioned, never under
@@ -167,11 +192,12 @@ ItemsetCountJob itemset_count_job(
     u64 min_count, u32 num_mappers, u32 num_reducers);
 
 /// The same job over a one-tree batch, keyed by candidate id (`mode` is
-/// kCandidateId or kVerticalBitmap). kCandidateId mappers emit (id, 1) per
-/// hash-tree hit; kVerticalBitmap mappers build a VerticalBitmapIndex over
-/// their split (MapReduce has no cross-job cache, so it is rebuilt per job)
-/// and emit (id, count) per candidate of nonzero count. Reducers map
-/// surviving ids back to itemsets through their copy of the tree.
+/// kCandidateId or kVerticalBitmap). Each mapper counts its split into
+/// dense cells and emits (id, count) per candidate of nonzero count:
+/// kCandidateId through count_rows, the RDD tasks' kernel choice;
+/// kVerticalBitmap through a VerticalBitmapIndex over the whole split
+/// (MapReduce has no cross-job cache, so it is rebuilt per job). Reducers
+/// map surviving ids back to itemsets through their copy of the tree.
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     CountMode mode, u64 min_count, u32 num_mappers, u32 num_reducers);

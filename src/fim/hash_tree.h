@@ -41,14 +41,19 @@ namespace yafim::fim {
 enum class CountMode {
   /// Paper-faithful: shuffle keyed on full Itemset vectors.
   kItemsetKey,
-  /// Dense: count into fixed-width arrays indexed by candidate id
-  /// (tree-local index + the tree's batch-global id offset); itemsets are
-  /// materialized from the broadcast tree only for MinSup survivors.
+  /// Dense, kernel chosen per task: count into fixed-width arrays indexed
+  /// by candidate id (tree-local index + the tree's batch-global id
+  /// offset); itemsets are materialized from the broadcast tree only for
+  /// MinSup survivors. Each task probes its rows through the hash tree
+  /// until the bitmap kernel's exact price for the rows left undercuts the
+  /// probe's pace, then AND+popcounts those rows on a task-local index of
+  /// the candidate items (fim/count_core.h count_rows).
   kCandidateId,
-  /// Vertical: per-item transaction bitmaps built once per partition
-  /// (fim/bitmap.h); candidate support = popcount of the word-parallel AND
-  /// of its item rows. No per-transaction probing at all -- the hash tree
-  /// only carries the candidate arena and the dense id space.
+  /// Forced vertical: per-item transaction bitmaps built once per
+  /// partition (fim/bitmap.h) and persisted across passes; candidate
+  /// support = popcount of the word-parallel AND of its item rows. No
+  /// per-transaction probing at all -- the hash tree only carries the
+  /// candidate arena and the dense id space. For bench_ablation and tests.
   kVerticalBitmap,
 };
 

@@ -33,7 +33,9 @@ struct MrAprioriOptions {
   /// Counting-shuffle key for jobs k >= 2 (matches YafimOptions so the
   /// YAFIM-vs-MRApriori comparison stays apples-to-apples): kItemsetKey
   /// shuffles full itemsets, kCandidateId shuffles dense candidate ids and
-  /// maps survivors back through the mapper-side tree in the reducer;
+  /// maps survivors back through the mapper-side tree in the reducer, each
+  /// mapper choosing its kernel row by row as a YAFIM task does
+  /// (fim/count_core.h count_rows);
   /// kVerticalBitmap builds a bitmap index per map split (MapReduce has no
   /// cross-job cache, so it is rebuilt each level) and emits nonzero
   /// candidate-id counts from an in-mapper AND+popcount pass.

@@ -39,9 +39,11 @@ struct YafimOptions {
   /// How Phase II counts candidate hits (fim/hash_tree.h). kItemsetKey is
   /// the paper-faithful shuffle keyed on full itemsets; kCandidateId (the
   /// default) counts into dense per-partition arrays indexed by candidate
-  /// id and merges them with sum_arrays(); kVerticalBitmap builds a cached
-  /// per-partition bitmap index (fim/bitmap.h) on the first counting pass
-  /// and answers each candidate with an AND+popcount over its item rows.
+  /// id and merges them with sum_arrays(), each task probing the hash tree
+  /// until a task-local bitmap index is cheaper for its remaining rows
+  /// (fim/count_core.h count_rows); kVerticalBitmap forces the bitmap: a
+  /// cached per-partition index (fim/bitmap.h) built on the first counting
+  /// pass answers each candidate with an AND+popcount over its item rows.
   /// All three yield bit-identical FrequentItemsets; only the data
   /// structure and its pricing differ.
   CountMode count_mode = CountMode::kCandidateId;

@@ -75,6 +75,8 @@ const char* counter_name(CounterId id) {
       return "lint.stream_backpressure";
     case CounterId::kDetsanTasksReplayed: return "detsan.tasks_replayed";
     case CounterId::kDetsanDivergences: return "detsan.divergences";
+    case CounterId::kDenseRowsProbed: return "dense.rows_probed";
+    case CounterId::kDenseRowsBitmap: return "dense.rows_bitmap";
     case CounterId::kNumCounters: break;
   }
   return "unknown";

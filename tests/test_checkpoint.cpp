@@ -147,6 +147,27 @@ TEST(Checkpoint, DirStoreRoundTripAndTmpFilter) {
   EXPECT_EQ(store.list(), (std::vector<std::string>{"pass-0002.ck"}));
 }
 
+TEST(Checkpoint, DirStoreFailuresAreTypedAndNameTheDirectory) {
+  // A directory under a regular file can never be created.
+  const std::string dir = fresh_dir("ck_typed_error");
+  stdfs::create_directories(dir);
+  const std::string file = (stdfs::path(dir) / "plain-file").string();
+  std::ofstream(file) << "x";
+  const std::string bad = file + "/checkpoints";
+  try {
+    DirCheckpointStore store(bad);
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.dir(), bad);
+    EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+  }
+
+  // A put whose tmp file cannot be opened: the store's directory is gone.
+  DirCheckpointStore store(dir);
+  stdfs::remove_all(dir);
+  EXPECT_THROW(store.put("pass-0001.ck", {1}), CheckpointError);
+}
+
 TEST(Checkpoint, DirStoreSweepsOrphanedTmpFilesOnOpen) {
   // A crash between tmp-write and rename leaves a *.tmp orphan on disk
   // forever (each put() uses a fresh name). Opening the store must sweep

@@ -11,14 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "engine/error.h"
 #include "engine/rdd.h"
+#include "engine/work.h"
 #include "fim/apriori_seq.h"
+#include "fim/bitmap.h"
+#include "fim/candidate_gen.h"
 #include "fim/checkpoint.h"
+#include "fim/count_core.h"
 #include "fim/mr_apriori.h"
 #include "fim/yafim.h"
 #include "obs/metrics.h"
@@ -56,12 +61,56 @@ TransactionDB random_db(u32 universe, int transactions, double density,
   return TransactionDB(std::move(tx));
 }
 
+// Databases for the dense kernel choice (count_rows). With small_cluster()
+// every counting stage has 24 tasks, so each task sees about ten rows.
+
+/// Short rows over many items: probing stays cheaper than indexing the
+/// rows left in every task, so no task switches kernels.
+constexpr double kSparseMinSupport = 0.02;
+const TransactionDB& sparse_db() {
+  static const TransactionDB db = random_db(60, 240, 0.05, 3);
+  return db;
+}
+
+/// Near-full rows: every task switches to the bitmap right after row 0.
+constexpr double kSaturatedMinSupport = 0.75;
+const TransactionDB& saturated_db() {
+  static const TransactionDB db = random_db(20, 240, 0.9, 5);
+  return db;
+}
+
+/// Rows 10j..10j+2 hold one item, which costs a probe nothing, and the
+/// other seven of every ten are dense: a task cannot switch before its
+/// fourth row, and switches once the dense rows set its pace.
+constexpr double kMixedMinSupport = 0.3;
+const TransactionDB& mixed_db() {
+  static const TransactionDB db = [] {
+    Rng rng(9);
+    std::vector<Transaction> tx;
+    for (int i = 0; i < 240; ++i) {
+      Transaction t;
+      if (i % 10 < 3) {
+        t.push_back(static_cast<Item>(rng.below(16)));
+      } else {
+        for (u32 item = 0; item < 16; ++item) {
+          if (rng.bernoulli(0.8)) t.push_back(item);
+        }
+        if (t.empty()) t.push_back(0);
+      }
+      tx.push_back(std::move(t));
+    }
+    return TransactionDB(std::move(tx));
+  }();
+  return db;
+}
+
 MiningRun run_yafim(const TransactionDB& db, CountMode mode, u32 combine,
-                    engine::Context::Options copts = small_cluster()) {
+                    engine::Context::Options copts = small_cluster(),
+                    double min_support = 0.2) {
   engine::Context ctx(copts);
   simfs::SimFS fs(ctx.cluster(), copts.fault.corrupt);
   YafimOptions opt;
-  opt.min_support = 0.2;
+  opt.min_support = min_support;
   opt.count_mode = mode;
   opt.combine_passes = combine;
   return yafim_mine(ctx, fs, db, opt);
@@ -198,10 +247,11 @@ const obs::CounterId kProbeCounters[] = {
 
 std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
                                  u32 combine, engine::Context::Options copts,
-                                 std::span<const obs::CounterId> ids) {
+                                 std::span<const obs::CounterId> ids,
+                                 double min_support = 0.2) {
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
-  (void)run_yafim(db, mode, combine, copts);
+  (void)run_yafim(db, mode, combine, copts, min_support);
   obs::set_enabled(false);
   std::vector<u64> values;
   for (obs::CounterId id : ids) values.push_back(obs::counter_value(id));
@@ -230,13 +280,27 @@ TEST(CountModes, ModeInvariantCountersAgree) {
 }
 
 TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
+  // Where no dense task switches kernels, both modes probe every row.
+  const auto sparse = traced_counters(sparse_db(), CountMode::kItemsetKey, 1,
+                                      small_cluster(), kProbeCounters,
+                                      kSparseMinSupport);
+  const auto sparse_dense =
+      traced_counters(sparse_db(), CountMode::kCandidateId, 1,
+                      small_cluster(), kProbeCounters, kSparseMinSupport);
+  EXPECT_EQ(sparse, sparse_dense);
+  EXPECT_GT(sparse_dense[0], 0u) << "hash-tree probes missing";
+
+  // Where tasks switch to the bitmap kernel, the dense mode probes
+  // strictly fewer nodes and candidates.
   const auto db = random_db(15, 220, 0.35, 21);
   const auto faithful = traced_counters(db, CountMode::kItemsetKey, 1,
                                         small_cluster(), kProbeCounters);
   const auto dense = traced_counters(db, CountMode::kCandidateId, 1,
                                      small_cluster(), kProbeCounters);
-  EXPECT_EQ(faithful, dense);
-  EXPECT_GT(dense[0], 0u) << "hash-tree probes missing";
+  for (size_t i = 0; i < dense.size(); ++i) {
+    EXPECT_GT(dense[i], 0u) << obs::counter_name(kProbeCounters[i]);
+    EXPECT_LT(dense[i], faithful[i]) << obs::counter_name(kProbeCounters[i]);
+  }
 }
 
 TEST(CountModes, BitmapModeSkipsProbesAndRecordsBitmapWork) {
@@ -306,6 +370,294 @@ TEST(CountModes, BitIdenticalUnderComposedMemShrinkAndTaskFailures) {
       EXPECT_GT(ctx.memory_budget().broadcast_fallbacks(), 0u)
           << count_mode_name(mode) << " seed=" << seed;
     }
+  }
+}
+
+// ---- dense kernel choice (count_rows) -----------------------------------
+
+/// One tree over every size-k itemset of items [0, universe).
+std::vector<HashTree> every_candidate(u32 universe, u32 k) {
+  ItemsetRows level{1, {}};
+  for (Item i = 0; i < universe; ++i) level.items.push_back(i);
+  for (u32 j = 2; j <= k; ++j) level = apriori_gen_rows(level, j);
+  std::vector<HashTree> trees;
+  trees.emplace_back(std::move(level), 0, 16);
+  HashTree::assign_id_offsets(trees);
+  return trees;
+}
+
+struct KernelChoice {
+  std::vector<u64> cells;
+  u64 probed = 0;
+  u64 bitmapped = 0;
+  u64 work = 0;
+  u64 index_bytes = 0;
+};
+
+/// count_rows over one partition, with its cells, charged work and counters.
+KernelChoice choose_kernel(std::span<const Transaction> rows,
+                           const std::vector<HashTree>& trees) {
+  KernelChoice out;
+  out.cells.assign(trees.back().id_offset() + trees.back().size(), 0);
+  obs::CounterRegistry::instance().reset_all();
+  obs::set_enabled(true);
+  {
+    engine::work::Scope scope;
+    count_rows(rows, trees, candidate_items(trees), out.cells.data());
+    out.work = scope.measured();
+  }
+  obs::set_enabled(false);
+  out.probed = obs::counter_value(obs::CounterId::kDenseRowsProbed);
+  out.bitmapped = obs::counter_value(obs::CounterId::kDenseRowsBitmap);
+  out.index_bytes = obs::counter_value(obs::CounterId::kBitmapIndexBytes);
+  return out;
+}
+
+TEST(DenseKernelChoice, SwitchRowFollowsTheRuleAndCellsStayExact) {
+  enum class Switch { kNever, kAfterRowZero, kMidPartition };
+  struct Case {
+    const char* name;
+    std::vector<Transaction> rows;
+    std::vector<HashTree> trees;
+    Switch expect;
+  };
+  const TransactionDB sparse = random_db(60, 24, 0.05, 3);
+  const TransactionDB saturated = random_db(20, 30, 0.9, 5);
+  const TransactionDB quarter = random_db(12, 40, 0.25, 1);
+  // Three one-item rows cost the probe nothing; then the rows grow, and
+  // with them the probe's pace.
+  std::vector<Transaction> mixed{{3}, {7}, {11}};
+  for (u32 len = 2; len <= 16; ++len) {
+    mixed.emplace_back(len);
+    std::iota(mixed.back().begin(), mixed.back().end(), Item{0});
+  }
+  const Case cases[] = {
+      {"sparse", sparse.transactions(), every_candidate(60, 2),
+       Switch::kNever},
+      {"saturated", saturated.transactions(), every_candidate(20, 3),
+       Switch::kAfterRowZero},
+      {"mixed", mixed, every_candidate(16, 2), Switch::kMidPartition},
+      {"quarter", quarter.transactions(), every_candidate(12, 3),
+       Switch::kMidPartition}};
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const u64 n = c.rows.size();
+    const std::vector<Item> items = candidate_items(c.trees);
+    // Reference: every row probed, and what each row's probe charges.
+    std::vector<u64> probed_cells(c.trees.front().size(), 0);
+    std::vector<u64> row_units;
+    for (const Transaction& t : c.rows) {
+      engine::work::Scope scope;
+      HashTree::Probe probe;
+      c.trees.front().for_each_contained(
+          t, probe, [&](u32 ci) { ++probed_cells[ci]; });
+      row_units.push_back(scope.measured());
+    }
+    // The rule, restated: the first m in [1, n) where the probe units of
+    // rows [0, m), scaled to the n - m rows left, exceed the bitmap price.
+    auto bitmap_price = [&](u64 m) {
+      u64 occurrences = 0;
+      for (u64 r = m; r < n; ++r) occurrences += c.rows[r].size();
+      return VerticalBitmapIndex::build_units(occurrences, items.size(),
+                                              n - m) +
+             VerticalBitmapIndex::count_units(c.trees.front(), n - m);
+    };
+    u64 expect_m = n;
+    u64 spent = row_units[0];
+    for (u64 m = 1; m < n; spent += row_units[m], ++m) {
+      if (spent * (n - m) > bitmap_price(m) * m) {
+        expect_m = m;
+        break;
+      }
+    }
+
+    const KernelChoice got = choose_kernel(c.rows, c.trees);
+    EXPECT_EQ(got.cells, probed_cells);
+    EXPECT_EQ(got.probed, expect_m);
+    EXPECT_EQ(got.probed + got.bitmapped, n);
+    // Each row is priced by the kernel that counted it.
+    EXPECT_EQ(got.work, expect_m < n ? spent + bitmap_price(expect_m) : spent);
+    switch (c.expect) {
+      case Switch::kNever:
+        EXPECT_EQ(got.probed, n);
+        EXPECT_EQ(got.index_bytes, 0u);
+        break;
+      case Switch::kAfterRowZero:
+        EXPECT_EQ(got.probed, 1u);
+        break;
+      case Switch::kMidPartition:
+        EXPECT_GT(got.probed, 3u);
+        EXPECT_LT(got.probed, n);
+        break;
+    }
+  }
+}
+
+TEST(DenseKernelChoice, IndexHoldsOnlyCandidateItems) {
+  // Long rows of items no candidate contains: the hash-tree walk still
+  // follows their hash slots, so probing is dear, but the index the task
+  // switches to holds one row per candidate item only.
+  Rng rng(13);
+  std::vector<Transaction> rows(200);
+  for (Transaction& t : rows) {
+    for (Item i = 100; i < 1000; ++i) {
+      if (rng.bernoulli(0.07)) t.push_back(i);
+    }
+  }
+  const std::vector<HashTree> trees = every_candidate(32, 2);
+  const std::vector<Item> items = candidate_items(trees);
+  ASSERT_EQ(items.size(), 32u);
+
+  const KernelChoice got = choose_kernel(rows, trees);
+  ASSERT_GT(got.bitmapped, 0u) << "the switch did not fire";
+  EXPECT_EQ(got.cells, std::vector<u64>(trees.front().size(), 0));
+  // At most candidate items x ceil(rows / 64) words, plus the index's
+  // item-to-row table over the candidate item ids.
+  const u64 words = items.size() * ceil_div(rows.size(), 64);
+  const u64 table = (items.size() + items.back() + 1) * sizeof(u32);
+  EXPECT_LE(got.index_bytes, words * sizeof(u64) + table);
+  // Indexing every item of the partition would take ten times as much.
+  EXPECT_LT(10 * got.index_bytes, VerticalBitmapIndex(rows).bytes());
+}
+
+/// Rows the dense kernel choice probed and bitmap-counted over one mine,
+/// plus the task count of the mine's counting stages.
+struct ChoiceCounters {
+  FrequentItemsets itemsets;
+  u64 probed = 0;
+  u64 bitmapped = 0;
+  u64 count_tasks = 0;
+};
+
+ChoiceCounters mine_counted(const TransactionDB& db, double min_support,
+                            CountMode mode, bool mapreduce, u32 combine) {
+  engine::Context ctx(small_cluster());
+  simfs::SimFS fs(ctx.cluster());
+  obs::CounterRegistry::instance().reset_all();
+  obs::set_enabled(true);
+  ChoiceCounters out;
+  if (mapreduce) {
+    MrAprioriOptions opt;
+    opt.min_support = min_support;
+    opt.count_mode = mode;
+    out.itemsets = mr_apriori_mine(ctx, fs, db, opt).itemsets;
+  } else {
+    YafimOptions opt;
+    opt.min_support = min_support;
+    opt.count_mode = mode;
+    opt.combine_passes = combine;
+    out.itemsets = yafim_mine(ctx, fs, db, opt).itemsets;
+  }
+  obs::set_enabled(false);
+  out.probed = obs::counter_value(obs::CounterId::kDenseRowsProbed);
+  out.bitmapped = obs::counter_value(obs::CounterId::kDenseRowsBitmap);
+  for (const sim::StageRecord& st : ctx.report().stages()) {
+    const std::string& l = st.label;
+    const bool counting =
+        mapreduce ? l.size() > 4 && l.compare(l.size() - 4, 4, ":map") == 0
+                  : l.find(":count:map-combine") != std::string::npos;
+    if (counting && st.pass >= 2) out.count_tasks += st.tasks.size();
+  }
+  return out;
+}
+
+TEST(DenseKernelChoice, MinersMatchItemsetKeyOnAllThreeDatabases) {
+  struct Case {
+    const char* name;
+    const TransactionDB& db;
+    double min_support;
+  };
+  const Case cases[] = {{"sparse", sparse_db(), kSparseMinSupport},
+                        {"saturated", saturated_db(), kSaturatedMinSupport},
+                        {"mixed", mixed_db(), kMixedMinSupport}};
+  for (const Case& c : cases) {
+    for (const bool mapreduce : {false, true}) {
+      for (const u32 combine : {1u, 3u}) {
+        if (mapreduce && combine != 1) continue;
+        const std::string where = std::string(c.name) +
+                                  (mapreduce ? " mrapriori" : " yafim") +
+                                  " combine=" + std::to_string(combine);
+        const ChoiceCounters faithful = mine_counted(
+            c.db, c.min_support, CountMode::kItemsetKey, mapreduce, combine);
+        const ChoiceCounters dense = mine_counted(
+            c.db, c.min_support, CountMode::kCandidateId, mapreduce, combine);
+        ASSERT_GT(faithful.itemsets.total(), 0u) << where;
+        EXPECT_TRUE(dense.itemsets.same_itemsets(faithful.itemsets)) << where;
+        EXPECT_EQ(faithful.probed + faithful.bitmapped, 0u) << where;
+        ASSERT_GT(dense.count_tasks, 0u) << where;
+        if (&c.db == &sparse_db()) {
+          EXPECT_EQ(dense.bitmapped, 0u) << where;
+          EXPECT_EQ(dense.probed, dense.count_tasks * 10) << where;
+        } else if (&c.db == &saturated_db()) {
+          EXPECT_GT(dense.bitmapped, 0u) << where;
+          EXPECT_EQ(dense.probed, dense.count_tasks) << where;
+        } else {
+          // No task can switch before its fourth row; some do switch.
+          EXPECT_GT(dense.bitmapped, 0u) << where;
+          EXPECT_GE(dense.probed, dense.count_tasks * 4) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseKernelChoice, TaskWorkIsIdenticalAcrossHostThreadCounts) {
+  for (const bool mapreduce : {false, true}) {
+    std::vector<std::vector<sim::StageRecord>> stages;
+    for (const u32 threads : {1u, 4u}) {
+      auto copts = small_cluster();
+      copts.host_threads = threads;
+      engine::Context ctx(copts);
+      simfs::SimFS fs(ctx.cluster());
+      if (mapreduce) {
+        MrAprioriOptions opt;
+        opt.min_support = kMixedMinSupport;
+        (void)mr_apriori_mine(ctx, fs, mixed_db(), opt);
+      } else {
+        YafimOptions opt;
+        opt.min_support = kMixedMinSupport;
+        (void)yafim_mine(ctx, fs, mixed_db(), opt);
+      }
+      stages.push_back(ctx.report().stages());
+    }
+    ASSERT_EQ(stages[0].size(), stages[1].size());
+    for (size_t s = 0; s < stages[0].size(); ++s) {
+      const sim::StageRecord& a = stages[0][s];
+      const sim::StageRecord& b = stages[1][s];
+      EXPECT_EQ(a.label, b.label);
+      ASSERT_EQ(a.tasks.size(), b.tasks.size()) << a.label;
+      for (size_t t = 0; t < a.tasks.size(); ++t) {
+        EXPECT_EQ(a.tasks[t].work, b.tasks[t].work)
+            << a.label << " task " << t;
+      }
+    }
+  }
+}
+
+TEST(DenseKernelChoice, DetSanReplaysTheSwitchingTasksClean) {
+  const MiningRun faithful =
+      run_yafim(mixed_db(), CountMode::kItemsetKey, 1, small_cluster(),
+                kMixedMinSupport);
+  for (const bool mapreduce : {false, true}) {
+    auto copts = small_cluster();
+    copts.detsan.enabled = true;
+    copts.detsan.sample_rate = 1.0;
+    engine::Context ctx(copts);
+    simfs::SimFS fs(ctx.cluster());
+    MiningRun run;
+    if (mapreduce) {
+      MrAprioriOptions opt;
+      opt.min_support = kMixedMinSupport;
+      run = mr_apriori_mine(ctx, fs, mixed_db(), opt);
+    } else {
+      YafimOptions opt;
+      opt.min_support = kMixedMinSupport;
+      run = yafim_mine(ctx, fs, mixed_db(), opt);
+    }
+    EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets)) << mapreduce;
+    EXPECT_GT(ctx.detsan().tasks_replayed(), 0u) << mapreduce;
+    EXPECT_EQ(ctx.detsan().divergences(), 0u) << mapreduce;
   }
 }
 

@@ -137,7 +137,7 @@ TEST(PricingPins, Yafim) {
   const u64 pins[] = {
       0x436c42d407ac34c7, 0xaff72e0d0d477d3,
       0x13ebcfe50a5de044, 0x15f64200cb60439a,
-      0xc86c9b9be1b3c940, 0xe8392f1021235451,
+      0x998760e21135ebdc, 0x82653477f8d9a42b,
       0x13ebcfe50a5de044, 0x15f64200cb60439a,
       0xacb303e61f3be822, 0x39ebbc2e6a3bb14,
       0x13ebcfe50a5de044, 0x15f64200cb60439a};
@@ -157,7 +157,7 @@ TEST(PricingPins, Yafim) {
 }
 
 TEST(PricingPins, YafimCombinedPasses) {
-  const u64 pins[] = {0x68d67e44b5a3c52b, 0x173ac67c2f800ac,
+  const u64 pins[] = {0x68d67e44b5a3c52b, 0x9769ba30cc05c2c6,
                       0xf22c061721edc92f};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
@@ -172,7 +172,7 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
   // Small enough that the larger passes shard and the smaller broadcast.
   engine::Context::Options copts = pinned_cluster();
   copts.cluster.executor_memory_bytes = 24 << 10;
-  const u64 pins[] = {0x48d51ab53cb1f0c4, 0xd6bf35ab837511fa,
+  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x211ad38602f86b35,
                       0x4a26bba789db69b0};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
@@ -267,7 +267,7 @@ std::string mine_stream(CountMode mode, BroadcastMode bmode) {
 }
 
 TEST(PricingPins, Stream) {
-  const u64 pins[] = {0xab88deed2d1ef56f, 0x75e7868bd35326a7,
+  const u64 pins[] = {0xab88deed2d1ef56f, 0x4ae96fba446a51c7,
                       0x779c0a214f9c8b8b};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
@@ -295,7 +295,7 @@ std::string mine_mr(CountMode mode, BroadcastMode bmode,
 TEST(PricingPins, MrApriori) {
   const u64 pins[] = {
       0xc562fa6193017913, 0x941bdf2291a74d51,
-      0xa745b4514467240d, 0x67318f3d17d7e9b4,
+      0xbd4f13779a9f3c83, 0x9004e044179d0c57,
       0xae4321457c196368, 0xc753e85b040e72de};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
@@ -311,7 +311,7 @@ TEST(PricingPins, MrApriori) {
   copts.cluster.executor_memory_bytes = 24 << 10;
   expect_pin("mrapriori tight budget",
              mine_mr(CountMode::kCandidateId, BroadcastMode::kAuto, copts),
-             0x5c32987824845841);
+             0x67bffced231ed361);
 }
 
 TEST(PricingPins, Lin) {
