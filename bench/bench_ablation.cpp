@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
   print_table(combine_table, args);
 
   std::printf("\n-- Counting data structure: itemset-keyed shuffle vs dense "
-              "candidate-id arrays vs vertical bitmaps (pass>=2 counting "
-              "stages) --\n");
+              "candidate-id arrays, kernel chosen per task (pass>=2 "
+              "counting stages) --\n");
   Table countmode_table({"dataset", "mode", "count sim(s)", "count host(s)",
                          "shuffle MB", "itemsets"});
   for (const auto& bench : benches) {
@@ -149,16 +149,11 @@ int main(int argc, char** argv) {
         yafim_count_mode(bench, fim::CountMode::kItemsetKey);
     const CountModeResult dense =
         yafim_count_mode(bench, fim::CountMode::kCandidateId);
-    const CountModeResult bitmap =
-        yafim_count_mode(bench, fim::CountMode::kVerticalBitmap);
     YAFIM_CHECK(faithful.itemsets == dense.itemsets,
-                "count modes disagree on frequent itemsets");
-    YAFIM_CHECK(faithful.itemsets == bitmap.itemsets,
                 "count modes disagree on frequent itemsets");
     for (const auto& [label, res, x] :
          {std::tuple{"itemset_key", &faithful, 0.0},
-          std::tuple{"candidate_id", &dense, 1.0},
-          std::tuple{"vertical_bitmap", &bitmap, 2.0}}) {
+          std::tuple{"candidate_id", &dense, 1.0}}) {
       countmode_table.add_row(
           {bench.name, label, Table::num(res->count_sim_s),
            Table::num(res->count_host_s, 3),
@@ -169,12 +164,11 @@ int main(int argc, char** argv) {
       json.add("countmode_shuffle_mb:" + bench.name, x,
                static_cast<double>(res->shuffle_bytes) / 1e6);
     }
-    std::printf("  %s: host wall-clock faithful/dense %.2fx, "
-                "faithful/bitmap %.2fx; counting sim faithful/bitmap %.2fx\n",
+    std::printf("  %s: host wall-clock faithful/dense %.2fx; counting sim "
+                "faithful/dense %.2fx\n",
                 bench.name.c_str(),
                 faithful.count_host_s / dense.count_host_s,
-                faithful.count_host_s / bitmap.count_host_s,
-                faithful.count_sim_s / bitmap.count_sim_s);
+                faithful.count_sim_s / dense.count_sim_s);
   }
   print_table(countmode_table, args);
 

@@ -11,6 +11,7 @@
 #include "engine/rdd.h"
 #include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
+#include "fim/count_core.h"
 #include "fim/dataset.h"
 #include "fim/hash_tree.h"
 #include "util/log.h"
@@ -91,15 +92,19 @@ void BM_LinearProbe(benchmark::State& state) {
 BENCHMARK(BM_LinearProbe)->Arg(100)->Arg(1000)->Arg(10000);
 
 /// The vertical counting kernel (fim/bitmap.h): support of every candidate
-/// in a tree via word-parallel AND + popcount over the per-item rows.
+/// in a tree via word-parallel AND + popcount over the per-item rows of an
+/// index over the candidate items, the one count_rows switches to.
 /// Compare against BM_HashTreeProbe / BM_LinearProbe at the same candidate
-/// counts -- this is the per-pass work the three count modes trade.
+/// counts -- this is the per-row work a dense task's kernel choice trades.
 void BM_BitmapAndPopcount(benchmark::State& state) {
   const auto candidates = random_candidates(
       static_cast<u32>(state.range(0)), 3, 200, 2);
-  const fim::HashTree tree(candidates);
+  std::vector<fim::HashTree> trees;
+  trees.emplace_back(candidates);
+  const fim::HashTree& tree = trees.front();
   const auto db = quest_db(200);
-  const fim::VerticalBitmapIndex index(db.transactions());
+  const fim::VerticalBitmapIndex index(db.transactions(),
+                                       fim::candidate_items(trees));
   std::vector<u64> cells(tree.size());
   for (auto _ : state) {
     std::fill(cells.begin(), cells.end(), 0);

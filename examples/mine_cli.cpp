@@ -15,14 +15,18 @@
 // --trace FILE records wall-clock spans (stages, tasks, YAFIM passes) and
 // counters, writes them as Chrome trace-event JSON (open in chrome://tracing
 // or https://ui.perfetto.dev), and prints the per-stage summary table.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "datagen/benchmarks.h"
 #include "engine/context.h"
@@ -194,6 +198,33 @@ struct Options {
   std::exit(2);
 }
 
+/// Largest --memory-gb (1 PiB per node): its byte count fits a u64.
+constexpr double kMaxMemoryGb = 1 << 20;
+/// Largest --shuffle-buffer-mb (1 PiB per node), for the same reason.
+constexpr u64 kMaxShuffleBufferMb = u64{1} << 30;
+
+/// Parse all of `text`, the value of `flag`, into `out`: a finite decimal
+/// number for a double, decimal digits that fit for an unsigned integer.
+/// Anything else -- an empty value, trailing characters, a sign on an
+/// integer, nan or inf -- is a usage error naming the flag.
+template <typename T>
+void parse_number(const char* argv0, const char* flag, const char* text,
+                  T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, out);
+  bool ok = ec == std::errc{} && stop == end && stop != text;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) {
+    const char* kind = std::is_floating_point_v<T> ? "a finite number"
+                                                   : "a non-negative integer";
+    usage(argv0, ec == std::errc::result_out_of_range
+                     ? std::string(flag) + " value '" + text +
+                           "' is out of range"
+                     : std::string(flag) + " takes " + kind + ", got '" +
+                           text + "'");
+  }
+}
+
 bool known_engine(const std::string& engine) {
   return engine == "yafim" || engine == "mrapriori" || engine == "apriori" ||
          engine == "fpgrowth" || engine == "eclat";
@@ -211,6 +242,11 @@ Options parse(int argc, char** argv) {
     auto value = [&](const char* prefix) -> const char* {
       return arg.c_str() + std::strlen(prefix);
     };
+    // `prefix` is "--flag=": the flag is named without its '='.
+    auto number = [&](const char* prefix, auto& out) {
+      const std::string flag(prefix, std::strlen(prefix) - 1);
+      parse_number(argv[0], flag.c_str(), value(prefix), out);
+    };
     if (arg.rfind("--input=", 0) == 0) {
       opt.input = value("--input=");
     } else if (arg.rfind("--generate=", 0) == 0) {
@@ -218,11 +254,11 @@ Options parse(int argc, char** argv) {
     } else if (arg.rfind("--engine=", 0) == 0) {
       opt.engine = value("--engine=");
     } else if (arg.rfind("--minsup=", 0) == 0) {
-      opt.minsup = std::atof(value("--minsup="));
+      number("--minsup=", opt.minsup);
     } else if (arg.rfind("--rules=", 0) == 0) {
-      opt.rules_confidence = std::atof(value("--rules="));
+      number("--rules=", opt.rules_confidence);
     } else if (arg.rfind("--top=", 0) == 0) {
-      opt.top = std::strtoull(value("--top="), nullptr, 10);
+      number("--top=", opt.top);
     } else if (arg == "--quiet") {
       opt.quiet = true;
     } else if (arg == "--lenient") {
@@ -236,11 +272,9 @@ Options parse(int argc, char** argv) {
     } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
       opt.checkpoint_dir = value("--checkpoint-dir=");
     } else if (arg.rfind("--stop-after-pass=", 0) == 0) {
-      opt.stop_after_pass = static_cast<u32>(
-          std::strtoul(value("--stop-after-pass="), nullptr, 10));
+      number("--stop-after-pass=", opt.stop_after_pass);
     } else if (arg.rfind("--pass-sleep-ms=", 0) == 0) {
-      opt.pass_sleep_ms =
-          std::strtoull(value("--pass-sleep-ms="), nullptr, 10);
+      number("--pass-sleep-ms=", opt.pass_sleep_ms);
     } else if (arg == "--lint") {
       opt.lint = true;
     } else if (arg == "--lint=error") {
@@ -263,29 +297,27 @@ Options parse(int argc, char** argv) {
     } else if (arg.rfind("--broadcast-mode=", 0) == 0) {
       opt.broadcast_mode = value("--broadcast-mode=");
     } else if (arg.rfind("--memory-gb=", 0) == 0) {
-      opt.memory_gb = std::atof(value("--memory-gb="));
+      number("--memory-gb=", opt.memory_gb);
     } else if (arg.rfind("--shuffle-buffer-mb=", 0) == 0) {
-      opt.shuffle_buffer_mb =
-          std::strtoull(value("--shuffle-buffer-mb="), nullptr, 10);
+      number("--shuffle-buffer-mb=", opt.shuffle_buffer_mb);
     } else if (arg == "--stream") {
       opt.stream = true;
     } else if (arg.rfind("--stream-batches=", 0) == 0) {
-      opt.stream_batches =
-          std::strtoull(value("--stream-batches="), nullptr, 10);
+      number("--stream-batches=", opt.stream_batches);
     } else if (arg.rfind("--stream-window-s=", 0) == 0) {
-      opt.stream_window_s = std::atof(value("--stream-window-s="));
+      number("--stream-window-s=", opt.stream_window_s);
     } else if (arg.rfind("--stream-rate=", 0) == 0) {
-      opt.stream_rate = std::atof(value("--stream-rate="));
+      number("--stream-rate=", opt.stream_rate);
     } else if (arg.rfind("--stream-seed=", 0) == 0) {
-      opt.stream_seed = std::strtoull(value("--stream-seed="), nullptr, 10);
+      number("--stream-seed=", opt.stream_seed);
     } else if (arg == "--approx") {
       opt.approx = true;
     } else if (arg.rfind("--sample-fraction=", 0) == 0) {
-      opt.sample_fraction = std::atof(value("--sample-fraction="));
+      number("--sample-fraction=", opt.sample_fraction);
     } else if (arg.rfind("--samples=", 0) == 0) {
-      opt.approx_samples = std::strtoull(value("--samples="), nullptr, 10);
+      number("--samples=", opt.approx_samples);
     } else if (arg.rfind("--relax=", 0) == 0) {
-      opt.relax = std::atof(value("--relax="));
+      number("--relax=", opt.relax);
     } else if (arg.rfind("--spill-compress=", 0) == 0) {
       const std::string v = value("--spill-compress=");
       if (v != "0" && v != "1") {
@@ -298,8 +330,12 @@ Options parse(int argc, char** argv) {
   }
   // Validate everything here so every bad invocation gets the same
   // usage-and-exit-2 treatment, before any work happens.
-  if (opt.minsup <= 0.0 || opt.minsup > 1.0) {
+  // Each range check is written so that a NaN fails it.
+  if (!(opt.minsup > 0.0 && opt.minsup <= 1.0)) {
     usage(argv[0], "--minsup must be in (0, 1]");
+  }
+  if (!(opt.rules_confidence >= 0.0 && opt.rules_confidence <= 1.0)) {
+    usage(argv[0], "--rules must be in [0, 1]");
   }
   if (!known_engine(opt.engine)) {
     usage(argv[0], "unknown --engine: " + opt.engine);
@@ -334,8 +370,11 @@ Options parse(int argc, char** argv) {
       opt.broadcast_mode != "partitioned") {
     usage(argv[0], "--broadcast-mode must be auto, full or partitioned");
   }
-  if (opt.memory_gb < 0.0) {
-    usage(argv[0], "--memory-gb must be >= 0");
+  if (!(opt.memory_gb >= 0.0 && opt.memory_gb <= kMaxMemoryGb)) {
+    usage(argv[0], "--memory-gb must be in [0, 1048576]");
+  }
+  if (opt.shuffle_buffer_mb > kMaxShuffleBufferMb) {
+    usage(argv[0], "--shuffle-buffer-mb must be at most 1073741824");
   }
   if ((opt.broadcast_mode != "auto" || opt.memory_gb > 0.0 ||
        opt.shuffle_buffer_mb > 0) &&
@@ -356,8 +395,8 @@ Options parse(int argc, char** argv) {
                       opt.stream_rate != 2000.0 || opt.stream_seed != 42)) {
     usage(argv[0], "--stream-* flags require --stream");
   }
-  if (opt.stream && (opt.stream_batches == 0 || opt.stream_window_s <= 0.0 ||
-                     opt.stream_rate <= 0.0)) {
+  if (opt.stream && (opt.stream_batches == 0 || !(opt.stream_window_s > 0.0) ||
+                     !(opt.stream_rate > 0.0))) {
     usage(argv[0], "--stream-batches/--stream-window-s/--stream-rate "
                    "must be positive");
   }
@@ -376,10 +415,10 @@ Options parse(int argc, char** argv) {
     usage(argv[0], "--sample-fraction/--samples/--relax require --approx");
   }
   if (opt.approx &&
-      (opt.sample_fraction <= 0.0 || opt.sample_fraction > 1.0)) {
+      !(opt.sample_fraction > 0.0 && opt.sample_fraction <= 1.0)) {
     usage(argv[0], "--sample-fraction must be in (0, 1]");
   }
-  if (opt.approx && (opt.relax <= 0.0 || opt.relax > 1.0)) {
+  if (opt.approx && !(opt.relax > 0.0 && opt.relax <= 1.0)) {
     usage(argv[0], "--relax must be in (0, 1]");
   }
   if (opt.approx && (opt.approx_samples == 0 || opt.approx_samples > 64)) {

@@ -5,10 +5,10 @@ Compares a fresh BENCH_countmode.json (bench_ablation --json output) against
 the checked-in baseline (bench/baselines/BENCH_countmode_baseline.json,
 generated at the same --scale as the CI run) and fails on regression.
 
-Five checks, tuned to what each quantity can promise:
+Six checks, tuned to what each quantity can promise:
 
-1. intra-run sim:   the fast counting modes (candidate_id x=1,
-                    vertical_bitmap x=2) must price their pass>=2 counting
+1. intra-run sim:   the dense counting mode (candidate_id x=1, which picks
+                    its kernel per task) must price its pass>=2 counting
                     stages no worse than the paper-faithful itemset-keyed
                     path (x=0) in *simulated* seconds. Sim seconds are
                     bit-deterministic, so the tolerance only absorbs
@@ -21,7 +21,7 @@ Five checks, tuned to what each quantity can promise:
 3. host speedup:    counting *host* wall-clock varies with the runner, so
                     absolute seconds are not comparable across machines.
                     What is stable is the speedup ratio faithful/mode
-                    within one run. Each fast mode's current speedup must
+                    within one run. The dense mode's current speedup must
                     stay above the baseline speedup times (1 - band).
 4. streaming:       the steady-state micro-batch latency (mean simulated
                     seconds over the last quartile of batches in the
@@ -54,7 +54,7 @@ import argparse
 import json
 import sys
 
-MODES = {1: "candidate_id", 2: "vertical_bitmap"}
+MODES = {1: "candidate_id"}
 
 
 def fail(message):

@@ -17,25 +17,6 @@ u64 and_popcount(const u64* const* rows, u32 k, u32 nwords) {
   return sum;
 }
 
-namespace {
-
-/// The distinct-item universe of `transactions`, ascending.
-std::vector<Item> distinct_items(std::span<const Transaction> transactions) {
-  std::vector<Item> items;
-  for (const Transaction& t : transactions) {
-    items.insert(items.end(), t.begin(), t.end());
-  }
-  std::sort(items.begin(), items.end());
-  items.erase(std::unique(items.begin(), items.end()), items.end());
-  return items;
-}
-
-}  // namespace
-
-VerticalBitmapIndex::VerticalBitmapIndex(
-    std::span<const Transaction> transactions)
-    : VerticalBitmapIndex(transactions, distinct_items(transactions)) {}
-
 VerticalBitmapIndex::VerticalBitmapIndex(
     std::span<const Transaction> transactions, std::vector<Item> items)
     : num_transactions_(static_cast<u32>(transactions.size())),
@@ -140,21 +121,6 @@ void VerticalBitmapIndex::count_candidates(const HashTree& tree,
     obs::count(obs::CounterId::kBitmapAndWords, u64{n} * k * words_per_row_);
     obs::count(obs::CounterId::kBitmapPopcounts, u64{n} * words_per_row_);
   }
-}
-
-std::vector<u32> VerticalBitmapIndex::tidlist(Item item) const {
-  std::vector<u32> out;
-  const u64* words = row(item);
-  if (words == nullptr) return out;
-  for (u32 w = 0; w < words_per_row_; ++w) {
-    u64 word = words[w];
-    while (word) {
-      const u32 bit = static_cast<u32>(std::countr_zero(word));
-      out.push_back(w * 64 + bit);
-      word &= word - 1;
-    }
-  }
-  return out;
 }
 
 }  // namespace yafim::fim

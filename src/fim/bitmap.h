@@ -1,5 +1,5 @@
-// Vertical bitmap index for Phase II support counting
-// (CountMode::kVerticalBitmap).
+// Vertical bitmap index: the kernel a dense Phase II task switches to
+// (fim/count_core.h count_rows).
 //
 // The data-structure-perspective survey (arXiv 1908.01338) observes that
 // the candidate store, not the level-wise algorithm, dominates Apriori's
@@ -13,11 +13,11 @@
 //   sup(c) = popcount(AND of the rows of c's items)
 //
 // runs word-parallel over contiguous memory with no per-transaction
-// branching at all. The index is built once per partition (from the cached
-// transactions RDD) and reused on every later pass; candidates are read
-// straight out of the hash tree's flat item arena (fim/hash_tree.h), so the
-// inner loop is pure pointer-free streaming: k row pointers, one AND chain,
-// one popcount per word.
+// branching at all. A task indexes the rows it has not probed, over the
+// pass's candidate items only; candidates are read straight out of the
+// hash tree's flat item arena (fim/hash_tree.h), so the inner loop is pure
+// pointer-free streaming: k row pointers, one AND chain, one popcount per
+// word.
 #pragma once
 
 #include <span>
@@ -35,27 +35,22 @@ class HashTree;
 /// (~one 500 ns tuple-op under the calibrated cost model, DESIGN.md §5)
 /// covers this many 64-bit AND+popcount steps. A fused AND+popcount over
 /// cache-resident words retires in ~1 ns, so 64 word-ops per tuple-op is a
-/// conservative (cost-inflating) exchange rate; the mode still has to beat
-/// the probe-based paths under it for the ablation win to be honest.
+/// conservative (cost-inflating) exchange rate: count_rows switches to the
+/// bitmap only where it undercuts the probe under this price.
 constexpr u64 kBitmapWordsPerWorkUnit = 64;
 
 /// AND `k` equal-length word rows together and return the total popcount.
 /// `rows` holds k non-null pointers to `nwords`-word runs.
 u64 and_popcount(const u64* const* rows, u32 k, u32 nwords);
 
-/// Per-partition vertical bitmap index: one bit row per distinct item, all
-/// rows living in a single contiguous word arena.
+/// Vertical bitmap index over a run of transactions: one bit row per
+/// indexed item, all rows living in a single contiguous word arena.
 class VerticalBitmapIndex {
  public:
-  VerticalBitmapIndex() = default;
-
-  /// Index one partition's transactions. Transactions must be canonical
-  /// (fim/itemset.h); partition-local tid = position in `transactions`.
-  explicit VerticalBitmapIndex(std::span<const Transaction> transactions);
-
   /// Index only `items` (ascending, distinct): one row each, all-zero for
   /// an item no transaction contains; other items are skipped. The arena
-  /// is exactly items.size() x ceil(transactions/64) words.
+  /// is exactly items.size() x ceil(transactions/64) words. Transactions
+  /// must be canonical (fim/itemset.h); tid = position in `transactions`.
   VerticalBitmapIndex(std::span<const Transaction> transactions,
                       std::vector<Item> items);
 
@@ -75,7 +70,7 @@ class VerticalBitmapIndex {
   /// obs bitmap.index_bytes counter accumulates.
   u64 bytes() const;
 
-  /// Word row for `item`, or nullptr when no transaction here contains it.
+  /// Word row for `item`, or nullptr when it is not indexed.
   const u64* row(Item item) const {
     const u32 slot = slot_of(item);
     return slot == kNoSlot ? nullptr : words_.data() + u64{slot} * words_per_row_;
@@ -91,11 +86,6 @@ class VerticalBitmapIndex {
   /// Charges engine work (kBitmapWordsPerWorkUnit exchange rate) and the
   /// obs bitmap.* counters in one batched flush.
   void count_candidates(const HashTree& tree, u64* cells) const;
-
-  /// Sorted partition-local tid-list of `item` -- the bridge back to the
-  /// tidlist machinery shared with Eclat (fim/tidlist_mining.h): a bitmap
-  /// row is exactly a densified TidList.
-  std::vector<u32> tidlist(Item item) const;
 
  private:
   static constexpr u32 kNoSlot = 0xffffffffu;
@@ -113,10 +103,5 @@ class VerticalBitmapIndex {
   std::vector<std::pair<Item, u32>> sparse_slots_;  ///< sorted, rare ids
   std::vector<u64> words_;        ///< row arena: slot s at [s*wpr, (s+1)*wpr)
 };
-
-/// byte_size customization point (engine/bytes_of.h, found via ADL): cache
-/// and memory accounting price a persisted index partition at its arena
-/// footprint.
-inline u64 byte_size(const VerticalBitmapIndex& index) { return index.bytes(); }
 
 }  // namespace yafim::fim

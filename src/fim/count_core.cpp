@@ -1,8 +1,10 @@
 #include "fim/count_core.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "engine/broadcast.h"
+#include "fim/bitmap.h"
 #include "fim/dataset.h"
 #include "fim/mr_encode.h"
 #include "obs/metrics.h"
@@ -159,12 +161,21 @@ bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
 std::vector<CountPair> count_candidate_trees(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const std::shared_ptr<std::vector<HashTree>>& trees, u64 tree_bytes,
-    u64 id_space, std::optional<engine::RDD<VerticalBitmapIndex>>* vertical,
+    u64 id_space, const sim::StageRecord* lineage,
     const CountCoreOptions& opt) {
   const bool use_hash_tree = opt.use_hash_tree;
   const u64 min_count = opt.min_count;
   const std::string& pass_name = opt.pass_name;
   const u32 pass = ctx.pass();
+
+  // Without caching, Spark recomputes the transactions lineage from HDFS on
+  // every action that reads them: charge the re-read and the re-parse.
+  if (lineage) {
+    sim::StageRecord recompute = *lineage;
+    recompute.label = pass_name + ":recompute lineage";
+    recompute.pass = pass;
+    ctx.record(std::move(recompute));
+  }
 
   std::vector<CountPair> level;
   if (!opt.partitioned && opt.count_mode == CountMode::kItemsetKey) {
@@ -195,7 +206,7 @@ std::vector<CountPair> count_candidate_trees(
     return level;
   }
 
-  // All dense paths count into one id-indexed array per partition, merge
+  // Both dense paths count into one id-indexed array per partition, merge
   // the arrays element-wise across the shuffle, and materialize itemsets
   // from the driver-side trees only for MinSup survivors.
   std::vector<u64> counts;
@@ -276,7 +287,7 @@ std::vector<CountPair> count_candidate_trees(
                 })
             .named(pass_name + ":shard-count")
             .sum_arrays(id_space, pass_name + ":count");
-  } else if (opt.count_mode == CountMode::kCandidateId) {
+  } else {
     // Dense, kernel chosen per task (count_rows): hash-tree probes until
     // the bitmap kernel is cheaper for the rows left. The no-hash-tree
     // ablation scans every row linearly.
@@ -305,31 +316,6 @@ std::vector<CountPair> count_candidate_trees(
               return out;
             })
             .sum_arrays(id_space, pass_name + ":count");
-  } else {
-    // Vertical: no per-transaction work at all -- each partition's cached
-    // bitmap index answers every candidate with a word-parallel AND +
-    // popcount over its item rows.
-    YAFIM_CHECK(vertical && vertical->has_value(),
-                "vertical bitmap mode needs the per-partition index RDD");
-    auto broadcast_trees =
-        ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
-    counts =
-        (*vertical)
-            ->map_partitions(
-                [broadcast_trees,
-                 id_space](const std::vector<VerticalBitmapIndex>& part) {
-                  std::vector<u64> acc(id_space, 0);
-                  for (const VerticalBitmapIndex& index : part) {
-                    for (const HashTree& tree : **broadcast_trees) {
-                      index.count_candidates(tree,
-                                             acc.data() + tree.id_offset());
-                    }
-                  }
-                  std::vector<std::vector<u64>> out;
-                  out.push_back(std::move(acc));
-                  return out;
-                })
-            .sum_arrays(id_space, pass_name + ":count");
   }
 
   engine::work::Scope mat_scope;
@@ -356,46 +342,12 @@ std::vector<CountPair> count_candidate_trees(
 std::vector<CountPair> count_batch(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const CandidateBatch& batch, BroadcastMode broadcast_mode,
-    CountCoreOptions opt,
-    std::optional<engine::RDD<VerticalBitmapIndex>>* index,
-    const sim::StageRecord* lineage) {
+    CountCoreOptions opt, const sim::StageRecord* lineage) {
   opt.partitioned =
       use_partitioned_store(ctx, broadcast_mode, batch.tree_bytes());
   opt.kmin = batch.kmin();
-
-  // A partitioned pass re-partitions raw transactions instead of probing a
-  // per-partition index, so it neither builds nor reads one.
-  std::optional<engine::RDD<VerticalBitmapIndex>> per_call;
-  const bool kept = index != nullptr;
-  if (!kept) index = &per_call;
-  bool reads_transactions = true;
-  if (opt.count_mode == CountMode::kVerticalBitmap && !opt.partitioned) {
-    reads_transactions = !index->has_value();
-    if (reads_transactions) {
-      index->emplace(
-          transactions.map_partitions([](const std::vector<Transaction>& part) {
-            std::vector<VerticalBitmapIndex> out;
-            out.emplace_back(part);
-            return out;
-          }));
-      if (kept) {
-        (*index)->named("vertical:bitmaps").persist();
-      } else {
-        (*index)->named(opt.pass_name + ":bitmaps");
-      }
-    }
-  }
-
-  // Without caching, Spark recomputes the transactions lineage from HDFS on
-  // every action that reads them: charge the re-read and the re-parse.
-  if (lineage && reads_transactions) {
-    sim::StageRecord recompute = *lineage;
-    recompute.label = opt.pass_name + ":recompute lineage";
-    recompute.pass = ctx.pass();
-    ctx.record(std::move(recompute));
-  }
   return count_candidate_trees(ctx, transactions, batch.trees(),
-                               batch.tree_bytes(), batch.id_space(), index,
+                               batch.tree_bytes(), batch.id_space(), lineage,
                                opt);
 }
 
@@ -435,26 +387,19 @@ ItemsetCountJob itemset_count_job(
 
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    CountMode mode, u64 min_count, u32 num_mappers, u32 num_reducers) {
+    u64 min_count, u32 num_mappers, u32 num_reducers) {
   YAFIM_CHECK(trees->size() == 1 && trees->front().id_offset() == 0,
               "an id-keyed job counts one tree from id 0");
   auto job = counting_job<CandidateIdJob>(
       name, min_count, num_mappers, num_reducers,
       [trees](u32 ci) { return trees->front().candidate(ci); });
   job.distributed_cache_bytes = trees->front().serialized_bytes();
-  const bool bitmap = mode == CountMode::kVerticalBitmap;
-  auto items = std::make_shared<const std::vector<Item>>(
-      bitmap ? std::vector<Item>{} : candidate_items(*trees));
-  job.map_partition_fn = [trees, items, bitmap](
-                             std::span<const Transaction> split,
-                             mr::Emitter<u32, u64>& emit) {
-    const HashTree& tree = trees->front();
-    std::vector<u64> cells(tree.size(), 0);
-    if (bitmap) {
-      VerticalBitmapIndex(split).count_candidates(tree, cells.data());
-    } else {
-      count_rows(split, *trees, *items, cells.data());
-    }
+  auto items =
+      std::make_shared<const std::vector<Item>>(candidate_items(*trees));
+  job.map_partition_fn = [trees, items](std::span<const Transaction> split,
+                                        mr::Emitter<u32, u64>& emit) {
+    std::vector<u64> cells(trees->front().size(), 0);
+    count_rows(split, *trees, *items, cells.data());
     for (u32 ci = 0; ci < cells.size(); ++ci) {
       if (cells[ci] != 0) emit.emit(ci, cells[ci]);
     }

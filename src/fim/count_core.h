@@ -9,14 +9,14 @@
 //                        inside their own driver work::Scope, so tree-build
 //                        work stays in their ap_gen stage.
 //   * count_batch     -- the RDD entry point (yafim, sampling, stream):
-//                        broadcast-or-shard decision, bitmap index build or
-//                        reuse, lineage recompute charge, then
+//                        the broadcast-or-shard decision, then
 //                        count_candidate_trees.
-//   * count_candidate_trees -- the cluster counting job itself.
+//   * count_candidate_trees -- the cluster counting job itself, including
+//                        the lineage recompute of uncached transactions.
 //   * the MapReduce jobs (mr_apriori, lin, son): frequent items, and one
 //     job counting a tree batch keyed by itemset or by candidate id.
 //
-// count_candidate_trees has four paths, selected by (count_mode,
+// count_candidate_trees has three paths, selected by (count_mode,
 // partitioned):
 //   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
 //                         a reduce_by_key shuffle.
@@ -24,15 +24,12 @@
 //                         batch-global candidate id, merged via sum_arrays;
 //                         each task picks its kernel row by row
 //                         (count_rows).
-//   * kVerticalBitmap  -- a persisted per-partition VerticalBitmapIndex
-//                         answers each candidate with AND + popcount.
-//   * partitioned      -- any mode degrades here when the trees outgrow the
-//                         executor budget: trees sharded by candidate
+//   * partitioned      -- either mode degrades here when the trees outgrow
+//                         the executor budget: trees sharded by candidate
 //                         prefix, transactions routed to their shards.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -40,7 +37,6 @@
 
 #include "engine/context.h"
 #include "engine/rdd.h"
-#include "fim/bitmap.h"
 #include "fim/hash_tree.h"
 #include "fim/itemset.h"
 #include "mapreduce/job.h"
@@ -141,33 +137,26 @@ struct CountCoreOptions {
 /// Count every candidate in `trees` against `transactions` and return those
 /// with support >= opt.min_count. `tree_bytes` is the serialized size of
 /// the batch (broadcast pricing + fallback ledger note); `id_space` the
-/// batch-global dense id space (HashTree::assign_id_offsets). `vertical`
-/// may be null except in non-partitioned kVerticalBitmap mode, where it
-/// must point to an engaged optional holding the per-partition index RDD.
+/// batch-global dense id space (HashTree::assign_id_offsets).
+///
+/// `lineage`, when non-null, is the stage that loaded the uncached
+/// `transactions`: Spark recomputes it for this job, so it is recorded
+/// again as the job's first stage, "<pass_name>:recompute lineage". Null
+/// means the transactions are cached.
 std::vector<CountPair> count_candidate_trees(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const std::shared_ptr<std::vector<HashTree>>& trees, u64 tree_bytes,
-    u64 id_space, std::optional<engine::RDD<VerticalBitmapIndex>>* vertical,
+    u64 id_space, const sim::StageRecord* lineage,
     const CountCoreOptions& opt);
 
 /// Count `batch` against `transactions` through count_candidate_trees and
 /// return the candidates with support >= opt.min_count. opt.partitioned is
-/// decided here (use_partitioned_store) and opt.kmin taken from the batch.
-///
-/// A kVerticalBitmap pass that broadcasts counts on a per-partition bitmap
-/// index. With `index` non-null the index lives there: built and persisted
-/// by the first such pass, reused by the later ones. With `index` null it
-/// is built for this call only.
-///
-/// `lineage`, when non-null, is the stage that loaded the uncached
-/// `transactions`: every pass that reads them (all but one served by a
-/// reused index) records it again, as "<pass_name>:recompute lineage".
+/// decided here (use_partitioned_store) and opt.kmin taken from the batch;
+/// `lineage` is passed through.
 std::vector<CountPair> count_batch(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const CandidateBatch& batch, BroadcastMode broadcast_mode,
-    CountCoreOptions opt,
-    std::optional<engine::RDD<VerticalBitmapIndex>>* index,
-    const sim::StageRecord* lineage);
+    CountCoreOptions opt, const sim::StageRecord* lineage);
 
 // ---- MapReduce substrate ------------------------------------------------
 
@@ -191,15 +180,13 @@ ItemsetCountJob itemset_count_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     u64 min_count, u32 num_mappers, u32 num_reducers);
 
-/// The same job over a one-tree batch, keyed by candidate id (`mode` is
-/// kCandidateId or kVerticalBitmap). Each mapper counts its split into
-/// dense cells and emits (id, count) per candidate of nonzero count:
-/// kCandidateId through count_rows, the RDD tasks' kernel choice;
-/// kVerticalBitmap through a VerticalBitmapIndex over the whole split
-/// (MapReduce has no cross-job cache, so it is rebuilt per job). Reducers
-/// map surviving ids back to itemsets through their copy of the tree.
+/// The same job over a one-tree batch, keyed by candidate id. Each mapper
+/// counts its split into dense cells through count_rows, the RDD tasks'
+/// kernel choice, and emits (id, count) per candidate of nonzero count.
+/// Reducers map surviving ids back to itemsets through their copy of the
+/// tree.
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    CountMode mode, u64 min_count, u32 num_mappers, u32 num_reducers);
+    u64 min_count, u32 num_mappers, u32 num_reducers);
 
 }  // namespace yafim::fim

@@ -37,10 +37,11 @@
 namespace yafim::fim {
 
 /// How the per-pass counting stage keys its shuffle (shared by both
-/// miners; see DESIGN "counting data structures").
+/// miners; see DESIGN "counting data structures"). The yafim and mrapriori
+/// checkpoint fingerprints fold in the ordinal, so the values are fixed.
 enum class CountMode {
   /// Paper-faithful: shuffle keyed on full Itemset vectors.
-  kItemsetKey,
+  kItemsetKey = 0,
   /// Dense, kernel chosen per task: count into fixed-width arrays indexed
   /// by candidate id (tree-local index + the tree's batch-global id
   /// offset); itemsets are materialized from the broadcast tree only for
@@ -48,20 +49,13 @@ enum class CountMode {
   /// until the bitmap kernel's exact price for the rows left undercuts the
   /// probe's pace, then AND+popcounts those rows on a task-local index of
   /// the candidate items (fim/count_core.h count_rows).
-  kCandidateId,
-  /// Forced vertical: per-item transaction bitmaps built once per
-  /// partition (fim/bitmap.h) and persisted across passes; candidate
-  /// support = popcount of the word-parallel AND of its item rows. No
-  /// per-transaction probing at all -- the hash tree only carries the
-  /// candidate arena and the dense id space. For bench_ablation and tests.
-  kVerticalBitmap,
+  kCandidateId = 1,
 };
 
 inline const char* count_mode_name(CountMode mode) {
   switch (mode) {
     case CountMode::kItemsetKey: return "itemset_key";
     case CountMode::kCandidateId: return "candidate_id";
-    case CountMode::kVerticalBitmap: return "vertical_bitmap";
   }
   return "unknown";
 }

@@ -136,8 +136,8 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     // One counting job over `trees` -- the level's tree, or one shard of it
     // under the partitioned fallback; the tree travels to the mappers via
     // the distributed cache either way. kItemsetKey is the paper-faithful
-    // shuffle keyed on itemsets; the dense modes key on candidate id and
-    // map survivors back through the reducers' copy of the tree.
+    // shuffle keyed on itemsets; kCandidateId keys on candidate id and
+    // maps survivors back through the reducers' copy of the tree.
     auto run_level_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
                              const std::string& name, const std::string& out) {
       if (options.count_mode == CountMode::kItemsetKey) {
@@ -147,9 +147,8 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
             input_path, out);
       }
       return runner.run(
-          candidate_id_job(name, std::move(trees), options.count_mode,
-                           min_count, options.num_mappers,
-                           options.num_reducers),
+          candidate_id_job(name, std::move(trees), min_count,
+                           options.num_mappers, options.num_reducers),
           input_path, out);
     };
 

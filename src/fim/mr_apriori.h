@@ -35,10 +35,7 @@ struct MrAprioriOptions {
   /// shuffles full itemsets, kCandidateId shuffles dense candidate ids and
   /// maps survivors back through the mapper-side tree in the reducer, each
   /// mapper choosing its kernel row by row as a YAFIM task does
-  /// (fim/count_core.h count_rows);
-  /// kVerticalBitmap builds a bitmap index per map split (MapReduce has no
-  /// cross-job cache, so it is rebuilt each level) and emits nonzero
-  /// candidate-id counts from an in-mapper AND+popcount pass.
+  /// (fim/count_core.h count_rows) and emitting its nonzero counts.
   CountMode count_mode = CountMode::kCandidateId;
   /// How the candidate tree reaches the mappers when it outgrows the
   /// executor-memory budget (matches YafimOptions): kAuto localizes the

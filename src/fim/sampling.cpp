@@ -276,8 +276,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   // ---- Pass 2: one full-data verification pass over the whole batch ----
-  // The batch spans every level, singletons included; a bitmap index is
-  // built for this one pass only (a cached copy would never be reused).
+  // The batch spans every level, singletons included.
   std::vector<CountPair> verified;
   if (!batch.empty()) {
     Stopwatch count_clock;
@@ -289,7 +288,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
          .leaf_capacity = options.leaf_capacity,
          .min_count = min_count,
          .pass_name = "verify"},
-        nullptr, options.cache_transactions ? nullptr : &load);
+        options.cache_transactions ? nullptr : &load);
     run.count_host_seconds += count_clock.seconds();
   }
 

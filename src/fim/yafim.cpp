@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "engine/rdd.h"
-#include "fim/bitmap.h"
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
 #include "fim/hash_tree.h"
@@ -40,7 +39,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   // record; Spark pays it exactly once here (the cached RDD keeps the
   // deserialized objects), vs once per job on the MapReduce substrate.
   // Without caching, every pass that reads the transactions records this
-  // stage again as its lineage recompute (count_batch).
+  // stage again as its lineage recompute (count_candidate_trees).
   sim::StageRecord load;
   load.label = "load:textFile+parse";
   load.kind = sim::StageKind::kSparkStage;
@@ -160,11 +159,6 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   // With combine_passes > 1, one cluster pass counts a batch of candidate
   // levels (levels beyond the first generated from candidates, a superset
   // of the true Ck -- results stay exact).
-  //
-  // kVerticalBitmap keeps a second cached RDD: one VerticalBitmapIndex per
-  // transactions partition, built lazily on the first counting pass and
-  // reused (cache-hit) by every later pass.
-  std::optional<engine::RDD<VerticalBitmapIndex>> vertical;
   for (u32 k = last_completed + 1; !frequent.empty();) {
     if (options.stop_after_pass && last_completed >= options.stop_after_pass) {
       break;  // simulated crash: the last snapshot is the recovery point
@@ -219,9 +213,8 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
 
     // The counting plan lives in fim/count_core: broadcast or shard (the
-    // decision is re-taken every pass), the bitmap index -- built on the
-    // first counting pass and served from cache after -- and the lineage
-    // recompute of uncached transactions.
+    // decision is re-taken every pass) and the lineage recompute of
+    // uncached transactions.
     Stopwatch count_clock;
     level = count_batch(
         ctx, transactions, batch, options.broadcast_mode,
@@ -232,7 +225,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
          .leaf_capacity = options.leaf_capacity,
          .min_count = min_count,
          .pass_name = "pass" + std::to_string(k)},
-        &vertical, options.cache_transactions ? nullptr : &load);
+        options.cache_transactions ? nullptr : &load);
     run.count_host_seconds += count_clock.seconds();
 
     const std::vector<std::vector<CountPair>> by_level =

@@ -40,12 +40,9 @@ struct YafimOptions {
   /// the paper-faithful shuffle keyed on full itemsets; kCandidateId (the
   /// default) counts into dense per-partition arrays indexed by candidate
   /// id and merges them with sum_arrays(), each task probing the hash tree
-  /// until a task-local bitmap index is cheaper for its remaining rows
-  /// (fim/count_core.h count_rows); kVerticalBitmap forces the bitmap: a
-  /// cached per-partition index (fim/bitmap.h) built on the first counting
-  /// pass answers each candidate with an AND+popcount over its item rows.
-  /// All three yield bit-identical FrequentItemsets; only the data
-  /// structure and its pricing differ.
+  /// until a task-local bitmap index (fim/bitmap.h) is cheaper for its
+  /// remaining rows (fim/count_core.h count_rows). Both yield bit-identical
+  /// FrequentItemsets; only the data structure and its pricing differ.
   CountMode count_mode = CountMode::kCandidateId;
 
   /// How the per-pass candidate trees reach the workers (fim/hash_tree.h):

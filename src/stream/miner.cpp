@@ -377,9 +377,7 @@ class StreamingMiner {
   }
 
   /// Count `batch` against `transactions` through the shared core,
-  /// min_count = 1. Caller owns merging the result. Streaming data is new
-  /// every job, so a bitmap index is built per job rather than served from
-  /// a run-long cache like the batch miner's.
+  /// min_count = 1. Caller owns merging the result.
   std::vector<CountPair> count_over(engine::RDD<Transaction>& transactions,
                                     const fim::CandidateBatch& batch,
                                     const std::string& pass_name) {
@@ -391,7 +389,7 @@ class StreamingMiner {
                              .leaf_capacity = options_.leaf_capacity,
                              .min_count = 1,
                              .pass_name = pass_name},
-                            nullptr, nullptr);
+                            nullptr);
   }
 
   /// Candidate levels (itemsets of one size each, in any order) as one

@@ -1,8 +1,8 @@
 // Streaming micro-batch frequent-itemset mining over minispark.
 //
 // A StreamingMiner consumes a deterministic windowed TransactionSource and
-// maintains L1/Lk incrementally: each micro-batch is counted once (all
-// three CountModes, through the shared fim/count_core.h job), the per-batch
+// maintains L1/Lk incrementally: each micro-batch is counted once (both
+// CountModes, through the shared fim/count_core.h job), the per-batch
 // counts are merged into running supports, and candidates are re-generated
 // and re-verified over the full ingested history only when an item or
 // itemset crosses MinSup in either direction. Every batch boundary writes a

@@ -5,7 +5,9 @@
 #
 #   1. a --checkpoint-dir that cannot be created exits 2, naming it;
 #   2. a stage whose tasks exhaust their retries under injected failures
-#      exits 5, naming the stage (yafim and mrapriori).
+#      exits 5, naming the stage (yafim and mrapriori);
+#   3. a numeric flag whose whole value is not a number in range exits 2
+#      with the usage text, its first line naming the flag.
 #
 #   tests/cli/exit_codes.sh PATH/TO/mine_cli
 set -euo pipefail
@@ -38,6 +40,20 @@ expect_exit() {
   echo "[$what] exit $rc: $(cat "$work/err.txt")"
 }
 
+# expect_usage FLAG ARGS...: mine_cli ARGS must exit 2 with the usage text,
+# its first stderr line naming FLAG.
+expect_usage() {
+  local flag=$1
+  shift
+  local rc=0
+  "$cli" "$@" > /dev/null 2> "$work/err.txt" || rc=$?
+  [ "$rc" -eq 2 ] || fail "[$*] exited $rc, want 2"
+  head -n 1 "$work/err.txt" | grep -q -- "$flag" ||
+    fail "[$*] first stderr line does not name $flag: $(head -n 1 "$work/err.txt")"
+  grep -q '^usage:' "$work/err.txt" || fail "[$*] printed no usage"
+  echo "[$*] exit 2: $(head -n 1 "$work/err.txt")"
+}
+
 mine=(--generate=mushroom --minsup=0.35)
 
 # ---- 1. an unusable --checkpoint-dir ------------------------------------
@@ -53,5 +69,20 @@ for engine in yafim mrapriori; do
     expect_exit "$engine out of retries" 5 "stage '.*' failed" \
     "${mine[@]}" --engine="$engine" --checkpoint-dir="$work/ckpt-$engine"
 done
+
+# ---- 3. numeric flags parse strictly ------------------------------------
+for bad in --minsup=nan --minsup=0.35x --minsup= --minsup=1e999; do
+  expect_usage --minsup --generate=mushroom "$bad"
+done
+for bad in --top=abc --top=5z --top=-1; do
+  expect_usage --top "${mine[@]}" "$bad"
+done
+expect_usage --shuffle-buffer-mb "${mine[@]}" --shuffle-buffer-mb=-5
+for bad in --memory-gb=abc --memory-gb=nan --memory-gb=1e30; do
+  expect_usage --memory-gb "${mine[@]}" "$bad"
+done
+expect_usage --rules "${mine[@]}" --rules=nan
+expect_usage --stop-after-pass "${mine[@]}" --checkpoint-dir="$work/ckpt" \
+  --stop-after-pass=4294967296
 
 echo "exit-code contract holds"

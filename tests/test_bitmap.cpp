@@ -1,16 +1,13 @@
 // Unit tests for the vertical bitmap index (fim/bitmap.h): the word-level
 // AND+popcount kernel, support agreement with brute-force containment
-// scans, the tidlist bridge back to the Eclat machinery, and the sparse
-// item-id fallback.
+// scans, and the sparse item-id fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
-#include <set>
 
 #include "fim/bitmap.h"
 #include "fim/hash_tree.h"
-#include "fim/tidlist_mining.h"
 #include "util/rng.h"
 
 namespace yafim::fim {
@@ -28,6 +25,13 @@ std::vector<Transaction> random_transactions(u32 universe, int n,
     tx.push_back(std::move(t));
   }
   return tx;
+}
+
+/// Items [0, n), the index rows of a universe of n items.
+std::vector<Item> first_items(u32 n) {
+  std::vector<Item> items(n);
+  for (u32 i = 0; i < n; ++i) items[i] = i;
+  return items;
 }
 
 u64 brute_support(const std::vector<Transaction>& tx, const Itemset& c) {
@@ -62,18 +66,17 @@ TEST(AndPopcount, MatchesScalarReference) {
 
 TEST(VerticalBitmapIndex, EmptyPartition) {
   const std::vector<Transaction> none;
-  VerticalBitmapIndex index(none);
+  VerticalBitmapIndex index(none, {});
   EXPECT_EQ(index.num_transactions(), 0u);
   EXPECT_EQ(index.num_items(), 0u);
   EXPECT_EQ(index.row(5), nullptr);
   const Item items[] = {5};
   EXPECT_EQ(index.support(items, 1), 0u);
-  EXPECT_TRUE(index.tidlist(5).empty());
 }
 
 TEST(VerticalBitmapIndex, SupportMatchesBruteForce) {
   const auto tx = random_transactions(24, 130, 0.3, 11);
-  VerticalBitmapIndex index(tx);
+  VerticalBitmapIndex index(tx, first_items(24));
   EXPECT_EQ(index.num_transactions(), tx.size());
   EXPECT_EQ(index.words_per_row(), (tx.size() + 63) / 64);
   Rng rng(12);
@@ -91,7 +94,7 @@ TEST(VerticalBitmapIndex, SupportMatchesBruteForce) {
 
 TEST(VerticalBitmapIndex, CountCandidatesMatchesPerCandidateSupport) {
   const auto tx = random_transactions(20, 90, 0.35, 5);
-  VerticalBitmapIndex index(tx);
+  VerticalBitmapIndex index(tx, first_items(12));
   std::vector<Itemset> candidates;
   for (u32 a = 0; a < 12; ++a) {
     for (u32 b = a + 1; b < 12; ++b) candidates.push_back({a, b});
@@ -104,35 +107,12 @@ TEST(VerticalBitmapIndex, CountCandidatesMatchesPerCandidateSupport) {
   }
 }
 
-TEST(VerticalBitmapIndex, TidlistBridgesToEclatMachinery) {
-  const auto tx = random_transactions(16, 70, 0.4, 9);
-  VerticalBitmapIndex index(tx);
-  for (Item item = 0; item < 16; ++item) {
-    TidList expected;
-    for (u32 tid = 0; tid < tx.size(); ++tid) {
-      const auto& t = tx[tid];
-      if (std::find(t.begin(), t.end(), item) != t.end()) {
-        expected.push_back(tid);
-      }
-    }
-    const TidList got = index.tidlist(item);
-    EXPECT_EQ(got, expected) << "item=" << item;
-    // A bitmap row is a densified tidlist: intersecting two recovered
-    // lists equals the AND-row support.
-    if (item > 0) {
-      const Item pair[] = {static_cast<Item>(item - 1), item};
-      EXPECT_EQ(intersect_tidlists(index.tidlist(item - 1), got).size(),
-                index.support(pair, 2));
-    }
-  }
-}
-
 TEST(VerticalBitmapIndex, SparseItemIdsBeyondDenseLimit) {
   // Ids past the dense direct-index limit exercise the sorted fallback map.
   const Item huge_a = (1u << 20) + 17, huge_b = (1u << 24) + 3;
   std::vector<Transaction> tx = {
       {1, huge_a}, {1, huge_a, huge_b}, {huge_b}, {1}};
-  VerticalBitmapIndex index(tx);
+  VerticalBitmapIndex index(tx, {1, huge_a, huge_b});
   EXPECT_EQ(index.num_items(), 3u);
   const Item single[] = {huge_a};
   EXPECT_EQ(index.support(single, 1), 2u);
@@ -140,7 +120,6 @@ TEST(VerticalBitmapIndex, SparseItemIdsBeyondDenseLimit) {
   EXPECT_EQ(index.support(pair, 2), 1u);
   const Item mixed[] = {1, huge_b};
   EXPECT_EQ(index.support(mixed, 2), 1u);
-  EXPECT_EQ(index.tidlist(huge_b), (TidList{1, 2}));
   const Item absent[] = {(1u << 22)};
   EXPECT_EQ(index.support(absent, 1), 0u);
   EXPECT_GT(index.bytes(), 0u);

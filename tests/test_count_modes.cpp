@@ -1,18 +1,21 @@
 // Count-mode equivalence and pricing tests.
 //
-// The dense candidate-id path (CountMode::kCandidateId) and the vertical
-// bitmap path (CountMode::kVerticalBitmap) must be exact drop-ins for the
-// paper-faithful itemset-keyed path: bit-identical FrequentItemsets across
-// pass batching, fault/corruption injection, checkpoint resume and both
-// engines, with mode-invariant observability counters (candidate
-// generation, broadcast/DFS traffic) agreeing as well. Also covers the
+// The dense candidate-id path (CountMode::kCandidateId, each task choosing
+// between the hash-tree probe and the bitmap kernel) must be an exact
+// drop-in for the paper-faithful itemset-keyed path: bit-identical
+// FrequentItemsets across pass batching, fault/corruption injection,
+// checkpoint resume and both engines, with mode-invariant observability
+// counters (candidate generation, broadcast/DFS traffic) agreeing as well.
+// Also covers the lineage recompute charge of count_candidate_trees, the
 // sum_arrays RDD action the dense paths are built on, the adversarial-hash
 // reduce bucket case, and the stage-pricing exactness fixes (split_work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <numeric>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,8 +36,7 @@ namespace yafim::fim {
 namespace {
 
 constexpr CountMode kAllModes[] = {CountMode::kItemsetKey,
-                                   CountMode::kCandidateId,
-                                   CountMode::kVerticalBitmap};
+                                   CountMode::kCandidateId};
 
 engine::Context::Options small_cluster() {
   engine::Context::Options opts;
@@ -129,18 +131,15 @@ TEST(CountModes, YafimBitIdenticalAcrossModesAndBatching) {
     const auto faithful = run_yafim(db, CountMode::kItemsetKey, combine);
     EXPECT_TRUE(faithful.itemsets.same_itemsets(seq.itemsets))
         << "combine=" << combine;
-    for (CountMode mode :
-         {CountMode::kCandidateId, CountMode::kVerticalBitmap}) {
-      const auto run = run_yafim(db, mode, combine);
-      EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets))
-          << count_mode_name(mode) << " combine=" << combine;
-      // Same candidate levels were generated and verified in every mode.
-      ASSERT_EQ(run.passes.size(), faithful.passes.size());
-      for (size_t i = 0; i < run.passes.size(); ++i) {
-        EXPECT_EQ(run.passes[i].k, faithful.passes[i].k);
-        EXPECT_EQ(run.passes[i].candidates, faithful.passes[i].candidates);
-        EXPECT_EQ(run.passes[i].frequent, faithful.passes[i].frequent);
-      }
+    const auto run = run_yafim(db, CountMode::kCandidateId, combine);
+    EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets))
+        << "combine=" << combine;
+    // Same candidate levels were generated and verified in both modes.
+    ASSERT_EQ(run.passes.size(), faithful.passes.size());
+    for (size_t i = 0; i < run.passes.size(); ++i) {
+      EXPECT_EQ(run.passes[i].k, faithful.passes[i].k);
+      EXPECT_EQ(run.passes[i].candidates, faithful.passes[i].candidates);
+      EXPECT_EQ(run.passes[i].frequent, faithful.passes[i].frequent);
     }
   }
 }
@@ -178,22 +177,21 @@ TEST(CountModes, YafimBitIdenticalUnderCorruptionInjection) {
   }
 }
 
-TEST(CountModes, BitmapResumeFromCheckpointIsBitIdentical) {
-  // Crash mid-mine in bitmap mode, resume from the snapshot: the rebuilt
-  // vertical index (lazily re-created on the first post-resume pass) must
-  // not perturb the mined output.
+TEST(CountModes, DenseResumeFromCheckpointIsBitIdentical) {
+  // Crash mid-mine in the dense mode, resume from the snapshot: the resumed
+  // passes must reproduce the uninterrupted run's itemsets.
   const auto db = random_db(16, 200, 0.45, 100);
-  const auto reference = run_yafim(db, CountMode::kVerticalBitmap, 1);
+  const auto reference = run_yafim(db, CountMode::kCandidateId, 1);
   ASSERT_GE(reference.passes.size(), 3u) << "need k >= 3 to test resume";
 
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ck_bitmap_resume";
+      std::filesystem::path(::testing::TempDir()) / "ck_dense_resume";
   std::filesystem::remove_all(dir);
   DirCheckpointStore store(dir.string());
   engine::Context::Options copts = small_cluster();
   YafimOptions opt;
   opt.min_support = 0.2;
-  opt.count_mode = CountMode::kVerticalBitmap;
+  opt.count_mode = CountMode::kCandidateId;
   opt.checkpoint = &store;
   opt.stop_after_pass = 2;
   {
@@ -229,8 +227,8 @@ TEST(CountModes, MrAprioriBitIdenticalAcrossModes) {
 // ---- observability-counter agreement ------------------------------------
 
 /// Counters that must not depend on how counting is performed at all:
-/// candidate generation and broadcast/DFS traffic are identical across all
-/// three modes.
+/// candidate generation and broadcast/DFS traffic are identical in both
+/// modes.
 const obs::CounterId kModeInvariantCounters[] = {
     obs::CounterId::kCandidatesGenerated,
     obs::CounterId::kCandidatesPruned,
@@ -238,8 +236,8 @@ const obs::CounterId kModeInvariantCounters[] = {
     obs::CounterId::kDfsReadBytes,
 };
 
-/// Probe-effort counters: identical between the two probing modes, and
-/// exactly zero for the bitmap mode (no tree walking happens at all).
+/// Probe-effort counters: identical between the two modes where no dense
+/// task switches kernels, lower in the dense mode where tasks do.
 const obs::CounterId kProbeCounters[] = {
     obs::CounterId::kHashTreeNodesVisited,
     obs::CounterId::kHashTreeCandChecks,
@@ -264,17 +262,14 @@ TEST(CountModes, ModeInvariantCountersAgree) {
     const auto faithful = traced_counters(
         db, CountMode::kItemsetKey, combine, small_cluster(),
         kModeInvariantCounters);
-    for (CountMode mode :
-         {CountMode::kCandidateId, CountMode::kVerticalBitmap}) {
-      const auto values = traced_counters(db, mode, combine, small_cluster(),
-                                          kModeInvariantCounters);
-      ASSERT_EQ(faithful.size(), values.size());
-      for (size_t i = 0; i < faithful.size(); ++i) {
-        EXPECT_EQ(faithful[i], values[i])
-            << count_mode_name(mode) << " "
-            << obs::counter_name(kModeInvariantCounters[i])
-            << " combine=" << combine;
-      }
+    const auto values =
+        traced_counters(db, CountMode::kCandidateId, combine,
+                        small_cluster(), kModeInvariantCounters);
+    ASSERT_EQ(faithful.size(), values.size());
+    for (size_t i = 0; i < faithful.size(); ++i) {
+      EXPECT_EQ(faithful[i], values[i])
+          << obs::counter_name(kModeInvariantCounters[i])
+          << " combine=" << combine;
     }
   }
 }
@@ -303,16 +298,16 @@ TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
   }
 }
 
-TEST(CountModes, BitmapModeSkipsProbesAndRecordsBitmapWork) {
-  const auto db = random_db(15, 220, 0.35, 21);
+TEST(CountModes, SwitchingTasksRecordBitmapWork) {
+  // Every dense task on the saturated database switches to the bitmap
+  // kernel right after its first row: the rows it counts that way show up
+  // in the bitmap counters.
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
-  (void)run_yafim(db, CountMode::kVerticalBitmap, 1);
+  (void)run_yafim(saturated_db(), CountMode::kCandidateId, 1, small_cluster(),
+                  kSaturatedMinSupport);
   obs::set_enabled(false);
-  // No per-transaction tree walking on this path...
-  EXPECT_EQ(obs::counter_value(obs::CounterId::kHashTreeNodesVisited), 0u);
-  EXPECT_EQ(obs::counter_value(obs::CounterId::kHashTreeCandChecks), 0u);
-  // ...the work shows up in the bitmap counters instead.
+  EXPECT_GT(obs::counter_value(obs::CounterId::kDenseRowsBitmap), 0u);
   EXPECT_GT(obs::counter_value(obs::CounterId::kBitmapIndexBytes), 0u);
   EXPECT_GT(obs::counter_value(obs::CounterId::kBitmapAndWords), 0u);
   EXPECT_GT(obs::counter_value(obs::CounterId::kBitmapPopcounts), 0u);
@@ -518,7 +513,15 @@ TEST(DenseKernelChoice, IndexHoldsOnlyCandidateItems) {
   const u64 table = (items.size() + items.back() + 1) * sizeof(u32);
   EXPECT_LE(got.index_bytes, words * sizeof(u64) + table);
   // Indexing every item of the partition would take ten times as much.
-  EXPECT_LT(10 * got.index_bytes, VerticalBitmapIndex(rows).bytes());
+  std::vector<Item> every_item;
+  for (const Transaction& t : rows) {
+    every_item.insert(every_item.end(), t.begin(), t.end());
+  }
+  std::sort(every_item.begin(), every_item.end());
+  every_item.erase(std::unique(every_item.begin(), every_item.end()),
+                   every_item.end());
+  EXPECT_LT(10 * got.index_bytes,
+            VerticalBitmapIndex(rows, std::move(every_item)).bytes());
 }
 
 /// Rows the dense kernel choice probed and bitmap-counted over one mine,
@@ -658,6 +661,129 @@ TEST(DenseKernelChoice, DetSanReplaysTheSwitchingTasksClean) {
     EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets)) << mapreduce;
     EXPECT_GT(ctx.detsan().tasks_replayed(), 0u) << mapreduce;
     EXPECT_EQ(ctx.detsan().divergences(), 0u) << mapreduce;
+  }
+}
+
+// ---- lineage recompute (count_candidate_trees) --------------------------
+
+/// Everything the simulator prices a stage by, as one line.
+std::string stage_text(const sim::StageRecord& st) {
+  std::ostringstream out;
+  out << st.label << ' ' << static_cast<int>(st.kind) << ' ' << st.pass;
+  for (const sim::TaskRecord& t : st.tasks) {
+    out << ' ' << t.work << '/' << t.attempts << '/' << t.wasted_work << '/'
+        << t.speculative;
+  }
+  out << ' ' << st.shuffle_bytes << ' ' << st.broadcast_bytes << ' '
+      << st.naive_ship_bytes << ' ' << st.dfs_read_bytes << ' '
+      << st.dfs_write_bytes << ' ' << st.driver_work << ' '
+      << st.fixed_overhead_s;
+  return out.str();
+}
+
+struct CountCall {
+  std::vector<CountPair> counted;
+  std::vector<std::string> stages;  ///< stage_text of each stage recorded
+};
+
+/// Pass 2 over every pair of items [0, 12) of a fixed database, on a fresh
+/// context: through count_batch under `bmode` (`via_batch`), or through a
+/// direct count_candidate_trees call that shards exactly when `bmode` is
+/// kPartitioned.
+CountCall count_pairs(CountMode mode, BroadcastMode bmode, bool via_batch,
+                      const sim::StageRecord* lineage) {
+  static const TransactionDB db = random_db(12, 120, 0.4, 31);
+  engine::Context ctx(small_cluster());
+  auto transactions = ctx.parallelize(db.transactions(), 0);
+  ItemsetRows items{1, {}};
+  for (Item i = 0; i < 12; ++i) items.items.push_back(i);
+  std::vector<ItemsetRows> levels;
+  levels.push_back(apriori_gen_rows(items, 2));
+  const CandidateBatch batch(std::move(levels), 0, 16);
+  ctx.set_pass(2);
+  const size_t first = ctx.report().stages().size();
+  CountCoreOptions opt;
+  opt.count_mode = mode;
+  opt.min_count = 18;  // about the mean pair support
+  opt.pass_name = "pass2";
+  CountCall out;
+  if (via_batch) {
+    out.counted = count_batch(ctx, transactions, batch, bmode, opt, lineage);
+  } else {
+    opt.partitioned = bmode == BroadcastMode::kPartitioned;
+    opt.kmin = batch.kmin();
+    out.counted =
+        count_candidate_trees(ctx, transactions, batch.trees(),
+                              batch.tree_bytes(), batch.id_space(), lineage,
+                              opt);
+  }
+  const std::vector<sim::StageRecord>& stages = ctx.report().stages();
+  for (size_t s = first; s < stages.size(); ++s) {
+    out.stages.push_back(stage_text(stages[s]));
+  }
+  return out;
+}
+
+/// A load stage as yafim records it, with odd task work and bytes.
+sim::StageRecord load_stage() {
+  sim::StageRecord load;
+  load.label = "load:textFile+parse";
+  load.kind = sim::StageKind::kSparkStage;
+  load.tasks = sim::split_work(1009, 7);
+  load.dfs_read_bytes = 4099;
+  return load;
+}
+
+TEST(CountCore, LineageRecomputeIsTheJobsFirstStage) {
+  const sim::StageRecord load = load_stage();
+  sim::StageRecord recompute = load;
+  recompute.label = "pass2:recompute lineage";
+  recompute.pass = 2;
+  for (CountMode mode : kAllModes) {
+    for (BroadcastMode bmode :
+         {BroadcastMode::kAuto, BroadcastMode::kPartitioned}) {
+      const std::string where = std::string(count_mode_name(mode)) + "/" +
+                                broadcast_mode_name(bmode);
+      const CountCall cached = count_pairs(mode, bmode, false, nullptr);
+      const CountCall uncached = count_pairs(mode, bmode, false, &load);
+      ASSERT_FALSE(cached.counted.empty()) << where;
+      EXPECT_EQ(uncached.counted, cached.counted) << where;
+      // Null: no recompute stage at all.
+      for (const std::string& st : cached.stages) {
+        EXPECT_EQ(st.find(":recompute lineage"), std::string::npos)
+            << where << ": " << st;
+      }
+      // A record: one recompute stage, first, equal to the record but for
+      // its label and pass; the cached job's stages follow unchanged.
+      ASSERT_EQ(uncached.stages.size(), cached.stages.size() + 1) << where;
+      EXPECT_EQ(uncached.stages.front(), stage_text(recompute)) << where;
+      EXPECT_EQ(std::vector<std::string>(uncached.stages.begin() + 1,
+                                         uncached.stages.end()),
+                cached.stages)
+          << where;
+    }
+  }
+}
+
+TEST(CountCore, CountBatchRecordsWhatADirectCallRecords) {
+  // perfbench's replay calls count_candidate_trees directly with its own
+  // broadcast decision; it prices the mine only if count_batch adds
+  // nothing to that call.
+  const sim::StageRecord load = load_stage();
+  const sim::StageRecord* const lineages[] = {&load, nullptr};
+  for (CountMode mode : kAllModes) {
+    for (BroadcastMode bmode :
+         {BroadcastMode::kAuto, BroadcastMode::kPartitioned}) {
+      for (const sim::StageRecord* lineage : lineages) {
+        const std::string where = std::string(count_mode_name(mode)) + "/" +
+                                  broadcast_mode_name(bmode) +
+                                  (lineage ? " uncached" : " cached");
+        const CountCall direct = count_pairs(mode, bmode, false, lineage);
+        const CountCall batch = count_pairs(mode, bmode, true, lineage);
+        EXPECT_EQ(batch.counted, direct.counted) << where;
+        EXPECT_EQ(batch.stages, direct.stages) << where;
+      }
+    }
   }
 }
 

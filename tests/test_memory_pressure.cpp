@@ -33,8 +33,7 @@ namespace yafim::fim {
 namespace {
 
 constexpr CountMode kAllModes[] = {CountMode::kItemsetKey,
-                                   CountMode::kCandidateId,
-                                   CountMode::kVerticalBitmap};
+                                   CountMode::kCandidateId};
 
 engine::Context::Options small_cluster() {
   engine::Context::Options opts;

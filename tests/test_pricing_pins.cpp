@@ -34,8 +34,7 @@ namespace yafim::fim {
 namespace {
 
 constexpr CountMode kAllModes[] = {CountMode::kItemsetKey,
-                                   CountMode::kCandidateId,
-                                   CountMode::kVerticalBitmap};
+                                   CountMode::kCandidateId};
 
 engine::Context::Options pinned_cluster() {
   engine::Context::Options opts;
@@ -138,8 +137,6 @@ TEST(PricingPins, Yafim) {
       0x436c42d407ac34c7, 0xaff72e0d0d477d3,
       0x13ebcfe50a5de044, 0x15f64200cb60439a,
       0x998760e21135ebdc, 0x82653477f8d9a42b,
-      0x13ebcfe50a5de044, 0x15f64200cb60439a,
-      0xacb303e61f3be822, 0x39ebbc2e6a3bb14,
       0x13ebcfe50a5de044, 0x15f64200cb60439a};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
@@ -157,8 +154,7 @@ TEST(PricingPins, Yafim) {
 }
 
 TEST(PricingPins, YafimCombinedPasses) {
-  const u64 pins[] = {0x68d67e44b5a3c52b, 0x9769ba30cc05c2c6,
-                      0xf22c061721edc92f};
+  const u64 pins[] = {0x68d67e44b5a3c52b, 0x9769ba30cc05c2c6};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     YafimOptions opt = yafim_options(mode, BroadcastMode::kAuto);
@@ -172,8 +168,7 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
   // Small enough that the larger passes shard and the smaller broadcast.
   engine::Context::Options copts = pinned_cluster();
   copts.cluster.executor_memory_bytes = 24 << 10;
-  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x211ad38602f86b35,
-                      0x4a26bba789db69b0};
+  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x211ad38602f86b35};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     expect_pin(std::string("yafim tight budget ") + count_mode_name(mode),
@@ -186,16 +181,16 @@ TEST(PricingPins, YafimCheckpointResume) {
   const engine::Context::Options copts = pinned_cluster();
   simfs::SimFS store_fs(copts.cluster);
   SimFSCheckpointStore store(store_fs, "hdfs://pins/checkpoints");
-  YafimOptions opt = yafim_options(CountMode::kVerticalBitmap,
+  YafimOptions opt = yafim_options(CountMode::kCandidateId,
                                    BroadcastMode::kAuto);
   opt.cache_transactions = false;
   opt.checkpoint = &store;
   opt.stop_after_pass = 2;
   expect_pin("yafim stop after pass 2", mine_yafim(opt, copts),
-             0x5f569ac934685ed0);
+             0x1cc4e06c67e6d92a);
   opt.stop_after_pass = 0;
   expect_pin("yafim resumed after pass 2", mine_yafim(opt, copts),
-             0x8ea5c74de7f45759);
+             0xbc8f2fb50dde5bbd);
 }
 
 std::string mine_sampling(const SamplingOptions& opt) {
@@ -222,13 +217,12 @@ SamplingOptions sampling_options(SplitStrategy strategy, CountMode mode) {
 }
 
 TEST(PricingPins, Sampling) {
-  const u64 pins[] = {0x8415b3c5152862f1, 0x8aeac98e217bb778,
-                      0x263979e5df46d8db, 0x8fd69baaae80cac0};
+  const u64 pins[] = {0x8415b3c5152862f1, 0x655bff2c3b7688cf,
+                      0x263979e5df46d8db, 0xe591b95cfb69a489};
   size_t i = 0;
   for (SplitStrategy strategy :
        {SplitStrategy::kBernoulliSamples, SplitStrategy::kDisjointSplits}) {
-    for (CountMode mode :
-         {CountMode::kItemsetKey, CountMode::kVerticalBitmap}) {
+    for (CountMode mode : kAllModes) {
       expect_pin(std::string(strategy == SplitStrategy::kDisjointSplits
                                  ? "sampling disjoint "
                                  : "sampling bernoulli ") +
@@ -242,10 +236,10 @@ TEST(PricingPins, Sampling) {
   expect_pin("sampling partitioned", mine_sampling(partitioned),
              0xc1b06fc93c89b2f3);
   SamplingOptions uncached = sampling_options(
-      SplitStrategy::kBernoulliSamples, CountMode::kVerticalBitmap);
+      SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   uncached.cache_transactions = false;
-  expect_pin("sampling uncached bitmap", mine_sampling(uncached),
-             0x7da92fcfa88f3b0f);
+  expect_pin("sampling uncached", mine_sampling(uncached),
+             0x154e92bd51ea803c);
 }
 
 std::string mine_stream(CountMode mode, BroadcastMode bmode) {
@@ -267,15 +261,14 @@ std::string mine_stream(CountMode mode, BroadcastMode bmode) {
 }
 
 TEST(PricingPins, Stream) {
-  const u64 pins[] = {0xab88deed2d1ef56f, 0x4ae96fba446a51c7,
-                      0x779c0a214f9c8b8b};
+  const u64 pins[] = {0xab88deed2d1ef56f, 0x4ae96fba446a51c7};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     expect_pin(std::string("stream ") + count_mode_name(mode),
                mine_stream(mode, BroadcastMode::kAuto), pins[i++]);
   }
   expect_pin("stream partitioned",
-             mine_stream(CountMode::kVerticalBitmap,
+             mine_stream(CountMode::kCandidateId,
                          BroadcastMode::kPartitioned),
              0xac2ed4f5578781b1);
 }
@@ -295,8 +288,7 @@ std::string mine_mr(CountMode mode, BroadcastMode bmode,
 TEST(PricingPins, MrApriori) {
   const u64 pins[] = {
       0xc562fa6193017913, 0x941bdf2291a74d51,
-      0xbd4f13779a9f3c83, 0x9004e044179d0c57,
-      0xae4321457c196368, 0xc753e85b040e72de};
+      0xbd4f13779a9f3c83, 0x9004e044179d0c57};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :

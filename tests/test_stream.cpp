@@ -1,6 +1,6 @@
 // Streaming miner tests: source determinism, the snapshot codec's damage
 // discipline, the backpressure ladder, and the exactly-once matrix -- a
-// kill at every phase of a mid-stream batch, across all three CountModes,
+// kill at every phase of a mid-stream batch, across both CountModes,
 // with and without memory-pressure degradation engaged, each resumed run
 // required to be bit-identical with the uninterrupted one (and the final
 // output exact against sequential Apriori over the ingested history).
@@ -324,8 +324,7 @@ TEST(Backpressure, OverloadedStreamRaisesSlackEmitsYL006AndStaysExact) {
 TEST(StreamMiner, MatchesSequentialAprioriOverIngestedHistory) {
   const auto db = random_db(14, 160, 0.4, 11);
   for (fim::CountMode mode :
-       {fim::CountMode::kItemsetKey, fim::CountMode::kCandidateId,
-        fim::CountMode::kVerticalBitmap}) {
+       {fim::CountMode::kItemsetKey, fim::CountMode::kCandidateId}) {
     StreamOptions opt = small_stream();
     opt.count_mode = mode;
     const StreamResult result = run_stream(db, opt);
@@ -345,19 +344,16 @@ TEST(StreamMiner, CountModesBitIdenticalPerBatch) {
   const auto db = random_db(14, 160, 0.4, 12);
   StreamOptions opt = small_stream();
   const StreamResult faithful = run_stream(db, opt);
-  for (fim::CountMode mode :
-       {fim::CountMode::kCandidateId, fim::CountMode::kVerticalBitmap}) {
-    StreamOptions mopt = small_stream();
-    mopt.count_mode = mode;
-    const StreamResult run = run_stream(db, mopt);
-    EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets));
-    ASSERT_EQ(run.batches.size(), faithful.batches.size());
-    for (size_t i = 0; i < run.batches.size(); ++i) {
-      EXPECT_EQ(run.batches[i].transactions, faithful.batches[i].transactions);
-      EXPECT_EQ(run.batches[i].new_candidates,
-                faithful.batches[i].new_candidates)
-          << fim::count_mode_name(mode) << " batch " << i + 1;
-    }
+  StreamOptions dense = small_stream();
+  dense.count_mode = fim::CountMode::kCandidateId;
+  const StreamResult run = run_stream(db, dense);
+  EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets));
+  ASSERT_EQ(run.batches.size(), faithful.batches.size());
+  for (size_t i = 0; i < run.batches.size(); ++i) {
+    EXPECT_EQ(run.batches[i].transactions, faithful.batches[i].transactions);
+    EXPECT_EQ(run.batches[i].new_candidates,
+              faithful.batches[i].new_candidates)
+        << "batch " << i + 1;
   }
 }
 
@@ -367,8 +363,7 @@ void kill_resume_matrix(engine::Context::Options copts,
                         const std::string& tag) {
   const auto db = random_db(14, 160, 0.4, 13);
   for (fim::CountMode mode :
-       {fim::CountMode::kItemsetKey, fim::CountMode::kCandidateId,
-        fim::CountMode::kVerticalBitmap}) {
+       {fim::CountMode::kItemsetKey, fim::CountMode::kCandidateId}) {
     StreamOptions opt = small_stream();
     opt.count_mode = mode;
     const StreamResult clean = run_stream(db, opt, copts);
