@@ -22,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -43,6 +44,7 @@
 #include "fim/sampling.h"
 #include "fim/yafim.h"
 #include "obs/trace.h"
+#include "simfs/simfs.h"
 #include "stream/miner.h"
 #include "util/log.h"
 #include "util/stopwatch.h"
@@ -193,7 +195,8 @@ struct Options {
       "  2 bad flags, unusable --input or --checkpoint-dir;\n"
       "  3 --lint=error diagnostic; 4 --detsan=error divergence;\n"
       "  5 a stage failed after exhausting its retries;\n"
-      "  9 stream killed at an injected kill point\n",
+      "  6 a stored block corrupt beyond replica repair;\n"
+      "  7 out of host memory; 9 stream killed at an injected kill point\n",
       argv0);
   std::exit(2);
 }
@@ -502,11 +505,20 @@ class SleepyCheckpointStore final : public fim::CheckpointStore {
   u64 sleep_ms_;
 };
 
-}  // namespace
+/// Exit 7's one stderr line: the engine and, when a level-wise miner ran
+/// out mid-pass, the pass (0 = outside any pass).
+int out_of_memory(const Options& opt, u32 pass) {
+  if (pass > 0) {
+    std::fprintf(stderr, "out of memory: engine %s, pass %u\n",
+                 opt.engine.c_str(), pass);
+  } else {
+    std::fprintf(stderr, "out of memory: engine %s\n", opt.engine.c_str());
+  }
+  return 7;
+}
 
-int main(int argc, char** argv) {
-  set_log_level(LogLevel::kWarn);
-  Options opt = parse(argc, argv);
+/// Load, mine and print; returns the exit code.
+int mine(Options& opt) {
   const fim::TransactionDB db = load(opt, &opt.minsup);
   const auto stats = db.stats();
   if (!opt.quiet) {
@@ -698,6 +710,8 @@ int main(int argc, char** argv) {
       // Retries exhausted (YAFIM_FAULT_*): one line naming the stage.
       std::fprintf(stderr, "%s\n", e.what());
       return 5;
+    } catch (const std::bad_alloc&) {
+      return out_of_memory(opt, ctx.pass());
     }
     sim_seconds = opt.stream ? ctx.sim_seconds() : run.total_seconds();
     {
@@ -824,4 +838,22 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  set_log_level(LogLevel::kWarn);
+  Options opt = parse(argc, argv);
+  // Failures no flag can prevent end in one stderr line and a documented
+  // exit code, never an abort, wherever mining or output throws them.
+  try {
+    return mine(opt);
+  } catch (const simfs::SimFSError& e) {
+    // Every replica of a stored block failed verification.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 6;
+  } catch (const std::bad_alloc&) {
+    return out_of_memory(opt, 0);
+  }
 }

@@ -14,9 +14,9 @@ impurity *patterns* at the source level, before anything runs:
                 std::chrono::*_clock::now. (The repo's seeded util::Rng is
                 deterministic and allowed.)
   fp-reduce     floating-point accumulator parameters in reduce-family
-                functions (reduce / reduce_by_key / aggregate_by_key /
-                combine_fn / reduce_fn): FP addition is not associative,
-                so the fold order leaks into the result.
+                functions (reduce / reduce_by_key / combine_fn /
+                reduce_fn): FP addition is not associative, so the fold
+                order leaks into the result.
 
 Waivers (a comment on the call-site line or up to 3 lines above it):
   // detsan: tolerate-fp               suppresses fp-reduce only
@@ -59,12 +59,10 @@ import tempfile
 COMBINATOR_CALL = re.compile(
     r"(?:\.|->)\s*"
     r"(map|flat_map|filter|map_partitions|reduce|reduce_by_key|"
-    r"aggregate_by_key|group_by_key)\s*\(")
+    r"group_by_key)\s*\(")
 JOBSPEC_SLOT = re.compile(
     r"\b(map_fn|map_partition_fn|combine_fn|reduce_fn)\s*=")
-REDUCE_FAMILY = {
-    "reduce", "reduce_by_key", "aggregate_by_key", "combine_fn", "reduce_fn",
-}
+REDUCE_FAMILY = {"reduce", "reduce_by_key", "combine_fn", "reduce_fn"}
 RNG_PATTERNS = [
     (re.compile(r"\b(?:std\s*::\s*)?(rand|srand|drand48|lrand48)\s*\("),
      "calls {0}() (ambient randomness)"),
@@ -302,7 +300,7 @@ match lambdaExpr(
   hasAnyCapture(lambdaCapture(capturesVar(varDecl())).bind("cap")),
   hasAncestor(callExpr(callee(cxxMethodDecl(hasAnyName(
     "map", "flat_map", "filter", "map_partitions", "reduce",
-    "reduce_by_key", "aggregate_by_key"))))))
+    "reduce_by_key"))))))
 # rng: ambient randomness / wall clock inside any lambda body.
 match callExpr(
   callee(functionDecl(hasAnyName("rand", "srand", "time", "clock",
@@ -315,7 +313,7 @@ match cxxConstructExpr(
 match lambdaExpr(
   has(cxxMethodDecl(hasAnyParameter(hasType(realFloatingPointType())))),
   hasAncestor(callExpr(callee(cxxMethodDecl(hasAnyName(
-    "reduce", "reduce_by_key", "aggregate_by_key"))))))
+    "reduce", "reduce_by_key"))))))
 """
 
 

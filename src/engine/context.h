@@ -213,12 +213,6 @@ class Context {
   template <typename T>
   RDD<T> from_partitions(std::vector<std::vector<T>> parts);
 
-  /// Load a text file from the simulated DFS as an RDD of lines (Spark's
-  /// textFile). Charges the DFS read plus the per-record input-format
-  /// parse cost; definition in engine/rdd.h.
-  RDD<std::string> text_file(simfs::SimFS& fs, const std::string& path,
-                             u32 min_partitions = 0);
-
   /// Broadcast a value to all workers; definitions in engine/broadcast.h.
   /// `name` identifies the payload in lint diagnostics (YL002).
   template <typename T>

@@ -55,9 +55,7 @@ const char* plan_op_name(PlanOp op) {
     case PlanOp::kFlatMap: return "flat_map";
     case PlanOp::kFilter: return "filter";
     case PlanOp::kMapPartitions: return "map_partitions";
-    case PlanOp::kUnion: return "union";
     case PlanOp::kSample: return "sample";
-    case PlanOp::kCoalesce: return "coalesce";
     case PlanOp::kZipWithIndex: return "zip_with_index";
   }
   return "unknown";

@@ -71,9 +71,7 @@ enum class PlanOp : u8 {
   kFlatMap,
   kFilter,
   kMapPartitions,
-  kUnion,
   kSample,
-  kCoalesce,
   kZipWithIndex,
 };
 

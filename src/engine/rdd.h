@@ -1,24 +1,30 @@
 // RDD<T>: a typed, lazy, partitioned, immutable dataset -- the minispark
 // analogue of Spark's resilient distributed dataset.
 //
-// * Narrow transformations (map/flatMap/filter/mapPartitions/union/sample)
-//   build lineage nodes and are fused at execution: one task computes the
-//   whole operator chain for one partition, exactly like a Spark stage.
-// * Wide operations (reduce_by_key) are stage boundaries: they execute a
-//   map-side-combine stage, hash-partition the results (accounting shuffle
-//   bytes), and run a reduce stage into a new materialized RDD.
+// * Narrow transformations build lineage nodes and are fused at execution:
+//   one task computes the whole operator chain for one partition, exactly
+//   like a Spark stage. Each is element-wise (map/flat_map/filter) or
+//   per-partition (map_partitions, the seeded samples, zip_with_index).
+// * Wide operations (reduce_by_key, group_by_key, sum_arrays) are stage
+//   boundaries: they execute a map stage, partition its output (accounting
+//   shuffle bytes), and run a reduce stage.
 // * persist() caches computed partitions in (simulated) executor memory;
 //   a partition lost to fault injection -- or LRU-evicted under a finite
 //   executor memory budget -- is transparently recomputed from lineage
 //   (engine/fault.h).
-// * Actions (collect/count/reduce) run on the driver thread and record one
-//   StageRecord per stage with deterministic per-task work counters.
+// * Actions (collect/count/reduce/collect_as_map) run every partition
+//   through Context::run_stage, which records one StageRecord per stage
+//   with deterministic per-task work counters.
+//
+// The operator set is what the miners, examples and benches call: the
+// paper's textFile/flatMap/map/reduceByKey/filter/collect/broadcast/cache
+// (textFile is each miner's own DFS load stage) plus the shuffles and
+// samplers the related-work miners need.
 #pragma once
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -142,12 +148,11 @@ void detsan_check_ordered(DetSan& ds, u32 node_id, const char* op,
                            std::to_string(primary.size()));
 }
 
-/// Map-side combine accumulators (reduce_by_key / aggregate_by_key and the
-/// MapReduce combiner): the key -> accumulated-value maps of the primary
-/// and the permuted-order replay must agree as multisets of (key, value)
-/// pairs -- this is exactly the engine's commutativity contract for the
-/// combine fn, and it also catches hash-map iteration order leaking *into*
-/// the values. `who` is an rdd id, or names a task outside the plan.
+/// Map-side combine accumulators (reduce_by_key and the MapReduce
+/// combiner): the key -> accumulated-value maps of the primary and the
+/// permuted-order replay must agree as multisets of (key, value) pairs --
+/// this is exactly the engine's commutativity contract for the combine fn,
+/// and it also catches hash-map iteration order leaking *into* the values. `who` is an rdd id, or names a task outside the plan.
 template <typename Who, typename K, typename V, typename Hash>
 void detsan_check_kv(DetSan& ds, const Who& who, const char* op,
                      const std::unordered_map<K, V, Hash>& primary,
@@ -212,8 +217,8 @@ void for_each_in(Vec& in, std::span<const u32> order, F&& f) {
 /// pairs of `in` into one combiner per key -- create(v) for a key's first
 /// value, merge(c, v) for each later one -- visiting them as for_each_in
 /// does. One work unit per pair. An rvalue `in` gives up its keys to the
-/// map instead of copying them. Serves reduce_by_key, aggregate_by_key and
-/// the MapReduce combiner, and their DetSan replays.
+/// map instead of copying them. Serves reduce_by_key and the MapReduce
+/// combiner, and their DetSan replays.
 template <typename Hash, typename Pairs, typename Create, typename Merge>
 auto combine_pairs(Pairs&& in, std::span<const u32> order, Create& create,
                    Merge& merge) {
@@ -516,62 +521,6 @@ class PartitionNode final : public Node<U> {
   std::shared_ptr<Node<T>> parent_;
   const char* detsan_op_;
   Fn fn_;
-};
-
-template <typename T>
-class UnionNode final : public Node<T> {
- public:
-  UnionNode(std::shared_ptr<Node<T>> left, std::shared_ptr<Node<T>> right)
-      : Node<T>(left->ctx(),
-                left->num_partitions() + right->num_partitions()),
-        left_(std::move(left)),
-        right_(std::move(right)) {
-    YAFIM_CHECK(&left_->ctx() == &right_->ctx(),
-                "union of RDDs from different contexts");
-    this->lint_register(PlanOp::kUnion, {left_->id(), right_->id()});
-  }
-
-  std::vector<T> compute(u32 pid) override {
-    if (pid < left_->num_partitions()) return *left_->get(pid);
-    return *right_->get(pid - left_->num_partitions());
-  }
-
-  typename Node<T>::Part get(u32 pid) override {
-    if (this->persisted()) return Node<T>::get(pid);
-    if (pid < left_->num_partitions()) return left_->get(pid);
-    return right_->get(pid - left_->num_partitions());
-  }
-
- private:
-  std::shared_ptr<Node<T>> left_;
-  std::shared_ptr<Node<T>> right_;
-};
-
-template <typename T>
-class CoalesceNode final : public Node<T> {
- public:
-  CoalesceNode(std::shared_ptr<Node<T>> parent, u32 num_partitions)
-      : Node<T>(parent->ctx(), num_partitions), parent_(std::move(parent)) {
-    this->lint_register(PlanOp::kCoalesce, {parent_->id()});
-  }
-
-  std::vector<T> compute(u32 pid) override {
-    // New partition pid owns the contiguous parent range [begin, end).
-    const u32 parents = parent_->num_partitions();
-    const u32 mine = this->num_partitions();
-    const u32 begin = static_cast<u32>(u64{pid} * parents / mine);
-    const u32 end = static_cast<u32>(u64{pid + 1} * parents / mine);
-    std::vector<T> out;
-    for (u32 p = begin; p < end; ++p) {
-      auto part = parent_->get(p);
-      work::add(part->size());
-      out.insert(out.end(), part->begin(), part->end());
-    }
-    return out;
-  }
-
- private:
-  std::shared_ptr<Node<T>> parent_;
 };
 
 // --- shuffle spill (memory-pressure degradation) -----------------------
@@ -972,26 +921,6 @@ class RDD {
         });
   }
 
-  RDD<T> union_with(const RDD<T>& other) const {
-    return RDD<T>(
-        std::make_shared<detail::UnionNode<T>>(node_, other.node_));
-  }
-
-  /// Bernoulli sample without replacement; deterministic in `seed`.
-  RDD<T> sample(double fraction, u64 seed) const {
-    return per_partition(
-        PlanOp::kSample, nullptr,
-        [fraction, seed](u32 pid, const std::vector<T>& in) {
-          Rng rng = Rng(seed).split(pid);
-          std::vector<T> out;
-          for (const T& x : in) {
-            work::add(1);
-            if (rng.bernoulli(fraction)) out.push_back(x);
-          }
-          return out;
-        });
-  }
-
   /// Draw `n` independent Bernoulli(fraction) samples in one pass over the
   /// data: emits (sample_id, element) for every sample that keeps the
   /// element. Each (partition, sample) pair gets its own Rng stream, so
@@ -1038,16 +967,6 @@ class RDD {
         });
   }
 
-  // --- pair-RDD operations --------------------------------------------
-
-  /// Reduce partition count without a shuffle (Spark's coalesce): each new
-  /// partition concatenates a contiguous range of parent partitions.
-  RDD<T> coalesce(u32 num_partitions) const {
-    YAFIM_CHECK(num_partitions > 0, "coalesce() needs >= 1 partition");
-    return RDD<T>(std::make_shared<detail::CoalesceNode<T>>(
-        node_, std::min(num_partitions, node_->num_partitions())));
-  }
-
   /// Pair every element with its global index in partition order (Spark's
   /// zipWithIndex). Runs one counting stage to learn partition offsets.
   auto zip_with_index(const std::string& label = "zipWithIndex") const {
@@ -1068,38 +987,71 @@ class RDD {
         });
   }
 
-  // --- pair-RDD operations (continued) ---------------------------------
-
-  /// Generalised keyed aggregation (Spark's aggregateByKey): values fold
-  /// into an accumulator A via `seq` map-side, accumulators merge via
-  /// `comb` across the shuffle.
-  template <typename A, typename Seq, typename Comb,
-            typename Hash = std::hash<typename detail::PairTraits<T>::key_type>>
-    requires detail::PairTraits<T>::is_pair
-  auto aggregate_by_key(A zero, Seq seq, Comb comb, u32 out_partitions = 0,
-                        Hash hash = Hash{},
-                        const std::string& label = "aggregateByKey") const {
-    using V = typename detail::PairTraits<T>::mapped_type;
-    return combine_by_key<Hash>(
-        [&](const V& v) -> A { return seq(A(zero), v); },
-        [&](A&& acc, const V& v) -> A { return seq(std::move(acc), v); },
-        [&](A&& a, A& b) -> A { return comb(std::move(a), b); },
-        out_partitions, hash, label, "aggregate_by_key");
-  }
+  // --- pair-RDD operations --------------------------------------------
 
   /// Shuffle + aggregate values per key, with map-side combining (Spark's
   /// reduceByKey). Only available when T is std::pair<K, V>. `Hash` must
-  /// hash K deterministically.
+  /// hash K deterministically. Map side: each task folds its pairs into one
+  /// value per key, which DetSan replays in a permuted order, then
+  /// hash-partitions them. Reduce side: the same fold across map tasks.
+  /// One work unit per pair on each side.
   template <typename F,
             typename Hash = std::hash<typename detail::PairTraits<T>::key_type>>
     requires detail::PairTraits<T>::is_pair
   RDD<T> reduce_by_key(F combine, u32 out_partitions = 0, Hash hash = Hash{},
                        const std::string& label = "reduceByKey") const {
+    using K = typename detail::PairTraits<T>::key_type;
     using V = typename detail::PairTraits<T>::mapped_type;
+    auto first = [](const V& v) { return v; };
     auto merge = [&](V&& a, const V& b) -> V { return combine(a, b); };
-    return combine_by_key<Hash>([](const V& v) { return v; }, merge, merge,
-                                out_partitions, hash, label,
-                                "reduce_by_key");
+
+    Context& ctx = node_->ctx();
+    const u32 map_tasks = node_->num_partitions();
+    const u32 reduce_tasks = out_partitions ? out_partitions : map_tasks;
+
+    lint_consume(PlanLinter::Consume::kShuffle, label);
+    Buckets map_out(map_tasks);
+    std::atomic<u64> shuffle_bytes{0};
+    ctx.run_stage_with_shuffle(
+        label + ":map-combine", map_tasks,
+        [&](u32 pid) {
+          auto in = node_->get(pid);
+          auto acc = detail::combine_pairs<Hash>(*in, {}, first, merge);
+          // The fn is checked here at the map-combine stage; the reduce
+          // side applies the same merge, so a non-commutative one cannot
+          // slip through unexercised.
+          if constexpr (util::is_canon_hashable_v<K> &&
+                        util::is_canon_hashable_v<V>) {
+            DetSan& ds = ctx.detsan();
+            if (ds.should_replay(node_->id(), pid)) {
+              detail::detsan_replay_combine(
+                  ds, node_->id(), ds.replay_seed(node_->id(), pid),
+                  "reduce_by_key", *in, acc, first, merge);
+            }
+          }
+          map_out[pid].resize(reduce_tasks);
+          shuffle_bytes.fetch_add(
+              detail::hash_partition(acc, map_out[pid], hash),
+              std::memory_order_relaxed);
+        },
+        shuffle_bytes);
+
+    std::vector<std::vector<T>> out(reduce_tasks);
+    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
+      std::unordered_map<K, V, Hash> acc;
+      for (u32 m = 0; m < map_tasks; ++m) {
+        for (auto& [k, v] : map_out[m][r]) {
+          work::add(1);
+          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(v));
+          if (!inserted) it->second = merge(std::move(it->second), v);
+        }
+      }
+      out[r].reserve(acc.size());
+      for (auto& [k, v] : acc) {
+        out[r].emplace_back(std::move(const_cast<K&>(k)), std::move(v));
+      }
+    });
+    return ctx.from_partitions(std::move(out));
   }
 
   /// Shuffle + gather all values per key (Spark's groupByKey). No map-side
@@ -1115,21 +1067,34 @@ class RDD {
 
     Context& ctx = node_->ctx();
     const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
+    const u32 reduce_tasks = out_partitions ? out_partitions : map_tasks;
 
     lint_consume(PlanLinter::Consume::kShuffle, label);
-    Buckets map_out;
-    const u64 shuffle_bytes = scatter(
-        label + ":map", reduce_tasks,
-        [&](const T& kv) { return hash(kv.first) % reduce_tasks; }, map_out);
+    Buckets map_out(map_tasks);
+    std::atomic<u64> shuffle_bytes{0};
+    ctx.run_stage_with_shuffle(
+        label + ":map", map_tasks,
+        [&](u32 pid) {
+          auto in = node_->get(pid);
+          map_out[pid].resize(reduce_tasks);
+          u64 bytes = 0;
+          for (const T& kv : *in) {
+            work::add(1);
+            bytes += byte_size(kv);
+            map_out[pid][hash(kv.first) % reduce_tasks].push_back(kv);
+          }
+          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
+        },
+        shuffle_bytes);
 
     // Spillable key/value shapes degrade to simfs when the buffered bytes
     // exceed the shuffle budget; other shapes keep the in-memory path.
     std::optional<detail::ShuffleSpill<std::vector<std::vector<T>>>> spill;
     if constexpr (detail::is_spillable_v<T>) {
       spill.emplace(ctx, label);
-      if (spill->admit(shuffle_bytes)) spill->round_trip(map_out);
+      if (spill->admit(shuffle_bytes.load(std::memory_order_relaxed))) {
+        spill->round_trip(map_out);
+      }
     }
 
     std::vector<std::vector<Out>> out(reduce_tasks);
@@ -1147,153 +1112,6 @@ class RDD {
       }
     });
     return ctx.from_partitions(std::move(out));
-  }
-
-  /// Inner join with another pair RDD on the key (Spark's join).
-  template <typename W,
-            typename Hash = std::hash<typename detail::PairTraits<T>::key_type>>
-    requires detail::PairTraits<T>::is_pair
-  auto join(const RDD<std::pair<typename detail::PairTraits<T>::key_type, W>>&
-                other,
-            u32 out_partitions = 0, Hash hash = Hash{},
-            const std::string& label = "join") const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using V = typename detail::PairTraits<T>::mapped_type;
-    using Out = std::pair<K, std::pair<V, W>>;
-
-    Context& ctx = node_->ctx();
-    YAFIM_CHECK(&ctx == &other.ctx(), "join across contexts");
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    // Hash-partition both sides.
-    auto route = [&](const auto& kv) { return hash(kv.first) % reduce_tasks; };
-    lint_consume(PlanLinter::Consume::kShuffle, label + ":left");
-    Buckets left;
-    scatter(label + ":left", reduce_tasks, route, left);
-    other.lint_consume(PlanLinter::Consume::kShuffle, label + ":right");
-    typename RDD<std::pair<K, W>>::Buckets right;
-    other.scatter(label + ":right", reduce_tasks, route, right);
-
-    std::vector<std::vector<Out>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, std::vector<V>, Hash> left_by_key;
-      for (auto& task_buckets : left) {
-        for (auto& [k, v] : task_buckets[r]) {
-          work::add(1);
-          left_by_key[std::move(k)].push_back(std::move(v));
-        }
-      }
-      for (auto& task_buckets : right) {
-        for (auto& [k, w] : task_buckets[r]) {
-          work::add(1);
-          auto it = left_by_key.find(k);
-          if (it == left_by_key.end()) continue;
-          for (const V& v : it->second) {
-            out[r].emplace_back(k, std::make_pair(v, w));
-          }
-        }
-      }
-    });
-    return ctx.from_partitions(std::move(out));
-  }
-
-  /// Globally sort a pair RDD by key (Spark's sortByKey): sample keys on
-  /// the driver, range-partition, sort within partitions. The resulting
-  /// RDD's partitions are in ascending key ranges and each is sorted, so
-  /// collect() returns a fully key-sorted sequence.
-  template <typename Dummy = void>
-    requires detail::PairTraits<T>::is_pair
-  RDD<T> sort_by_key(u32 out_partitions = 0,
-                     const std::string& label = "sortByKey") const {
-    using K = typename detail::PairTraits<T>::key_type;
-
-    Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks =
-        out_partitions ? out_partitions : node_->num_partitions();
-
-    // Driver-side splitter sampling (deterministic: every ~16th key).
-    // sort_by_key truthfully consumes its input twice: once for the sample
-    // stage and once for the range-partition shuffle.
-    lint_consume(PlanLinter::Consume::kAction, label + ":sample");
-    std::vector<K> sample;
-    {
-      std::mutex mutex;
-      ctx.run_stage(label + ":sample", map_tasks, [&](u32 pid) {
-        auto in = node_->get(pid);
-        std::vector<K> local;
-        for (size_t i = 0; i < in->size(); i += 16) {
-          work::add(1);
-          local.push_back((*in)[i].first);
-        }
-        std::lock_guard<std::mutex> lock(mutex);
-        sample.insert(sample.end(), local.begin(), local.end());
-      });
-    }
-    std::sort(sample.begin(), sample.end());
-    std::vector<K> splitters;  // reduce_tasks - 1 boundaries
-    for (u32 s = 1; s < reduce_tasks; ++s) {
-      if (sample.empty()) break;
-      splitters.push_back(sample[sample.size() * s / reduce_tasks]);
-    }
-
-    lint_consume(PlanLinter::Consume::kShuffle, label + ":partition");
-    Buckets map_out;
-    scatter(
-        label + ":partition", reduce_tasks,
-        [&](const T& kv) {
-          return std::upper_bound(splitters.begin(), splitters.end(),
-                                  kv.first) -
-                 splitters.begin();
-        },
-        map_out);
-
-    std::vector<std::vector<T>> out(reduce_tasks);
-    ctx.run_stage(label + ":sort", reduce_tasks, [&](u32 r) {
-      auto& mine = out[r];
-      for (u32 m = 0; m < map_tasks; ++m) {
-        work::add(map_out[m][r].size());
-        mine.insert(mine.end(),
-                    std::make_move_iterator(map_out[m][r].begin()),
-                    std::make_move_iterator(map_out[m][r].end()));
-      }
-      std::stable_sort(mine.begin(), mine.end(),
-                       [](const T& a, const T& b) {
-                         return a.first < b.first;
-                       });
-    });
-    return ctx.from_partitions(std::move(out));
-  }
-
-  /// Deduplicate elements (Spark's distinct). `Hash` must hash T.
-  template <typename Hash = std::hash<T>>
-  RDD<T> distinct(u32 out_partitions = 0, Hash hash = Hash{},
-                  const std::string& label = "distinct") const {
-    auto paired = map([](const T& x) { return std::pair<T, u8>(x, 1); });
-    auto deduped = paired.reduce_by_key([](u8 a, u8) { return a; },
-                                        out_partitions, hash, label);
-    return deduped.map([](const std::pair<T, u8>& kv) { return kv.first; });
-  }
-
-  /// Transform only the values of a pair RDD.
-  template <typename F>
-    requires detail::PairTraits<T>::is_pair
-  auto map_values(F f) const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using V = typename detail::PairTraits<T>::mapped_type;
-    using W = std::decay_t<std::invoke_result_t<F, const V&>>;
-    return map([f = std::move(f)](const std::pair<K, V>& kv) {
-      return std::pair<K, W>(kv.first, f(kv.second));
-    });
-  }
-
-  template <typename H = std::hash<typename detail::PairTraits<T>::key_type>>
-    requires detail::PairTraits<T>::is_pair
-  auto keys() const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using V = typename detail::PairTraits<T>::mapped_type;
-    return map([](const std::pair<K, V>& kv) { return kv.first; });
   }
 
   // --- actions (eager) -------------------------------------------------
@@ -1351,54 +1169,6 @@ class RDD {
                         "reduce() on an empty RDD");
     }
     return *result;
-  }
-
-  /// First n elements in partition order (Spark's take): computes
-  /// partitions one by one on the driver until enough elements are seen,
-  /// so early partitions short-circuit the rest of the lineage.
-  std::vector<T> take(size_t n, const std::string& label = "take") const {
-    Context& ctx = node_->ctx();
-    lint_consume(PlanLinter::Consume::kAction, label);
-    std::vector<T> out;
-    std::vector<sim::TaskRecord> tasks;
-    for (u32 pid = 0; pid < node_->num_partitions() && out.size() < n;
-         ++pid) {
-      work::Scope scope;
-      auto part = node_->get(pid);
-      tasks.push_back(sim::TaskRecord{scope.measured()});
-      for (const T& x : *part) {
-        if (out.size() == n) break;
-        out.push_back(x);
-      }
-    }
-    sim::StageRecord record;
-    record.label = label;
-    record.kind = sim::StageKind::kSparkStage;
-    record.pass = ctx.pass();
-    record.tasks = std::move(tasks);
-    ctx.record(std::move(record));
-    return out;
-  }
-
-  /// First element; throws EngineError on an empty RDD (mirrors Spark).
-  T first() const {
-    auto one = take(1, "first");
-    if (one.empty()) {
-      throw EngineError(EngineErrorKind::kEmptyFirst,
-                        "first() on an empty RDD");
-    }
-    return std::move(one[0]);
-  }
-
-  /// Histogram of element multiplicities (Spark's countByValue).
-  template <typename Hash = std::hash<T>>
-  auto count_by_value(Hash hash = Hash{},
-                      const std::string& label = "countByValue") const {
-    auto counted =
-        map([](const T& x) { return std::pair<T, u64>(x, 1); })
-            .reduce_by_key([](u64 a, u64 b) { return a + b; }, 0, hash,
-                           label);
-    return counted.template collect_as_map<Hash>(label + ":collect");
   }
 
   /// Collect a pair RDD into a hash map (keys must be unique, e.g. after
@@ -1532,9 +1302,6 @@ class RDD {
   std::shared_ptr<detail::Node<T>> node() const { return node_; }
 
  private:
-  template <typename U>
-  friend class RDD;
-
   /// A shuffle's map-side output: [map task][reduce task] -> elements.
   using Buckets = std::vector<std::vector<std::vector<T>>>;
 
@@ -1572,133 +1339,10 @@ class RDD {
     return sizes;
   }
 
-  /// Shuffle map stage without a combine (group_by_key, join, sort_by_key):
-  /// copies every element into `map_out[task][route(x)]`, charging one work
-  /// unit and byte_size(x) shuffle bytes per element. Returns the bytes.
-  template <typename Route>
-  u64 scatter(const std::string& stage, u32 reduce_tasks, const Route& route,
-              Buckets& map_out) const {
-    const u32 map_tasks = node_->num_partitions();
-    map_out.assign(map_tasks, {});
-    std::atomic<u64> shuffle_bytes{0};
-    node_->ctx().run_stage_with_shuffle(
-        stage, map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          auto& buckets = map_out[pid];
-          buckets.resize(reduce_tasks);
-          u64 bytes = 0;
-          for (const T& x : *in) {
-            work::add(1);
-            bytes += byte_size(x);
-            buckets[route(x)].push_back(x);
-          }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        },
-        shuffle_bytes);
-    return shuffle_bytes.load(std::memory_order_relaxed);
-  }
-
-  /// Spark's combineByKey, the body of reduce_by_key and aggregate_by_key.
-  /// Map side: each task folds its pairs into one combiner per key --
-  /// create(v) for the first value, merge_value(c, v) after -- which DetSan
-  /// replays in a permuted order under `op`, then hash-partitions the
-  /// combiners. Reduce side: merge_combiners(c1, c2) per key. One work unit
-  /// per pair on each side.
-  template <typename Hash, typename Create, typename MergeValue,
-            typename MergeCombiners>
-  auto combine_by_key(Create create, MergeValue merge_value,
-                      MergeCombiners merge_combiners, u32 out_partitions,
-                      const Hash& hash, const std::string& label,
-                      const char* op) const {
-    using K = typename detail::PairTraits<T>::key_type;
-    using V = typename detail::PairTraits<T>::mapped_type;
-    using C = std::decay_t<std::invoke_result_t<Create&, const V&>>;
-
-    Context& ctx = node_->ctx();
-    const u32 map_tasks = node_->num_partitions();
-    const u32 reduce_tasks = out_partitions ? out_partitions : map_tasks;
-
-    lint_consume(PlanLinter::Consume::kShuffle, label);
-    std::vector<std::vector<std::vector<std::pair<K, C>>>> map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
-        label + ":map-combine", map_tasks,
-        [&](u32 pid) {
-          auto in = node_->get(pid);
-          auto acc = detail::combine_pairs<Hash>(*in, {}, create, merge_value);
-          // The fns are checked here at the map-combine stage; the reduce
-          // side applies the same merge, so a non-commutative one cannot
-          // slip through unexercised.
-          if constexpr (util::is_canon_hashable_v<K> &&
-                        util::is_canon_hashable_v<C>) {
-            DetSan& ds = ctx.detsan();
-            if (ds.should_replay(node_->id(), pid)) {
-              detail::detsan_replay_combine(
-                  ds, node_->id(), ds.replay_seed(node_->id(), pid), op, *in,
-                  acc, create, merge_value);
-            }
-          }
-          map_out[pid].resize(reduce_tasks);
-          shuffle_bytes.fetch_add(
-              detail::hash_partition(acc, map_out[pid], hash),
-              std::memory_order_relaxed);
-        },
-        shuffle_bytes);
-
-    std::vector<std::vector<std::pair<K, C>>> out(reduce_tasks);
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      std::unordered_map<K, C, Hash> acc;
-      for (u32 m = 0; m < map_tasks; ++m) {
-        for (auto& [k, c] : map_out[m][r]) {
-          work::add(1);
-          auto [it, inserted] = acc.try_emplace(std::move(k), std::move(c));
-          if (!inserted) it->second = merge_combiners(std::move(it->second), c);
-        }
-      }
-      out[r].reserve(acc.size());
-      for (auto& [k, c] : acc) {
-        out[r].emplace_back(std::move(const_cast<K&>(k)), std::move(c));
-      }
-    });
-    return ctx.from_partitions(std::move(out));
-  }
-
   std::shared_ptr<detail::Node<T>> node_;
 };
 
 // --- Context factory definitions (declared in engine/context.h) ---------
-
-inline RDD<std::string> Context::text_file(simfs::SimFS& fs,
-                                           const std::string& path,
-                                           u32 min_partitions) {
-  const std::vector<u8> raw = fs.read(path);
-  std::vector<std::string> lines;
-  size_t start = 0;
-  for (size_t i = 0; i <= raw.size(); ++i) {
-    if (i == raw.size() || raw[i] == '\n') {
-      if (i > start) {
-        lines.emplace_back(reinterpret_cast<const char*>(raw.data() + start),
-                           i - start);
-      }
-      start = i + 1;
-    }
-  }
-
-  const u32 nparts = min_partitions ? min_partitions : default_partitions();
-  sim::StageRecord load;
-  load.label = "textFile:" + path;
-  load.kind = sim::StageKind::kSparkStage;
-  load.pass = pass();
-  load.dfs_read_bytes = raw.size();
-  const u32 tasks = static_cast<u32>(std::max<size_t>(
-      1, std::min<size_t>(nparts, std::max<size_t>(1, lines.size()))));
-  load.tasks = sim::split_work(
-      lines.size() * (1 + cluster().record_parse_work), tasks);
-  record(std::move(load));
-
-  return parallelize(std::move(lines), nparts);
-}
 
 template <typename T>
 RDD<T> Context::from_partitions(std::vector<std::vector<T>> parts) {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "obs/metrics.h"
 #include "simfs/simfs.h"
-#include "util/bytes.h"
 #include "util/checksum.h"
 
 namespace yafim::fim {
@@ -125,7 +125,61 @@ void SimFSCheckpointStore::remove(const std::string& name) {
   fs_.remove(prefix_ + name);
 }
 
-// --- snapshot codec ------------------------------------------------------
+// --- snapshot frame --------------------------------------------------------
+
+ByteWriter begin_snapshot(u32 version, u64 fingerprint) {
+  ByteWriter w;
+  w.write_u32(kSnapshotMagic);
+  w.write_u32(version);
+  w.write_u64(fingerprint);
+  return w;
+}
+
+std::vector<u8> seal_snapshot(ByteWriter w) {
+  w.write_u64(xxh64(w.data().data(), w.data().size()));
+  return w.take();
+}
+
+std::optional<ByteReader> open_snapshot(std::span<const u8> bytes, u32 version,
+                                        u64 expected_fingerprint) {
+  // Validate before parsing: the trailing checksum must match the body, so
+  // a torn or flipped snapshot is rejected here, whole.
+  constexpr size_t kMinBytes = 4 + 4 + 8 + 8;  // header + trailing checksum
+  if (bytes.size() < kMinBytes) return std::nullopt;
+  const size_t body = bytes.size() - 8;
+  u64 stored_sum;
+  std::memcpy(&stored_sum, bytes.data() + body, sizeof(stored_sum));
+  if (xxh64(bytes.data(), body) != stored_sum) return std::nullopt;
+
+  ByteReader r(bytes.first(body));
+  if (r.read_u32() != kSnapshotMagic || r.read_u32() != version ||
+      r.read_u64() != expected_fingerprint) {
+    return std::nullopt;
+  }
+  return r;
+}
+
+void put_snapshot(CheckpointStore& store, const std::string& name,
+                  const std::vector<u8>& bytes) {
+  store.put(name, bytes);
+  obs::count(obs::CounterId::kCheckpointsWritten);
+  obs::count(obs::CounterId::kCheckpointBytesWritten, bytes.size());
+}
+
+void probe_latest_snapshot(
+    CheckpointStore& store, u32* rejected,
+    const std::function<bool(std::span<const u8>)>& accept) {
+  const std::vector<std::string> names = store.list();
+  // Fall back past any damaged tail.
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+    const auto bytes = store.get(*it);
+    if (bytes && accept(*bytes)) return;
+    if (rejected) ++(*rejected);
+    obs::count(obs::CounterId::kCheckpointsRejected);
+  }
+}
+
+// --- per-pass codec --------------------------------------------------------
 
 u64 checkpoint_fingerprint(std::string_view engine, u64 data_hash,
                            u64 min_support_count, u64 extra) {
@@ -144,10 +198,7 @@ std::string snapshot_name(u32 pass) {
 }
 
 std::vector<u8> encode_snapshot(const CheckpointState& state) {
-  ByteWriter w;
-  w.write_u32(kSnapshotMagic);
-  w.write_u32(kSnapshotVersion);
-  w.write_u64(state.fingerprint);
+  ByteWriter w = begin_snapshot(kSnapshotVersion, state.fingerprint);
   w.write_u32(state.pass);
   w.write_u64(state.num_transactions);
   w.write_u64(state.min_support_count);
@@ -176,30 +227,18 @@ std::vector<u8> encode_snapshot(const CheckpointState& state) {
   w.write_u64(frontier.size());
   for (const Itemset& s : frontier) w.write_u32_vec(s);
 
-  w.write_u64(xxh64(w.data().data(), w.data().size()));
-  return w.take();
+  return seal_snapshot(std::move(w));
 }
 
 std::optional<CheckpointState> decode_snapshot(std::span<const u8> bytes,
                                                u64 expected_fingerprint) {
-  // Validate before parsing: the trailing checksum must match the body.
-  // Only checksum-verified bytes reach the ByteReader, so its CHECKs can
-  // never fire on damaged input -- a torn or flipped snapshot is rejected
-  // here, whole.
-  constexpr size_t kMinBytes = 4 + 4 + 8 + 8;  // header + trailing checksum
-  if (bytes.size() < kMinBytes) return std::nullopt;
-  const size_t body = bytes.size() - 8;
-  u64 stored_sum;
-  std::memcpy(&stored_sum, bytes.data() + body, sizeof(stored_sum));
-  if (xxh64(bytes.data(), body) != stored_sum) return std::nullopt;
-
-  ByteReader r(bytes.first(body));
-  if (r.read_u32() != kSnapshotMagic) return std::nullopt;
-  if (r.read_u32() != kSnapshotVersion) return std::nullopt;
+  std::optional<ByteReader> body =
+      open_snapshot(bytes, kSnapshotVersion, expected_fingerprint);
+  if (!body) return std::nullopt;
+  ByteReader& r = *body;
 
   CheckpointState state;
-  state.fingerprint = r.read_u64();
-  if (state.fingerprint != expected_fingerprint) return std::nullopt;
+  state.fingerprint = expected_fingerprint;
   state.pass = r.read_u32();
   state.num_transactions = r.read_u64();
   state.min_support_count = r.read_u64();
@@ -235,28 +274,18 @@ std::optional<CheckpointState> decode_snapshot(std::span<const u8> bytes,
 }
 
 void save_snapshot(CheckpointStore& store, const CheckpointState& state) {
-  const std::vector<u8> bytes = encode_snapshot(state);
-  store.put(snapshot_name(state.pass), bytes);
-  obs::count(obs::CounterId::kCheckpointsWritten);
-  obs::count(obs::CounterId::kCheckpointBytesWritten, bytes.size());
+  put_snapshot(store, snapshot_name(state.pass), encode_snapshot(state));
 }
 
 std::optional<CheckpointState> load_latest_snapshot(CheckpointStore& store,
                                                     u64 expected_fingerprint,
                                                     u32* rejected) {
-  std::vector<std::string> names = store.list();
-  // snapshot_name zero-pads, so lexicographic order is pass order; probe
-  // newest-first and fall back past any damaged tail.
-  for (auto it = names.rbegin(); it != names.rend(); ++it) {
-    const auto bytes = store.get(*it);
-    if (bytes) {
-      auto state = decode_snapshot(*bytes, expected_fingerprint);
-      if (state) return state;
-    }
-    if (rejected) ++(*rejected);
-    obs::count(obs::CounterId::kCheckpointsRejected);
-  }
-  return std::nullopt;
+  std::optional<CheckpointState> state;
+  probe_latest_snapshot(store, rejected, [&](std::span<const u8> bytes) {
+    state = decode_snapshot(bytes, expected_fingerprint);
+    return state.has_value();
+  });
+  return state;
 }
 
 }  // namespace yafim::fim

@@ -8,7 +8,11 @@
 // skips every completed pass -- the exact restart cost the paper's
 // HDFS-bound MapReduce baseline pays on any failure.
 //
-// Snapshot format (binary, little-endian via ByteWriter):
+// Snapshot format (binary, little-endian via ByteWriter). Every snapshot
+// shares one frame -- the header, the trailing checksum, the checksum-first
+// open, the counted save and the newest-first probe below -- and each codec
+// writes and reads only its body (the streaming miner's is version 2,
+// stream/checkpoint.h):
 //
 //   magic   u32  'YFCK'
 //   version u32  kSnapshotVersion
@@ -16,7 +20,7 @@
 //                         pass-structure options); a snapshot from a
 //                         different input or configuration never resumes
 //   pass    u32  -- last completed pass k
-//   num_transactions u64, min_support_count u64, setup_seconds f64
+//   num_transactions u64, min_support_count u64, setup_seconds f64, aux u64
 //   passes  [k, candidates, frequent, sim_seconds] x n
 //   levels  frequent itemsets with supports, sorted (deterministic bytes)
 //   frontier     Lk itemsets, sorted
@@ -29,6 +33,7 @@
 // block checksums and replica repair sit underneath).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "fim/result.h"
+#include "util/bytes.h"
 #include "util/common.h"
 
 namespace yafim::simfs {
@@ -131,6 +137,36 @@ struct CheckpointState {
   /// The last completed level Lk (seeds apriori_gen for pass + 1).
   std::vector<Itemset> frontier;
 };
+
+// --- the snapshot frame, shared by every codec ---------------------------
+
+/// Start a snapshot: magic, `version`, `fingerprint`. The codec appends its
+/// body and hands the writer to seal_snapshot.
+ByteWriter begin_snapshot(u32 version, u64 fingerprint);
+
+/// Append the XXH64 of every preceding byte; returns the snapshot.
+std::vector<u8> seal_snapshot(ByteWriter w);
+
+/// Checksum-first open: a reader over the body (after the header, before
+/// the checksum), or nullopt if the checksum, magic, version or fingerprint
+/// does not match. Only verified bytes reach the reader, so its CHECKs
+/// never fire on damaged input.
+std::optional<ByteReader> open_snapshot(std::span<const u8> bytes, u32 version,
+                                        u64 expected_fingerprint);
+
+/// Persist `bytes` under `name` and count the write.
+void put_snapshot(CheckpointStore& store, const std::string& name,
+                  const std::vector<u8>& bytes);
+
+/// Offer the store's snapshots to `accept` from the highest name down
+/// until it takes one. Snapshot names zero-pad their sequence number, so
+/// this is newest-first. Unreadable or refused snapshots are counted into
+/// `*rejected` (when non-null) and skipped.
+void probe_latest_snapshot(
+    CheckpointStore& store, u32* rejected,
+    const std::function<bool(std::span<const u8>)>& accept);
+
+// --- the per-pass codec ---------------------------------------------------
 
 /// Deterministic configuration fingerprint. `data_hash` is XXH64 of the
 /// serialized dataset bytes; `extra` folds in engine options that change

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-
-#include "obs/metrics.h"
-#include "util/bytes.h"
-#include "util/checksum.h"
 
 namespace yafim::stream {
 
@@ -18,10 +13,8 @@ std::string stream_snapshot_name(u64 batch) {
 }
 
 std::vector<u8> encode_stream_snapshot(const StreamCheckpointState& state) {
-  ByteWriter w;
-  w.write_u32(fim::kSnapshotMagic);
-  w.write_u32(kStreamSnapshotVersion);
-  w.write_u64(state.fingerprint);
+  ByteWriter w =
+      fim::begin_snapshot(kStreamSnapshotVersion, state.fingerprint);
   w.write_u64(state.batch);
   w.write_u64(state.source_offset);
   w.write_u64(state.total_transactions);
@@ -66,29 +59,18 @@ std::vector<u8> encode_stream_snapshot(const StreamCheckpointState& state) {
     w.write_double(b.sim_seconds);
   }
 
-  w.write_u64(xxh64(w.data().data(), w.data().size()));
-  return w.take();
+  return fim::seal_snapshot(std::move(w));
 }
 
 std::optional<StreamCheckpointState> decode_stream_snapshot(
     std::span<const u8> bytes, u64 expected_fingerprint) {
-  // Checksum FIRST, then parse: only verified bytes reach the ByteReader,
-  // so a torn or flipped snapshot is rejected whole (fim/checkpoint.cpp
-  // discipline).
-  constexpr size_t kMinBytes = 4 + 4 + 8 + 8;
-  if (bytes.size() < kMinBytes) return std::nullopt;
-  const size_t body = bytes.size() - 8;
-  u64 stored_sum;
-  std::memcpy(&stored_sum, bytes.data() + body, sizeof(stored_sum));
-  if (xxh64(bytes.data(), body) != stored_sum) return std::nullopt;
-
-  ByteReader r(bytes.first(body));
-  if (r.read_u32() != fim::kSnapshotMagic) return std::nullopt;
-  if (r.read_u32() != kStreamSnapshotVersion) return std::nullopt;
+  std::optional<ByteReader> body =
+      fim::open_snapshot(bytes, kStreamSnapshotVersion, expected_fingerprint);
+  if (!body) return std::nullopt;
+  ByteReader& r = *body;
 
   StreamCheckpointState state;
-  state.fingerprint = r.read_u64();
-  if (state.fingerprint != expected_fingerprint) return std::nullopt;
+  state.fingerprint = expected_fingerprint;
   state.batch = r.read_u64();
   state.source_offset = r.read_u64();
   state.total_transactions = r.read_u64();
@@ -131,25 +113,18 @@ std::optional<StreamCheckpointState> decode_stream_snapshot(
 
 void save_stream_snapshot(fim::CheckpointStore& store,
                           const StreamCheckpointState& state) {
-  const std::vector<u8> bytes = encode_stream_snapshot(state);
-  store.put(stream_snapshot_name(state.batch), bytes);
-  obs::count(obs::CounterId::kCheckpointsWritten);
-  obs::count(obs::CounterId::kCheckpointBytesWritten, bytes.size());
+  fim::put_snapshot(store, stream_snapshot_name(state.batch),
+                    encode_stream_snapshot(state));
 }
 
 std::optional<StreamCheckpointState> load_latest_stream_snapshot(
     fim::CheckpointStore& store, u64 expected_fingerprint, u32* rejected) {
-  std::vector<std::string> names = store.list();
-  for (auto it = names.rbegin(); it != names.rend(); ++it) {
-    const auto bytes = store.get(*it);
-    if (bytes) {
-      auto state = decode_stream_snapshot(*bytes, expected_fingerprint);
-      if (state) return state;
-    }
-    if (rejected) ++(*rejected);
-    obs::count(obs::CounterId::kCheckpointsRejected);
-  }
-  return std::nullopt;
+  std::optional<StreamCheckpointState> state;
+  fim::probe_latest_snapshot(store, rejected, [&](std::span<const u8> bytes) {
+    state = decode_stream_snapshot(bytes, expected_fingerprint);
+    return state.has_value();
+  });
+  return state;
 }
 
 }  // namespace yafim::stream

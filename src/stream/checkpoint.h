@@ -1,14 +1,15 @@
 // Batch-boundary snapshots for the streaming miner, through the YFCK
 // checkpoint machinery (fim/checkpoint.h).
 //
-// Same store interface and the same codec discipline as the per-pass miner
-// snapshots -- magic, version, fingerprint, trailing XXH64 validated before
-// any parsing -- but a distinct version (2) and its own record layout: a
-// streaming snapshot carries running supports and the hysteresis frontier
-// rather than completed Apriori levels, plus the backpressure knobs and
-// per-batch statistics. The fingerprint folds in the window/batch
-// parameters and broadcast mode, so a snapshot taken under one streaming
-// configuration never resumes a different one.
+// Same store interface and the same frame as the per-pass miner snapshots
+// -- magic, version, fingerprint, trailing XXH64 validated before any
+// parsing, counted saves, newest-first probe, all from fim/checkpoint --
+// but a distinct version (2) and its own body: a streaming snapshot
+// carries running supports and the hysteresis frontier rather than
+// completed Apriori levels, plus the backpressure knobs and per-batch
+// statistics. The fingerprint folds in the window/batch parameters and
+// broadcast mode, so a snapshot taken under one streaming configuration
+// never resumes a different one.
 //
 // Recovery invariant: a snapshot is written exactly at a batch boundary
 // (after merge + reverify of batch b, before ingest of b+1), so restoring

@@ -7,16 +7,22 @@
 #   2. a stage whose tasks exhaust their retries under injected failures
 #      exits 5, naming the stage (yafim and mrapriori);
 #   3. a numeric flag whose whole value is not a number in range exits 2
-#      with the usage text, its first line naming the flag.
+#      with the usage text, its first line naming the flag;
+#   4. an input block whose every replica fails verification exits 6 with
+#      the storage error (yafim and mrapriori);
+#   5. running out of host memory exits 7, naming the engine and pass.
+#      Skipped when SANITIZER (the build's YAFIM_SANITIZE) is set: sanitizer
+#      shadow memory does not fit the address-space limit.
 #
-#   tests/cli/exit_codes.sh PATH/TO/mine_cli
+#   tests/cli/exit_codes.sh PATH/TO/mine_cli [SANITIZER]
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-  echo "usage: $0 PATH/TO/mine_cli" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+  echo "usage: $0 PATH/TO/mine_cli [SANITIZER]" >&2
   exit 2
 fi
 cli=$1
+sanitizer=${2:-}
 work=$(mktemp -d "${PWD}/exit_codes.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
@@ -84,5 +90,26 @@ done
 expect_usage --rules "${mine[@]}" --rules=nan
 expect_usage --stop-after-pass "${mine[@]}" --checkpoint-dir="$work/ckpt" \
   --stop-after-pass=4294967296
+
+# ---- 4. storage corrupt beyond replica repair ---------------------------
+for engine in yafim mrapriori; do
+  YAFIM_FAULT_CORRUPT_BLOCK_P=1.0 YAFIM_FAULT_SEED=3 \
+    expect_exit "$engine corrupt input" 6 \
+    "'hdfs://staging/$engine-input' unrecoverably corrupt" \
+    --generate=mushroom --engine="$engine" --quiet --top=0
+done
+
+# ---- 5. out of host memory ----------------------------------------------
+# T10 at 0.003% support outgrows a 1.5 GB address space mid-pass (in pass
+# 3 on 4 vCPUs; the pass depends on how much the thread stacks reserve).
+if [ -n "$sanitizer" ]; then
+  echo "[out of memory] skipped under YAFIM_SANITIZE=$sanitizer"
+else
+  (
+    ulimit -v 1500000
+    expect_exit "out of memory" 7 "out of memory: engine yafim, pass " \
+      --generate=t10 --minsup=0.00003 --quiet --top=0
+  )
+fi
 
 echo "exit-code contract holds"

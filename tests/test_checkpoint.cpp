@@ -10,6 +10,7 @@
 #include "fim/checkpoint.h"
 #include "fim/mr_apriori.h"
 #include "fim/yafim.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace yafim::fim {
@@ -95,6 +96,13 @@ TEST(Checkpoint, EncodingIsDeterministic) {
   // order must not leak into the format) -- the resume bit-identity proof
   // rests on this.
   EXPECT_EQ(encode_snapshot(sample_state()), encode_snapshot(sample_state()));
+}
+
+TEST(Checkpoint, SnapshotBytesArePinned) {
+  // Existing snapshots must keep resuming: the encoding of a fixed state is
+  // pinned byte for byte (by its XXH64).
+  const auto bytes = encode_snapshot(sample_state());
+  EXPECT_EQ(xxh64(bytes.data(), bytes.size()), 0xfd4e0fd64cccb3c8ull);
 }
 
 TEST(Checkpoint, ForeignFingerprintRejected) {

@@ -975,27 +975,6 @@ TEST(Pricing, SplitWorkDistributesRemainderExactly) {
   }
 }
 
-TEST(Pricing, TextFileStageTotalIsExact) {
-  engine::Context::Options copts = small_cluster();
-  engine::Context ctx(copts);
-  simfs::SimFS fs(ctx.cluster());
-  // 1009 lines (prime): guaranteed not divisible by the task count, which
-  // is what used to truncate up to tasks-1 work units off the stage.
-  std::string text;
-  for (int i = 0; i < 1009; ++i) text += "line" + std::to_string(i) + "\n";
-  fs.write("hdfs://pricing/input.txt",
-           std::vector<u8>(text.begin(), text.end()));
-
-  auto lines = ctx.text_file(fs, "hdfs://pricing/input.txt");
-  ASSERT_EQ(lines.count("count"), 1009u);
-
-  const auto& stage = ctx.report().stages().front();
-  ASSERT_TRUE(stage.label.rfind("textFile:", 0) == 0);
-  u64 priced = 0;
-  for (const auto& t : stage.tasks) priced += t.work;
-  EXPECT_EQ(priced, 1009u * (1 + ctx.cluster().record_parse_work));
-}
-
 TEST(Pricing, YafimParseStageTotalIsExact) {
   const auto db = random_db(12, 1009, 0.3, 2);
   engine::Context ctx(small_cluster());

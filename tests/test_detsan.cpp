@@ -283,17 +283,6 @@ TEST(DetSan, NonCommutativeReduceByKeyDivergesNamingTheOp) {
   expect_yl007(ctx, "digits", "reduce_by_key");
 }
 
-TEST(DetSan, NonCommutativeAggregateByKeyDivergesNamingTheOp) {
-  Context ctx(detsan_on(1.0));
-  // detsan: intentional-divergence -- the impurity under test.
-  (void)digits(ctx)
-      .aggregate_by_key(
-          u64{0}, [](u64 acc, const u64& v) { return acc * 10 + v; },
-          [](u64 a, const u64& b) { return a + b; })
-      .collect();
-  expect_yl007(ctx, "digits", "aggregate_by_key");
-}
-
 TEST(DetSan, FailFastThrowsDetSanErrorNamingNodeAndStage) {
   Context ctx(detsan_on(1.0, /*fail_fast=*/true));
   auto rdd = ctx.parallelize(iota(64), 4);

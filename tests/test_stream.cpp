@@ -16,6 +16,7 @@
 #include "stream/checkpoint.h"
 #include "stream/miner.h"
 #include "stream/source.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace yafim::stream {
@@ -179,6 +180,13 @@ TEST(StreamCheckpoint, RoundTrip) {
   EXPECT_EQ(back->frontier.size(), state.frontier.size());
   ASSERT_EQ(back->batches.size(), 2u);
   EXPECT_DOUBLE_EQ(back->batches[1].sim_seconds, 0.9);
+}
+
+TEST(StreamCheckpoint, SnapshotBytesArePinned) {
+  // Existing snapshots must keep resuming: the encoding of a fixed state is
+  // pinned byte for byte (by its XXH64).
+  const auto bytes = encode_stream_snapshot(sample_state());
+  EXPECT_EQ(xxh64(bytes.data(), bytes.size()), 0x87334c28c78c72e8ull);
 }
 
 TEST(StreamCheckpoint, EncodingIsCanonicalAcrossInputOrder) {
