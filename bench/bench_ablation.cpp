@@ -3,19 +3,23 @@
 //   1. Broadcast variables vs naive per-task shipping (paper §IV-C).
 //   2. Cached transactions RDD vs re-reading from HDFS each pass (§IV-B).
 //   3. Hash tree vs linear candidate scan (§IV-A, Fig. 2).
-//   4. SPC vs FPC vs DPC job-combining strategies on the MR substrate
-//      (related work, Lin et al.).
+//   4. SPC vs FPC vs DPC pass combining (related work, Lin et al.) on both
+//      substrates: YAFIM cluster passes and MRApriori jobs.
 #include <tuple>
 
 #include "common.h"
 #include "fim/sampling.h"
-#include "fim/spc_fpc_dpc.h"
 #include "stream/miner.h"
 
 using namespace yafim;
 using namespace yafim::benchharness;
 
 namespace {
+
+constexpr std::pair<const char*, fim::CombineStrategy> kCombinings[] = {
+    {"SPC", fim::CombineStrategy::kSinglePass},
+    {"FPC", fim::CombineStrategy::kFixedPasses},
+    {"DPC", fim::CombineStrategy::kDynamic}};
 
 double yafim_variant(const datagen::BenchmarkDataset& bench,
                      engine::ShareMode share, bool cache, bool hash_tree,
@@ -114,17 +118,17 @@ int main(int argc, char** argv) {
   }
   print_table(table, args);
 
-  std::printf("\n-- YAFIM combined passes (our extension; Lin-style "
-              "batching on the RDD side) --\n");
-  Table combine_table({"dataset", "combine", "cluster passes", "total(s)"});
+  std::printf("\n-- YAFIM combined passes (our extension; Lin et al.'s "
+              "pass combining on the RDD side) --\n");
+  Table combine_table({"dataset", "strategy", "cluster passes", "total(s)"});
   for (const auto& bench : benches) {
-    for (u32 combine : {1u, 2u, 3u}) {
+    for (const auto& [name, strategy] : kCombinings) {
       engine::Context ctx(
           engine::Context::Options{.cluster = sim::ClusterConfig::paper()});
       simfs::SimFS fs(ctx.cluster());
       fim::YafimOptions opt;
       opt.min_support = bench.paper_min_support;
-      opt.combine_passes = combine;
+      opt.combining.strategy = strategy;
       const auto run = fim::yafim_mine(ctx, fs, bench.db, opt);
       u64 cluster_passes = 1;  // phase I
       for (const auto& stage : ctx.report().stages()) {
@@ -132,8 +136,7 @@ int main(int argc, char** argv) {
           ++cluster_passes;
         }
       }
-      combine_table.add_row({bench.name, Table::num(u64{combine}),
-                             Table::num(cluster_passes),
+      combine_table.add_row({bench.name, name, Table::num(cluster_passes),
                              Table::num(run.total_seconds())});
     }
   }
@@ -288,27 +291,30 @@ int main(int argc, char** argv) {
   }
   print_table(approx_table, args);
 
-  std::printf("\n-- MapReduce job-combining strategies (Lin et al.) --\n");
-  Table lin_table({"dataset", "strategy", "jobs", "speculative C",
-                   "total(s)"});
+  std::printf("\n-- MapReduce job-combining strategies (Lin et al.; "
+              "MRApriori) --\n");
+  Table mr_table({"dataset", "strategy", "jobs", "candidates", "total(s)"});
   for (const auto& bench : benches) {
-    for (const auto& [name, strategy] :
-         {std::pair{"SPC", fim::CombineStrategy::kSinglePass},
-          std::pair{"FPC", fim::CombineStrategy::kFixedPasses},
-          std::pair{"DPC", fim::CombineStrategy::kDynamic}}) {
+    for (const auto& [name, strategy] : kCombinings) {
       engine::Context ctx(
           engine::Context::Options{.cluster = sim::ClusterConfig::paper()});
       simfs::SimFS fs(ctx.cluster());
-      fim::LinOptions opt;
+      fim::MrAprioriOptions opt;
       opt.min_support = bench.paper_min_support;
-      opt.strategy = strategy;
-      const auto lin = fim::lin_mine(ctx, fs, bench.db, opt);
-      lin_table.add_row({bench.name, name, Table::num(u64{lin.num_jobs}),
-                         Table::num(lin.speculative_candidates),
-                         Table::num(lin.run.total_seconds())});
+      opt.combining.strategy = strategy;
+      const auto run = fim::mr_apriori_mine(ctx, fs, bench.db, opt);
+      u64 jobs = 0;  // MapReduce job startups paid
+      for (const auto& stage : ctx.report().stages()) {
+        if (stage.fixed_overhead_s > 0) ++jobs;
+      }
+      u64 candidates = 0;
+      for (const auto& pass : run.passes) candidates += pass.candidates;
+      mr_table.add_row({bench.name, name, Table::num(jobs),
+                         Table::num(candidates),
+                         Table::num(run.total_seconds())});
     }
   }
-  print_table(lin_table, args);
+  print_table(mr_table, args);
   finish(args, &json);
   return 0;
 }

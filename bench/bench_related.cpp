@@ -15,7 +15,6 @@
 #include "fim/dist_eclat.h"
 #include "fim/pfp.h"
 #include "fim/son.h"
-#include "fim/spc_fpc_dpc.h"
 
 using namespace yafim;
 using namespace yafim::benchharness;
@@ -102,28 +101,19 @@ int main(int argc, char** argv) {
                                                          opt)
                                  .run;
                            }));
-    rows.push_back(measure("MRApriori/SPC", "k-phase MR", reference,
-                           [&](auto& ctx, auto& fs) {
-                             fim::MrAprioriOptions opt;
-                             opt.min_support = sup;
-                             return fim::mr_apriori_mine(ctx, fs, bench.db,
-                                                         opt);
-                           }));
-    rows.push_back(measure("FPC", "k-phase MR", reference,
-                           [&](auto& ctx, auto& fs) {
-                             fim::LinOptions opt;
-                             opt.min_support = sup;
-                             opt.strategy =
-                                 fim::CombineStrategy::kFixedPasses;
-                             return fim::lin_mine(ctx, fs, bench.db, opt).run;
-                           }));
-    rows.push_back(measure("DPC", "k-phase MR", reference,
-                           [&](auto& ctx, auto& fs) {
-                             fim::LinOptions opt;
-                             opt.min_support = sup;
-                             opt.strategy = fim::CombineStrategy::kDynamic;
-                             return fim::lin_mine(ctx, fs, bench.db, opt).run;
-                           }));
+    for (const auto& [name, strategy] :
+         {std::pair{"MRApriori/SPC", fim::CombineStrategy::kSinglePass},
+          std::pair{"FPC", fim::CombineStrategy::kFixedPasses},
+          std::pair{"DPC", fim::CombineStrategy::kDynamic}}) {
+      fim::MrAprioriOptions opt;
+      opt.min_support = sup;
+      opt.combining.strategy = strategy;
+      rows.push_back(measure(name, "k-phase MR", reference,
+                             [&](auto& ctx, auto& fs) {
+                               return fim::mr_apriori_mine(ctx, fs, bench.db,
+                                                           opt);
+                             }));
+    }
     rows.push_back(measure("SON/PSON", "one-phase MR", reference,
                            [&](auto& ctx, auto& fs) {
                              fim::SonOptions opt;

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <new>
@@ -432,9 +433,11 @@ Options parse(int argc, char** argv) {
 
 fim::TransactionDB load(const Options& opt, double* minsup) {
   if (!opt.input.empty()) {
-    // Unusable input ends in one line naming the file, exit 2.
+    // Unusable input ends in one line naming the file, exit 2. A directory
+    // opens as a stream and then reads as empty, so it is refused here.
     std::ifstream file(opt.input);
-    if (!file.good()) {
+    std::error_code ec;
+    if (!file.good() || std::filesystem::is_directory(opt.input, ec)) {
       std::fprintf(stderr, "cannot read --input file %s\n",
                    opt.input.c_str());
       std::exit(2);
@@ -449,6 +452,14 @@ fim::TransactionDB load(const Options& opt, double* minsup) {
     } catch (const fim::ParseError& e) {
       std::fprintf(stderr, "--input file %s: %s\n", opt.input.c_str(),
                    e.what());
+      std::exit(2);
+    }
+    if (opt.stream && db.size() == 0) {
+      // The stream source replays its dataset window after window.
+      std::fprintf(stderr,
+                   "--input file %s: --stream needs at least one "
+                   "transaction\n",
+                   opt.input.c_str());
       std::exit(2);
     }
     const fim::ParseStats& p = db.parse_stats();

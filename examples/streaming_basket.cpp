@@ -25,8 +25,9 @@ using namespace yafim;
 namespace {
 
 stream::StreamResult run_stream(const fim::TransactionDB& db,
-                                const stream::StreamOptions& options) {
-  engine::Context ctx;
+                                const stream::StreamOptions& options,
+                                engine::Context::Options copts = {}) {
+  engine::Context ctx(copts);
   simfs::SimFS fs(ctx.cluster());
   return stream::stream_mine(ctx, fs, db, options);
 }
@@ -68,10 +69,12 @@ int main(int argc, char** argv) {
   fim::DirCheckpointStore store(dir);
   stream::StreamOptions killed = options;
   killed.checkpoint = &store;
-  killed.kill_batch = num_batches / 2 + 1;
-  killed.kill_phase = static_cast<u32>(stream::StreamPhase::kReverify);
+  engine::Context::Options kill_point;
+  kill_point.fault.stream_kill_batch = static_cast<u32>(num_batches / 2 + 1);
+  kill_point.fault.stream_kill_phase =
+      static_cast<u32>(stream::StreamPhase::kReverify);
   try {
-    run_stream(db, killed);
+    run_stream(db, killed, kill_point);
     std::printf("kill point never fired?\n");
     return 1;
   } catch (const stream::StreamKilledError& e) {

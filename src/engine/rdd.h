@@ -214,32 +214,25 @@ void for_each_in(Vec& in, std::span<const u32> order, F&& f) {
 }
 
 /// Map-side combine, the map half of Spark's combineByKey: fold the (k, v)
-/// pairs of `in` into one combiner per key -- create(v) for a key's first
-/// value, merge(c, v) for each later one -- visiting them as for_each_in
-/// does. One work unit per pair. An rvalue `in` gives up its keys to the
-/// map instead of copying them. Serves reduce_by_key and the MapReduce
-/// combiner, and their DetSan replays.
-template <typename Hash, typename Pairs, typename Create, typename Merge>
-auto combine_pairs(Pairs&& in, std::span<const u32> order, Create& create,
-                   Merge& merge) {
+/// pairs of `in` into one value per key -- a key's first value, then
+/// merge(acc, v) for each later one -- visiting them as for_each_in does. One
+/// work unit per pair. An rvalue `in` gives up its keys to the map instead
+/// of copying them. Serves reduce_by_key and the MapReduce combiner, and
+/// their DetSan replays.
+template <typename Hash, typename Pairs, typename Merge>
+auto combine_pairs(Pairs&& in, std::span<const u32> order, Merge& merge) {
   using P = typename std::remove_cvref_t<Pairs>::value_type;
   using K = typename P::first_type;
   using V = typename P::second_type;
-  using C = std::decay_t<std::invoke_result_t<Create&, const V&>>;
   using Key = std::conditional_t<std::is_lvalue_reference_v<Pairs>, const K&,
                                  K&&>;
-  // Becomes create(v) only when try_emplace inserts: one lookup per pair.
-  struct First {
-    Create& create;
-    const V& v;
-    operator C() const { return create(v); }
-  };
-  std::unordered_map<K, C, Hash> acc;
+  std::unordered_map<K, V, Hash> acc;
   acc.reserve(std::min(in.size(), kCombineReserveCap));
   for_each_in(in, order, [&](auto& kv) {
     work::add(1);
-    auto [it, inserted] = acc.try_emplace(static_cast<Key>(kv.first),
-                                          First{create, kv.second});
+    // Copies the value only when the key is new: one lookup per pair.
+    auto [it, inserted] =
+        acc.try_emplace(static_cast<Key>(kv.first), kv.second);
     if (!inserted) it->second = merge(std::move(it->second), kv.second);
   });
   return acc;
@@ -248,15 +241,13 @@ auto combine_pairs(Pairs&& in, std::span<const u32> order, Create& create,
 /// DetSan replay of a map-side combine: rebuild the combiners with `in`
 /// visited in a permuted order and compare the key -> value maps. The
 /// caller decides whether the task is sampled.
-template <typename Who, typename P, typename Map, typename Create,
-          typename Merge>
+template <typename Who, typename P, typename Map, typename Merge>
 void detsan_replay_combine(DetSan& ds, const Who& who, u64 seed,
                            const char* op, const std::vector<P>& in,
-                           const Map& primary, Create& create, Merge& merge) {
+                           const Map& primary, Merge& merge) {
   const std::vector<u32> order = DetSan::permutation(in.size(), seed);
   detsan_check_kv(ds, who, op, primary,
-                  combine_pairs<typename Map::hasher>(in, order, create,
-                                                      merge));
+                  combine_pairs<typename Map::hasher>(in, order, merge));
 }
 
 /// Move every (k, v) of `pairs` into bucket hash(k) % buckets.size() and
@@ -1002,7 +993,6 @@ class RDD {
                        const std::string& label = "reduceByKey") const {
     using K = typename detail::PairTraits<T>::key_type;
     using V = typename detail::PairTraits<T>::mapped_type;
-    auto first = [](const V& v) { return v; };
     auto merge = [&](V&& a, const V& b) -> V { return combine(a, b); };
 
     Context& ctx = node_->ctx();
@@ -1016,7 +1006,7 @@ class RDD {
         label + ":map-combine", map_tasks,
         [&](u32 pid) {
           auto in = node_->get(pid);
-          auto acc = detail::combine_pairs<Hash>(*in, {}, first, merge);
+          auto acc = detail::combine_pairs<Hash>(*in, {}, merge);
           // The fn is checked here at the map-combine stage; the reduce
           // side applies the same merge, so a non-commutative one cannot
           // slip through unexercised.
@@ -1026,7 +1016,7 @@ class RDD {
             if (ds.should_replay(node_->id(), pid)) {
               detail::detsan_replay_combine(
                   ds, node_->id(), ds.replay_seed(node_->id(), pid),
-                  "reduce_by_key", *in, acc, first, merge);
+                  "reduce_by_key", *in, acc, merge);
             }
           }
           map_out[pid].resize(reduce_tasks);

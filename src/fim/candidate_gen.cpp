@@ -135,4 +135,47 @@ std::vector<Itemset> apriori_gen(const std::vector<Itemset>& prev_frequent,
   return to_itemsets(apriori_gen_rows(to_sorted_rows(prev_frequent), k));
 }
 
+std::vector<ItemsetRows> candidate_levels(const ItemsetRows& frequent, u32 k,
+                                          const PassCombining& combining,
+                                          u32 last_level) {
+  const bool dynamic = combining.strategy == CombineStrategy::kDynamic;
+  u32 limit = 1;
+  if (dynamic) {
+    limit = ~0u;  // bounded by the candidate budget below
+  } else if (combining.strategy == CombineStrategy::kFixedPasses && k > 3) {
+    limit = std::max(1u, combining.fixed_passes);
+  }
+  const u64 budget = combining.dynamic_candidate_budget;
+  std::vector<ItemsetRows> levels;
+  u64 total = 0;
+  for (u32 level = k; level - k < limit; ++level) {
+    if (last_level != 0 && level > last_level) break;
+    const ItemsetRows& base = levels.empty() ? frequent : levels.back();
+    // Joining a large *unverified* level is a combinatorial explosion
+    // (C2 = all pairs of L1 would join to nearly C(|L1|, 3) triples), so
+    // DPC generates speculative levels only from bases within budget.
+    if (dynamic && !levels.empty() && base.size() > budget) break;
+    ItemsetRows candidates = apriori_gen_rows(base, level);
+    if (candidates.empty()) break;
+    if (dynamic && !levels.empty() && total + candidates.size() > budget) {
+      break;
+    }
+    total += candidates.size();
+    levels.push_back(std::move(candidates));
+  }
+  return levels;
+}
+
+u64 pass_combining_fingerprint(const PassCombining& combining) {
+  switch (combining.strategy) {
+    case CombineStrategy::kSinglePass:
+      return 0;
+    case CombineStrategy::kFixedPasses:
+      return mix64((u64{1} << 62) ^ std::max(1u, combining.fixed_passes));
+    case CombineStrategy::kDynamic:
+      return mix64((u64{2} << 62) ^ combining.dynamic_candidate_budget);
+  }
+  return 0;
+}
+
 }  // namespace yafim::fim

@@ -170,7 +170,7 @@ void probe_latest_snapshot(
 
 /// Deterministic configuration fingerprint. `data_hash` is XXH64 of the
 /// serialized dataset bytes; `extra` folds in engine options that change
-/// the pass structure (e.g. combine_passes, max_levels).
+/// the pass structure (e.g. the pass combining, max_levels).
 u64 checkpoint_fingerprint(std::string_view engine, u64 data_hash,
                            u64 min_support_count, u64 extra);
 

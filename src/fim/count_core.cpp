@@ -1,6 +1,7 @@
 #include "fim/count_core.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "engine/broadcast.h"
@@ -388,20 +389,29 @@ ItemsetCountJob itemset_count_job(
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     u64 min_count, u32 num_mappers, u32 num_reducers) {
-  YAFIM_CHECK(trees->size() == 1 && trees->front().id_offset() == 0,
-              "an id-keyed job counts one tree from id 0");
+  YAFIM_CHECK(!trees->empty() && trees->front().id_offset() == 0,
+              "an id-keyed job counts trees from id 0");
+  const u64 id_space = trees->back().id_offset() + trees->back().size();
   auto job = counting_job<CandidateIdJob>(
-      name, min_count, num_mappers, num_reducers,
-      [trees](u32 ci) { return trees->front().candidate(ci); });
-  job.distributed_cache_bytes = trees->front().serialized_bytes();
+      name, min_count, num_mappers, num_reducers, [trees](u32 id) {
+        // The last tree whose range starts at or before `id` owns it.
+        const auto owner = std::prev(std::upper_bound(
+            trees->begin(), trees->end(), id,
+            [](u32 v, const HashTree& tree) { return v < tree.id_offset(); }));
+        return owner->candidate(static_cast<u32>(id - owner->id_offset()));
+      });
+  for (const HashTree& tree : *trees) {
+    job.distributed_cache_bytes += tree.serialized_bytes();
+  }
   auto items =
       std::make_shared<const std::vector<Item>>(candidate_items(*trees));
-  job.map_partition_fn = [trees, items](std::span<const Transaction> split,
-                                        mr::Emitter<u32, u64>& emit) {
-    std::vector<u64> cells(trees->front().size(), 0);
+  job.map_partition_fn = [trees, items, id_space](
+                             std::span<const Transaction> split,
+                             mr::Emitter<u32, u64>& emit) {
+    std::vector<u64> cells(id_space, 0);
     count_rows(split, *trees, *items, cells.data());
-    for (u32 ci = 0; ci < cells.size(); ++ci) {
-      if (cells[ci] != 0) emit.emit(ci, cells[ci]);
+    for (u32 id = 0; id < cells.size(); ++id) {
+      if (cells[id] != 0) emit.emit(id, cells[id]);
     }
   };
   return job;

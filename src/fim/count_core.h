@@ -13,8 +13,8 @@
 //                        count_candidate_trees.
 //   * count_candidate_trees -- the cluster counting job itself, including
 //                        the lineage recompute of uncached transactions.
-//   * the MapReduce jobs (mr_apriori, lin, son): frequent items, and one
-//     job counting a tree batch keyed by itemset or by candidate id.
+//   * the MapReduce jobs (mr_apriori, son): frequent items, and one job
+//     counting a tree batch keyed by itemset or by candidate id.
 //
 // count_candidate_trees has three paths, selected by (count_mode,
 // partitioned):
@@ -180,11 +180,12 @@ ItemsetCountJob itemset_count_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     u64 min_count, u32 num_mappers, u32 num_reducers);
 
-/// The same job over a one-tree batch, keyed by candidate id. Each mapper
-/// counts its split into dense cells through count_rows, the RDD tasks'
+/// The same job keyed by candidate id, over trees whose id ranges start at
+/// 0 (HashTree::assign_id_offsets). Each mapper counts its split into
+/// dense cells over the whole id space through count_rows, the RDD tasks'
 /// kernel choice, and emits (id, count) per candidate of nonzero count.
 /// Reducers map surviving ids back to itemsets through their copy of the
-/// tree.
+/// tree that owns the id.
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     u64 min_count, u32 num_mappers, u32 num_reducers);

@@ -130,7 +130,7 @@ class HashTree {
   std::vector<Itemset> candidates() const;
 
   /// Batch-global id base for this tree's candidates: when several levels
-  /// are counted in one pass (combine_passes), tree-local index `ci` maps
+  /// are counted in one pass (PassCombining), tree-local index `ci` maps
   /// to global id `id_offset() + ci` in the shared counting array.
   u64 id_offset() const { return id_offset_; }
   void set_id_offset(u64 offset) { id_offset_ = offset; }

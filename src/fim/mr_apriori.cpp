@@ -40,14 +40,15 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
   u64 fingerprint = 0;
   std::optional<CheckpointState> restored;
   if (options.checkpoint) {
-    // count_mode and broadcast_mode folded in for the same reason as
-    // yafim.cpp: the modes price the k >= 2 jobs differently, so
+    // count_mode, broadcast_mode and the pass combining folded in for the
+    // same reason as yafim.cpp: they price the k >= 2 jobs differently, so
     // snapshots must not mix.
     fingerprint = checkpoint_fingerprint(
         "mrapriori", xxh64(raw.data(), raw.size()), min_count,
-        options.max_levels +
-            (u64{static_cast<u32>(options.count_mode)} << 32) +
-            (u64{static_cast<u32>(options.broadcast_mode)} << 36));
+        (options.max_levels +
+         (u64{static_cast<u32>(options.count_mode)} << 32) +
+         (u64{static_cast<u32>(options.broadcast_mode)} << 36)) ^
+            pass_combining_fingerprint(options.combining));
     restored = load_latest_snapshot(*options.checkpoint, fingerprint);
   }
   u64 prev_output_bytes = 0;
@@ -96,10 +97,12 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     maybe_checkpoint(1, frequent);
   }
 
-  // ---- Jobs k >= 2 ------------------------------------------------------
+  // ---- Jobs k >= 2: one per batch of candidate levels -------------------
+  // SPC (the default) is Li et al.'s one level per job; FPC and DPC count
+  // several (fim/candidate_gen.h candidate_levels).
   for (u32 k = last_completed + 1;
-       !frequent.empty() && (options.max_levels == 0 || k <= options.max_levels);
-       ++k) {
+       !frequent.empty() &&
+       (options.max_levels == 0 || k <= options.max_levels);) {
     if (options.stop_after_pass && last_completed >= options.stop_after_pass) {
       break;  // simulated crash: the last snapshot is the recovery point
     }
@@ -116,11 +119,12 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
 
     engine::work::Scope driver_scope;
-    std::vector<ItemsetRows> level(1);
-    level[0] = apriori_gen_rows(to_sorted_rows(frequent), k);
-    if (level[0].empty()) break;
-    const CandidateBatch batch(std::move(level), options.branching,
-                               options.leaf_capacity);
+    const CandidateBatch batch(
+        candidate_levels(to_sorted_rows(frequent), k, options.combining,
+                         options.max_levels),
+        options.branching, options.leaf_capacity);
+    if (batch.empty()) break;
+    const u32 levels_in_batch = static_cast<u32>(batch.num_levels());
     {
       sim::StageRecord gen;
       gen.label = "mrapriori:ap_gen L" + std::to_string(k);
@@ -133,12 +137,12 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     const std::string job_name = "mrapriori:job" + std::to_string(k);
     const std::string out_path = options.work_dir + "/L" + std::to_string(k);
 
-    // One counting job over `trees` -- the level's tree, or one shard of it
-    // under the partitioned fallback; the tree travels to the mappers via
+    // One counting job over `trees` -- the batch's trees, or one shard of
+    // each under the partitioned fallback; they travel to the mappers via
     // the distributed cache either way. kItemsetKey is the paper-faithful
     // shuffle keyed on itemsets; kCandidateId keys on candidate id and
-    // maps survivors back through the reducers' copy of the tree.
-    auto run_level_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
+    // maps survivors back through the reducers' copy of the trees.
+    auto run_batch_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
                              const std::string& name, const std::string& out) {
       if (options.count_mode == CountMode::kItemsetKey) {
         return runner.run(
@@ -152,11 +156,11 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
           input_path, out);
     };
 
-    // Broadcast ceiling (engine/memory.h): when the tree would not fit
-    // next to what the ledger places on the tightest executor, count this
-    // level as one sub-job per candidate shard, each localizing only its
-    // shard's tree -- at the honest MapReduce price of re-reading the
-    // input per sub-job.
+    // Broadcast ceiling (engine/memory.h): when the trees would not fit
+    // next to what the ledger places on the tightest executor, count the
+    // batch as one sub-job per candidate shard, each localizing only its
+    // shard of every level -- at the honest MapReduce price of re-reading
+    // the input per sub-job.
     const u64 tree_bytes = batch.tree_bytes();
     const bool partitioned =
         use_partitioned_store(ctx, options.broadcast_mode, tree_bytes);
@@ -166,25 +170,32 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
       ctx.linter().note_broadcast_fallback(tree_bytes,
                                            job_name + ":distributed_cache");
       ctx.memory_budget().note_fallback(tree_bytes);
-      // Grow the shard count until the largest shard fits the tightest
-      // node (sharding keys on the first item, so a perfectly even split
-      // is not guaranteed; the cap keeps a degenerate distribution from
-      // looping forever -- an oversized shard then lints like any other
-      // oversized localization).
+      // Grow the shard count until the largest shard, summed over levels,
+      // fits the tightest node (sharding keys on the first item, so a
+      // perfectly even split is not guaranteed; the cap keeps a degenerate
+      // distribution from looping forever -- an oversized shard then lints
+      // like any other oversized localization).
       const u64 budget = ctx.memory_budget().min_node_budget();
       engine::work::Scope shard_scope;
       u32 nshards = std::max<u32>(
           2, budget != 0 ? static_cast<u32>(std::min<u64>(
                                1024, 2 * ceil_div(tree_bytes, budget)))
                          : std::max(1u, ctx.cluster().nodes));
-      std::vector<TreeShard> shards;
+      std::vector<std::vector<TreeShard>> shards;  // [level][shard]
       for (;;) {
-        shards = shard_hash_tree(batch.trees()->front(), nshards,
-                                 options.branching, options.leaf_capacity);
+        shards.clear();
+        for (const HashTree& tree : *batch.trees()) {
+          shards.push_back(shard_hash_tree(tree, nshards, options.branching,
+                                           options.leaf_capacity));
+        }
         if (budget == 0 || nshards >= 1024) break;
         u64 worst = 0;
-        for (const TreeShard& s : shards) {
-          worst = std::max(worst, s.tree.serialized_bytes());
+        for (u32 s = 0; s < nshards; ++s) {
+          u64 bytes = 0;
+          for (const auto& level : shards) {
+            bytes += level[s].tree.serialized_bytes();
+          }
+          worst = std::max(worst, bytes);
         }
         if (worst <= budget) break;
         nshards = std::min<u32>(1024, nshards * 2);
@@ -197,11 +208,16 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
         shard_stage.driver_work = shard_scope.measured();
         ctx.record(std::move(shard_stage));
       }
-      for (u32 s = 0; s < static_cast<u32>(shards.size()); ++s) {
-        if (shards[s].tree.size() == 0) continue;
-        auto shard_tree = std::make_shared<std::vector<HashTree>>();
-        shard_tree->push_back(std::move(shards[s].tree));
-        auto r = run_level_job(std::move(shard_tree),
+      for (u32 s = 0; s < nshards; ++s) {
+        auto shard_trees = std::make_shared<std::vector<HashTree>>();
+        for (auto& level : shards) {
+          if (level[s].tree.size() != 0) {
+            shard_trees->push_back(std::move(level[s].tree));
+          }
+        }
+        if (shard_trees->empty()) continue;
+        HashTree::assign_id_offsets(*shard_trees);
+        auto r = run_batch_job(std::move(shard_trees),
                                job_name + ":shard" + std::to_string(s),
                                out_path + "-shard" + std::to_string(s));
         result.map_tasks = r.map_tasks;
@@ -214,20 +230,27 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                              std::make_move_iterator(r.output.end()));
       }
     } else {
-      result = run_level_job(batch.trees(), job_name, out_path);
+      result = run_batch_job(batch.trees(), job_name, out_path);
     }
     run.count_host_seconds += count_clock.seconds();
+
+    const std::vector<std::vector<CountPair>> by_level =
+        batch.split(std::move(result.output));
+    for (u32 j = 0; j < levels_in_batch; ++j) {
+      for (const auto& [itemset, support] : by_level[j]) {
+        run.itemsets.add(itemset, support);
+      }
+      run.passes.push_back(
+          PassStats{k + j, batch.level_size(j), by_level[j].size(), 0.0});
+    }
     frequent.clear();
-    frequent.reserve(result.output.size());
-    for (const auto& [itemset, support] : result.output) {
-      run.itemsets.add(itemset, support);
+    for (const auto& [itemset, support] : by_level[levels_in_batch - 1]) {
       frequent.push_back(itemset);
     }
-    run.passes.push_back(
-        PassStats{k, batch.id_space(), result.output.size(), 0.0});
     prev_output_bytes = result.output_bytes;
-    last_completed = k;
-    maybe_checkpoint(k, frequent);
+    last_completed = k + levels_in_batch - 1;
+    maybe_checkpoint(last_completed, frequent);
+    k += levels_in_batch;
   }
 
   ctx.set_pass(0);

@@ -6,12 +6,15 @@
 // the driver then reads to generate the next candidates.
 //
 // The paper notes all MapReduce implementations of Apriori share this
-// per-iteration I/O structure, so one baseline represents the class.
+// per-iteration I/O structure, so one baseline represents the class. Lin
+// et al.'s SPC/FPC/DPC are this driver with one, a fixed number, or a
+// budgeted number of candidate levels per job (`combining`).
 #pragma once
 
 #include <string>
 
 #include "engine/context.h"
+#include "fim/candidate_gen.h"
 #include "fim/checkpoint.h"
 #include "fim/dataset.h"
 #include "fim/hash_tree.h"
@@ -52,6 +55,10 @@ struct MrAprioriOptions {
   /// Stop after this many levels (0 = run to completion). BigFIM uses this
   /// to run only the first k Apriori levels before switching to Eclat.
   u32 max_levels = 0;
+  /// Candidate levels per job (fim/candidate_gen.h): SPC, the default, is
+  /// one job per level; FPC and DPC batch levels into fewer jobs, counting
+  /// speculative candidates to save job startups.
+  PassCombining combining;
 
   /// Crash recovery (fim/checkpoint.h): same contract as YafimOptions --
   /// snapshot after every completed job, resume from the newest valid

@@ -1,5 +1,5 @@
 // Mining results. Every miner in the repository -- sequential Apriori,
-// YAFIM, MRApriori, the SPC/FPC/DPC variants, FP-Growth and Eclat --
+// YAFIM, MRApriori (under any pass combining), FP-Growth and Eclat --
 // returns the same FrequentItemsets type, which is how the test suite
 // asserts the paper's correctness claim ("all the experimental results of
 // YAFIM are exactly same as MRApriori").

@@ -1,6 +1,5 @@
 #include "fim/yafim.h"
 
-#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -58,18 +57,19 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   // Checkpoint/resume: the fingerprint binds snapshots to this exact input
   // and configuration, so a store populated by a different dataset, support
   // threshold or pass structure can never leak state into this run.
-  const u32 combine = std::max<u32>(1, options.combine_passes);
   u64 fingerprint = 0;
   std::optional<CheckpointState> restored;
   if (options.checkpoint) {
     // count_mode and broadcast_mode are folded in because the modes price
     // stages differently: resuming a faithful run's snapshot into a dense
     // run (or a broadcast run's into a partitioned run) would splice
-    // incompatible per-pass timings together.
+    // incompatible per-pass timings together. The leading 1 is the one
+    // level per pass single-pass snapshots have always carried.
     fingerprint = checkpoint_fingerprint(
         "yafim", xxh64(raw.data(), raw.size()), min_count,
-        combine + (u64{static_cast<u32>(options.count_mode)} << 32) +
-            (u64{static_cast<u32>(options.broadcast_mode)} << 36));
+        (1 + (u64{static_cast<u32>(options.count_mode)} << 32) +
+         (u64{static_cast<u32>(options.broadcast_mode)} << 36)) ^
+            pass_combining_fingerprint(options.combining));
     restored = load_latest_snapshot(*options.checkpoint, fingerprint);
   }
   auto maybe_checkpoint = [&](u32 completed_pass,
@@ -156,9 +156,8 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   }
 
   // ---- Phase II: Lk from L(k-1) (Algorithm 3) --------------------------
-  // With combine_passes > 1, one cluster pass counts a batch of candidate
-  // levels (levels beyond the first generated from candidates, a superset
-  // of the true Ck -- results stay exact).
+  // Under pass combining one cluster pass counts a batch of candidate
+  // levels (fim/candidate_gen.h candidate_levels).
   for (u32 k = last_completed + 1; !frequent.empty();) {
     if (options.stop_after_pass && last_completed >= options.stop_after_pass) {
       break;  // simulated crash: the last snapshot is the recovery point
@@ -176,27 +175,10 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
                        "pass" + std::to_string(k) + ":ap_gen+buildHashTree");
     }
     engine::work::Scope driver_scope;
-    const ItemsetRows frequent_rows = to_sorted_rows(frequent);
-    std::vector<ItemsetRows> levels;
-    for (u32 j = 0; j < combine; ++j) {
-      // Level k generates from the verified frequent sets, each later
-      // level from the candidates just generated.
-      const ItemsetRows& base = j == 0 ? frequent_rows : levels.back();
-      // Guard speculative growth: generating level j+1 from a large
-      // *unverified* level j is a combinatorial explosion (the join is
-      // quadratic within shared-prefix groups). Verified levels (j == 0)
-      // are always generated.
-      if (j > 0 && base.size() > options.combine_candidate_budget) break;
-      ItemsetRows candidates = apriori_gen_rows(base, k + j);
-      if (candidates.empty()) break;
-      if (j > 0 && candidates.size() > options.combine_candidate_budget) {
-        break;  // count this level next batch, from verified sets
-      }
-      levels.push_back(std::move(candidates));
-    }
-    if (levels.empty()) break;
-    const CandidateBatch batch(std::move(levels), options.branching,
-                               options.leaf_capacity);
+    const CandidateBatch batch(
+        candidate_levels(to_sorted_rows(frequent), k, options.combining),
+        options.branching, options.leaf_capacity);
+    if (batch.empty()) break;
     const u32 levels_in_batch = static_cast<u32>(batch.num_levels());
     {
       if (gen_span) {

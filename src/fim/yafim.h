@@ -15,6 +15,7 @@
 #include <string>
 
 #include "engine/context.h"
+#include "fim/candidate_gen.h"
 #include "fim/checkpoint.h"
 #include "fim/dataset.h"
 #include "fim/hash_tree.h"
@@ -62,17 +63,11 @@ struct YafimOptions {
   u32 branching = 0;  // 0 = auto (HashTree::default_branching)
   u32 leaf_capacity = 16;
 
-  /// Extension (ours, transplanting Lin et al.'s pass combining onto the
-  /// RDD side): count up to this many candidate levels per cluster pass,
-  /// generating level j+1 candidates from level j *candidates*. Results
-  /// stay exact; the trade is fewer per-pass floors against speculative
-  /// counting work. 1 = the paper's design.
-  u32 combine_passes = 1;
-  /// Speculative-generation guard for combine_passes > 1 (DPC's lesson):
-  /// a batch stops growing once its current level holds more candidates
-  /// than this -- candidates-from-candidates joins over a large unverified
-  /// level explode combinatorially.
-  u64 combine_candidate_budget = 20000;
+  /// Extension (ours): Lin et al.'s pass combining (fim/candidate_gen.h)
+  /// on the RDD side -- one cluster pass counts a batch of candidate
+  /// levels, trading per-pass floors against speculative counting work.
+  /// Results stay exact; SPC (the default) is the paper's design.
+  PassCombining combining;
 
   /// Crash recovery (fim/checkpoint.h): when set, a snapshot of (Lk, pass
   /// stats, config fingerprint) is persisted after every completed pass,

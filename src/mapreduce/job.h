@@ -184,7 +184,6 @@ class JobRunner {
         // the same DetSan replay over a permuted emission order, catching
         // impure or non-commutative combine fns. The replay re-reads the
         // emitted pairs, so only a sampled task's combine copies the keys.
-        auto keep = [](const V& v) { return v; };
         auto merge = [&](V&& a, const V& b) -> V {
           return spec.combine_fn(a, b);
         };
@@ -192,17 +191,17 @@ class JobRunner {
         if (kReplayable && ds.enabled() && pairs.size() >= 2 &&
             ds.should_replay(replay_id, m)) {
           auto combined =
-              engine::detail::combine_pairs<Hash>(pairs, {}, keep, merge);
+              engine::detail::combine_pairs<Hash>(pairs, {}, merge);
           if constexpr (kReplayable) {
             engine::detail::detsan_replay_combine(
                 ds, "job '" + spec.name + "' map task " + std::to_string(m),
                 ds.replay_seed(replay_id, m), "combine", pairs, combined,
-                keep, merge);
+                merge);
           }
           bytes = engine::detail::hash_partition(combined, buckets, spec.hash);
         } else {
           auto combined = engine::detail::combine_pairs<Hash>(
-              std::move(pairs), {}, keep, merge);
+              std::move(pairs), {}, merge);
           bytes = engine::detail::hash_partition(combined, buckets, spec.hash);
         }
       } else {

@@ -105,13 +105,9 @@ class StreamingMiner {
   // --- kill points -------------------------------------------------------
 
   void resolve_kill_point() {
-    kill_batch_ = options_.kill_batch;
-    kill_phase_ = options_.kill_phase;
     const engine::FaultProfile& fp = ctx_.fault_injector().profile();
-    if (kill_batch_ == 0 && fp.stream_kill_batch != 0) {
-      kill_batch_ = fp.stream_kill_batch;
-      kill_phase_ = fp.stream_kill_phase;
-    }
+    kill_batch_ = fp.stream_kill_batch;
+    kill_phase_ = fp.stream_kill_phase;
     if (kill_batch_ == 0 && fp.stream_seed != 0) {
       // Derive a (batch, phase) pair by hashing the seed, so a CI loop can
       // sweep kill points with nothing but YAFIM_FAULT_STREAM_SEED.

@@ -87,8 +87,9 @@ struct StreamOptions {
   SourceOptions source;
   BackpressureOptions backpressure;
 
-  // Counting configuration -- same semantics as YafimOptions.
-  fim::CountMode count_mode = fim::CountMode::kItemsetKey;
+  // Counting configuration -- same semantics as YafimOptions, and the same
+  // default count mode.
+  fim::CountMode count_mode = fim::CountMode::kCandidateId;
   fim::BroadcastMode broadcast_mode = fim::BroadcastMode::kAuto;
   u32 branching = 8;
   u32 leaf_capacity = 32;
@@ -97,12 +98,6 @@ struct StreamOptions {
 
   /// Snapshot store; null disables checkpointing (and resume).
   fim::CheckpointStore* checkpoint = nullptr;
-
-  /// Test-level kill override: when kill_batch != 0, throw
-  /// StreamKilledError at (kill_batch, kill_phase). Takes precedence over
-  /// the YAFIM_FAULT_STREAM_* axis from the environment.
-  u64 kill_batch = 0;
-  u32 kill_phase = 0;
 };
 
 struct StreamResult {
@@ -140,8 +135,9 @@ struct StreamResult {
 
 /// Run the streaming miner: `source_db` seeds the TransactionSource (the
 /// stream replays it with wrap-around), `fs` prices WAL + spill traffic.
-/// Throws StreamKilledError at a configured kill point; call again with the
-/// same options and checkpoint store to resume.
+/// Throws StreamKilledError at the kill point of ctx's FaultProfile
+/// (stream_kill_batch/stream_kill_phase, or one derived from stream_seed);
+/// call again with the same options and checkpoint store to resume.
 StreamResult stream_mine(engine::Context& ctx, simfs::SimFS& fs,
                          const fim::TransactionDB& source_db,
                          const StreamOptions& options);

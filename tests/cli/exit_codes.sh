@@ -12,7 +12,11 @@
 #      the storage error (yafim and mrapriori);
 #   5. running out of host memory exits 7, naming the engine and pass.
 #      Skipped when SANITIZER (the build's YAFIM_SANITIZE) is set: sanitizer
-#      shadow memory does not fit the address-space limit.
+#      shadow memory does not fit the address-space limit;
+#   6. an --input naming a directory, and an --input with no transaction
+#      under --stream (an empty file, or only malformed lines read with
+#      --lenient), exit 2 naming the file; an empty regular file still mines
+#      0 transactions and exits 0.
 #
 #   tests/cli/exit_codes.sh PATH/TO/mine_cli [SANITIZER]
 set -euo pipefail
@@ -111,5 +115,25 @@ else
       --generate=t10 --minsup=0.00003 --quiet --top=0
   )
 fi
+
+# ---- 6. inputs with nothing to mine -------------------------------------
+mkdir "$work/dir"
+expect_exit "directory --input" 2 "cannot read --input file $work/dir" \
+  --input="$work/dir" --quiet --top=0
+: > "$work/empty.txt"
+printf 'foo\nbar\n' > "$work/malformed.txt"
+expect_exit "empty --input --stream" 2 \
+  "empty.txt: --stream needs at least one transaction" \
+  --input="$work/empty.txt" --stream --quiet --top=0
+expect_exit "malformed --input --lenient --stream" 2 \
+  "malformed.txt: --stream needs at least one transaction" \
+  --input="$work/malformed.txt" --lenient --stream --top=0
+rc=0
+"$cli" --input="$work/empty.txt" --top=0 > "$work/out.txt" 2> "$work/err.txt" ||
+  rc=$?
+[ "$rc" -eq 0 ] || fail "[empty --input] exited $rc, want 0: $(cat "$work/err.txt")"
+grep -q '^# 0 transactions' "$work/out.txt" ||
+  fail "[empty --input] did not mine 0 transactions: $(cat "$work/out.txt")"
+echo "[empty --input] exit 0: $(grep '^# 0 transactions' "$work/out.txt")"
 
 echo "exit-code contract holds"

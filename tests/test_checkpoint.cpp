@@ -353,23 +353,40 @@ TEST(Checkpoint, MrAprioriResumeIsBitIdentical) {
   }
 }
 
+/// Whether `ctx` recorded a stage labelled `label`.
+bool has_stage(const engine::Context& ctx, const std::string& label) {
+  for (const sim::StageRecord& stage : ctx.report().stages()) {
+    if (stage.label == label) return true;
+  }
+  return false;
+}
+
+/// FPC(2) counts levels 2 and 3 alone, then 4-5 in one batch.
+PassCombining fpc2() {
+  PassCombining combining;
+  combining.strategy = CombineStrategy::kFixedPasses;
+  combining.fixed_passes = 2;
+  return combining;
+}
+
 TEST(Checkpoint, YafimCombinedPassesResume) {
-  // combine_passes changes the snapshot cadence (one per batch) and is part
+  // Pass combining changes the snapshot cadence (one per batch) and is part
   // of the fingerprint; resume under combining must still be exact.
   const auto db = random_db(16, 200, 0.7, 100);
   engine::Context::Options copts = small_cluster();
 
   YafimOptions opt;
   opt.min_support = 0.25;
-  opt.combine_passes = 2;
+  opt.combining = fpc2();
 
   engine::Context ref_ctx(copts);
   simfs::SimFS ref_fs(ref_ctx.cluster());
   const auto reference = yafim_mine(ref_ctx, ref_fs, db, opt);
+  ASSERT_GE(reference.itemsets.max_k(), 5u);
 
   DirCheckpointStore store(fresh_dir("ck_yafim_combined"));
   opt.checkpoint = &store;
-  opt.stop_after_pass = 2;
+  opt.stop_after_pass = 3;
   engine::Context crash_ctx(copts);
   simfs::SimFS crash_fs(crash_ctx.cluster());
   (void)yafim_mine(crash_ctx, crash_fs, db, opt);
@@ -378,8 +395,54 @@ TEST(Checkpoint, YafimCombinedPassesResume) {
   engine::Context resume_ctx(copts);
   simfs::SimFS resume_fs(resume_ctx.cluster());
   const auto resumed = yafim_mine(resume_ctx, resume_fs, db, opt);
-  EXPECT_GT(resumed.resumed_pass, 0u);
+  EXPECT_EQ(resumed.resumed_pass, 3u);
+  // The resume counts levels 4 and 5 in one cluster pass.
+  EXPECT_TRUE(has_stage(resume_ctx, "pass4:ap_gen+buildHashTree"));
+  EXPECT_FALSE(has_stage(resume_ctx, "pass5:ap_gen+buildHashTree"));
   EXPECT_EQ(resumed.itemsets.sorted(), reference.itemsets.sorted());
+  ASSERT_EQ(resumed.passes.size(), reference.passes.size());
+  for (size_t i = 0; i < resumed.passes.size(); ++i) {
+    EXPECT_EQ(resumed.passes[i].k, reference.passes[i].k);
+    EXPECT_EQ(resumed.passes[i].candidates, reference.passes[i].candidates);
+  }
+}
+
+TEST(Checkpoint, MrAprioriCombinedPassesResume) {
+  // The same shape on the MapReduce driver: a combined job's batch of
+  // levels is snapshotted once, and the resume runs the next batch.
+  const auto db = random_db(16, 200, 0.7, 100);
+  engine::Context::Options copts = small_cluster();
+
+  MrAprioriOptions opt;
+  opt.min_support = 0.25;
+  opt.combining = fpc2();
+
+  engine::Context ref_ctx(copts);
+  simfs::SimFS ref_fs(ref_ctx.cluster());
+  const auto reference = mr_apriori_mine(ref_ctx, ref_fs, db, opt);
+  ASSERT_GE(reference.itemsets.max_k(), 5u);
+
+  DirCheckpointStore store(fresh_dir("ck_mr_combined"));
+  opt.checkpoint = &store;
+  opt.stop_after_pass = 3;
+  engine::Context crash_ctx(copts);
+  simfs::SimFS crash_fs(crash_ctx.cluster());
+  (void)mr_apriori_mine(crash_ctx, crash_fs, db, opt);
+
+  opt.stop_after_pass = 0;
+  engine::Context resume_ctx(copts);
+  simfs::SimFS resume_fs(resume_ctx.cluster());
+  const auto resumed = mr_apriori_mine(resume_ctx, resume_fs, db, opt);
+  EXPECT_EQ(resumed.resumed_pass, 3u);
+  EXPECT_TRUE(has_stage(resume_ctx, "mrapriori:ap_gen L4"));
+  EXPECT_FALSE(has_stage(resume_ctx, "mrapriori:ap_gen L5"));
+  EXPECT_EQ(resumed.itemsets.sorted(), reference.itemsets.sorted());
+  ASSERT_EQ(resumed.passes.size(), reference.passes.size());
+  for (size_t i = 0; i < resumed.passes.size(); ++i) {
+    EXPECT_EQ(resumed.passes[i].k, reference.passes[i].k);
+    EXPECT_EQ(resumed.passes[i].candidates, reference.passes[i].candidates);
+    EXPECT_EQ(resumed.passes[i].sim_seconds, reference.passes[i].sim_seconds);
+  }
 }
 
 }  // namespace

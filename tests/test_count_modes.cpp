@@ -37,6 +37,9 @@ namespace {
 
 constexpr CountMode kAllModes[] = {CountMode::kItemsetKey,
                                    CountMode::kCandidateId};
+/// One level per pass, and levels batched from level 2 on.
+constexpr CombineStrategy kSpc = CombineStrategy::kSinglePass;
+constexpr CombineStrategy kCombinings[] = {kSpc, CombineStrategy::kDynamic};
 
 engine::Context::Options small_cluster() {
   engine::Context::Options opts;
@@ -106,7 +109,8 @@ const TransactionDB& mixed_db() {
   return db;
 }
 
-MiningRun run_yafim(const TransactionDB& db, CountMode mode, u32 combine,
+MiningRun run_yafim(const TransactionDB& db, CountMode mode,
+                    CombineStrategy combining,
                     engine::Context::Options copts = small_cluster(),
                     double min_support = 0.2) {
   engine::Context ctx(copts);
@@ -114,7 +118,7 @@ MiningRun run_yafim(const TransactionDB& db, CountMode mode, u32 combine,
   YafimOptions opt;
   opt.min_support = min_support;
   opt.count_mode = mode;
-  opt.combine_passes = combine;
+  opt.combining.strategy = combining;
   return yafim_mine(ctx, fs, db, opt);
 }
 
@@ -127,13 +131,13 @@ TEST(CountModes, YafimBitIdenticalAcrossModesAndBatching) {
   const auto seq = apriori_mine(db, sopt);
   ASSERT_GT(seq.itemsets.total(), 0u);
 
-  for (u32 combine : {1u, 3u}) {
-    const auto faithful = run_yafim(db, CountMode::kItemsetKey, combine);
+  for (CombineStrategy combining : kCombinings) {
+    const auto faithful = run_yafim(db, CountMode::kItemsetKey, combining);
     EXPECT_TRUE(faithful.itemsets.same_itemsets(seq.itemsets))
-        << "combine=" << combine;
-    const auto run = run_yafim(db, CountMode::kCandidateId, combine);
+        << "combining=" << static_cast<int>(combining);
+    const auto run = run_yafim(db, CountMode::kCandidateId, combining);
     EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets))
-        << "combine=" << combine;
+        << "combining=" << static_cast<int>(combining);
     // Same candidate levels were generated and verified in both modes.
     ASSERT_EQ(run.passes.size(), faithful.passes.size());
     for (size_t i = 0; i < run.passes.size(); ++i) {
@@ -146,24 +150,25 @@ TEST(CountModes, YafimBitIdenticalAcrossModesAndBatching) {
 
 TEST(CountModes, YafimBitIdenticalUnderFaultInjection) {
   const auto db = random_db(14, 200, 0.4, 7);
-  const auto reference = run_yafim(db, CountMode::kItemsetKey, 1);
+  const auto reference = run_yafim(db, CountMode::kItemsetKey, kSpc);
 
   for (CountMode mode : kAllModes) {
-    for (u32 combine : {1u, 3u}) {
+    for (CombineStrategy combining : kCombinings) {
       auto copts = small_cluster();
       copts.fault.seed = 99;
       copts.fault.task_failure_p = 0.05;
       copts.fault.straggler_p = 0.05;
-      const auto run = run_yafim(db, mode, combine, copts);
+      const auto run = run_yafim(db, mode, combining, copts);
       EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets))
-          << count_mode_name(mode) << " combine=" << combine;
+          << count_mode_name(mode)
+          << " combining=" << static_cast<int>(combining);
     }
   }
 }
 
 TEST(CountModes, YafimBitIdenticalUnderCorruptionInjection) {
   const auto db = random_db(14, 200, 0.4, 8);
-  const auto reference = run_yafim(db, CountMode::kItemsetKey, 1);
+  const auto reference = run_yafim(db, CountMode::kItemsetKey, kSpc);
 
   for (CountMode mode : kAllModes) {
     auto copts = small_cluster();
@@ -171,7 +176,7 @@ TEST(CountModes, YafimBitIdenticalUnderCorruptionInjection) {
     copts.fault.corrupt.seed = 11;
     copts.fault.corrupt.block_p = 0.05;
     copts.fault.corrupt.cached_p = 0.1;
-    const auto run = run_yafim(db, mode, 1, copts);
+    const auto run = run_yafim(db, mode, kSpc, copts);
     EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets))
         << count_mode_name(mode);
   }
@@ -181,7 +186,7 @@ TEST(CountModes, DenseResumeFromCheckpointIsBitIdentical) {
   // Crash mid-mine in the dense mode, resume from the snapshot: the resumed
   // passes must reproduce the uninterrupted run's itemsets.
   const auto db = random_db(16, 200, 0.45, 100);
-  const auto reference = run_yafim(db, CountMode::kCandidateId, 1);
+  const auto reference = run_yafim(db, CountMode::kCandidateId, kSpc);
   ASSERT_GE(reference.passes.size(), 3u) << "need k >= 3 to test resume";
 
   const std::filesystem::path dir =
@@ -210,7 +215,7 @@ TEST(CountModes, DenseResumeFromCheckpointIsBitIdentical) {
 
 TEST(CountModes, MrAprioriBitIdenticalAcrossModes) {
   const auto db = random_db(16, 250, 0.35, 42);
-  const auto yafim_ref = run_yafim(db, CountMode::kCandidateId, 1);
+  const auto yafim_ref = run_yafim(db, CountMode::kCandidateId, kSpc);
 
   for (CountMode mode : kAllModes) {
     engine::Context ctx(small_cluster());
@@ -244,12 +249,13 @@ const obs::CounterId kProbeCounters[] = {
 };
 
 std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
-                                 u32 combine, engine::Context::Options copts,
+                                 CombineStrategy combining,
+                                 engine::Context::Options copts,
                                  std::span<const obs::CounterId> ids,
                                  double min_support = 0.2) {
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
-  (void)run_yafim(db, mode, combine, copts, min_support);
+  (void)run_yafim(db, mode, combining, copts, min_support);
   obs::set_enabled(false);
   std::vector<u64> values;
   for (obs::CounterId id : ids) values.push_back(obs::counter_value(id));
@@ -258,29 +264,29 @@ std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
 
 TEST(CountModes, ModeInvariantCountersAgree) {
   const auto db = random_db(15, 220, 0.35, 21);
-  for (u32 combine : {1u, 3u}) {
+  for (CombineStrategy combining : kCombinings) {
     const auto faithful = traced_counters(
-        db, CountMode::kItemsetKey, combine, small_cluster(),
+        db, CountMode::kItemsetKey, combining, small_cluster(),
         kModeInvariantCounters);
     const auto values =
-        traced_counters(db, CountMode::kCandidateId, combine,
+        traced_counters(db, CountMode::kCandidateId, combining,
                         small_cluster(), kModeInvariantCounters);
     ASSERT_EQ(faithful.size(), values.size());
     for (size_t i = 0; i < faithful.size(); ++i) {
       EXPECT_EQ(faithful[i], values[i])
           << obs::counter_name(kModeInvariantCounters[i])
-          << " combine=" << combine;
+          << " combining=" << static_cast<int>(combining);
     }
   }
 }
 
 TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
   // Where no dense task switches kernels, both modes probe every row.
-  const auto sparse = traced_counters(sparse_db(), CountMode::kItemsetKey, 1,
-                                      small_cluster(), kProbeCounters,
-                                      kSparseMinSupport);
+  const auto sparse =
+      traced_counters(sparse_db(), CountMode::kItemsetKey, kSpc,
+                      small_cluster(), kProbeCounters, kSparseMinSupport);
   const auto sparse_dense =
-      traced_counters(sparse_db(), CountMode::kCandidateId, 1,
+      traced_counters(sparse_db(), CountMode::kCandidateId, kSpc,
                       small_cluster(), kProbeCounters, kSparseMinSupport);
   EXPECT_EQ(sparse, sparse_dense);
   EXPECT_GT(sparse_dense[0], 0u) << "hash-tree probes missing";
@@ -288,9 +294,9 @@ TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
   // Where tasks switch to the bitmap kernel, the dense mode probes
   // strictly fewer nodes and candidates.
   const auto db = random_db(15, 220, 0.35, 21);
-  const auto faithful = traced_counters(db, CountMode::kItemsetKey, 1,
+  const auto faithful = traced_counters(db, CountMode::kItemsetKey, kSpc,
                                         small_cluster(), kProbeCounters);
-  const auto dense = traced_counters(db, CountMode::kCandidateId, 1,
+  const auto dense = traced_counters(db, CountMode::kCandidateId, kSpc,
                                      small_cluster(), kProbeCounters);
   for (size_t i = 0; i < dense.size(); ++i) {
     EXPECT_GT(dense[i], 0u) << obs::counter_name(kProbeCounters[i]);
@@ -304,8 +310,8 @@ TEST(CountModes, SwitchingTasksRecordBitmapWork) {
   // in the bitmap counters.
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
-  (void)run_yafim(saturated_db(), CountMode::kCandidateId, 1, small_cluster(),
-                  kSaturatedMinSupport);
+  (void)run_yafim(saturated_db(), CountMode::kCandidateId, kSpc,
+                  small_cluster(), kSaturatedMinSupport);
   obs::set_enabled(false);
   EXPECT_GT(obs::counter_value(obs::CounterId::kDenseRowsBitmap), 0u);
   EXPECT_GT(obs::counter_value(obs::CounterId::kBitmapIndexBytes), 0u);
@@ -323,9 +329,9 @@ TEST(CountModes, CountersReproducibleUnderFaultInjection) {
     copts.fault.seed = 123;
     copts.fault.task_failure_p = 0.08;
     const auto first =
-        traced_counters(db, mode, 1, copts, kModeInvariantCounters);
+        traced_counters(db, mode, kSpc, copts, kModeInvariantCounters);
     const auto second =
-        traced_counters(db, mode, 1, copts, kModeInvariantCounters);
+        traced_counters(db, mode, kSpc, copts, kModeInvariantCounters);
     EXPECT_EQ(first, second) << count_mode_name(mode);
   }
 }
@@ -337,7 +343,7 @@ TEST(CountModes, BitIdenticalUnderComposedMemShrinkAndTaskFailures) {
   // must still produce the clean run's exact itemsets -- the degraded
   // counting path and the retried tasks may not interact destructively.
   const auto db = random_db(14, 200, 0.4, 19);
-  const auto clean = run_yafim(db, CountMode::kItemsetKey, 1);
+  const auto clean = run_yafim(db, CountMode::kItemsetKey, kSpc);
   ASSERT_GT(clean.itemsets.total(), 0u);
 
   for (u64 seed : {101ull, 211ull}) {
@@ -534,7 +540,8 @@ struct ChoiceCounters {
 };
 
 ChoiceCounters mine_counted(const TransactionDB& db, double min_support,
-                            CountMode mode, bool mapreduce, u32 combine) {
+                            CountMode mode, bool mapreduce,
+                            CombineStrategy combining) {
   engine::Context ctx(small_cluster());
   simfs::SimFS fs(ctx.cluster());
   obs::CounterRegistry::instance().reset_all();
@@ -544,12 +551,13 @@ ChoiceCounters mine_counted(const TransactionDB& db, double min_support,
     MrAprioriOptions opt;
     opt.min_support = min_support;
     opt.count_mode = mode;
+    opt.combining.strategy = combining;
     out.itemsets = mr_apriori_mine(ctx, fs, db, opt).itemsets;
   } else {
     YafimOptions opt;
     opt.min_support = min_support;
     opt.count_mode = mode;
-    opt.combine_passes = combine;
+    opt.combining.strategy = combining;
     out.itemsets = yafim_mine(ctx, fs, db, opt).itemsets;
   }
   obs::set_enabled(false);
@@ -576,15 +584,15 @@ TEST(DenseKernelChoice, MinersMatchItemsetKeyOnAllThreeDatabases) {
                         {"mixed", mixed_db(), kMixedMinSupport}};
   for (const Case& c : cases) {
     for (const bool mapreduce : {false, true}) {
-      for (const u32 combine : {1u, 3u}) {
-        if (mapreduce && combine != 1) continue;
+      for (const CombineStrategy combining : kCombinings) {
         const std::string where = std::string(c.name) +
                                   (mapreduce ? " mrapriori" : " yafim") +
-                                  " combine=" + std::to_string(combine);
+                                  " combining=" +
+                                  std::to_string(static_cast<int>(combining));
         const ChoiceCounters faithful = mine_counted(
-            c.db, c.min_support, CountMode::kItemsetKey, mapreduce, combine);
+            c.db, c.min_support, CountMode::kItemsetKey, mapreduce, combining);
         const ChoiceCounters dense = mine_counted(
-            c.db, c.min_support, CountMode::kCandidateId, mapreduce, combine);
+            c.db, c.min_support, CountMode::kCandidateId, mapreduce, combining);
         ASSERT_GT(faithful.itemsets.total(), 0u) << where;
         EXPECT_TRUE(dense.itemsets.same_itemsets(faithful.itemsets)) << where;
         EXPECT_EQ(faithful.probed + faithful.bitmapped, 0u) << where;
@@ -640,7 +648,7 @@ TEST(DenseKernelChoice, TaskWorkIsIdenticalAcrossHostThreadCounts) {
 
 TEST(DenseKernelChoice, DetSanReplaysTheSwitchingTasksClean) {
   const MiningRun faithful =
-      run_yafim(mixed_db(), CountMode::kItemsetKey, 1, small_cluster(),
+      run_yafim(mixed_db(), CountMode::kItemsetKey, kSpc, small_cluster(),
                 kMixedMinSupport);
   for (const bool mapreduce : {false, true}) {
     auto copts = small_cluster();
@@ -1000,7 +1008,7 @@ TEST(CountModes, DensePathRecordsArrayReduceCounters) {
   const auto db = random_db(15, 220, 0.35, 21);
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
-  (void)run_yafim(db, CountMode::kCandidateId, 1);
+  (void)run_yafim(db, CountMode::kCandidateId, kSpc);
   obs::set_enabled(false);
   EXPECT_GT(obs::counter_value(obs::CounterId::kArrayReduceBytes), 0u);
   EXPECT_GT(obs::counter_value(obs::CounterId::kArrayReduceCells), 0u);

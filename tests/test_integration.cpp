@@ -15,7 +15,6 @@
 #include "fim/fp_growth.h"
 #include "fim/mr_apriori.h"
 #include "fim/rules.h"
-#include "fim/spc_fpc_dpc.h"
 #include "fim/yafim.h"
 
 namespace yafim {
@@ -271,11 +270,11 @@ TEST(Integration, CombiningStrategiesAgreeOnBenchmark) {
         fim::CombineStrategy::kDynamic}) {
     engine::Context ctx(paper_cluster());
     simfs::SimFS fs(ctx.cluster());
-    fim::LinOptions opt;
+    fim::MrAprioriOptions opt;
     opt.min_support = bench.paper_min_support;
-    opt.strategy = strategy;
-    const auto lin = fim::lin_mine(ctx, fs, bench.db, opt);
-    EXPECT_TRUE(lin.run.itemsets.same_itemsets(reference));
+    opt.combining.strategy = strategy;
+    EXPECT_TRUE(fim::mr_apriori_mine(ctx, fs, bench.db, opt)
+                    .itemsets.same_itemsets(reference));
   }
 }
 

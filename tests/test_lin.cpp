@@ -1,10 +1,11 @@
-// Tests for the SPC / FPC / DPC combining strategies (Lin et al.): all
-// three must stay exact while trading job count against speculative
-// candidate counting.
+// Tests for Lin et al.'s pass combining (SPC / FPC / DPC) on MRApriori's
+// job driver: every strategy must stay exact while trading job count
+// against speculative candidate counting.
 #include <gtest/gtest.h>
 
 #include "fim/apriori_seq.h"
-#include "fim/spc_fpc_dpc.h"
+#include "fim/mr_apriori.h"
+#include "fim/yafim.h"
 #include "util/rng.h"
 
 namespace yafim::fim {
@@ -42,17 +43,34 @@ TransactionDB deep_db(u64 seed) {
   return TransactionDB(std::move(tx));
 }
 
-LinRun run_strategy(const TransactionDB& db, CombineStrategy strategy,
-                    double min_support) {
+struct CombinedRun {
+  MiningRun run;
+  /// MapReduce job startups the run paid.
+  u32 jobs = 0;
+  /// Candidates counted over every level.
+  u64 candidates = 0;
+};
+
+CombinedRun run_strategy(const TransactionDB& db, CombineStrategy strategy,
+                         double min_support, u64 dynamic_budget = 20000) {
   engine::Context ctx(small_cluster());
   simfs::SimFS fs(ctx.cluster());
-  LinOptions opt;
+  MrAprioriOptions opt;
   opt.min_support = min_support;
-  opt.strategy = strategy;
-  return lin_mine(ctx, fs, db, opt);
+  opt.combining.strategy = strategy;
+  opt.combining.dynamic_candidate_budget = dynamic_budget;
+  CombinedRun res;
+  res.run = mr_apriori_mine(ctx, fs, db, opt);
+  for (const sim::StageRecord& stage : ctx.report().stages()) {
+    if (stage.fixed_overhead_s > 0) ++res.jobs;
+  }
+  for (const PassStats& pass : res.run.passes) {
+    res.candidates += pass.candidates;
+  }
+  return res;
 }
 
-TEST(Lin, AllStrategiesExact) {
+TEST(PassCombining, AllStrategiesExact) {
   const auto db = deep_db(1);
   AprioriOptions sopt;
   sopt.min_support = 0.4;
@@ -62,39 +80,39 @@ TEST(Lin, AllStrategiesExact) {
   for (const auto strategy :
        {CombineStrategy::kSinglePass, CombineStrategy::kFixedPasses,
         CombineStrategy::kDynamic}) {
-    const auto lin = run_strategy(db, strategy, 0.4);
-    EXPECT_TRUE(lin.run.itemsets.same_itemsets(seq.itemsets))
+    const auto res = run_strategy(db, strategy, 0.4);
+    EXPECT_TRUE(res.run.itemsets.same_itemsets(seq.itemsets))
         << "strategy=" << static_cast<int>(strategy)
-        << " got=" << lin.run.itemsets.total()
+        << " got=" << res.run.itemsets.total()
         << " want=" << seq.itemsets.total();
   }
 }
 
-TEST(Lin, SpcRunsOneJobPerLevel) {
+TEST(PassCombining, SpcRunsOneJobPerLevel) {
   const auto db = deep_db(2);
   const auto spc = run_strategy(db, CombineStrategy::kSinglePass, 0.4);
-  EXPECT_EQ(spc.num_jobs, spc.run.itemsets.max_k());
-  EXPECT_EQ(spc.speculative_candidates, 0u);
+  EXPECT_EQ(spc.jobs, spc.run.itemsets.max_k());
 }
 
-TEST(Lin, CombiningReducesJobCount) {
+TEST(PassCombining, CombiningReducesJobCount) {
   const auto db = deep_db(3);
   const auto spc = run_strategy(db, CombineStrategy::kSinglePass, 0.4);
   const auto fpc = run_strategy(db, CombineStrategy::kFixedPasses, 0.4);
   const auto dpc = run_strategy(db, CombineStrategy::kDynamic, 0.4);
-  EXPECT_LT(fpc.num_jobs, spc.num_jobs);
-  EXPECT_LT(dpc.num_jobs, spc.num_jobs);
+  EXPECT_LT(fpc.jobs, spc.jobs);
+  EXPECT_LT(dpc.jobs, spc.jobs);
 }
 
-TEST(Lin, CombiningCountsSpeculativeCandidates) {
+TEST(PassCombining, CombiningCountsSpeculativeCandidates) {
   const auto db = deep_db(4);
+  const auto spc = run_strategy(db, CombineStrategy::kSinglePass, 0.4);
   const auto dpc = run_strategy(db, CombineStrategy::kDynamic, 0.4);
   // Candidates generated from unverified candidates include infrequent
   // ones that a per-level run would have pruned.
-  EXPECT_GT(dpc.speculative_candidates, 0u);
+  EXPECT_GT(dpc.candidates, spc.candidates);
 }
 
-TEST(Lin, CombiningSavesSimTimeWhenStartupDominates) {
+TEST(PassCombining, CombiningSavesSimTimeWhenStartupDominates) {
   const auto db = deep_db(5);
   const auto spc = run_strategy(db, CombineStrategy::kSinglePass, 0.4);
   const auto dpc = run_strategy(db, CombineStrategy::kDynamic, 0.4);
@@ -102,19 +120,14 @@ TEST(Lin, CombiningSavesSimTimeWhenStartupDominates) {
   EXPECT_LT(dpc.run.total_seconds(), spc.run.total_seconds());
 }
 
-TEST(Lin, DynamicBudgetLimitsBatch) {
+TEST(PassCombining, DynamicBudgetLimitsBatch) {
   const auto db = deep_db(6);
-  engine::Context ctx(small_cluster());
-  simfs::SimFS fs(ctx.cluster());
-  LinOptions opt;
-  opt.min_support = 0.4;
-  opt.strategy = CombineStrategy::kDynamic;
-  opt.dynamic_candidate_budget = 1;  // degenerate: one level per batch
-  const auto lin = lin_mine(ctx, fs, db, opt);
-  EXPECT_EQ(lin.num_jobs, lin.run.itemsets.max_k());
+  // Degenerate budget: one level per job.
+  const auto dpc = run_strategy(db, CombineStrategy::kDynamic, 0.4, 1);
+  EXPECT_EQ(dpc.jobs, dpc.run.itemsets.max_k());
 }
 
-TEST(Lin, PassStatsCoverEveryLevel) {
+TEST(PassCombining, PassStatsCoverEveryLevel) {
   const auto db = deep_db(7);
   const auto fpc = run_strategy(db, CombineStrategy::kFixedPasses, 0.4);
   ASSERT_EQ(fpc.run.passes.size(), fpc.run.itemsets.max_k());
@@ -125,31 +138,38 @@ TEST(Lin, PassStatsCoverEveryLevel) {
   }
 }
 
-TEST(Lin, EmptyDatabase) {
-  engine::Context ctx(small_cluster());
-  simfs::SimFS fs(ctx.cluster());
-  LinOptions opt;
-  const auto lin = lin_mine(ctx, fs, TransactionDB(), opt);
-  EXPECT_EQ(lin.run.itemsets.total(), 0u);
-  EXPECT_EQ(lin.num_jobs, 0u);
+TEST(PassCombining, EmptyDatabase) {
+  const auto res =
+      run_strategy(TransactionDB(), CombineStrategy::kDynamic, 0.1);
+  EXPECT_EQ(res.run.itemsets.total(), 0u);
+  EXPECT_EQ(res.jobs, 0u);
 }
 
-/// Exactness sweep across strategies and thresholds.
-class LinSweep : public ::testing::TestWithParam<
-                     std::tuple<CombineStrategy, double, u32>> {};
+/// Exactness sweep across strategies, thresholds and both substrates.
+class PassCombiningSweep
+    : public ::testing::TestWithParam<
+          std::tuple<CombineStrategy, double, u32>> {};
 
-TEST_P(LinSweep, MatchesReference) {
+TEST_P(PassCombiningSweep, MatchesReference) {
   const auto [strategy, min_support, seed] = GetParam();
   const auto db = deep_db(100 + seed);
   AprioriOptions sopt;
   sopt.min_support = min_support;
   const auto seq = apriori_mine(db, sopt);
-  const auto lin = run_strategy(db, strategy, min_support);
-  EXPECT_TRUE(lin.run.itemsets.same_itemsets(seq.itemsets));
+  EXPECT_TRUE(run_strategy(db, strategy, min_support)
+                  .run.itemsets.same_itemsets(seq.itemsets));
+
+  engine::Context ctx(small_cluster());
+  simfs::SimFS fs(ctx.cluster());
+  YafimOptions yopt;
+  yopt.min_support = min_support;
+  yopt.combining.strategy = strategy;
+  EXPECT_TRUE(
+      yafim_mine(ctx, fs, db, yopt).itemsets.same_itemsets(seq.itemsets));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, LinSweep,
+    Sweep, PassCombiningSweep,
     ::testing::Combine(::testing::Values(CombineStrategy::kSinglePass,
                                          CombineStrategy::kFixedPasses,
                                          CombineStrategy::kDynamic),

@@ -131,21 +131,23 @@ TEST(MemoryPressure, PartitionedBroadcastBitIdenticalAcrossCountModes) {
   base.count_mode = CountMode::kItemsetKey;
   base.broadcast_mode = BroadcastMode::kFull;
 
-  for (u32 combine : {1u, 2u}) {
+  for (CombineStrategy combining :
+       {CombineStrategy::kSinglePass, CombineStrategy::kDynamic}) {
     // Speculative levels from combined passes add zero-frequent pass
-    // entries, so the per-pass comparison must hold `combine` fixed.
+    // entries, so the per-pass comparison must hold `combining` fixed.
     YafimOptions full_opt = base;
-    full_opt.combine_passes = combine;
+    full_opt.combining.strategy = combining;
     const auto full = run_yafim(db, full_opt);
     EXPECT_TRUE(full.itemsets.same_itemsets(seq.itemsets))
-        << "combine=" << combine;
+        << "combining=" << static_cast<int>(combining);
     for (CountMode mode : kAllModes) {
       YafimOptions opt = full_opt;
       opt.count_mode = mode;
       opt.broadcast_mode = BroadcastMode::kPartitioned;
       const auto part = run_yafim(db, opt);
       EXPECT_TRUE(part.itemsets.same_itemsets(full.itemsets))
-          << count_mode_name(mode) << " combine=" << combine;
+          << count_mode_name(mode)
+          << " combining=" << static_cast<int>(combining);
       // Same candidate levels generated and verified in every mode.
       ASSERT_EQ(part.passes.size(), full.passes.size());
       for (size_t i = 0; i < part.passes.size(); ++i) {

@@ -23,7 +23,6 @@
 #include "fim/mr_apriori.h"
 #include "fim/sampling.h"
 #include "fim/son.h"
-#include "fim/spc_fpc_dpc.h"
 #include "fim/yafim.h"
 #include "simfs/simfs.h"
 #include "stream/miner.h"
@@ -153,14 +152,28 @@ TEST(PricingPins, Yafim) {
   }
 }
 
+/// The combining strategies pinned for both miners: FPC with two levels
+/// per pass from level 4 on, and DPC at its default budget.
+std::vector<std::pair<std::string, PassCombining>> combined_strategies() {
+  PassCombining fpc;
+  fpc.strategy = CombineStrategy::kFixedPasses;
+  fpc.fixed_passes = 2;
+  PassCombining dpc;
+  dpc.strategy = CombineStrategy::kDynamic;
+  return {{"fpc", fpc}, {"dpc", dpc}};
+}
+
 TEST(PricingPins, YafimCombinedPasses) {
-  const u64 pins[] = {0x68d67e44b5a3c52b, 0x9769ba30cc05c2c6};
+  const u64 pins[] = {0x961a2367f1ba0fab, 0x54b89bd454ba0b99,
+                      0xbea4f208db42129d, 0xe5fb8f21ff20a567};
   size_t i = 0;
-  for (CountMode mode : kAllModes) {
-    YafimOptions opt = yafim_options(mode, BroadcastMode::kAuto);
-    opt.combine_passes = 2;
-    expect_pin(std::string("yafim combine_passes=2 ") + count_mode_name(mode),
-               mine_yafim(opt), pins[i++]);
+  for (const auto& [name, combining] : combined_strategies()) {
+    for (CountMode mode : kAllModes) {
+      YafimOptions opt = yafim_options(mode, BroadcastMode::kAuto);
+      opt.combining = combining;
+      expect_pin("yafim " + name + " " + count_mode_name(mode),
+                 mine_yafim(opt), pins[i++]);
+    }
   }
 }
 
@@ -273,16 +286,20 @@ TEST(PricingPins, Stream) {
              0xac2ed4f5578781b1);
 }
 
-std::string mine_mr(CountMode mode, BroadcastMode bmode,
+std::string mine_mr(const MrAprioriOptions& opt,
                     engine::Context::Options copts = pinned_cluster()) {
-  MrAprioriOptions opt;
-  opt.min_support = 0.25;
-  opt.count_mode = mode;
-  opt.broadcast_mode = bmode;
   engine::Context ctx(copts);
   simfs::SimFS fs(ctx.cluster());
   const MiningRun run = mr_apriori_mine(ctx, fs, level_db(), opt);
   return passes(run) + priced(ctx);
+}
+
+MrAprioriOptions mr_options(CountMode mode, BroadcastMode bmode) {
+  MrAprioriOptions opt;
+  opt.min_support = 0.25;
+  opt.count_mode = mode;
+  opt.broadcast_mode = bmode;
+  return opt;
 }
 
 TEST(PricingPins, MrApriori) {
@@ -293,8 +310,8 @@ TEST(PricingPins, MrApriori) {
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
          {BroadcastMode::kAuto, BroadcastMode::kPartitioned}) {
-      expect_pin("mrapriori " + mode_name(mode, bmode), mine_mr(mode, bmode),
-                 pins[i++]);
+      expect_pin("mrapriori " + mode_name(mode, bmode),
+                 mine_mr(mr_options(mode, bmode)), pins[i++]);
     }
   }
   // A budget below the whole tree: the shard count doubles until the
@@ -302,32 +319,29 @@ TEST(PricingPins, MrApriori) {
   engine::Context::Options copts = pinned_cluster();
   copts.cluster.executor_memory_bytes = 24 << 10;
   expect_pin("mrapriori tight budget",
-             mine_mr(CountMode::kCandidateId, BroadcastMode::kAuto, copts),
+             mine_mr(mr_options(CountMode::kCandidateId, BroadcastMode::kAuto),
+                     copts),
              0x67bffced231ed361);
 }
 
-TEST(PricingPins, Lin) {
-  const u64 pins[] = {0xbd395e35775cdfdf, 0xf117cdd8b3eb0386,
-                      0x30903d4f6a46f682};
+TEST(PricingPins, MrAprioriCombining) {
+  const u64 pins[] = {0xca26a5316c6d7cfb, 0xb791ea20e9b7759,
+                      0x8cde99f7bd7185e8, 0xd22f545e720c8d1e};
   size_t i = 0;
-  const std::pair<const char*, CombineStrategy> strategies[] = {
-      {"spc", CombineStrategy::kSinglePass},
-      {"fpc", CombineStrategy::kFixedPasses},
-      {"dpc", CombineStrategy::kDynamic}};
-  for (const auto& [name, strategy] : strategies) {
-    LinOptions opt;
-    opt.min_support = 0.25;
-    opt.strategy = strategy;
-    opt.fixed_passes = 2;
-    engine::Context ctx(pinned_cluster());
-    simfs::SimFS fs(ctx.cluster());
-    const LinRun lin = lin_mine(ctx, fs, level_db(), opt);
-    std::ostringstream out;
-    out << "jobs " << lin.num_jobs << " speculative "
-        << lin.speculative_candidates << '\n';
-    expect_pin(std::string("lin ") + name,
-               out.str() + passes(lin.run) + priced(ctx), pins[i++]);
+  for (const auto& [name, combining] : combined_strategies()) {
+    for (CountMode mode : kAllModes) {
+      MrAprioriOptions opt = mr_options(mode, BroadcastMode::kAuto);
+      opt.combining = combining;
+      expect_pin("mrapriori " + name + " " + count_mode_name(mode),
+                 mine_mr(opt), pins[i++]);
+    }
   }
+  // Every sub-job ships one shard of each level of the batch.
+  MrAprioriOptions partitioned =
+      mr_options(CountMode::kCandidateId, BroadcastMode::kPartitioned);
+  partitioned.combining = combined_strategies()[1].second;
+  expect_pin("mrapriori dpc partitioned", mine_mr(partitioned),
+             0x34bc75a5cb3a4d2f);
 }
 
 TEST(PricingPins, Son) {

@@ -351,6 +351,7 @@ TEST(StreamMiner, MatchesSequentialAprioriOverIngestedHistory) {
 TEST(StreamMiner, CountModesBitIdenticalPerBatch) {
   const auto db = random_db(14, 160, 0.4, 12);
   StreamOptions opt = small_stream();
+  opt.count_mode = fim::CountMode::kItemsetKey;
   const StreamResult faithful = run_stream(db, opt);
   StreamOptions dense = small_stream();
   dense.count_mode = fim::CountMode::kCandidateId;
@@ -382,9 +383,10 @@ void kill_resume_matrix(engine::Context::Options copts,
           std::to_string(phase)));
       StreamOptions kopt = opt;
       kopt.checkpoint = &store;
-      kopt.kill_batch = 4;
-      kopt.kill_phase = phase;
-      EXPECT_THROW(run_stream(db, kopt, copts), StreamKilledError);
+      engine::Context::Options kcopts = copts;
+      kcopts.fault.stream_kill_batch = 4;
+      kcopts.fault.stream_kill_phase = phase;
+      EXPECT_THROW(run_stream(db, kopt, kcopts), StreamKilledError);
 
       StreamOptions ropt = opt;
       ropt.checkpoint = &store;
@@ -430,9 +432,10 @@ TEST(StreamExactlyOnce, KillUnderComposedFaultAxes) {
         fresh_dir("stream_kill_composed_" + std::to_string(seed)));
     StreamOptions kopt = opt;
     kopt.checkpoint = &store;
-    kopt.kill_batch = 4;
-    kopt.kill_phase = static_cast<u32>(StreamPhase::kCount);
-    EXPECT_THROW(run_stream(db, kopt, copts), StreamKilledError);
+    engine::Context::Options kcopts = copts;
+    kcopts.fault.stream_kill_batch = 4;
+    kcopts.fault.stream_kill_phase = static_cast<u32>(StreamPhase::kCount);
+    EXPECT_THROW(run_stream(db, kopt, kcopts), StreamKilledError);
 
     StreamOptions ropt = opt;
     ropt.checkpoint = &store;
@@ -471,7 +474,7 @@ TEST(StreamExactlyOnce, SeedDerivedKillPointsAreStableAndInRange) {
   expect_identical(clean, resumed, "seed-derived kill");
 }
 
-TEST(StreamExactlyOnce, ExplicitProfileKillBeatsSeedAndRespectsOverride) {
+TEST(StreamExactlyOnce, ExplicitProfileKillBeatsSeed) {
   auto copts = small_cluster();
   copts.fault.stream_kill_batch = 2;
   copts.fault.stream_kill_phase =
@@ -494,9 +497,10 @@ TEST(StreamMiner, ResumeRejectsForeignConfiguration) {
   fim::DirCheckpointStore store(fresh_dir("stream_foreign_config"));
   StreamOptions opt = small_stream();
   opt.checkpoint = &store;
-  opt.kill_batch = 3;
-  opt.kill_phase = static_cast<u32>(StreamPhase::kBoundary);
-  EXPECT_THROW(run_stream(db, opt), StreamKilledError);
+  auto copts = small_cluster();
+  copts.fault.stream_kill_batch = 3;
+  copts.fault.stream_kill_phase = static_cast<u32>(StreamPhase::kBoundary);
+  EXPECT_THROW(run_stream(db, opt, copts), StreamKilledError);
   ASSERT_FALSE(store.list().empty());
 
   // Same store, different minsup: the fingerprint must refuse every

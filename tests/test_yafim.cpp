@@ -220,18 +220,26 @@ TEST(Yafim, CombinedPassesStayExact) {
   const auto seq = apriori_mine(db, sopt);
   ASSERT_GE(seq.itemsets.max_k(), 4u);
 
-  for (u32 combine : {1u, 2u, 3u, 8u}) {
+  std::vector<PassCombining> combinings(4);
+  combinings[1].strategy = CombineStrategy::kFixedPasses;
+  combinings[1].fixed_passes = 2;
+  combinings[2].strategy = CombineStrategy::kDynamic;
+  combinings[3].strategy = CombineStrategy::kDynamic;
+  combinings[3].dynamic_candidate_budget = 100;
+  for (const PassCombining& combining : combinings) {
     engine::Context ctx(small_cluster());
     simfs::SimFS fs(ctx.cluster());
     YafimOptions opt;
     opt.min_support = 0.25;
-    opt.combine_passes = combine;
+    opt.combining = combining;
     const auto run = yafim_mine(ctx, fs, db, opt);
-    EXPECT_TRUE(run.itemsets.same_itemsets(seq.itemsets))
-        << "combine=" << combine;
+    const std::string what =
+        "strategy=" + std::to_string(static_cast<int>(combining.strategy)) +
+        " budget=" + std::to_string(combining.dynamic_candidate_budget);
+    EXPECT_TRUE(run.itemsets.same_itemsets(seq.itemsets)) << what;
     // Every level still gets a PassStats entry with exact counts.
     for (const auto& pass : run.passes) {
-      EXPECT_EQ(pass.frequent, run.itemsets.level(pass.k).size());
+      EXPECT_EQ(pass.frequent, run.itemsets.level(pass.k).size()) << what;
     }
   }
 }
@@ -252,7 +260,7 @@ TEST(Yafim, CombinedPassesCutStageCount) {
     simfs::SimFS fs(ctx.cluster());
     YafimOptions opt;
     opt.min_support = 0.25;
-    opt.combine_passes = 3;
+    opt.combining.strategy = CombineStrategy::kDynamic;
     yafim_mine(ctx, fs, db, opt);
     stages_combined = ctx.report().stages().size();
   }
