@@ -139,14 +139,19 @@ void PlanLinter::check_broadcast(u64 bytes, const std::string& name) {
   diagnostics_.push_back(std::move(diag));
 }
 
-void PlanLinter::note_broadcast_fallback(u64 bytes, const std::string& name) {
+void PlanLinter::note_broadcast_fallback(u64 bytes, const std::string& name,
+                                         bool forced) {
   if (!enabled_) return;
   util::MutexLock lock(mutex_);
   std::ostringstream os;
   os << "broadcast payload of " << human_bytes(bytes)
-     << " exceeds executor memory of " << human_bytes(executor_memory_bytes_)
-     << "; partitioned candidate broadcast engaged -- the tree is sharded "
-        "across executors and transactions are re-partitioned to it";
+     << (forced ? " fits" : " exceeds") << " executor memory of "
+     << human_bytes(executor_memory_bytes_)
+     << (forced ? "; partitioned candidate broadcast forced by the "
+                  "partitioned broadcast mode"
+                : "; partitioned candidate broadcast engaged")
+     << " -- the tree is sharded across executors and transactions are "
+        "re-partitioned to it";
   LintDiagnostic diag;
   diag.rule = "YL002";
   diag.severity = LintSeverity::kNote;

@@ -125,12 +125,14 @@ class PlanLinter {
   void before_execute(u32 root, Consume kind, const std::string& label);
   /// Evaluate YL002 for a broadcast of `bytes` named `name`.
   void check_broadcast(u64 bytes, const std::string& name);
-  /// YL002's graceful-degradation twin: the payload did not fit, but the
-  /// engine engaged the partitioned candidate store instead of shipping it
-  /// whole. Emits YL002 as a *note* -- the plan shape is still worth
-  /// surfacing, but workers never hold the oversized value, so it is no
-  /// longer an error.
-  void note_broadcast_fallback(u64 bytes, const std::string& name);
+  /// YL002's graceful-degradation twin: the engine engaged the partitioned
+  /// candidate store instead of shipping the payload whole, because it did
+  /// not fit or, when `forced`, because the broadcast mode asked for the
+  /// store although it fit. Emits YL002 as a *note* -- the plan shape is
+  /// still worth surfacing, but workers never hold the whole value, so it
+  /// is no longer an error. The message says which of the two happened.
+  void note_broadcast_fallback(u64 bytes, const std::string& name,
+                               bool forced);
   /// YL006: the streaming backpressure controller raised the effective
   /// re-verification slack to `slack` (deferring `deferred` MinSup
   /// crossings) because batch latency reached `latency_s` against an ingest

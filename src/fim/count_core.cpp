@@ -1,6 +1,7 @@
 #include "fim/count_core.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <optional>
 
@@ -87,19 +88,93 @@ std::vector<Item> candidate_items(const std::vector<HashTree>& trees) {
   return items;
 }
 
+PairMatrix::PairMatrix(std::vector<Item> items) : items_(std::move(items)) {
+  YAFIM_CHECK(items_.size() >= 2 &&
+                  std::adjacent_find(items_.begin(), items_.end(),
+                                     std::greater_equal<Item>()) ==
+                      items_.end(),
+              "a pair matrix ranks at least two ascending, distinct items");
+  first_sparse_ = static_cast<u32>(
+      std::lower_bound(items_.begin(), items_.end(), kDirectLimit) -
+      items_.begin());
+  if (first_sparse_ > 0) {
+    direct_rank_.assign(size_t{items_[first_sparse_ - 1]} + 1, kNoRank);
+  }
+  for (u32 r = 0; r < first_sparse_; ++r) direct_rank_[items_[r]] = r;
+}
+
+std::shared_ptr<const PairMatrix> PairMatrix::of(
+    const std::vector<HashTree>& trees) {
+  if (trees.size() != 1 || trees.front().k() != 2) return nullptr;
+  const HashTree& tree = trees.front();
+  if (tree.size() == 0) return nullptr;
+  // C2's first m - 1 rows pair the smallest item with every other one.
+  const Item first = tree.candidate_items(0)[0];
+  std::vector<Item> items{first};
+  for (u32 ci = 0; ci < tree.size() && tree.candidate_items(ci)[0] == first;
+       ++ci) {
+    items.push_back(tree.candidate_items(ci)[1]);
+  }
+  const u64 m = items.size();
+  if (m * (m - 1) / 2 != tree.size() ||
+      std::adjacent_find(items.begin(), items.end(),
+                         std::greater_equal<Item>()) != items.end()) {
+    return nullptr;
+  }
+  u32 ci = 0;
+  for (u64 a = 0; a + 1 < m; ++a) {
+    for (u64 b = a + 1; b < m; ++b, ++ci) {
+      const Item* c = tree.candidate_items(ci);
+      if (c[0] != items[a] || c[1] != items[b]) return nullptr;
+    }
+  }
+  return std::make_shared<const PairMatrix>(std::move(items));
+}
+
+u32 PairMatrix::rank_of(Item item) const {
+  if (item < kDirectLimit) {
+    return item < direct_rank_.size() ? direct_rank_[item] : kNoRank;
+  }
+  const auto it =
+      std::lower_bound(items_.begin() + first_sparse_, items_.end(), item);
+  return it != items_.end() && *it == item
+             ? static_cast<u32>(it - items_.begin())
+             : kNoRank;
+}
+
+void PairMatrix::count_row(const Transaction& t, u64* cells) const {
+  // The row and the item list are both ascending, so are the row's ranks.
+  static thread_local std::vector<u32> ranks;
+  ranks.clear();
+  for (Item i : t) {
+    const u32 r = rank_of(i);
+    if (r != kNoRank) ranks.push_back(r);
+  }
+  const u64 m = items_.size();
+  const u64 p = ranks.size();
+  for (u64 x = 0; x + 1 < p; ++x) {
+    const u64 a = ranks[x];
+    // cell(a, b) = row_base + b; the unsigned wrap-around cancels for b > a.
+    const u64 row_base = a * (2 * m - a - 1) / 2 - a - 1;
+    for (u64 y = x + 1; y < p; ++y) ++cells[row_base + ranks[y]];
+  }
+  engine::work::add(t.size() + (p == 0 ? 0 : p * (p - 1) / 2));
+}
+
 void count_rows(std::span<const Transaction> rows,
                 const std::vector<HashTree>& trees,
-                std::span<const Item> items, u64* cells) {
+                std::span<const Item> items, u64* cells,
+                const PairMatrix* pairs) {
   __extension__ using u128 = unsigned __int128;
   const u64 n = rows.size();
   u64 occurrences_left = 0;  // item occurrences in rows [m, n)
   for (const Transaction& t : rows) occurrences_left += t.size();
-  u64 spent = 0;  // probe work units charged to rows [0, m)
+  u64 spent = 0;  // per-row kernel work units charged to rows [0, m)
   u64 m = 0;
   for (; m < n; ++m) {
     if (m > 0) {
       // The bitmap kernel's exact price for indexing and counting the rows
-      // left, against the probe's pace so far scaled to them:
+      // left, against the per-row kernel's pace so far scaled to them:
       // spent / m * (n - m) > bitmap, cross-multiplied.
       const u64 left = n - m;
       u64 bitmap = VerticalBitmapIndex::build_units(occurrences_left,
@@ -110,10 +185,14 @@ void count_rows(std::span<const Transaction> rows,
       if (u128{spent} * left > u128{bitmap} * m) break;
     }
     const u64 before = engine::work::current();
-    for (const HashTree& tree : trees) {
-      u64* tree_cells = cells + tree.id_offset();
-      for_each_hit(tree, rows[m], true,
-                   [tree_cells](u32 ci) { ++tree_cells[ci]; });
+    if (pairs) {
+      pairs->count_row(rows[m], cells + trees.front().id_offset());
+    } else {
+      for (const HashTree& tree : trees) {
+        u64* tree_cells = cells + tree.id_offset();
+        for_each_hit(tree, rows[m], true,
+                     [tree_cells](u32 ci) { ++tree_cells[ci]; });
+      }
     }
     spent += engine::work::current() - before;
     occurrences_left -= rows[m].size();
@@ -209,16 +288,24 @@ std::vector<CountPair> count_candidate_trees(
 
   // Both dense paths count into one id-indexed array per partition, merge
   // the arrays element-wise across the shuffle, and materialize itemsets
-  // from the driver-side trees only for MinSup survivors.
+  // from the driver-side trees only for MinSup survivors. A pair batch
+  // counted by id ships as its item list, with no tree to shard, so it
+  // stays on the broadcast path whatever opt.partitioned says.
+  const std::shared_ptr<const PairMatrix> pairs =
+      opt.count_mode == CountMode::kCandidateId && use_hash_tree
+          ? PairMatrix::of(*trees)
+          : nullptr;
   std::vector<u64> counts;
-  if (opt.partitioned) {
+  if (opt.partitioned && !pairs) {
     // Partitioned candidate store: the trees are sharded by candidate
     // prefix and each shard is shipped to one executor group; transactions
     // are re-partitioned to the shards their viable prefix items reach.
     // Shard probes write the same batch-global dense cells a broadcast
     // probe would, so the merged counts -- and everything downstream -- are
     // bit-identical to the full path.
-    ctx.linter().note_broadcast_fallback(tree_bytes, pass_name + ":trees");
+    ctx.linter().note_broadcast_fallback(
+        tree_bytes, pass_name + ":trees",
+        /*forced=*/ctx.memory_budget().broadcast_fits(tree_bytes));
     ctx.memory_budget().note_fallback(tree_bytes);
     const u32 nshards = std::max<u32>(
         1, opt.broadcast_shards ? opt.broadcast_shards
@@ -289,20 +376,27 @@ std::vector<CountPair> count_candidate_trees(
             .named(pass_name + ":shard-count")
             .sum_arrays(id_space, pass_name + ":count");
   } else {
-    // Dense, kernel chosen per task (count_rows): hash-tree probes until
-    // the bitmap kernel is cheaper for the rows left. The no-hash-tree
-    // ablation scans every row linearly.
+    // Dense, kernel chosen per task (count_rows): hash-tree probes, or the
+    // pair kernel for a pair batch, until the bitmap kernel is cheaper for
+    // the rows left. The no-hash-tree ablation scans every row linearly.
+    // A pair batch's payload is its item list: the tree's rows are that
+    // list's pairs in order, which is all the bitmap switch reads of them.
     auto broadcast_trees =
-        ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
+        pairs ? ctx.broadcast(trees, pairs->payload_bytes(),
+                              pass_name + ":pairs")
+              : ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
     auto items = std::make_shared<const std::vector<Item>>(
-        use_hash_tree ? candidate_items(*trees) : std::vector<Item>{});
+        pairs           ? pairs->items()
+        : use_hash_tree ? candidate_items(*trees)
+                        : std::vector<Item>{});
     counts =
         transactions
-            .map_partitions([broadcast_trees, items, use_hash_tree, id_space](
-                                const std::vector<Transaction>& part) {
+            .map_partitions([broadcast_trees, items, pairs, use_hash_tree,
+                             id_space](const std::vector<Transaction>& part) {
               std::vector<u64> acc(id_space, 0);
               if (use_hash_tree) {
-                count_rows(part, **broadcast_trees, *items, acc.data());
+                count_rows(part, **broadcast_trees, *items, acc.data(),
+                           pairs.get());
               } else {
                 for (const Transaction& t : part) {
                   for (const HashTree& tree : **broadcast_trees) {
@@ -388,7 +482,8 @@ ItemsetCountJob itemset_count_job(
 
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    u64 min_count, u32 num_mappers, u32 num_reducers) {
+    std::shared_ptr<const PairMatrix> pairs, u64 min_count, u32 num_mappers,
+    u32 num_reducers) {
   YAFIM_CHECK(!trees->empty() && trees->front().id_offset() == 0,
               "an id-keyed job counts trees from id 0");
   const u64 id_space = trees->back().id_offset() + trees->back().size();
@@ -400,16 +495,20 @@ CandidateIdJob candidate_id_job(
             [](u32 v, const HashTree& tree) { return v < tree.id_offset(); }));
         return owner->candidate(static_cast<u32>(id - owner->id_offset()));
       });
-  for (const HashTree& tree : *trees) {
-    job.distributed_cache_bytes += tree.serialized_bytes();
+  if (pairs) {
+    job.distributed_cache_bytes = pairs->payload_bytes();
+  } else {
+    for (const HashTree& tree : *trees) {
+      job.distributed_cache_bytes += tree.serialized_bytes();
+    }
   }
-  auto items =
-      std::make_shared<const std::vector<Item>>(candidate_items(*trees));
-  job.map_partition_fn = [trees, items, id_space](
+  auto items = std::make_shared<const std::vector<Item>>(
+      pairs ? pairs->items() : candidate_items(*trees));
+  job.map_partition_fn = [trees, items, pairs, id_space](
                              std::span<const Transaction> split,
                              mr::Emitter<u32, u64>& emit) {
     std::vector<u64> cells(id_space, 0);
-    count_rows(split, *trees, *items, cells.data());
+    count_rows(split, *trees, *items, cells.data(), pairs.get());
     for (u32 id = 0; id < cells.size(); ++id) {
       if (cells[id] != 0) emit.emit(id, cells[id]);
     }

@@ -23,10 +23,13 @@
 //   * kCandidateId     -- dense per-partition u64 arrays indexed by
 //                         batch-global candidate id, merged via sum_arrays;
 //                         each task picks its kernel row by row
-//                         (count_rows).
+//                         (count_rows). A pair batch (PairMatrix) ships as
+//                         its item list and is counted on the triangular
+//                         pair matrix instead of the hash tree.
 //   * partitioned      -- either mode degrades here when the trees outgrow
 //                         the executor budget: trees sharded by candidate
-//                         prefix, transactions routed to their shards.
+//                         prefix, transactions routed to their shards. A
+//                         pair batch counted by id never takes it.
 #pragma once
 
 #include <memory>
@@ -85,23 +88,72 @@ class CandidateBatch {
 /// the index count_rows builds when it switches kernels.
 std::vector<Item> candidate_items(const std::vector<HashTree>& trees);
 
+/// C2 without its hash tree. A pair batch is one k = 2 level holding every
+/// pair of its m items in lexicographic order -- C2 exactly as
+/// apriori_gen_rows emits it -- so candidate (items[a], items[b]), a < b,
+/// has id a(2m - a - 1)/2 + (b - a - 1): its cell in the upper-triangular
+/// matrix over the items' ranks. A task needs only the item list to count
+/// the batch, and the cells stay the candidate ids every other kernel,
+/// the sum_arrays merge and materialization use.
+class PairMatrix {
+ public:
+  /// The matrix over `items`: ascending, distinct, at least two.
+  explicit PairMatrix(std::vector<Item> items);
+
+  /// The matrix of `trees` when they are a pair batch, else null. Built
+  /// once per batch on the driver, in O(|C2|).
+  static std::shared_ptr<const PairMatrix> of(
+      const std::vector<HashTree>& trees);
+
+  const std::vector<Item>& items() const { return items_; }
+  /// m(m - 1)/2: the width of the dense count array.
+  u64 num_pairs() const {
+    return u64{items_.size()} * (items_.size() - 1) / 2;
+  }
+  /// What a broadcast or the distributed cache ships: a 16-byte header
+  /// and the item list.
+  u64 payload_bytes() const { return 16 + u64{items_.size()} * sizeof(Item); }
+
+  /// Add one to the cell of every pair of items of `t` the matrix holds.
+  /// Charges one work unit per item of `t` (its rank lookup) and one per
+  /// pair increment.
+  void count_row(const Transaction& t, u64* cells) const;
+
+ private:
+  static constexpr u32 kNoRank = 0xffffffffu;
+  /// Items below this id are ranked through a direct table, larger ones
+  /// by binary search (FIMI ids reach 2^32 - 1); candidate_items and
+  /// VerticalBitmapIndex use the same limit.
+  static constexpr Item kDirectLimit = 1u << 20;
+
+  u32 rank_of(Item item) const;
+
+  std::vector<Item> items_;
+  std::vector<u32> direct_rank_;  ///< item -> rank for items < kDirectLimit
+  u32 first_sparse_ = 0;          ///< rank of the first item >= kDirectLimit
+};
+
 /// The dense counting kernel of one task: add, for every candidate of
 /// `trees` contained in a row of `rows`, one to
-/// cells[tree.id_offset() + ci]. `items` is candidate_items(trees).
+/// cells[tree.id_offset() + ci]. `items` is candidate_items(trees);
+/// `pairs`, when non-null, is PairMatrix::of(trees).
 ///
-/// Rows are probed through the hash trees in order. Before each row
-/// m > 0 the probe work units spent on rows [0, m), scaled to the n - m
-/// rows left, are compared with the exact units the bitmap kernel charges
-/// for them: a VerticalBitmapIndex over rows [m, n) restricted to `items`
+/// Rows are counted in order by the per-row kernel: pairs->count_row for a
+/// pair batch, else a probe of every hash tree. Before each row m > 0 the
+/// work units spent on rows [0, m), scaled to the n - m rows left, are
+/// compared with the exact units the bitmap kernel charges for them: a
+/// VerticalBitmapIndex over rows [m, n) restricted to `items`
 /// (build_units) plus count_candidates on every tree (count_units). Once
 /// the projection is larger, rows [m, n) are indexed and every candidate's
 /// AND+popcount is added to the same cells. The choice depends only on
 /// the rows, their order and the candidates, so the cells and the charged
 /// work are deterministic; the cells equal an all-probe count's. Bumps the
-/// obs dense.rows_probed and dense.rows_bitmap counters.
+/// obs dense.rows_probed and dense.rows_bitmap counters (a row counted by
+/// the pair kernel is a probed row).
 void count_rows(std::span<const Transaction> rows,
                 const std::vector<HashTree>& trees,
-                std::span<const Item> items, u64* cells);
+                std::span<const Item> items, u64* cells,
+                const PairMatrix* pairs = nullptr);
 
 /// Whether a candidate payload of `bytes` goes out as the partitioned
 /// candidate store instead of whole: always under kPartitioned, never under
@@ -138,6 +190,10 @@ struct CountCoreOptions {
 /// with support >= opt.min_count. `tree_bytes` is the serialized size of
 /// the batch (broadcast pricing + fallback ledger note); `id_space` the
 /// batch-global dense id space (HashTree::assign_id_offsets).
+///
+/// Under kCandidateId with the hash tree on, a pair batch
+/// (PairMatrix::of) is broadcast as its item list and counted dense
+/// whatever opt.partitioned says: there is no tree to shard.
 ///
 /// `lineage`, when non-null, is the stage that loaded the uncached
 /// `transactions`: Spark recomputes it for this job, so it is recorded
@@ -185,9 +241,11 @@ ItemsetCountJob itemset_count_job(
 /// dense cells over the whole id space through count_rows, the RDD tasks'
 /// kernel choice, and emits (id, count) per candidate of nonzero count.
 /// Reducers map surviving ids back to itemsets through their copy of the
-/// tree that owns the id.
+/// tree that owns the id. `pairs`, when non-null, is PairMatrix::of(*trees):
+/// the mappers then count on it and the cache ships its item list.
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    u64 min_count, u32 num_mappers, u32 num_reducers);
+    std::shared_ptr<const PairMatrix> pairs, u64 min_count, u32 num_mappers,
+    u32 num_reducers);
 
 }  // namespace yafim::fim

@@ -143,6 +143,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     // shuffle keyed on itemsets; kCandidateId keys on candidate id and
     // maps survivors back through the reducers' copy of the trees.
     auto run_batch_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
+                             std::shared_ptr<const PairMatrix> pairs,
                              const std::string& name, const std::string& out) {
       if (options.count_mode == CountMode::kItemsetKey) {
         return runner.run(
@@ -151,8 +152,9 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
             input_path, out);
       }
       return runner.run(
-          candidate_id_job(name, std::move(trees), min_count,
-                           options.num_mappers, options.num_reducers),
+          candidate_id_job(name, std::move(trees), std::move(pairs),
+                           min_count, options.num_mappers,
+                           options.num_reducers),
           input_path, out);
     };
 
@@ -160,15 +162,22 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     // next to what the ledger places on the tightest executor, count the
     // batch as one sub-job per candidate shard, each localizing only its
     // shard of every level -- at the honest MapReduce price of re-reading
-    // the input per sub-job.
+    // the input per sub-job. A pair batch counted by id localizes only its
+    // item list (PairMatrix), so it never shards.
+    const std::shared_ptr<const PairMatrix> pairs =
+        options.count_mode == CountMode::kCandidateId
+            ? PairMatrix::of(*batch.trees())
+            : nullptr;
     const u64 tree_bytes = batch.tree_bytes();
     const bool partitioned =
+        !pairs &&
         use_partitioned_store(ctx, options.broadcast_mode, tree_bytes);
     Stopwatch count_clock;
     mr::JobResult<CountPair> result;
     if (partitioned) {
-      ctx.linter().note_broadcast_fallback(tree_bytes,
-                                           job_name + ":distributed_cache");
+      ctx.linter().note_broadcast_fallback(
+          tree_bytes, job_name + ":distributed_cache",
+          /*forced=*/ctx.memory_budget().broadcast_fits(tree_bytes));
       ctx.memory_budget().note_fallback(tree_bytes);
       // Grow the shard count until the largest shard, summed over levels,
       // fits the tightest node (sharding keys on the first item, so a
@@ -217,7 +226,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
         }
         if (shard_trees->empty()) continue;
         HashTree::assign_id_offsets(*shard_trees);
-        auto r = run_batch_job(std::move(shard_trees),
+        auto r = run_batch_job(std::move(shard_trees), nullptr,
                                job_name + ":shard" + std::to_string(s),
                                out_path + "-shard" + std::to_string(s));
         result.map_tasks = r.map_tasks;
@@ -230,7 +239,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                              std::make_move_iterator(r.output.end()));
       }
     } else {
-      result = run_batch_job(batch.trees(), job_name, out_path);
+      result = run_batch_job(batch.trees(), pairs, job_name, out_path);
     }
     run.count_host_seconds += count_clock.seconds();
 

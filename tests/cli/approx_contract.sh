@@ -23,10 +23,7 @@ cli=$1
 work=$(mktemp -d "${PWD}/approx_contract.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
-fail() {
-  echo "FAIL: $*" >&2
-  exit 1
-}
+. "$(dirname "$0")/lib.sh"
 
 # ---- 1. default --approx: certified and identical to the exact run ------
 "$cli" --generate=t10 --engine=yafim --quiet --top=0 > "$work/exact.txt"

@@ -27,10 +27,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-fail() {
-  echo "FAIL: $*" >&2
-  exit 1
-}
+. "$(dirname "$0")/lib.sh"
 
 mine=(--generate=mushroom --engine=yafim)
 "$cli" "${mine[@]}" --quiet > "$work/reference.txt"

@@ -24,10 +24,7 @@ cli=$1
 work=$(mktemp -d "${PWD}/detsan_lint_contract.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
-fail() {
-  echo "FAIL: $*" >&2
-  exit 1
-}
+. "$(dirname "$0")/lib.sh"
 
 # run WHAT CODE ARGS...: mine_cli ARGS must exit CODE; stdout and stderr go
 # to $work/WHAT.txt.

@@ -30,25 +30,7 @@ sanitizer=${2:-}
 work=$(mktemp -d "${PWD}/exit_codes.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
-fail() {
-  echo "FAIL: $*" >&2
-  exit 1
-}
-
-# expect_exit WHAT CODE PATTERN ARGS...: mine_cli ARGS must exit CODE with
-# exactly one stderr line matching PATTERN.
-expect_exit() {
-  local what=$1 code=$2 pattern=$3
-  shift 3
-  local rc=0
-  "$cli" "$@" > /dev/null 2> "$work/err.txt" || rc=$?
-  [ "$rc" -eq "$code" ] || fail "[$what] exited $rc, want $code"
-  grep -q -- "$pattern" "$work/err.txt" ||
-    fail "[$what] stderr lacks '$pattern': $(cat "$work/err.txt")"
-  [ "$(wc -l < "$work/err.txt")" -eq 1 ] ||
-    fail "[$what] printed more than one stderr line: $(cat "$work/err.txt")"
-  echo "[$what] exit $rc: $(cat "$work/err.txt")"
-}
+. "$(dirname "$0")/lib.sh"
 
 # expect_usage FLAG ARGS...: mine_cli ARGS must exit 2 with the usage text,
 # its first stderr line naming FLAG.

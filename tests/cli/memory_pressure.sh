@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # mine_cli's memory-pressure contract (README "Memory pressure & graceful
-# degradation"), end to end on T10I4D100K, whose candidate trees outgrow a
-# ~1 MiB executor:
+# degradation"), end to end on T10I4D100K at 0.1% support, whose 3.4 MiB
+# pass-3 candidate tree outgrows a ~1 MiB executor (pass 2 ships as its
+# item list in the default candidate_id mode and never falls back):
 #
 #   1. yafim at --memory-gb=0.001 --shuffle-buffer-mb=1 --lint=error exits
 #      0 through the partitioned candidate store and the shuffle spill
@@ -23,12 +24,9 @@ cli=$1
 work=$(mktemp -d "${PWD}/memory_pressure.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
-fail() {
-  echo "FAIL: $*" >&2
-  exit 1
-}
+. "$(dirname "$0")/lib.sh"
 
-mine=(--generate=t10 --quiet --top=0)
+mine=(--generate=t10 --minsup=0.001 --quiet --top=0)
 "$cli" "${mine[@]}" --engine=yafim > "$work/reference_raw.txt"
 grep -v '^#' "$work/reference_raw.txt" > "$work/reference.txt" || true
 [ -s "$work/reference.txt" ] || fail "unconstrained run printed no itemsets"

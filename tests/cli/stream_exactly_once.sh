@@ -28,10 +28,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-fail() {
-  echo "FAIL: $*" >&2
-  exit 1
-}
+. "$(dirname "$0")/lib.sh"
 
 stream=(--generate=mushroom --engine=yafim --stream --stream-batches=20)
 "$cli" "${stream[@]}" --quiet --top=0 > "$work/reference.txt"

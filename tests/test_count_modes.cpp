@@ -112,14 +112,29 @@ const TransactionDB& mixed_db() {
 MiningRun run_yafim(const TransactionDB& db, CountMode mode,
                     CombineStrategy combining,
                     engine::Context::Options copts = small_cluster(),
-                    double min_support = 0.2) {
+                    double min_support = 0.2, u32 stop_after_pass = 0) {
   engine::Context ctx(copts);
   simfs::SimFS fs(ctx.cluster(), copts.fault.corrupt);
   YafimOptions opt;
   opt.min_support = min_support;
   opt.count_mode = mode;
   opt.combining.strategy = combining;
+  opt.stop_after_pass = stop_after_pass;
   return yafim_mine(ctx, fs, db, opt);
+}
+
+/// Pass 2's candidate batch as yafim builds it from `run`'s frequent items.
+CandidateBatch pass_two_batch(const MiningRun& run,
+                              CombineStrategy combining) {
+  std::vector<Itemset> items;
+  for (const auto& [itemset, support] : run.itemsets.level(1)) {
+    items.push_back(itemset);
+  }
+  PassCombining policy;
+  policy.strategy = combining;
+  const YafimOptions defaults;
+  return CandidateBatch(candidate_levels(to_sorted_rows(items), 2, policy),
+                        defaults.branching, defaults.leaf_capacity);
 }
 
 // ---- bit-identity matrix ------------------------------------------------
@@ -233,7 +248,7 @@ TEST(CountModes, MrAprioriBitIdenticalAcrossModes) {
 
 /// Counters that must not depend on how counting is performed at all:
 /// candidate generation and broadcast/DFS traffic are identical in both
-/// modes.
+/// modes, but for a pair batch's broadcast (ModeInvariantCountersAgree).
 const obs::CounterId kModeInvariantCounters[] = {
     obs::CounterId::kCandidatesGenerated,
     obs::CounterId::kCandidatesPruned,
@@ -252,10 +267,11 @@ std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
                                  CombineStrategy combining,
                                  engine::Context::Options copts,
                                  std::span<const obs::CounterId> ids,
-                                 double min_support = 0.2) {
+                                 double min_support = 0.2,
+                                 u32 stop_after_pass = 0) {
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
-  (void)run_yafim(db, mode, combining, copts, min_support);
+  (void)run_yafim(db, mode, combining, copts, min_support, stop_after_pass);
   obs::set_enabled(false);
   std::vector<u64> values;
   for (obs::CounterId id : ids) values.push_back(obs::counter_value(id));
@@ -263,41 +279,65 @@ std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
 }
 
 TEST(CountModes, ModeInvariantCountersAgree) {
+  // The dense mode broadcasts a pair batch (fim/count_core.h PairMatrix) as
+  // its item list, 16 + 4 |L1| bytes, instead of its hash tree. SPC's pass
+  // 2 is one; DPC's holds levels 2 and 3 and broadcasts its trees.
   const auto db = random_db(15, 220, 0.35, 21);
   for (CombineStrategy combining : kCombinings) {
+    const std::string where =
+        "combining=" + std::to_string(static_cast<int>(combining));
     const auto faithful = traced_counters(
         db, CountMode::kItemsetKey, combining, small_cluster(),
         kModeInvariantCounters);
     const auto values =
         traced_counters(db, CountMode::kCandidateId, combining,
                         small_cluster(), kModeInvariantCounters);
+    const MiningRun run = run_yafim(db, CountMode::kItemsetKey, combining);
+    const CandidateBatch pass2 = pass_two_batch(run, combining);
+    const bool pair_batch = PairMatrix::of(*pass2.trees()) != nullptr;
+    ASSERT_EQ(pair_batch, combining == kSpc) << where;
     ASSERT_EQ(faithful.size(), values.size());
     for (size_t i = 0; i < faithful.size(); ++i) {
-      EXPECT_EQ(faithful[i], values[i])
-          << obs::counter_name(kModeInvariantCounters[i])
-          << " combining=" << static_cast<int>(combining);
+      u64 expect = faithful[i];
+      if (pair_batch &&
+          kModeInvariantCounters[i] == obs::CounterId::kBroadcastBytes) {
+        expect = expect - pass2.tree_bytes() + 16 +
+                 4 * run.itemsets.level(1).size();
+      }
+      EXPECT_EQ(values[i], expect)
+          << obs::counter_name(kModeInvariantCounters[i]) << " " << where;
     }
   }
 }
 
 TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
-  // Where no dense task switches kernels, both modes probe every row.
+  // Where no dense task switches kernels, the dense mode probes exactly
+  // what the faithful mode probes after pass 2: pass 2 is a pair batch,
+  // which it counts without the hash tree.
   const auto sparse =
       traced_counters(sparse_db(), CountMode::kItemsetKey, kSpc,
                       small_cluster(), kProbeCounters, kSparseMinSupport);
+  const auto sparse_pass2 =
+      traced_counters(sparse_db(), CountMode::kItemsetKey, kSpc,
+                      small_cluster(), kProbeCounters, kSparseMinSupport,
+                      /*stop_after_pass=*/2);
   const auto sparse_dense =
       traced_counters(sparse_db(), CountMode::kCandidateId, kSpc,
                       small_cluster(), kProbeCounters, kSparseMinSupport);
-  EXPECT_EQ(sparse, sparse_dense);
-  EXPECT_GT(sparse_dense[0], 0u) << "hash-tree probes missing";
+  for (size_t i = 0; i < sparse.size(); ++i) {
+    EXPECT_GT(sparse_pass2[i], 0u) << "hash-tree probes missing";
+    EXPECT_EQ(sparse_dense[i], sparse[i] - sparse_pass2[i])
+        << obs::counter_name(kProbeCounters[i]);
+  }
 
-  // Where tasks switch to the bitmap kernel, the dense mode probes
-  // strictly fewer nodes and candidates.
-  const auto db = random_db(15, 220, 0.35, 21);
-  const auto faithful = traced_counters(db, CountMode::kItemsetKey, kSpc,
-                                        small_cluster(), kProbeCounters);
-  const auto dense = traced_counters(db, CountMode::kCandidateId, kSpc,
-                                     small_cluster(), kProbeCounters);
+  // Where tasks switch to the bitmap kernel in passes 3 on, the dense mode
+  // probes strictly fewer nodes and candidates.
+  const auto faithful =
+      traced_counters(mixed_db(), CountMode::kItemsetKey, kSpc,
+                      small_cluster(), kProbeCounters, kMixedMinSupport);
+  const auto dense =
+      traced_counters(mixed_db(), CountMode::kCandidateId, kSpc,
+                      small_cluster(), kProbeCounters, kMixedMinSupport);
   for (size_t i = 0; i < dense.size(); ++i) {
     EXPECT_GT(dense[i], 0u) << obs::counter_name(kProbeCounters[i]);
     EXPECT_LT(dense[i], faithful[i]) << obs::counter_name(kProbeCounters[i]);
@@ -342,7 +382,9 @@ TEST(CountModes, BitIdenticalUnderComposedMemShrinkAndTaskFailures) {
   // task-failure injection (which perturbs the retry schedule). Every mode
   // must still produce the clean run's exact itemsets -- the degraded
   // counting path and the retried tasks may not interact destructively.
-  const auto db = random_db(14, 200, 0.4, 19);
+  // The database reaches pass 3, whose trees fall back in every mode (the
+  // dense mode counts pass 2 on the pair matrix, which never falls back).
+  const auto db = random_db(16, 200, 0.45, 100);
   const auto clean = run_yafim(db, CountMode::kItemsetKey, kSpc);
   ASSERT_GT(clean.itemsets.total(), 0u);
 
@@ -573,16 +615,50 @@ ChoiceCounters mine_counted(const TransactionDB& db, double min_support,
   return out;
 }
 
+/// The three databases of the kernel choice, at their supports.
+struct ChoiceCase {
+  const char* name;
+  const TransactionDB& db;
+  double min_support;
+};
+
+std::vector<ChoiceCase> choice_cases() {
+  return {{"sparse", sparse_db(), kSparseMinSupport},
+          {"saturated", saturated_db(), kSaturatedMinSupport},
+          {"mixed", mixed_db(), kMixedMinSupport}};
+}
+
+/// Broadcast bytes of pass 2's counting stage: yafim's map-combine stage,
+/// or the distributed cache of mrapriori's job-2 map stage, per node.
+u64 pass_two_broadcast(const engine::Context& ctx, bool mapreduce) {
+  const std::string label =
+      mapreduce ? "mrapriori:job2:map" : "pass2:count:map-combine";
+  for (const sim::StageRecord& st : ctx.report().stages()) {
+    if (st.label == label) {
+      return mapreduce ? st.broadcast_bytes / ctx.cluster().nodes
+                       : st.broadcast_bytes;
+    }
+  }
+  ADD_FAILURE() << "no stage " << label;
+  return 0;
+}
+
+/// Mine `c` on `ctx` with default options, through yafim or mrapriori.
+MiningRun mine_default(engine::Context& ctx, const ChoiceCase& c,
+                       bool mapreduce) {
+  simfs::SimFS fs(ctx.cluster());
+  if (mapreduce) {
+    MrAprioriOptions opt;
+    opt.min_support = c.min_support;
+    return mr_apriori_mine(ctx, fs, c.db, opt);
+  }
+  YafimOptions opt;
+  opt.min_support = c.min_support;
+  return yafim_mine(ctx, fs, c.db, opt);
+}
+
 TEST(DenseKernelChoice, MinersMatchItemsetKeyOnAllThreeDatabases) {
-  struct Case {
-    const char* name;
-    const TransactionDB& db;
-    double min_support;
-  };
-  const Case cases[] = {{"sparse", sparse_db(), kSparseMinSupport},
-                        {"saturated", saturated_db(), kSaturatedMinSupport},
-                        {"mixed", mixed_db(), kMixedMinSupport}};
-  for (const Case& c : cases) {
+  for (const ChoiceCase& c : choice_cases()) {
     for (const bool mapreduce : {false, true}) {
       for (const CombineStrategy combining : kCombinings) {
         const std::string where = std::string(c.name) +
@@ -614,61 +690,56 @@ TEST(DenseKernelChoice, MinersMatchItemsetKeyOnAllThreeDatabases) {
 }
 
 TEST(DenseKernelChoice, TaskWorkIsIdenticalAcrossHostThreadCounts) {
-  for (const bool mapreduce : {false, true}) {
-    std::vector<std::vector<sim::StageRecord>> stages;
-    for (const u32 threads : {1u, 4u}) {
-      auto copts = small_cluster();
-      copts.host_threads = threads;
-      engine::Context ctx(copts);
-      simfs::SimFS fs(ctx.cluster());
-      if (mapreduce) {
-        MrAprioriOptions opt;
-        opt.min_support = kMixedMinSupport;
-        (void)mr_apriori_mine(ctx, fs, mixed_db(), opt);
-      } else {
-        YafimOptions opt;
-        opt.min_support = kMixedMinSupport;
-        (void)yafim_mine(ctx, fs, mixed_db(), opt);
+  // Pass 2 of each database is a pair batch, counted on the pair matrix
+  // (its broadcast is the item list): alone on the sparse database, then
+  // switching to the bitmap on the other two.
+  for (const ChoiceCase& c : choice_cases()) {
+    const MiningRun faithful = run_yafim(c.db, CountMode::kItemsetKey, kSpc,
+                                         small_cluster(), c.min_support);
+    const u64 item_list = 16 + 4 * faithful.itemsets.level(1).size();
+    for (const bool mapreduce : {false, true}) {
+      const std::string where =
+          std::string(c.name) + (mapreduce ? " mrapriori" : " yafim");
+      std::vector<std::vector<sim::StageRecord>> stages;
+      for (const u32 threads : {1u, 4u}) {
+        auto copts = small_cluster();
+        copts.host_threads = threads;
+        engine::Context ctx(copts);
+        (void)mine_default(ctx, c, mapreduce);
+        EXPECT_EQ(pass_two_broadcast(ctx, mapreduce), item_list) << where;
+        stages.push_back(ctx.report().stages());
       }
-      stages.push_back(ctx.report().stages());
-    }
-    ASSERT_EQ(stages[0].size(), stages[1].size());
-    for (size_t s = 0; s < stages[0].size(); ++s) {
-      const sim::StageRecord& a = stages[0][s];
-      const sim::StageRecord& b = stages[1][s];
-      EXPECT_EQ(a.label, b.label);
-      ASSERT_EQ(a.tasks.size(), b.tasks.size()) << a.label;
-      for (size_t t = 0; t < a.tasks.size(); ++t) {
-        EXPECT_EQ(a.tasks[t].work, b.tasks[t].work)
-            << a.label << " task " << t;
+      ASSERT_EQ(stages[0].size(), stages[1].size()) << where;
+      for (size_t s = 0; s < stages[0].size(); ++s) {
+        const sim::StageRecord& a = stages[0][s];
+        const sim::StageRecord& b = stages[1][s];
+        EXPECT_EQ(a.label, b.label) << where;
+        ASSERT_EQ(a.tasks.size(), b.tasks.size()) << where << a.label;
+        for (size_t t = 0; t < a.tasks.size(); ++t) {
+          EXPECT_EQ(a.tasks[t].work, b.tasks[t].work)
+              << where << " " << a.label << " task " << t;
+        }
       }
     }
   }
 }
 
 TEST(DenseKernelChoice, DetSanReplaysTheSwitchingTasksClean) {
-  const MiningRun faithful =
-      run_yafim(mixed_db(), CountMode::kItemsetKey, kSpc, small_cluster(),
-                kMixedMinSupport);
-  for (const bool mapreduce : {false, true}) {
-    auto copts = small_cluster();
-    copts.detsan.enabled = true;
-    copts.detsan.sample_rate = 1.0;
-    engine::Context ctx(copts);
-    simfs::SimFS fs(ctx.cluster());
-    MiningRun run;
-    if (mapreduce) {
-      MrAprioriOptions opt;
-      opt.min_support = kMixedMinSupport;
-      run = mr_apriori_mine(ctx, fs, mixed_db(), opt);
-    } else {
-      YafimOptions opt;
-      opt.min_support = kMixedMinSupport;
-      run = yafim_mine(ctx, fs, mixed_db(), opt);
+  for (const ChoiceCase& c : choice_cases()) {
+    const MiningRun faithful = run_yafim(c.db, CountMode::kItemsetKey, kSpc,
+                                         small_cluster(), c.min_support);
+    for (const bool mapreduce : {false, true}) {
+      const std::string where =
+          std::string(c.name) + (mapreduce ? " mrapriori" : " yafim");
+      auto copts = small_cluster();
+      copts.detsan.enabled = true;
+      copts.detsan.sample_rate = 1.0;
+      engine::Context ctx(copts);
+      const MiningRun run = mine_default(ctx, c, mapreduce);
+      EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets)) << where;
+      EXPECT_GT(ctx.detsan().tasks_replayed(), 0u) << where;
+      EXPECT_EQ(ctx.detsan().divergences(), 0u) << where;
     }
-    EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets)) << mapreduce;
-    EXPECT_GT(ctx.detsan().tasks_replayed(), 0u) << mapreduce;
-    EXPECT_EQ(ctx.detsan().divergences(), 0u) << mapreduce;
   }
 }
 
@@ -692,33 +763,42 @@ std::string stage_text(const sim::StageRecord& st) {
 struct CountCall {
   std::vector<CountPair> counted;
   std::vector<std::string> stages;  ///< stage_text of each stage recorded
+  u64 fallbacks = 0;                ///< memory ledger's broadcast fallbacks
+  u64 broadcast_bytes = 0;          ///< summed over the recorded stages
 };
 
-/// Pass 2 over every pair of items [0, 12) of a fixed database, on a fresh
-/// context: through count_batch under `bmode` (`via_batch`), or through a
-/// direct count_candidate_trees call that shards exactly when `bmode` is
-/// kPartitioned.
+/// Pass k (2 by default) over every k-itemset of items [0, 12) of a fixed
+/// database, on a fresh context whose executors hold `executor_memory`
+/// bytes (0 = unbounded): through count_batch under `bmode` (`via_batch`),
+/// or through a direct count_candidate_trees call that shards when `bmode`
+/// is kPartitioned or, as perfbench's replay decides, when the trees do
+/// not fit.
 CountCall count_pairs(CountMode mode, BroadcastMode bmode, bool via_batch,
-                      const sim::StageRecord* lineage) {
+                      const sim::StageRecord* lineage, u32 k = 2,
+                      u64 executor_memory = 0) {
   static const TransactionDB db = random_db(12, 120, 0.4, 31);
-  engine::Context ctx(small_cluster());
+  auto copts = small_cluster();
+  copts.cluster.executor_memory_bytes = executor_memory;
+  engine::Context ctx(copts);
   auto transactions = ctx.parallelize(db.transactions(), 0);
-  ItemsetRows items{1, {}};
-  for (Item i = 0; i < 12; ++i) items.items.push_back(i);
+  ItemsetRows level{1, {}};
+  for (Item i = 0; i < 12; ++i) level.items.push_back(i);
+  for (u32 j = 2; j <= k; ++j) level = apriori_gen_rows(level, j);
   std::vector<ItemsetRows> levels;
-  levels.push_back(apriori_gen_rows(items, 2));
+  levels.push_back(std::move(level));
   const CandidateBatch batch(std::move(levels), 0, 16);
-  ctx.set_pass(2);
+  ctx.set_pass(k);
   const size_t first = ctx.report().stages().size();
   CountCoreOptions opt;
   opt.count_mode = mode;
-  opt.min_count = 18;  // about the mean pair support
-  opt.pass_name = "pass2";
+  opt.min_count = k == 2 ? 18 : 6;  // about the mean support
+  opt.pass_name = "pass" + std::to_string(k);
   CountCall out;
   if (via_batch) {
     out.counted = count_batch(ctx, transactions, batch, bmode, opt, lineage);
   } else {
-    opt.partitioned = bmode == BroadcastMode::kPartitioned;
+    opt.partitioned = bmode == BroadcastMode::kPartitioned ||
+                      !ctx.memory_budget().broadcast_fits(batch.tree_bytes());
     opt.kmin = batch.kmin();
     out.counted =
         count_candidate_trees(ctx, transactions, batch.trees(),
@@ -729,6 +809,8 @@ CountCall count_pairs(CountMode mode, BroadcastMode bmode, bool via_batch,
   for (size_t s = first; s < stages.size(); ++s) {
     out.stages.push_back(stage_text(stages[s]));
   }
+  out.fallbacks = ctx.memory_budget().broadcast_fallbacks();
+  out.broadcast_bytes = ctx.report().total_broadcast_bytes();
   return out;
 }
 
@@ -792,6 +874,236 @@ TEST(CountCore, CountBatchRecordsWhatADirectCallRecords) {
         EXPECT_EQ(batch.stages, direct.stages) << where;
       }
     }
+  }
+}
+
+// ---- pair batches (PairMatrix) ------------------------------------------
+
+/// C2 over `items` (ascending) as apriori_gen_rows emits it, as one tree
+/// with ids from 0.
+std::vector<HashTree> pair_trees(const std::vector<Item>& items) {
+  std::vector<HashTree> trees;
+  trees.emplace_back(apriori_gen_rows(ItemsetRows{1, items}, 2), 0, 16);
+  HashTree::assign_id_offsets(trees);
+  return trees;
+}
+
+TEST(PairBatch, KernelCellsEqualHashTreeProbeCells) {
+  struct Case {
+    const char* name;
+    std::vector<Item> items;  ///< the matrix's items, ascending
+    std::vector<Item> noise;  ///< ids the matrix does not hold
+  };
+  const Case cases[] = {
+      {"small ids", {0, 2, 3, 5, 8, 9, 12, 14, 17, 20, 21, 25}, {1, 4, 13}},
+      {"ids across 2^20",
+       {3, 17, 1000, (1u << 20) - 1, 1u << 20, (1u << 20) + 5, 5000000},
+       {4, 1u << 19, (1u << 20) + 1, 9000000}},
+      {"ids near 2^32",
+       {5, 0xfffffff0u, 0xfffffff3u, 0xfffffffau, 0xffffffffu},
+       {6, 0xfffffff1u, 0xfffffffeu}},
+      {"m = 2", {7, 0xfffffffeu}, {8, 0xfffffffdu}},
+  };
+  Rng rng(41);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<HashTree> trees = pair_trees(c.items);
+    const auto pairs = PairMatrix::of(trees);
+    ASSERT_NE(pairs, nullptr);
+    EXPECT_EQ(pairs->items(), c.items);
+    EXPECT_EQ(pairs->num_pairs(), trees.front().size());
+    EXPECT_EQ(pairs->payload_bytes(), 16 + 4 * c.items.size());
+
+    // Random rows of matrix and noise items, plus an empty row and rows
+    // holding one matrix item.
+    std::vector<Transaction> rows{{}, {c.items[1]}, {c.noise[0], c.items[0]}};
+    for (int r = 0; r < 200; ++r) {
+      Transaction t;
+      for (Item i : c.items) {
+        if (rng.bernoulli(0.45)) t.push_back(i);
+      }
+      for (Item i : c.noise) {
+        if (rng.bernoulli(0.3)) t.push_back(i);
+      }
+      canonicalize(t);
+      rows.push_back(std::move(t));
+    }
+
+    std::vector<u64> probed(pairs->num_pairs(), 0);
+    std::vector<u64> kernel(pairs->num_pairs(), 0);
+    for (const Transaction& t : rows) {
+      HashTree::Probe probe;
+      trees.front().for_each_contained(t, probe,
+                                       [&](u32 ci) { ++probed[ci]; });
+      u64 ranked = 0;
+      for (Item i : t) {
+        ranked += std::binary_search(c.items.begin(), c.items.end(), i);
+      }
+      engine::work::Scope scope;
+      pairs->count_row(t, kernel.data());
+      // One unit per row item, one per pair increment.
+      EXPECT_EQ(scope.measured(), t.size() + ranked * (ranked - 1) / 2)
+          << to_string(t);
+    }
+    EXPECT_EQ(kernel, probed);
+
+    // count_rows on the matrix, with its bitmap switch, counts the same.
+    std::vector<u64> cells(pairs->num_pairs(), 0);
+    count_rows(rows, trees, pairs->items(), cells.data(), pairs.get());
+    EXPECT_EQ(cells, probed);
+  }
+}
+
+TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
+  // Each of these stays on the hash tree: PairMatrix::of refuses it, and
+  // the dense mode probes it and counts what the faithful mode counts.
+  const TransactionDB db = random_db(10, 160, 0.45, 57);
+  const std::vector<Item> items{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const ItemsetRows c2 = apriori_gen_rows(ItemsetRows{1, items}, 2);
+  ASSERT_NE(PairMatrix::of(pair_trees(items)), nullptr);
+
+  ItemsetRows missing_one = c2;
+  missing_one.items.erase(missing_one.items.begin() + 14,
+                          missing_one.items.begin() + 16);
+  ItemsetRows out_of_order = c2;
+  std::swap_ranges(out_of_order.items.begin() + 4,
+                   out_of_order.items.begin() + 6,
+                   out_of_order.items.begin() + 6);
+  PassCombining dpc;
+  dpc.strategy = CombineStrategy::kDynamic;
+  std::vector<ItemsetRows> dpc_levels =
+      candidate_levels(ItemsetRows{1, items}, 2, dpc);
+  ASSERT_GT(dpc_levels.size(), 1u);
+  ASSERT_EQ(dpc_levels.front().items, c2.items);
+
+  struct Case {
+    const char* name;
+    std::vector<ItemsetRows> levels;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"missing one pair", {missing_one}});
+  cases.push_back({"rows out of order", {out_of_order}});
+  cases.push_back({"C2 with higher levels", dpc_levels});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const CandidateBatch batch(std::move(c.levels), 0, 16);
+    EXPECT_EQ(PairMatrix::of(*batch.trees()), nullptr);
+    std::vector<std::vector<CountPair>> counted;
+    for (CountMode mode : kAllModes) {
+      engine::Context ctx(small_cluster());
+      auto transactions = ctx.parallelize(db.transactions(), 0);
+      ctx.set_pass(2);
+      CountCoreOptions opt;
+      opt.count_mode = mode;
+      opt.pass_name = "pass2";
+      obs::CounterRegistry::instance().reset_all();
+      obs::set_enabled(true);
+      counted.push_back(count_batch(ctx, transactions, batch,
+                                    BroadcastMode::kAuto, opt, nullptr));
+      obs::set_enabled(false);
+      EXPECT_GT(obs::counter_value(obs::CounterId::kHashTreeNodesVisited),
+                0u)
+          << count_mode_name(mode);
+      EXPECT_EQ(ctx.report().total_broadcast_bytes(), batch.tree_bytes())
+          << count_mode_name(mode);
+    }
+    std::sort(counted[0].begin(), counted[0].end());
+    std::sort(counted[1].begin(), counted[1].end());
+    ASSERT_FALSE(counted[0].empty());
+    EXPECT_EQ(counted[1], counted[0]);
+  }
+}
+
+TEST(PairBatch, DirectCallIgnoresTheShardDecisionLikeCountBatch) {
+  // perfbench's replay calls count_candidate_trees with `partitioned` set
+  // whenever the pass-2 tree does not fit; it prices the mine only if the
+  // pair batch is counted dense there as well, as count_batch counts it.
+  constexpr u64 kTight = 1024;  // below C2's and C3's tree bytes
+  const CountCall direct = count_pairs(CountMode::kCandidateId,
+                                       BroadcastMode::kAuto, false, nullptr,
+                                       2, kTight);
+  const CountCall batch = count_pairs(CountMode::kCandidateId,
+                                      BroadcastMode::kAuto, true, nullptr, 2,
+                                      kTight);
+  ASSERT_FALSE(direct.counted.empty());
+  EXPECT_EQ(batch.counted, direct.counted);
+  EXPECT_EQ(batch.stages, direct.stages);
+  EXPECT_EQ(direct.fallbacks, 0u);
+  for (const std::string& st : direct.stages) {
+    EXPECT_EQ(st.find(":shard"), std::string::npos) << st;
+  }
+  // The item list is what the count stage broadcasts: 16 + 4 * 12 bytes.
+  EXPECT_EQ(direct.broadcast_bytes, 16u + 4 * 12);
+  const CountCall full = count_pairs(
+      CountMode::kCandidateId, BroadcastMode::kPartitioned, true, nullptr);
+  EXPECT_EQ(full.stages, direct.stages);
+
+  // A k = 3 batch over the same items still shards, either way.
+  const CountCall direct3 = count_pairs(CountMode::kCandidateId,
+                                        BroadcastMode::kAuto, false, nullptr,
+                                        3, kTight);
+  const CountCall batch3 = count_pairs(CountMode::kCandidateId,
+                                       BroadcastMode::kAuto, true, nullptr, 3,
+                                       kTight);
+  ASSERT_FALSE(direct3.counted.empty());
+  EXPECT_EQ(batch3.counted, direct3.counted);
+  EXPECT_EQ(batch3.stages, direct3.stages);
+  EXPECT_EQ(direct3.fallbacks, 1u);
+  EXPECT_EQ(direct3.stages.front().rfind("pass3:shard-trees", 0), 0u);
+}
+
+TEST(PairBatch, SaturatedPassTwoSwitchesToTheBitmap) {
+  const MiningRun run = run_yafim(saturated_db(), CountMode::kItemsetKey,
+                                  kSpc, small_cluster(), kSaturatedMinSupport);
+  ASSERT_NE(PairMatrix::of(*pass_two_batch(run, kSpc).trees()), nullptr);
+  obs::CounterRegistry::instance().reset_all();
+  obs::set_enabled(true);
+  (void)run_yafim(saturated_db(), CountMode::kCandidateId, kSpc,
+                  small_cluster(), kSaturatedMinSupport,
+                  /*stop_after_pass=*/2);
+  obs::set_enabled(false);
+  EXPECT_GT(obs::counter_value(obs::CounterId::kDenseRowsBitmap), 0u);
+  // Pass 2 never touched its hash tree.
+  EXPECT_EQ(obs::counter_value(obs::CounterId::kHashTreeNodesVisited), 0u);
+}
+
+TEST(PairBatch, MrAprioriPairJobNeverShards) {
+  // Under a budget below every tree, and under a forced partitioned store,
+  // job 2 runs whole with its item list in the distributed cache; job 3
+  // still shards.
+  const MiningRun faithful =
+      run_yafim(mixed_db(), CountMode::kItemsetKey, kSpc, small_cluster(),
+                kMixedMinSupport);
+  ASSERT_GE(faithful.passes.size(), 3u);
+  const u64 payload = 16 + 4 * faithful.itemsets.level(1).size();
+  struct Case {
+    const char* name;
+    u64 executor_memory;
+    BroadcastMode bmode;
+  };
+  const Case cases[] = {{"tight budget", 1024, BroadcastMode::kAuto},
+                        {"partitioned", 0, BroadcastMode::kPartitioned}};
+  for (const Case& c : cases) {
+    auto copts = small_cluster();
+    copts.cluster.executor_memory_bytes = c.executor_memory;
+    engine::Context ctx(copts);
+    simfs::SimFS fs(ctx.cluster());
+    MrAprioriOptions opt;
+    opt.min_support = kMixedMinSupport;
+    opt.broadcast_mode = c.bmode;
+    const MiningRun run = mr_apriori_mine(ctx, fs, mixed_db(), opt);
+    EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets)) << c.name;
+    EXPECT_EQ(pass_two_broadcast(ctx, true), payload) << c.name;
+    bool job3_sharded = false;
+    for (const sim::StageRecord& st : ctx.report().stages()) {
+      EXPECT_EQ(st.label.find("job2:shard"), std::string::npos)
+          << c.name << ": " << st.label;
+      job3_sharded |= st.label == "mrapriori:job3:shard-candidates";
+    }
+    EXPECT_TRUE(job3_sharded) << c.name;
+    EXPECT_EQ(ctx.memory_budget().broadcast_fallbacks(),
+              faithful.passes.size() - 2)
+        << c.name;
   }
 }
 

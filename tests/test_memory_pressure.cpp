@@ -60,6 +60,14 @@ TransactionDB random_db(u32 universe, int transactions, double density,
   return TransactionDB(std::move(tx));
 }
 
+/// Reaches pass 3 at 20% support, whose 3 KB candidate tree outgrows the
+/// tight budgets below in every count mode: the dense mode counts pass 2
+/// on the pair matrix, whose item-list payload never falls back.
+const TransactionDB& pass3_db() {
+  static const TransactionDB db = random_db(16, 200, 0.45, 100);
+  return db;
+}
+
 MiningRun run_yafim(const TransactionDB& db, const YafimOptions& opt,
                     engine::Context::Options copts = small_cluster()) {
   engine::Context ctx(copts);
@@ -186,7 +194,7 @@ TEST(MemoryPressure, ShardCountBoundaryCasesMatchItemsetKeyCounts) {
 }
 
 TEST(MemoryPressure, AutoModeFallsBackUnderTinyBudgetAndStaysExact) {
-  const auto db = random_db(16, 250, 0.35, 42);
+  const TransactionDB& db = pass3_db();
   YafimOptions ref_opt;
   ref_opt.min_support = 0.2;
   const auto reference = run_yafim(db, ref_opt);
@@ -203,7 +211,7 @@ TEST(MemoryPressure, AutoModeFallsBackUnderTinyBudgetAndStaysExact) {
 }
 
 TEST(MemoryPressure, MrAprioriPartitionedSubJobsBitIdentical) {
-  const auto db = random_db(16, 250, 0.35, 42);
+  const TransactionDB& db = pass3_db();
   YafimOptions ref_opt;
   ref_opt.min_support = 0.2;
   const auto reference = run_yafim(db, ref_opt);
@@ -515,7 +523,7 @@ TEST(MemoryPressure, BroadcastModeChangesCheckpointFingerprint) {
 // ---- linter: YL002 error vs note ----------------------------------------
 
 TEST(MemoryPressure, FallbackDowngradesYl002ToNote) {
-  const auto db = random_db(16, 250, 0.35, 42);
+  const TransactionDB& db = pass3_db();
   auto copts = small_cluster();
   copts.cluster.executor_memory_bytes = 1024;
   copts.lint.enabled = true;
@@ -537,8 +545,63 @@ TEST(MemoryPressure, FallbackDowngradesYl002ToNote) {
   EXPECT_FALSE(ctx.linter().any_at_least(engine::LintSeverity::kWarn));
 }
 
+TEST(MemoryPressure, Yl002NoteSaysWhyTheStoreEngaged) {
+  // An over-budget payload "exceeds" the executor memory and the store is
+  // "engaged"; a payload that fits was "forced" into the store by the
+  // partitioned broadcast mode.
+  struct Case {
+    const char* name;
+    u64 executor_memory;  ///< 0 keeps the cluster's 24 GiB
+    BroadcastMode bmode;
+    const char* wording;
+  };
+  const Case cases[] = {
+      {"over budget", 1024, BroadcastMode::kAuto,
+       " exceeds executor memory of 1024 B; partitioned candidate broadcast "
+       "engaged -- the tree is sharded"},
+      {"forced", 0, BroadcastMode::kPartitioned,
+       " fits executor memory of 24 GiB; partitioned candidate broadcast "
+       "forced by the partitioned broadcast mode -- the tree is sharded"}};
+  for (const Case& c : cases) {
+    for (const bool mapreduce : {false, true}) {
+      const std::string where =
+          std::string(c.name) + (mapreduce ? " mrapriori" : " yafim");
+      auto copts = small_cluster();
+      if (c.executor_memory) {
+        copts.cluster.executor_memory_bytes = c.executor_memory;
+      }
+      copts.lint.enabled = true;
+      engine::Context ctx(copts);
+      simfs::SimFS fs(ctx.cluster());
+      if (mapreduce) {
+        MrAprioriOptions opt;
+        opt.min_support = 0.2;
+        opt.broadcast_mode = c.bmode;
+        (void)mr_apriori_mine(ctx, fs, pass3_db(), opt);
+      } else {
+        YafimOptions opt;
+        opt.min_support = 0.2;
+        opt.broadcast_mode = c.bmode;
+        (void)yafim_mine(ctx, fs, pass3_db(), opt);
+      }
+      ctx.linter().finalize();
+      u64 notes = 0;
+      for (const auto& diag : ctx.linter().diagnostics()) {
+        if (diag.rule != "YL002") continue;
+        ++notes;
+        EXPECT_EQ(diag.severity, engine::LintSeverity::kNote) << where;
+        EXPECT_EQ(diag.message.find("broadcast payload of "), 0u) << where;
+        EXPECT_NE(diag.message.find(c.wording), std::string::npos)
+            << where << ": " << diag.message;
+      }
+      EXPECT_EQ(notes, ctx.memory_budget().broadcast_fallbacks()) << where;
+      EXPECT_GT(notes, 0u) << where;
+    }
+  }
+}
+
 TEST(MemoryPressure, FullModeKeepsYl002Error) {
-  const auto db = random_db(16, 250, 0.35, 42);
+  const TransactionDB& db = pass3_db();
   auto copts = small_cluster();
   copts.cluster.executor_memory_bytes = 1024;
   copts.lint.enabled = true;

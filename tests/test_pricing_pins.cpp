@@ -134,9 +134,9 @@ YafimOptions yafim_options(CountMode mode, BroadcastMode bmode) {
 TEST(PricingPins, Yafim) {
   const u64 pins[] = {
       0x436c42d407ac34c7, 0xaff72e0d0d477d3,
-      0x13ebcfe50a5de044, 0x15f64200cb60439a,
-      0x998760e21135ebdc, 0x82653477f8d9a42b,
-      0x13ebcfe50a5de044, 0x15f64200cb60439a};
+      0xb76571c52f2f2901, 0xfe83af823c488dc3,
+      0xf19d2e1957d7497a, 0x72ab21a63db01d57,
+      0xdcd882e3122cc154, 0xa544a2fda1187d49};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -164,7 +164,7 @@ std::vector<std::pair<std::string, PassCombining>> combined_strategies() {
 }
 
 TEST(PricingPins, YafimCombinedPasses) {
-  const u64 pins[] = {0x961a2367f1ba0fab, 0x54b89bd454ba0b99,
+  const u64 pins[] = {0x961a2367f1ba0fab, 0x3362822caa8de80e,
                       0xbea4f208db42129d, 0xe5fb8f21ff20a567};
   size_t i = 0;
   for (const auto& [name, combining] : combined_strategies()) {
@@ -181,7 +181,7 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
   // Small enough that the larger passes shard and the smaller broadcast.
   engine::Context::Options copts = pinned_cluster();
   copts.cluster.executor_memory_bytes = 24 << 10;
-  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x211ad38602f86b35};
+  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x2d98ff05376dc879};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     expect_pin(std::string("yafim tight budget ") + count_mode_name(mode),
@@ -200,7 +200,7 @@ TEST(PricingPins, YafimCheckpointResume) {
   opt.checkpoint = &store;
   opt.stop_after_pass = 2;
   expect_pin("yafim stop after pass 2", mine_yafim(opt, copts),
-             0x1cc4e06c67e6d92a);
+             0x8898114fdd2e7211);
   opt.stop_after_pass = 0;
   expect_pin("yafim resumed after pass 2", mine_yafim(opt, copts),
              0xbc8f2fb50dde5bbd);
@@ -247,7 +247,7 @@ TEST(PricingPins, Sampling) {
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   partitioned.broadcast_mode = BroadcastMode::kPartitioned;
   expect_pin("sampling partitioned", mine_sampling(partitioned),
-             0xc1b06fc93c89b2f3);
+             0x35d250cfd2b08b46);
   SamplingOptions uncached = sampling_options(
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   uncached.cache_transactions = false;
@@ -274,16 +274,21 @@ std::string mine_stream(CountMode mode, BroadcastMode bmode) {
 }
 
 TEST(PricingPins, Stream) {
-  const u64 pins[] = {0xab88deed2d1ef56f, 0x4ae96fba446a51c7};
+  const u64 pins[] = {0xab88deed2d1ef56f, 0xab71d195f42b0cb6};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     expect_pin(std::string("stream ") + count_mode_name(mode),
                mine_stream(mode, BroadcastMode::kAuto), pins[i++]);
   }
+  // Every counting batch of this stream is a pair batch, which the dense
+  // mode never shards: the stream's shard path is pinned in itemset_key.
   expect_pin("stream partitioned",
              mine_stream(CountMode::kCandidateId,
                          BroadcastMode::kPartitioned),
-             0xac2ed4f5578781b1);
+             0xab71d195f42b0cb6);
+  expect_pin("stream itemset_key partitioned",
+             mine_stream(CountMode::kItemsetKey, BroadcastMode::kPartitioned),
+             0x814f85990faa1dd1);
 }
 
 std::string mine_mr(const MrAprioriOptions& opt,
@@ -304,8 +309,8 @@ MrAprioriOptions mr_options(CountMode mode, BroadcastMode bmode) {
 
 TEST(PricingPins, MrApriori) {
   const u64 pins[] = {
-      0xc562fa6193017913, 0x941bdf2291a74d51,
-      0xbd4f13779a9f3c83, 0x9004e044179d0c57};
+      0xc562fa6193017913, 0x1dc2aca64c2f09a,
+      0xfbefe3f4f879c06a, 0x8c2b498676956eb2};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -321,11 +326,11 @@ TEST(PricingPins, MrApriori) {
   expect_pin("mrapriori tight budget",
              mine_mr(mr_options(CountMode::kCandidateId, BroadcastMode::kAuto),
                      copts),
-             0x67bffced231ed361);
+             0xe010ae0c43c25c23);
 }
 
 TEST(PricingPins, MrAprioriCombining) {
-  const u64 pins[] = {0xca26a5316c6d7cfb, 0xb791ea20e9b7759,
+  const u64 pins[] = {0xca26a5316c6d7cfb, 0x9fd75233dc70c952,
                       0x8cde99f7bd7185e8, 0xd22f545e720c8d1e};
   size_t i = 0;
   for (const auto& [name, combining] : combined_strategies()) {
@@ -341,7 +346,7 @@ TEST(PricingPins, MrAprioriCombining) {
       mr_options(CountMode::kCandidateId, BroadcastMode::kPartitioned);
   partitioned.combining = combined_strategies()[1].second;
   expect_pin("mrapriori dpc partitioned", mine_mr(partitioned),
-             0x34bc75a5cb3a4d2f);
+             0x34c92b0c2713ee5);
 }
 
 TEST(PricingPins, Son) {
