@@ -3,8 +3,11 @@
 //   1. Broadcast variables vs naive per-task shipping (paper §IV-C).
 //   2. Cached transactions RDD vs re-reading from HDFS each pass (§IV-B).
 //   3. Hash tree vs linear candidate scan (§IV-A, Fig. 2).
+//   (1-3 run the paper's design, the itemset-keyed count mode that
+//   broadcasts and probes hash trees.)
 //   4. SPC vs FPC vs DPC pass combining (related work, Lin et al.) on both
 //      substrates: YAFIM cluster passes and MRApriori jobs.
+#include <algorithm>
 #include <tuple>
 
 #include "common.h"
@@ -29,6 +32,7 @@ double yafim_variant(const datagen::BenchmarkDataset& bench,
   simfs::SimFS fs(ctx.cluster());
   fim::YafimOptions opt;
   opt.min_support = bench.paper_min_support;
+  opt.count_mode = fim::CountMode::kItemsetKey;
   opt.cache_transactions = cache;
   opt.use_hash_tree = hash_tree;
   const auto run = fim::yafim_mine(ctx, fs, bench.db, opt);
@@ -47,8 +51,8 @@ struct CountModeResult {
   u64 itemsets = 0;
 };
 
-CountModeResult yafim_count_mode(const datagen::BenchmarkDataset& bench,
-                                 fim::CountMode mode) {
+CountModeResult count_mode_once(const datagen::BenchmarkDataset& bench,
+                                fim::CountMode mode) {
   engine::Context ctx(
       engine::Context::Options{.cluster = sim::ClusterConfig::paper()});
   simfs::SimFS fs(ctx.cluster());
@@ -74,6 +78,23 @@ CountModeResult yafim_count_mode(const datagen::BenchmarkDataset& bench,
   return res;
 }
 
+/// count_mode_once over three mines: the host seconds are the fastest
+/// mine's, the rest -- deterministic -- must agree across all three.
+CountModeResult yafim_count_mode(const datagen::BenchmarkDataset& bench,
+                                 fim::CountMode mode) {
+  CountModeResult best = count_mode_once(bench, mode);
+  for (int i = 1; i < 3; ++i) {
+    const CountModeResult res = count_mode_once(bench, mode);
+    YAFIM_CHECK(res.count_sim_s == best.count_sim_s &&
+                    res.shuffle_bytes == best.shuffle_bytes &&
+                    res.itemsets == best.itemsets,
+                "a count-mode mine's deterministic numbers differ across "
+                "runs");
+    best.count_host_s = std::min(best.count_host_s, res.count_host_s);
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -89,7 +110,8 @@ int main(int argc, char** argv) {
   benches.push_back(datagen::make_mushroom(args.scale));
   benches.push_back(datagen::make_t10i4d100k(args.scale));
 
-  std::printf("-- YAFIM design ablations (total simulated seconds) --\n");
+  std::printf("-- YAFIM design ablations, itemset-keyed hash-tree counting "
+              "(total simulated seconds) --\n");
   Table table({"dataset", "paper design", "naive ship", "no cache",
                "no hash tree"});
   for (const auto& bench : benches) {

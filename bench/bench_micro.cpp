@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the building blocks: hash-tree
-// construction and probing, candidate generation, subset tests, the RDD
+// construction and probing, the candidate-trie walk, the bitmap kernel,
+// candidate generation, subset tests, the RDD
 // shuffle, and SimFS round-trips. These measure real host performance (not
 // simulated time) and back the constants discussed in sim/cost_model.h.
 #include <benchmark/benchmark.h>
@@ -91,11 +92,33 @@ void BM_LinearProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearProbe)->Arg(100)->Arg(1000)->Arg(10000);
 
+/// The dense mode's per-row kernel for k >= 3 (fim/count_core.h
+/// CandidateTrie): the same candidates and rows as BM_HashTreeProbe, walked
+/// on the prefix trie over the candidate rows.
+void BM_TrieProbe(benchmark::State& state) {
+  const auto candidates = random_candidates(
+      static_cast<u32>(state.range(0)), 3, 200, 2);
+  const fim::HashTree tree(candidates);
+  const fim::CandidateTrie trie(tree);
+  const auto db = quest_db(200);
+  std::vector<u64> cells(tree.size());
+  for (auto _ : state) {
+    for (const Transaction& t : db.transactions()) {
+      trie.count_row(t, cells.data());
+    }
+    benchmark::DoNotOptimize(cells.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * db.size());
+}
+BENCHMARK(BM_TrieProbe)->Arg(100)->Arg(1000)->Arg(10000);
+
 /// The vertical counting kernel (fim/bitmap.h): support of every candidate
 /// in a tree via word-parallel AND + popcount over the per-item rows of an
 /// index over the candidate items, the one count_rows switches to.
-/// Compare against BM_HashTreeProbe / BM_LinearProbe at the same candidate
-/// counts -- this is the per-row work a dense task's kernel choice trades.
+/// Compare against BM_TrieProbe / BM_HashTreeProbe / BM_LinearProbe at the
+/// same candidate counts -- this is the per-row work a dense task's kernel
+/// choice trades.
 void BM_BitmapAndPopcount(benchmark::State& state) {
   const auto candidates = random_candidates(
       static_cast<u32>(state.range(0)), 3, 200, 2);

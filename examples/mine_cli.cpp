@@ -169,7 +169,7 @@ struct Options {
       "  scripts/closure_check.sh). --detsan=error exits 4 on the first\n"
       "  divergence; --detsan-selftest runs the committed impure fixtures\n"
       "  instead of mining (they MUST diverge)\n"
-      "--broadcast-mode: how candidate trees reach workers when memory is\n"
+      "--broadcast-mode: how the candidates reach workers when memory is\n"
       "  tight (yafim|mrapriori). auto falls back to the partitioned\n"
       "  candidate store past the executor budget; full always broadcasts\n"
       "  (over budget keeps YL002's error); partitioned always shards\n"

@@ -3,8 +3,9 @@
 //
 // The data-structure-perspective survey (arXiv 1908.01338) observes that
 // the candidate store, not the level-wise algorithm, dominates Apriori's
-// Phase II cost: probing every transaction through a hash tree touches
-// scattered nodes and re-derives containment per transaction. The vertical
+// Phase II cost: walking every transaction through a hash tree or a
+// candidate trie (the dense tasks' per-row kernel) re-derives containment
+// per transaction. The vertical
 // family (Eclat, fim/tidlist_mining.h) inverts the layout instead -- one
 // tid-list per item -- and support becomes set intersection. A bitmap is
 // the dense form of that tid-list: bit t of item i's row is set iff
@@ -13,7 +14,7 @@
 //   sup(c) = popcount(AND of the rows of c's items)
 //
 // runs word-parallel over contiguous memory with no per-transaction
-// branching at all. A task indexes the rows it has not probed, over the
+// branching at all. A task indexes the rows it has not walked, over the
 // pass's candidate items only; candidates are read straight out of the
 // hash tree's flat item arena (fim/hash_tree.h), so the inner loop is pure
 // pointer-free streaming: k row pointers, one AND chain, one popcount per
@@ -36,7 +37,7 @@ class HashTree;
 /// covers this many 64-bit AND+popcount steps. A fused AND+popcount over
 /// cache-resident words retires in ~1 ns, so 64 word-ops per tuple-op is a
 /// conservative (cost-inflating) exchange rate: count_rows switches to the
-/// bitmap only where it undercuts the probe under this price.
+/// bitmap only where it undercuts the row walk under this price.
 constexpr u64 kBitmapWordsPerWorkUnit = 64;
 
 /// AND `k` equal-length word rows together and return the total popcount.

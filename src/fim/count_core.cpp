@@ -161,11 +161,157 @@ void PairMatrix::count_row(const Transaction& t, u64* cells) const {
   engine::work::add(t.size() + (p == 0 ? 0 : p * (p - 1) / 2));
 }
 
+CandidateTrie::CandidateTrie(const HashTree& tree)
+    : id_offset_(tree.id_offset()), items_(tree.k()), offsets_(tree.k()) {
+  const u32 k = tree.k();
+  offsets_[0].push_back(0);
+  const Item* prev = nullptr;
+  for (u32 ci = 0; ci < tree.size(); ++ci) {
+    const Item* c = tree.candidate_items(ci);
+    // The row shares its first `d` items with the previous one and adds one
+    // node at each depth below.
+    u32 d = 0;
+    if (prev) {
+      while (d < k && c[d] == prev[d]) ++d;
+      YAFIM_CHECK(d < k && c[d] > prev[d],
+                  "a candidate trie needs strictly ascending rows");
+    }
+    for (; d < k; ++d) {
+      if (d + 1 < k) {
+        offsets_[d + 1].push_back(static_cast<u32>(items_[d + 1].size()));
+      }
+      items_[d].push_back(c[d]);
+    }
+    prev = c;
+  }
+  for (u32 d = 0; d < k; ++d) {
+    offsets_[d].push_back(static_cast<u32>(items_[d].size()));
+  }
+}
+
+u64 CandidateTrie::num_nodes() const {
+  u64 n = 0;
+  for (const std::vector<Item>& depth : items_) n += depth.size();
+  return n;
+}
+
+u64 CandidateTrie::num_offsets() const {
+  u64 n = 0;
+  for (const std::vector<u32>& depth : offsets_) n += depth.size();
+  return n;
+}
+
+Itemset CandidateTrie::row(u32 ci) const {
+  Itemset out(k());
+  u32 node = ci;
+  for (u32 d = k(); d-- > 0;) {
+    out[d] = items_[d][node];
+    if (d == 0) break;
+    // The parent is the last node of depth d whose children start at or
+    // before `node`.
+    const std::vector<u32>& off = offsets_[d];
+    node = static_cast<u32>(
+        std::upper_bound(off.begin(), off.end(), node) - off.begin() - 1);
+  }
+  return out;
+}
+
+void CandidateTrie::count_row(const Transaction& t, u64* cells) const {
+  if (t.size() < k()) return;  // nothing usable at the root
+  const u64 units = walk(t, 0, 0, 0, cells);
+  engine::work::add(units);
+  obs::count(obs::CounterId::kTrieLookups, units);
+}
+
+u64 CandidateTrie::walk(const Transaction& t, u32 depth, u32 node, size_t pos,
+                        u64* cells) const {
+  const Item* child = items_[depth].data();
+  const u32 first = offsets_[depth][node];
+  const u32 last = offsets_[depth][node + 1];
+  // The row's usable items are [pos, end), keeping one for each depth left
+  // below the children; pos < end whenever the walk gets here.
+  const size_t end = t.size() - (k() - 1 - depth);
+  const bool leaves = depth + 1 == k();
+  u64 units = 0;
+  auto hit = [&](u32 c, size_t at) {
+    if (leaves) {
+      ++cells[c];
+    } else {
+      units += walk(t, depth + 1, c, at + 1, cells);
+    }
+  };
+  // Search each element of the smaller side in the larger, from a lower
+  // bound that only moves forward; once it reaches the larger side's end,
+  // nothing left can match.
+  if (last - first <= end - pos) {
+    const Item* lo = t.data() + pos;
+    const Item* const stop = t.data() + end;
+    for (u32 c = first; c < last && lo != stop; ++c) {
+      ++units;
+      lo = std::lower_bound(lo, stop, child[c]);
+      if (lo != stop && *lo == child[c]) {
+        hit(c, static_cast<size_t>(lo - t.data()));
+        ++lo;
+      }
+    }
+  } else {
+    const Item* lo = child + first;
+    const Item* const stop = child + last;
+    for (size_t j = pos; j < end && lo != stop; ++j) {
+      ++units;
+      lo = std::lower_bound(lo, stop, t[j]);
+      if (lo != stop && *lo == t[j]) {
+        hit(static_cast<u32>(lo - child), j);
+        ++lo;
+      }
+    }
+  }
+  return units;
+}
+
+DenseKernel::DenseKernel(const std::vector<HashTree>& trees,
+                         std::shared_ptr<const PairMatrix> pairs)
+    : pairs_(std::move(pairs)) {
+  if (pairs_) {
+    pairs_offset_ = trees.front().id_offset();
+    items_ = pairs_->items();
+    return;
+  }
+  tries_.reserve(trees.size());
+  for (const HashTree& tree : trees) tries_.emplace_back(tree);
+  items_ = candidate_items(trees);
+}
+
+std::shared_ptr<const DenseKernel> DenseKernel::of(
+    const std::vector<HashTree>& trees, bool shard) {
+  std::shared_ptr<const PairMatrix> pairs = PairMatrix::of(trees);
+  if (shard && !pairs) return nullptr;
+  return std::shared_ptr<const DenseKernel>(
+      new DenseKernel(trees, std::move(pairs)));
+}
+
+u64 DenseKernel::payload_bytes() const {
+  if (pairs_) return pairs_->payload_bytes();
+  u64 bytes = 0;
+  for (const CandidateTrie& trie : tries_) bytes += trie.payload_bytes();
+  return bytes;
+}
+
+void DenseKernel::count_row(const Transaction& t, u64* cells) const {
+  if (pairs_) {
+    pairs_->count_row(t, cells + pairs_offset_);
+    return;
+  }
+  for (const CandidateTrie& trie : tries_) {
+    trie.count_row(t, cells + trie.id_offset());
+  }
+}
+
 void count_rows(std::span<const Transaction> rows,
-                const std::vector<HashTree>& trees,
-                std::span<const Item> items, u64* cells,
-                const PairMatrix* pairs) {
+                const std::vector<HashTree>& trees, const DenseKernel& kernel,
+                u64* cells) {
   __extension__ using u128 = unsigned __int128;
+  const std::vector<Item>& items = kernel.items();
   const u64 n = rows.size();
   u64 occurrences_left = 0;  // item occurrences in rows [m, n)
   for (const Transaction& t : rows) occurrences_left += t.size();
@@ -185,23 +331,14 @@ void count_rows(std::span<const Transaction> rows,
       if (u128{spent} * left > u128{bitmap} * m) break;
     }
     const u64 before = engine::work::current();
-    if (pairs) {
-      pairs->count_row(rows[m], cells + trees.front().id_offset());
-    } else {
-      for (const HashTree& tree : trees) {
-        u64* tree_cells = cells + tree.id_offset();
-        for_each_hit(tree, rows[m], true,
-                     [tree_cells](u32 ci) { ++tree_cells[ci]; });
-      }
-    }
+    kernel.count_row(rows[m], cells);
     spent += engine::work::current() - before;
     occurrences_left -= rows[m].size();
   }
   obs::count(obs::CounterId::kDenseRowsProbed, m);
   if (m == n) return;
   obs::count(obs::CounterId::kDenseRowsBitmap, n - m);
-  const VerticalBitmapIndex index(
-      rows.subspan(m), std::vector<Item>(items.begin(), items.end()));
+  const VerticalBitmapIndex index(rows.subspan(m), items);
   for (const HashTree& tree : trees) {
     index.count_candidates(tree, cells + tree.id_offset());
   }
@@ -288,15 +425,15 @@ std::vector<CountPair> count_candidate_trees(
 
   // Both dense paths count into one id-indexed array per partition, merge
   // the arrays element-wise across the shuffle, and materialize itemsets
-  // from the driver-side trees only for MinSup survivors. A pair batch
-  // counted by id ships as its item list, with no tree to shard, so it
-  // stays on the broadcast path whatever opt.partitioned says.
-  const std::shared_ptr<const PairMatrix> pairs =
+  // from the driver-side trees only for MinSup survivors. A batch counted
+  // by id is walked on its DenseKernel; a pair batch has no tree to shard,
+  // so it stays on the broadcast path whatever opt.partitioned says.
+  const std::shared_ptr<const DenseKernel> kernel =
       opt.count_mode == CountMode::kCandidateId && use_hash_tree
-          ? PairMatrix::of(*trees)
+          ? DenseKernel::of(*trees, opt.partitioned)
           : nullptr;
   std::vector<u64> counts;
-  if (opt.partitioned && !pairs) {
+  if (opt.partitioned && !kernel) {
     // Partitioned candidate store: the trees are sharded by candidate
     // prefix and each shard is shipped to one executor group; transactions
     // are re-partitioned to the shards their viable prefix items reach.
@@ -376,27 +513,22 @@ std::vector<CountPair> count_candidate_trees(
             .named(pass_name + ":shard-count")
             .sum_arrays(id_space, pass_name + ":count");
   } else {
-    // Dense, kernel chosen per task (count_rows): hash-tree probes, or the
-    // pair kernel for a pair batch, until the bitmap kernel is cheaper for
-    // the rows left. The no-hash-tree ablation scans every row linearly.
-    // A pair batch's payload is its item list: the tree's rows are that
-    // list's pairs in order, which is all the bitmap switch reads of them.
+    // Dense, kernel chosen per task (count_rows): the pair matrix or the
+    // trie walk until the bitmap kernel is cheaper for the rows left. The
+    // batch ships as the kernel's payload, which holds every candidate row
+    // the bitmap switch reads. The no-hash-tree ablation ships the trees
+    // and scans every row linearly.
     auto broadcast_trees =
-        pairs ? ctx.broadcast(trees, pairs->payload_bytes(),
-                              pass_name + ":pairs")
-              : ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
-    auto items = std::make_shared<const std::vector<Item>>(
-        pairs           ? pairs->items()
-        : use_hash_tree ? candidate_items(*trees)
-                        : std::vector<Item>{});
+        kernel ? ctx.broadcast(trees, kernel->payload_bytes(),
+                               pass_name + ":" + kernel->payload_name())
+               : ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
     counts =
         transactions
-            .map_partitions([broadcast_trees, items, pairs, use_hash_tree,
+            .map_partitions([broadcast_trees, kernel,
                              id_space](const std::vector<Transaction>& part) {
               std::vector<u64> acc(id_space, 0);
-              if (use_hash_tree) {
-                count_rows(part, **broadcast_trees, *items, acc.data(),
-                           pairs.get());
+              if (kernel) {
+                count_rows(part, **broadcast_trees, *kernel, acc.data());
               } else {
                 for (const Transaction& t : part) {
                   for (const HashTree& tree : **broadcast_trees) {
@@ -482,7 +614,7 @@ ItemsetCountJob itemset_count_job(
 
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    std::shared_ptr<const PairMatrix> pairs, u64 min_count, u32 num_mappers,
+    std::shared_ptr<const DenseKernel> kernel, u64 min_count, u32 num_mappers,
     u32 num_reducers) {
   YAFIM_CHECK(!trees->empty() && trees->front().id_offset() == 0,
               "an id-keyed job counts trees from id 0");
@@ -495,20 +627,12 @@ CandidateIdJob candidate_id_job(
             [](u32 v, const HashTree& tree) { return v < tree.id_offset(); }));
         return owner->candidate(static_cast<u32>(id - owner->id_offset()));
       });
-  if (pairs) {
-    job.distributed_cache_bytes = pairs->payload_bytes();
-  } else {
-    for (const HashTree& tree : *trees) {
-      job.distributed_cache_bytes += tree.serialized_bytes();
-    }
-  }
-  auto items = std::make_shared<const std::vector<Item>>(
-      pairs ? pairs->items() : candidate_items(*trees));
-  job.map_partition_fn = [trees, items, pairs, id_space](
+  job.distributed_cache_bytes = kernel->payload_bytes();
+  job.map_partition_fn = [trees, kernel, id_space](
                              std::span<const Transaction> split,
                              mr::Emitter<u32, u64>& emit) {
     std::vector<u64> cells(id_space, 0);
-    count_rows(split, *trees, *items, cells.data(), pairs.get());
+    count_rows(split, *trees, *kernel, cells.data());
     for (u32 id = 0; id < cells.size(); ++id) {
       if (cells[id] != 0) emit.emit(id, cells[id]);
     }

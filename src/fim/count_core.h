@@ -19,17 +19,18 @@
 // count_candidate_trees has three paths, selected by (count_mode,
 // partitioned):
 //   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
-//                         a reduce_by_key shuffle.
+//                         a reduce_by_key shuffle over hash-tree probes.
 //   * kCandidateId     -- dense per-partition u64 arrays indexed by
 //                         batch-global candidate id, merged via sum_arrays;
-//                         each task picks its kernel row by row
-//                         (count_rows). A pair batch (PairMatrix) ships as
-//                         its item list and is counted on the triangular
-//                         pair matrix instead of the hash tree.
+//                         each task walks its rows on the batch's
+//                         DenseKernel (the pair matrix of a pair batch, else
+//                         the candidate trie) until the bitmap kernel is
+//                         cheaper (count_rows). The batch ships as the
+//                         kernel's arrays instead of the hash trees.
 //   * partitioned      -- either mode degrades here when the trees outgrow
-//                         the executor budget: trees sharded by candidate
-//                         prefix, transactions routed to their shards. A
-//                         pair batch counted by id never takes it.
+//                         the executor budget: hash trees sharded by
+//                         candidate prefix, transactions routed to their
+//                         shards. A pair batch counted by id never takes it.
 #pragma once
 
 #include <memory>
@@ -133,27 +134,111 @@ class PairMatrix {
   u32 first_sparse_ = 0;          ///< rank of the first item >= kDirectLimit
 };
 
+/// One level of candidates as a prefix trie over its rows, in CSR form.
+/// Depth d (1..k) holds one item per distinct d-item prefix of the rows,
+/// and every depth d < k (the root is depth 0) one child-offset array:
+/// node x's children are nodes [offsets[x], offsets[x + 1]) of depth d + 1.
+/// The rows ascend strictly, so each node's child items ascend and the
+/// depth-k leaves are the rows in order: a leaf's index is its candidate
+/// id.
+class CandidateTrie {
+ public:
+  /// The trie of `tree`'s rows, with its id offset. Built in O(size * k);
+  /// YAFIM_CHECKs that the rows ascend strictly, as every producer
+  /// (apriori_gen_rows, to_sorted_rows) emits them.
+  explicit CandidateTrie(const HashTree& tree);
+
+  u32 k() const { return static_cast<u32>(items_.size()); }
+  u32 size() const { return static_cast<u32>(items_.back().size()); }
+  u64 id_offset() const { return id_offset_; }
+  /// Nodes of depths 1..k and child offsets of depths 0..k-1.
+  u64 num_nodes() const;
+  u64 num_offsets() const;
+  /// What ships: a 16-byte header, 4 bytes per node and 4 per child
+  /// offset -- exactly the arrays a walk reads. Every row is a leaf's
+  /// path, so it also covers the rows the bitmap switch reads.
+  u64 payload_bytes() const {
+    return 16 + 4 * (num_nodes() + num_offsets());
+  }
+  /// Candidate `ci` read back from the trie, leaf to root (tests).
+  Itemset row(u32 ci) const;
+
+  /// Add one to cells[ci] for every candidate ci contained in `t`. At a
+  /// node of depth d the walk intersects its child items with the row's
+  /// usable items -- those after the matched prefix, keeping k - 1 - d in
+  /// reserve -- by binary-searching each element of the smaller side in
+  /// the larger from a lower bound that only moves forward, until it
+  /// reaches the larger side's end. Charges one work unit per element
+  /// searched, so a row shorter than k costs nothing, and bumps the obs
+  /// trie.lookups counter by the same units once per row.
+  void count_row(const Transaction& t, u64* cells) const;
+
+ private:
+  /// Count the leaves below node `node` of depth `depth` whose items
+  /// follow position `pos` of `t`; returns the units charged.
+  u64 walk(const Transaction& t, u32 depth, u32 node, size_t pos,
+           u64* cells) const;
+
+  u64 id_offset_ = 0;
+  std::vector<std::vector<Item>> items_;   ///< [d - 1]: depth d's items
+  std::vector<std::vector<u32>> offsets_;  ///< [d]: depth d's child ranges
+};
+
+/// The per-row kernel of a batch counted by candidate id, chosen once per
+/// batch on the driver: a pair batch's PairMatrix, else one CandidateTrie
+/// per level. Tasks count their rows on it (count_rows), and a broadcast or
+/// the distributed cache ships its payload instead of the hash trees.
+class DenseKernel {
+ public:
+  /// The kernel of `trees` -- null when `shard` holds and they are not a
+  /// pair batch: such a batch is counted on the partitioned store instead,
+  /// while a pair batch has no tree to shard and never takes it.
+  static std::shared_ptr<const DenseKernel> of(
+      const std::vector<HashTree>& trees, bool shard = false);
+
+  /// The pair matrix of a pair batch, else null.
+  const PairMatrix* pairs() const { return pairs_.get(); }
+  /// One trie per level of any other batch.
+  const std::vector<CandidateTrie>& tries() const { return tries_; }
+  /// candidate_items(trees): the rows of the index count_rows switches to.
+  const std::vector<Item>& items() const { return items_; }
+  /// What a broadcast or the distributed cache ships: the pair matrix's
+  /// item list, or every trie's arrays.
+  u64 payload_bytes() const;
+  /// "pairs" or "trie": the suffix of the broadcast's label.
+  const char* payload_name() const { return pairs_ ? "pairs" : "trie"; }
+
+  /// Count `t` into the batch-global `cells`, charging the kernel's units.
+  void count_row(const Transaction& t, u64* cells) const;
+
+ private:
+  DenseKernel(const std::vector<HashTree>& trees,
+              std::shared_ptr<const PairMatrix> pairs);
+
+  std::shared_ptr<const PairMatrix> pairs_;
+  u64 pairs_offset_ = 0;
+  std::vector<CandidateTrie> tries_;
+  std::vector<Item> items_;
+};
+
 /// The dense counting kernel of one task: add, for every candidate of
 /// `trees` contained in a row of `rows`, one to
-/// cells[tree.id_offset() + ci]. `items` is candidate_items(trees);
-/// `pairs`, when non-null, is PairMatrix::of(trees).
+/// cells[tree.id_offset() + ci]. `kernel` is DenseKernel::of(trees).
 ///
-/// Rows are counted in order by the per-row kernel: pairs->count_row for a
-/// pair batch, else a probe of every hash tree. Before each row m > 0 the
+/// Rows are counted in order by kernel.count_row. Before each row m > 0 the
 /// work units spent on rows [0, m), scaled to the n - m rows left, are
 /// compared with the exact units the bitmap kernel charges for them: a
-/// VerticalBitmapIndex over rows [m, n) restricted to `items`
+/// VerticalBitmapIndex over rows [m, n) restricted to kernel.items()
 /// (build_units) plus count_candidates on every tree (count_units). Once
 /// the projection is larger, rows [m, n) are indexed and every candidate's
 /// AND+popcount is added to the same cells. The choice depends only on
 /// the rows, their order and the candidates, so the cells and the charged
-/// work are deterministic; the cells equal an all-probe count's. Bumps the
-/// obs dense.rows_probed and dense.rows_bitmap counters (a row counted by
-/// the pair kernel is a probed row).
+/// work are deterministic; the cells equal a hash-tree probe's. Bumps the
+/// obs dense.rows_probed and dense.rows_bitmap counters (a row the kernel
+/// walked is a probed row).
 void count_rows(std::span<const Transaction> rows,
-                const std::vector<HashTree>& trees,
-                std::span<const Item> items, u64* cells,
-                const PairMatrix* pairs = nullptr);
+                const std::vector<HashTree>& trees, const DenseKernel& kernel,
+                u64* cells);
 
 /// Whether a candidate payload of `bytes` goes out as the partitioned
 /// candidate store instead of whole: always under kPartitioned, never under
@@ -166,7 +251,9 @@ bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
 
 struct CountCoreOptions {
   CountMode count_mode = CountMode::kItemsetKey;
-  /// Probe via the hash tree (true) or linear candidate scans (false).
+  /// Count through the hash tree -- or under kCandidateId the batch's
+  /// DenseKernel built from it -- (true), or by linear candidate scans
+  /// (false, the no-hash-tree ablation).
   bool use_hash_tree = true;
   /// Use the partitioned candidate store instead of broadcasting the trees
   /// whole (count_batch takes the decision per pass).
@@ -191,9 +278,10 @@ struct CountCoreOptions {
 /// the batch (broadcast pricing + fallback ledger note); `id_space` the
 /// batch-global dense id space (HashTree::assign_id_offsets).
 ///
-/// Under kCandidateId with the hash tree on, a pair batch
-/// (PairMatrix::of) is broadcast as its item list and counted dense
-/// whatever opt.partitioned says: there is no tree to shard.
+/// Under kCandidateId with the hash tree on, the batch is broadcast as its
+/// DenseKernel (the `<pass_name>:pairs` or `:trie` payload) and counted
+/// dense; a pair batch is counted so whatever opt.partitioned says, as
+/// there is no tree to shard.
 ///
 /// `lineage`, when non-null, is the stage that loaded the uncached
 /// `transactions`: Spark recomputes it for this job, so it is recorded
@@ -238,14 +326,14 @@ ItemsetCountJob itemset_count_job(
 
 /// The same job keyed by candidate id, over trees whose id ranges start at
 /// 0 (HashTree::assign_id_offsets). Each mapper counts its split into
-/// dense cells over the whole id space through count_rows, the RDD tasks'
-/// kernel choice, and emits (id, count) per candidate of nonzero count.
-/// Reducers map surviving ids back to itemsets through their copy of the
-/// tree that owns the id. `pairs`, when non-null, is PairMatrix::of(*trees):
-/// the mappers then count on it and the cache ships its item list.
+/// dense cells over the whole id space through count_rows on `kernel`
+/// (DenseKernel::of(*trees)), the RDD tasks' kernel choice, and emits
+/// (id, count) per candidate of nonzero count; the distributed cache ships
+/// the kernel's payload. Reducers map surviving ids back to itemsets
+/// through their copy of the tree that owns the id.
 CandidateIdJob candidate_id_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    std::shared_ptr<const PairMatrix> pairs, u64 min_count, u32 num_mappers,
+    std::shared_ptr<const DenseKernel> kernel, u64 min_count, u32 num_mappers,
     u32 num_reducers);
 
 }  // namespace yafim::fim

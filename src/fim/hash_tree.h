@@ -44,11 +44,13 @@ enum class CountMode {
   kItemsetKey = 0,
   /// Dense, kernel chosen per task: count into fixed-width arrays indexed
   /// by candidate id (tree-local index + the tree's batch-global id
-  /// offset); itemsets are materialized from the broadcast tree only for
-  /// MinSup survivors. Each task probes its rows through the hash tree
-  /// until the bitmap kernel's exact price for the rows left undercuts the
-  /// probe's pace, then AND+popcounts those rows on a task-local index of
-  /// the candidate items (fim/count_core.h count_rows).
+  /// offset); itemsets are materialized from the driver's tree only for
+  /// MinSup survivors. The batch ships as its DenseKernel -- a pair
+  /// batch's item list, else a prefix trie per level -- and each task
+  /// walks its rows on it until the bitmap kernel's exact price for the
+  /// rows left undercuts the walk's pace, then AND+popcounts those rows on
+  /// a task-local index of the candidate items (fim/count_core.h
+  /// count_rows). Only the partitioned store probes hash trees.
   kCandidateId = 1,
 };
 

@@ -138,12 +138,14 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     const std::string out_path = options.work_dir + "/L" + std::to_string(k);
 
     // One counting job over `trees` -- the batch's trees, or one shard of
-    // each under the partitioned fallback; they travel to the mappers via
-    // the distributed cache either way. kItemsetKey is the paper-faithful
-    // shuffle keyed on itemsets; kCandidateId keys on candidate id and
-    // maps survivors back through the reducers' copy of the trees.
+    // each under the partitioned fallback. kItemsetKey is the
+    // paper-faithful shuffle keyed on itemsets, its mappers probing the
+    // trees from the distributed cache; kCandidateId counts on the trees'
+    // DenseKernel (`kernel`, or built here when null), which the cache
+    // ships instead, keys on candidate id and maps survivors back through
+    // the reducers' copy of the trees.
     auto run_batch_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
-                             std::shared_ptr<const PairMatrix> pairs,
+                             std::shared_ptr<const DenseKernel> kernel,
                              const std::string& name, const std::string& out) {
       if (options.count_mode == CountMode::kItemsetKey) {
         return runner.run(
@@ -151,8 +153,9 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                               options.num_mappers, options.num_reducers),
             input_path, out);
       }
+      if (!kernel) kernel = DenseKernel::of(*trees);
       return runner.run(
-          candidate_id_job(name, std::move(trees), std::move(pairs),
+          candidate_id_job(name, std::move(trees), std::move(kernel),
                            min_count, options.num_mappers,
                            options.num_reducers),
           input_path, out);
@@ -164,14 +167,14 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     // shard of every level -- at the honest MapReduce price of re-reading
     // the input per sub-job. A pair batch counted by id localizes only its
     // item list (PairMatrix), so it never shards.
-    const std::shared_ptr<const PairMatrix> pairs =
-        options.count_mode == CountMode::kCandidateId
-            ? PairMatrix::of(*batch.trees())
-            : nullptr;
     const u64 tree_bytes = batch.tree_bytes();
-    const bool partitioned =
-        !pairs &&
+    const bool shard =
         use_partitioned_store(ctx, options.broadcast_mode, tree_bytes);
+    const std::shared_ptr<const DenseKernel> kernel =
+        options.count_mode == CountMode::kCandidateId
+            ? DenseKernel::of(*batch.trees(), shard)
+            : nullptr;
+    const bool partitioned = shard && !kernel;
     Stopwatch count_clock;
     mr::JobResult<CountPair> result;
     if (partitioned) {
@@ -239,7 +242,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                              std::make_move_iterator(r.output.end()));
       }
     } else {
-      result = run_batch_job(batch.trees(), pairs, job_name, out_path);
+      result = run_batch_job(batch.trees(), kernel, job_name, out_path);
     }
     run.count_host_seconds += count_clock.seconds();
 

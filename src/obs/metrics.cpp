@@ -77,6 +77,7 @@ const char* counter_name(CounterId id) {
     case CounterId::kDetsanDivergences: return "detsan.divergences";
     case CounterId::kDenseRowsProbed: return "dense.rows_probed";
     case CounterId::kDenseRowsBitmap: return "dense.rows_bitmap";
+    case CounterId::kTrieLookups: return "trie.lookups";
     case CounterId::kNumCounters: break;
   }
   return "unknown";

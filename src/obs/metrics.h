@@ -98,8 +98,9 @@ enum class CounterId : u32 {
   kLintStreamBackpressure, ///< YL006 diagnostics emitted by the plan linter
   kDetsanTasksReplayed,    ///< tasks re-executed by the determinism sanitizer
   kDetsanDivergences,      ///< YL007 replay divergences observed by DetSan
-  kDenseRowsProbed,        ///< rows a dense counting task probed (hash tree)
+  kDenseRowsProbed,        ///< rows a dense counting task walked row by row
   kDenseRowsBitmap,        ///< rows a dense counting task bitmap-counted
+  kTrieLookups,            ///< elements the candidate-trie walk searched
   kNumCounters,
 };
 

@@ -77,8 +77,9 @@ echo "[selftest] exit 4 under --detsan=error, 0 observing; fixtures caught"
 mushroom=(--generate=mushroom --stream --lint=error --quiet --top=0)
 run stream-lint-clean 0 "${mushroom[@]}" --minsup=0.35 --stream-batches=20
 expect_line stream-lint-clean '^# lint: 0 diagnostics'
+# 0.00002 GB (21,474 B) is below the 44,820 B trie a tracking batch ships.
 run stream-lint-full 3 "${mushroom[@]}" --minsup=0.2 --stream-batches=5 \
-  --memory-gb=0.0001 --broadcast-mode=full
+  --memory-gb=0.00002 --broadcast-mode=full
 expect_line stream-lint-full '# lint: YL002 error'
 echo "[stream lint] exit 0 clean, exit 3 with YL002 over budget"
 

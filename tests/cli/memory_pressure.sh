@@ -11,7 +11,9 @@
 #   2. mrapriori at --memory-gb=0.001 --lint=error exits 0 through
 #      candidate-set partitioning, with the same itemsets;
 #   3. the negative control: --broadcast-mode=full keeps YL002 an error,
-#      so --lint=error exits 3.
+#      so --lint=error exits 3. Under full broadcast the dense mode ships
+#      pass 3 as its 464,508 B trie, which a ~1 MiB executor holds, so this
+#      step runs at --memory-gb=0.0004 (~429 KB).
 #
 #   tests/cli/memory_pressure.sh PATH/TO/mine_cli
 set -euo pipefail
@@ -62,7 +64,7 @@ degraded mrapriori --memory-gb=0.001 --lint=error
 
 # ---- 3. negative control: a forced full broadcast stays a lint error ----
 rc=0
-"$cli" "${mine[@]}" --engine=yafim --memory-gb=0.001 --broadcast-mode=full \
+"$cli" "${mine[@]}" --engine=yafim --memory-gb=0.0004 --broadcast-mode=full \
   --lint=error > "$work/full.txt" || rc=$?
 [ "$rc" -eq 3 ] || fail "[full broadcast] exited $rc, want 3"
 grep -q '^# lint: YL002 error' "$work/full.txt" ||

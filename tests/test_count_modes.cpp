@@ -1,7 +1,8 @@
 // Count-mode equivalence and pricing tests.
 //
 // The dense candidate-id path (CountMode::kCandidateId, each task choosing
-// between the hash-tree probe and the bitmap kernel) must be an exact
+// between its batch's row kernel -- the pair matrix or the candidate trie --
+// and the bitmap kernel) must be an exact
 // drop-in for the paper-faithful itemset-keyed path: bit-identical
 // FrequentItemsets across pass batching, fault/corruption injection,
 // checkpoint resume and both engines, with mode-invariant observability
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <numeric>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -123,18 +125,26 @@ MiningRun run_yafim(const TransactionDB& db, CountMode mode,
   return yafim_mine(ctx, fs, db, opt);
 }
 
-/// Pass 2's candidate batch as yafim builds it from `run`'s frequent items.
-CandidateBatch pass_two_batch(const MiningRun& run,
-                              CombineStrategy combining) {
-  std::vector<Itemset> items;
-  for (const auto& [itemset, support] : run.itemsets.level(1)) {
-    items.push_back(itemset);
-  }
+/// Every candidate batch yafim counts from pass 2 on, rebuilt from `run`'s
+/// frequent levels as yafim_mine builds them.
+std::vector<CandidateBatch> pass_batches(const MiningRun& run,
+                                         CombineStrategy combining) {
   PassCombining policy;
   policy.strategy = combining;
   const YafimOptions defaults;
-  return CandidateBatch(candidate_levels(to_sorted_rows(items), 2, policy),
-                        defaults.branching, defaults.leaf_capacity);
+  std::vector<CandidateBatch> batches;
+  for (u32 k = 2; !run.itemsets.level(k - 1).empty();) {
+    std::vector<Itemset> frequent;
+    for (const auto& [itemset, support] : run.itemsets.level(k - 1)) {
+      frequent.push_back(itemset);
+    }
+    CandidateBatch batch(candidate_levels(to_sorted_rows(frequent), k, policy),
+                         defaults.branching, defaults.leaf_capacity);
+    if (batch.empty()) break;
+    k += static_cast<u32>(batch.num_levels());
+    batches.push_back(std::move(batch));
+  }
+  return batches;
 }
 
 // ---- bit-identity matrix ------------------------------------------------
@@ -248,7 +258,8 @@ TEST(CountModes, MrAprioriBitIdenticalAcrossModes) {
 
 /// Counters that must not depend on how counting is performed at all:
 /// candidate generation and broadcast/DFS traffic are identical in both
-/// modes, but for a pair batch's broadcast (ModeInvariantCountersAgree).
+/// modes, but for the dense mode's kernel payloads
+/// (ModeInvariantCountersAgree).
 const obs::CounterId kModeInvariantCounters[] = {
     obs::CounterId::kCandidatesGenerated,
     obs::CounterId::kCandidatesPruned,
@@ -256,11 +267,12 @@ const obs::CounterId kModeInvariantCounters[] = {
     obs::CounterId::kDfsReadBytes,
 };
 
-/// Probe-effort counters: identical between the two modes where no dense
-/// task switches kernels, lower in the dense mode where tasks do.
+/// Probe-effort counters: the faithful mode's hash-tree probes, the dense
+/// mode's trie walk.
 const obs::CounterId kProbeCounters[] = {
     obs::CounterId::kHashTreeNodesVisited,
     obs::CounterId::kHashTreeCandChecks,
+    obs::CounterId::kTrieLookups,
 };
 
 std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
@@ -279,68 +291,117 @@ std::vector<u64> traced_counters(const TransactionDB& db, CountMode mode,
 }
 
 TEST(CountModes, ModeInvariantCountersAgree) {
-  // The dense mode broadcasts a pair batch (fim/count_core.h PairMatrix) as
-  // its item list, 16 + 4 |L1| bytes, instead of its hash tree. SPC's pass
-  // 2 is one; DPC's holds levels 2 and 3 and broadcasts its trees.
+  // The dense mode broadcasts every batch as its DenseKernel instead of its
+  // hash trees: a pair batch as its item list, 16 + 4 |L1| bytes, any other
+  // batch as its tries. SPC's pass 2 is a pair batch, and at 10% support
+  // SPC counts C3 as well; DPC's pass 2 holds levels 2 and 3 and ships
+  // their tries.
   const auto db = random_db(15, 220, 0.35, 21);
-  for (CombineStrategy combining : kCombinings) {
-    const std::string where =
-        "combining=" + std::to_string(static_cast<int>(combining));
-    const auto faithful = traced_counters(
-        db, CountMode::kItemsetKey, combining, small_cluster(),
-        kModeInvariantCounters);
-    const auto values =
-        traced_counters(db, CountMode::kCandidateId, combining,
-                        small_cluster(), kModeInvariantCounters);
-    const MiningRun run = run_yafim(db, CountMode::kItemsetKey, combining);
-    const CandidateBatch pass2 = pass_two_batch(run, combining);
-    const bool pair_batch = PairMatrix::of(*pass2.trees()) != nullptr;
-    ASSERT_EQ(pair_batch, combining == kSpc) << where;
-    ASSERT_EQ(faithful.size(), values.size());
-    for (size_t i = 0; i < faithful.size(); ++i) {
-      u64 expect = faithful[i];
-      if (pair_batch &&
-          kModeInvariantCounters[i] == obs::CounterId::kBroadcastBytes) {
-        expect = expect - pass2.tree_bytes() + 16 +
-                 4 * run.itemsets.level(1).size();
+  for (const double min_support : {0.2, 0.1}) {
+    for (CombineStrategy combining : kCombinings) {
+      const std::string where =
+          "combining=" + std::to_string(static_cast<int>(combining)) +
+          " min_support=" + std::to_string(min_support);
+      const auto faithful = traced_counters(
+          db, CountMode::kItemsetKey, combining, small_cluster(),
+          kModeInvariantCounters, min_support);
+      const auto values =
+          traced_counters(db, CountMode::kCandidateId, combining,
+                          small_cluster(), kModeInvariantCounters, min_support);
+      const MiningRun run = run_yafim(db, CountMode::kItemsetKey, combining,
+                                      small_cluster(), min_support);
+      u64 tree_bytes = 0;
+      u64 pair_list = 0;
+      u64 trie_payloads = 0;
+      u64 tries = 0;
+      for (const CandidateBatch& batch : pass_batches(run, combining)) {
+        tree_bytes += batch.tree_bytes();
+        const auto kernel = DenseKernel::of(*batch.trees());
+        if (kernel->pairs()) {
+          pair_list += kernel->payload_bytes();
+          continue;
+        }
+        for (const CandidateTrie& trie : kernel->tries()) {
+          trie_payloads += trie.payload_bytes();
+          ++tries;
+        }
       }
-      EXPECT_EQ(values[i], expect)
-          << obs::counter_name(kModeInvariantCounters[i]) << " " << where;
+      ASSERT_EQ(pair_list != 0, combining == kSpc) << where;
+      if (combining == kSpc) {
+        EXPECT_EQ(pair_list, 16 + 4 * run.itemsets.level(1).size()) << where;
+      }
+      ASSERT_EQ(tries > 0, combining != kSpc || min_support < 0.2) << where;
+      ASSERT_EQ(faithful.size(), values.size());
+      for (size_t i = 0; i < faithful.size(); ++i) {
+        u64 expect = faithful[i];
+        if (kModeInvariantCounters[i] == obs::CounterId::kBroadcastBytes) {
+          expect = expect - tree_bytes + pair_list + trie_payloads;
+        }
+        EXPECT_EQ(values[i], expect)
+            << obs::counter_name(kModeInvariantCounters[i]) << " " << where;
+      }
     }
   }
 }
 
 TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
-  // Where no dense task switches kernels, the dense mode probes exactly
-  // what the faithful mode probes after pass 2: pass 2 is a pair batch,
-  // which it counts without the hash tree.
-  const auto sparse =
-      traced_counters(sparse_db(), CountMode::kItemsetKey, kSpc,
-                      small_cluster(), kProbeCounters, kSparseMinSupport);
-  const auto sparse_pass2 =
-      traced_counters(sparse_db(), CountMode::kItemsetKey, kSpc,
-                      small_cluster(), kProbeCounters, kSparseMinSupport,
-                      /*stop_after_pass=*/2);
-  const auto sparse_dense =
-      traced_counters(sparse_db(), CountMode::kCandidateId, kSpc,
-                      small_cluster(), kProbeCounters, kSparseMinSupport);
-  for (size_t i = 0; i < sparse.size(); ++i) {
-    EXPECT_GT(sparse_pass2[i], 0u) << "hash-tree probes missing";
-    EXPECT_EQ(sparse_dense[i], sparse[i] - sparse_pass2[i])
-        << obs::counter_name(kProbeCounters[i]);
-  }
+  // The faithful mode probes every row through the hash trees of every
+  // batch; the dense mode probes no hash tree at all. Where no dense task
+  // switches kernels (sparse), its trie.lookups are exactly the units of
+  // every row walked on every trie batch; where tasks switch to the bitmap
+  // (mixed), some rows are never walked.
+  struct Case {
+    const char* name;
+    const TransactionDB& db;
+    double min_support;
+    bool switches;
+  };
+  // At half its usual support the sparse database reaches pass 3.
+  const Case cases[] = {{"sparse", sparse_db(), kSparseMinSupport / 2, false},
+                        {"mixed", mixed_db(), kMixedMinSupport, true}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const MiningRun run = run_yafim(c.db, CountMode::kItemsetKey, kSpc,
+                                    small_cluster(), c.min_support);
+    // Every row through every batch: hash-tree probes, and trie walks of
+    // the batches that are not pair batches.
+    u64 nodes_visited = 0;
+    u64 candidate_checks = 0;
+    u64 trie_units = 0;
+    for (const CandidateBatch& batch : pass_batches(run, kSpc)) {
+      const auto kernel = DenseKernel::of(*batch.trees());
+      std::vector<u64> cells(batch.id_space(), 0);
+      for (const Transaction& t : c.db.transactions()) {
+        for (const HashTree& tree : *batch.trees()) {
+          HashTree::Probe probe;
+          tree.for_each_contained(t, probe, [](u32) {});
+          nodes_visited += probe.nodes_visited;
+          candidate_checks += probe.candidate_checks;
+        }
+        if (!kernel->pairs()) {
+          engine::work::Scope scope;
+          kernel->count_row(t, cells.data());
+          trie_units += scope.measured();
+        }
+      }
+    }
+    ASSERT_GT(trie_units, 0u) << "no trie batch";
 
-  // Where tasks switch to the bitmap kernel in passes 3 on, the dense mode
-  // probes strictly fewer nodes and candidates.
-  const auto faithful =
-      traced_counters(mixed_db(), CountMode::kItemsetKey, kSpc,
-                      small_cluster(), kProbeCounters, kMixedMinSupport);
-  const auto dense =
-      traced_counters(mixed_db(), CountMode::kCandidateId, kSpc,
-                      small_cluster(), kProbeCounters, kMixedMinSupport);
-  for (size_t i = 0; i < dense.size(); ++i) {
-    EXPECT_GT(dense[i], 0u) << obs::counter_name(kProbeCounters[i]);
-    EXPECT_LT(dense[i], faithful[i]) << obs::counter_name(kProbeCounters[i]);
+    const auto faithful =
+        traced_counters(c.db, CountMode::kItemsetKey, kSpc, small_cluster(),
+                        kProbeCounters, c.min_support);
+    const auto dense =
+        traced_counters(c.db, CountMode::kCandidateId, kSpc, small_cluster(),
+                        kProbeCounters, c.min_support);
+    EXPECT_EQ(faithful, (std::vector<u64>{nodes_visited, candidate_checks, 0}));
+    EXPECT_EQ(dense[0], 0u);
+    EXPECT_EQ(dense[1], 0u);
+    if (c.switches) {
+      EXPECT_GT(dense[2], 0u);
+      EXPECT_LT(dense[2], trie_units);
+    } else {
+      EXPECT_EQ(dense[2], trie_units);
+    }
   }
 }
 
@@ -418,13 +479,19 @@ TEST(CountModes, BitIdenticalUnderComposedMemShrinkAndTaskFailures) {
 
 // ---- dense kernel choice (count_rows) -----------------------------------
 
+/// Every k-itemset of `items` (ascending), in lexicographic order.
+ItemsetRows every_itemset(const std::vector<Item>& items, u32 k) {
+  ItemsetRows level{1, items};
+  for (u32 j = 2; j <= k; ++j) level = apriori_gen_rows(level, j);
+  return level;
+}
+
 /// One tree over every size-k itemset of items [0, universe).
 std::vector<HashTree> every_candidate(u32 universe, u32 k) {
-  ItemsetRows level{1, {}};
-  for (Item i = 0; i < universe; ++i) level.items.push_back(i);
-  for (u32 j = 2; j <= k; ++j) level = apriori_gen_rows(level, j);
+  std::vector<Item> items(universe);
+  std::iota(items.begin(), items.end(), Item{0});
   std::vector<HashTree> trees;
-  trees.emplace_back(std::move(level), 0, 16);
+  trees.emplace_back(every_itemset(items, k), 0, 16);
   HashTree::assign_id_offsets(trees);
   return trees;
 }
@@ -446,7 +513,7 @@ KernelChoice choose_kernel(std::span<const Transaction> rows,
   obs::set_enabled(true);
   {
     engine::work::Scope scope;
-    count_rows(rows, trees, candidate_items(trees), out.cells.data());
+    count_rows(rows, trees, *DenseKernel::of(trees), out.cells.data());
     out.work = scope.measured();
   }
   obs::set_enabled(false);
@@ -466,38 +533,47 @@ TEST(DenseKernelChoice, SwitchRowFollowsTheRuleAndCellsStayExact) {
   };
   const TransactionDB sparse = random_db(60, 24, 0.05, 3);
   const TransactionDB saturated = random_db(20, 30, 0.9, 5);
-  const TransactionDB quarter = random_db(12, 40, 0.25, 1);
-  // Three one-item rows cost the probe nothing; then the rows grow, and
-  // with them the probe's pace.
+  const TransactionDB quarter = random_db(12, 40, 0.3, 1);
+  // Three one-item rows cost the walk nothing; then near-full rows set its
+  // pace.
   std::vector<Transaction> mixed{{3}, {7}, {11}};
-  for (u32 len = 2; len <= 16; ++len) {
-    mixed.emplace_back(len);
-    std::iota(mixed.back().begin(), mixed.back().end(), Item{0});
-  }
+  const TransactionDB full_rows = random_db(20, 27, 0.9, 5);
+  mixed.insert(mixed.end(), full_rows.transactions().begin(),
+               full_rows.transactions().end());
   const Case cases[] = {
-      {"sparse", sparse.transactions(), every_candidate(60, 2),
+      {"sparse pairs", sparse.transactions(), every_candidate(60, 2),
+       Switch::kNever},
+      {"sparse", sparse.transactions(), every_candidate(60, 3),
        Switch::kNever},
       {"saturated", saturated.transactions(), every_candidate(20, 3),
        Switch::kAfterRowZero},
-      {"mixed", mixed, every_candidate(16, 2), Switch::kMidPartition},
+      {"mixed", mixed, every_candidate(20, 3), Switch::kMidPartition},
       {"quarter", quarter.transactions(), every_candidate(12, 3),
        Switch::kMidPartition}};
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const u64 n = c.rows.size();
-    const std::vector<Item> items = candidate_items(c.trees);
-    // Reference: every row probed, and what each row's probe charges.
+    // Complete C2s count on the pair matrix, the k = 3 levels on the trie.
+    const auto kernel = DenseKernel::of(c.trees);
+    EXPECT_EQ(kernel->pairs() != nullptr, c.trees.front().k() == 2);
+    const std::vector<Item>& items = kernel->items();
+    EXPECT_EQ(items, candidate_items(c.trees));
+    // Reference: every row probed through the hash tree, and every row
+    // walked on the kernel with what each row's walk charges.
     std::vector<u64> probed_cells(c.trees.front().size(), 0);
+    std::vector<u64> walked_cells(c.trees.front().size(), 0);
     std::vector<u64> row_units;
     for (const Transaction& t : c.rows) {
-      engine::work::Scope scope;
       HashTree::Probe probe;
       c.trees.front().for_each_contained(
           t, probe, [&](u32 ci) { ++probed_cells[ci]; });
+      engine::work::Scope scope;
+      kernel->count_row(t, walked_cells.data());
       row_units.push_back(scope.measured());
     }
-    // The rule, restated: the first m in [1, n) where the probe units of
+    EXPECT_EQ(walked_cells, probed_cells);
+    // The rule, restated: the first m in [1, n) where the kernel units of
     // rows [0, m), scaled to the n - m rows left, exceed the bitmap price.
     auto bitmap_price = [&](u64 m) {
       u64 occurrences = 0;
@@ -538,9 +614,9 @@ TEST(DenseKernelChoice, SwitchRowFollowsTheRuleAndCellsStayExact) {
 }
 
 TEST(DenseKernelChoice, IndexHoldsOnlyCandidateItems) {
-  // Long rows of items no candidate contains: the hash-tree walk still
-  // follows their hash slots, so probing is dear, but the index the task
-  // switches to holds one row per candidate item only.
+  // Long rows of items no candidate contains: the pair kernel still looks
+  // up every one of them, but the index the task switches to holds one row
+  // per candidate item only.
   Rng rng(13);
   std::vector<Transaction> rows(200);
   for (Transaction& t : rows) {
@@ -857,8 +933,8 @@ TEST(CountCore, LineageRecomputeIsTheJobsFirstStage) {
 
 TEST(CountCore, CountBatchRecordsWhatADirectCallRecords) {
   // perfbench's replay calls count_candidate_trees directly with its own
-  // broadcast decision; it prices the mine only if count_batch adds
-  // nothing to that call.
+  // broadcast decision and its own k = 3 HashTree batches; it prices the
+  // mine only if count_batch adds nothing to that call.
   const sim::StageRecord load = load_stage();
   const sim::StageRecord* const lineages[] = {&load, nullptr};
   for (CountMode mode : kAllModes) {
@@ -868,10 +944,13 @@ TEST(CountCore, CountBatchRecordsWhatADirectCallRecords) {
         const std::string where = std::string(count_mode_name(mode)) + "/" +
                                   broadcast_mode_name(bmode) +
                                   (lineage ? " uncached" : " cached");
-        const CountCall direct = count_pairs(mode, bmode, false, lineage);
-        const CountCall batch = count_pairs(mode, bmode, true, lineage);
-        EXPECT_EQ(batch.counted, direct.counted) << where;
-        EXPECT_EQ(batch.stages, direct.stages) << where;
+        // k = 2 is a pair batch, k = 3 a trie batch in the dense mode.
+        for (const u32 k : {2u, 3u}) {
+          const CountCall direct = count_pairs(mode, bmode, false, lineage, k);
+          const CountCall batch = count_pairs(mode, bmode, true, lineage, k);
+          EXPECT_EQ(batch.counted, direct.counted) << where << " k=" << k;
+          EXPECT_EQ(batch.stages, direct.stages) << where << " k=" << k;
+        }
       }
     }
   }
@@ -949,14 +1028,17 @@ TEST(PairBatch, KernelCellsEqualHashTreeProbeCells) {
 
     // count_rows on the matrix, with its bitmap switch, counts the same.
     std::vector<u64> cells(pairs->num_pairs(), 0);
-    count_rows(rows, trees, pairs->items(), cells.data(), pairs.get());
+    const auto dense = DenseKernel::of(trees);
+    ASSERT_NE(dense->pairs(), nullptr);
+    count_rows(rows, trees, *dense, cells.data());
     EXPECT_EQ(cells, probed);
   }
 }
 
 TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
-  // Each of these stays on the hash tree: PairMatrix::of refuses it, and
-  // the dense mode probes it and counts what the faithful mode counts.
+  // PairMatrix::of refuses each of these, so the dense mode counts them on
+  // their tries: it probes no hash tree, broadcasts the trie payload and
+  // counts what the faithful mode counts.
   const TransactionDB db = random_db(10, 160, 0.45, 57);
   const std::vector<Item> items{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   const ItemsetRows c2 = apriori_gen_rows(ItemsetRows{1, items}, 2);
@@ -965,10 +1047,6 @@ TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
   ItemsetRows missing_one = c2;
   missing_one.items.erase(missing_one.items.begin() + 14,
                           missing_one.items.begin() + 16);
-  ItemsetRows out_of_order = c2;
-  std::swap_ranges(out_of_order.items.begin() + 4,
-                   out_of_order.items.begin() + 6,
-                   out_of_order.items.begin() + 6);
   PassCombining dpc;
   dpc.strategy = CombineStrategy::kDynamic;
   std::vector<ItemsetRows> dpc_levels =
@@ -982,14 +1060,16 @@ TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
   };
   std::vector<Case> cases;
   cases.push_back({"missing one pair", {missing_one}});
-  cases.push_back({"rows out of order", {out_of_order}});
   cases.push_back({"C2 with higher levels", dpc_levels});
   for (Case& c : cases) {
     SCOPED_TRACE(c.name);
     const CandidateBatch batch(std::move(c.levels), 0, 16);
     EXPECT_EQ(PairMatrix::of(*batch.trees()), nullptr);
+    const auto kernel = DenseKernel::of(*batch.trees());
+    ASSERT_EQ(kernel->tries().size(), batch.num_levels());
     std::vector<std::vector<CountPair>> counted;
     for (CountMode mode : kAllModes) {
+      const bool faithful = mode == CountMode::kItemsetKey;
       engine::Context ctx(small_cluster());
       auto transactions = ctx.parallelize(db.transactions(), 0);
       ctx.set_pass(2);
@@ -1001,11 +1081,24 @@ TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
       counted.push_back(count_batch(ctx, transactions, batch,
                                     BroadcastMode::kAuto, opt, nullptr));
       obs::set_enabled(false);
-      EXPECT_GT(obs::counter_value(obs::CounterId::kHashTreeNodesVisited),
-                0u)
-          << count_mode_name(mode);
-      EXPECT_EQ(ctx.report().total_broadcast_bytes(), batch.tree_bytes())
-          << count_mode_name(mode);
+      const u64 nodes =
+          obs::counter_value(obs::CounterId::kHashTreeNodesVisited);
+      const u64 checks =
+          obs::counter_value(obs::CounterId::kHashTreeCandChecks);
+      const u64 lookups = obs::counter_value(obs::CounterId::kTrieLookups);
+      if (faithful) {
+        EXPECT_GT(nodes, 0u);
+        EXPECT_GT(checks, 0u);
+        EXPECT_EQ(lookups, 0u);
+        EXPECT_EQ(ctx.report().total_broadcast_bytes(), batch.tree_bytes());
+      } else {
+        EXPECT_EQ(nodes, 0u);
+        EXPECT_EQ(checks, 0u);
+        EXPECT_GT(lookups, 0u);
+        EXPECT_EQ(ctx.report().total_broadcast_bytes(),
+                  kernel->payload_bytes());
+        EXPECT_LT(kernel->payload_bytes(), batch.tree_bytes());
+      }
     }
     std::sort(counted[0].begin(), counted[0].end());
     std::sort(counted[1].begin(), counted[1].end());
@@ -1055,7 +1148,8 @@ TEST(PairBatch, DirectCallIgnoresTheShardDecisionLikeCountBatch) {
 TEST(PairBatch, SaturatedPassTwoSwitchesToTheBitmap) {
   const MiningRun run = run_yafim(saturated_db(), CountMode::kItemsetKey,
                                   kSpc, small_cluster(), kSaturatedMinSupport);
-  ASSERT_NE(PairMatrix::of(*pass_two_batch(run, kSpc).trees()), nullptr);
+  ASSERT_NE(PairMatrix::of(*pass_batches(run, kSpc).front().trees()),
+            nullptr);
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
   (void)run_yafim(saturated_db(), CountMode::kCandidateId, kSpc,
@@ -1105,6 +1199,236 @@ TEST(PairBatch, MrAprioriPairJobNeverShards) {
               faithful.passes.size() - 2)
         << c.name;
   }
+}
+
+// ---- candidate tries (CandidateTrie) ------------------------------------
+
+/// One tree over `rows` (canonical, ascending) with id offset `offset`.
+HashTree tree_of(ItemsetRows rows, u64 offset = 0) {
+  HashTree tree(std::move(rows), 0, 16);
+  tree.set_id_offset(offset);
+  return tree;
+}
+
+/// A random `fraction` of `level`'s rows, order kept.
+ItemsetRows sample_rows(const ItemsetRows& level, double fraction, Rng& rng) {
+  ItemsetRows out{level.width, {}};
+  for (size_t r = 0; r < level.size(); ++r) {
+    if (rng.bernoulli(fraction)) {
+      out.items.insert(out.items.end(), level.row(r),
+                       level.row(r) + level.width);
+    }
+  }
+  return out;
+}
+
+/// The item ids the trie tests map ranks 0..n-1 to: small ids, ids across
+/// 2^20, and ids near 2^32.
+std::vector<Item> spread_ids(u32 n, Item base) {
+  std::vector<Item> ids;
+  for (u32 r = 0; r < n; ++r) ids.push_back(base + 3 * r);
+  return ids;
+}
+
+TEST(CandidateTrie, RowsAndPayloadMatchTheTree) {
+  Rng rng(61);
+  for (const Item base : {Item{0}, (1u << 20) - 7, 0xffffffffu - 3 * 13}) {
+    const std::vector<Item> ids = spread_ids(14, base);
+    for (u32 k = 1; k <= 4; ++k) {
+      SCOPED_TRACE("base " + std::to_string(base) + " k " +
+                   std::to_string(k));
+      const HashTree tree =
+          tree_of(sample_rows(every_itemset(ids, k), 0.5, rng), 7);
+      ASSERT_GT(tree.size(), 0u);
+      const CandidateTrie trie(tree);
+      EXPECT_EQ(trie.k(), k);
+      EXPECT_EQ(trie.size(), tree.size());
+      EXPECT_EQ(trie.id_offset(), 7u);
+      for (u32 ci = 0; ci < tree.size(); ++ci) {
+        EXPECT_EQ(trie.row(ci), tree.candidate(ci)) << ci;
+      }
+      // One node per distinct d-item prefix, d = 1..k; one child offset per
+      // node of depths 0..k-1 plus one closing offset per depth.
+      u64 nodes = 0;
+      u64 offsets = 2;  // the root's range
+      for (u32 d = 1; d <= k; ++d) {
+        std::set<Itemset> prefixes;
+        for (u32 ci = 0; ci < tree.size(); ++ci) {
+          const Item* c = tree.candidate_items(ci);
+          prefixes.emplace(c, c + d);
+        }
+        nodes += prefixes.size();
+        if (d < k) offsets += prefixes.size() + 1;
+      }
+      EXPECT_EQ(trie.num_nodes(), nodes);
+      EXPECT_EQ(trie.num_offsets(), offsets);
+      EXPECT_EQ(trie.payload_bytes(), 16 + 4 * (nodes + offsets));
+    }
+  }
+}
+
+TEST(CandidateTrie, CellsEqualHashTreeProbeCells) {
+  struct Case {
+    const char* name;
+    std::vector<ItemsetRows> levels;  ///< the batch, ids from 0 on
+    std::vector<Item> ids;            ///< every id the rows draw from
+    double density;
+  };
+  Rng rng(67);
+  const std::vector<Item> small = spread_ids(12, 0);
+  const std::vector<Item> past_2_20 = spread_ids(12, (1u << 20) - 10);
+  const std::vector<Item> near_2_32 = spread_ids(12, 0xffffffffu - 3 * 11);
+  PassCombining dpc;
+  dpc.strategy = CombineStrategy::kDynamic;
+  std::vector<Case> cases;
+  for (const double density : {0.2, 0.85}) {
+    cases.push_back(
+        {"k = 3", {sample_rows(every_itemset(small, 3), 0.6, rng)}, small,
+         density});
+    cases.push_back(
+        {"k = 4 across 2^20",
+         {sample_rows(every_itemset(past_2_20, 4), 0.5, rng)}, past_2_20,
+         density});
+    cases.push_back(
+        {"k = 3 near 2^32",
+         {sample_rows(every_itemset(near_2_32, 3), 0.6, rng)}, near_2_32,
+         density});
+    // Sampling's verification batch: singletons, pairs and triples.
+    cases.push_back({"k = 1, 2, 3",
+                     {sample_rows(every_itemset(near_2_32, 1), 0.7, rng),
+                      sample_rows(every_itemset(near_2_32, 2), 0.5, rng),
+                      sample_rows(every_itemset(near_2_32, 3), 0.3, rng)},
+                     near_2_32, density});
+    cases.push_back({"DPC levels 2 on",
+                     candidate_levels(ItemsetRows{1, past_2_20}, 2, dpc),
+                     past_2_20, density});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) +
+                 (c.density > 0.5 ? " saturated" : " sparse"));
+    std::vector<HashTree> trees;
+    for (const ItemsetRows& level : c.levels) trees.push_back(tree_of(level));
+    const u64 id_space = HashTree::assign_id_offsets(trees);
+    const auto kernel = DenseKernel::of(trees);
+    ASSERT_EQ(kernel->pairs(), nullptr);
+    ASSERT_EQ(kernel->tries().size(), trees.size());
+    // Rows of the batch's ids and of ids no candidate holds, including
+    // empty rows and rows shorter than every level's k.
+    std::vector<Transaction> rows{{}, {c.ids[2]}, {c.ids[0], c.ids[5]}};
+    for (int r = 0; r < 120; ++r) {
+      Transaction t;
+      for (Item i : c.ids) {
+        if (rng.bernoulli(c.density)) t.push_back(i);
+        if (i != 0xffffffffu && rng.bernoulli(0.1)) t.push_back(i + 1);
+      }
+      canonicalize(t);
+      rows.push_back(std::move(t));
+    }
+    std::vector<u64> probed(id_space, 0);
+    std::vector<u64> walked(id_space, 0);
+    for (const Transaction& t : rows) {
+      for (const HashTree& tree : trees) {
+        HashTree::Probe probe;
+        tree.for_each_contained(t, probe, [&](u32 ci) {
+          ++probed[tree.id_offset() + ci];
+        });
+      }
+      obs::CounterRegistry::instance().reset_all();
+      obs::set_enabled(true);
+      engine::work::Scope scope;
+      kernel->count_row(t, walked.data());
+      obs::set_enabled(false);
+      // The walk's units are its lookups; a row shorter than every k
+      // costs nothing.
+      EXPECT_EQ(obs::counter_value(obs::CounterId::kTrieLookups),
+                scope.measured());
+      if (t.size() < trees.front().k()) {
+        EXPECT_EQ(scope.measured(), 0u);
+      }
+    }
+    EXPECT_EQ(walked, probed);
+
+    // count_rows, with its bitmap switch, counts the same.
+    std::vector<u64> cells(id_space, 0);
+    count_rows(rows, trees, *kernel, cells.data());
+    EXPECT_EQ(cells, probed);
+  }
+}
+
+TEST(CandidateTrieDeathTest, ANonAscendingLevelDies) {
+  const std::vector<Item> items{0, 1, 2, 3, 4, 5};
+  ItemsetRows out_of_order = every_itemset(items, 3);
+  std::swap_ranges(out_of_order.items.begin() + 3,
+                   out_of_order.items.begin() + 6,
+                   out_of_order.items.begin() + 6);
+  EXPECT_DEATH(CandidateTrie(tree_of(out_of_order)), "strictly ascending");
+  ItemsetRows repeated = every_itemset(items, 2);
+  repeated.items.insert(repeated.items.begin() + 2, {0, 2});
+  EXPECT_DEATH(CandidateTrie(tree_of(repeated)), "strictly ascending");
+
+  // A C2 out of order is no pair batch, and no trie either.
+  ItemsetRows c2_out_of_order = every_itemset(items, 2);
+  std::swap_ranges(c2_out_of_order.items.begin() + 4,
+                   c2_out_of_order.items.begin() + 6,
+                   c2_out_of_order.items.begin() + 6);
+  std::vector<HashTree> trees;
+  trees.push_back(tree_of(c2_out_of_order));
+  EXPECT_EQ(PairMatrix::of(trees), nullptr);
+  EXPECT_DEATH((void)DenseKernel::of(trees), "strictly ascending");
+}
+
+TEST(CandidateTrie, CandidateIdJobShipsTheKernelPayload) {
+  // A k = 3 job localizes its trie, a pair batch's job its item list.
+  auto triples =
+      std::make_shared<const std::vector<HashTree>>(every_candidate(12, 3));
+  const auto trie_kernel = DenseKernel::of(*triples);
+  ASSERT_EQ(trie_kernel->pairs(), nullptr);
+  const u64 trie_bytes = CandidateTrie(triples->front()).payload_bytes();
+  EXPECT_LT(trie_bytes, triples->front().serialized_bytes());
+  EXPECT_EQ(candidate_id_job("job3", triples, trie_kernel, 1, 2, 2)
+                .distributed_cache_bytes,
+            trie_bytes);
+  auto pairs =
+      std::make_shared<const std::vector<HashTree>>(every_candidate(12, 2));
+  EXPECT_EQ(candidate_id_job("job2", pairs, DenseKernel::of(*pairs), 1, 2, 2)
+                .distributed_cache_bytes,
+            16u + 4 * 12);
+
+  // Under a forced partitioned store every sub-job of mrapriori's job 3
+  // ships the trie of its shard of the pass-3 tree.
+  const MiningRun faithful =
+      run_yafim(mixed_db(), CountMode::kItemsetKey, kSpc, small_cluster(),
+                kMixedMinSupport);
+  const std::vector<CandidateBatch> batches = pass_batches(faithful, kSpc);
+  ASSERT_GE(batches.size(), 2u);
+  engine::Context ctx(small_cluster());
+  simfs::SimFS fs(ctx.cluster());
+  MrAprioriOptions opt;
+  opt.min_support = kMixedMinSupport;
+  opt.broadcast_mode = BroadcastMode::kPartitioned;
+  const MiningRun run = mr_apriori_mine(ctx, fs, mixed_db(), opt);
+  EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets));
+  // With a budget far above the tree the store takes its minimum of two
+  // shards.
+  ASSERT_GT(ctx.memory_budget().min_node_budget(), batches[1].tree_bytes());
+  const u32 nshards = 2;
+  const std::vector<TreeShard> shards =
+      shard_hash_tree(batches[1].trees()->front(), nshards, opt.branching,
+                      opt.leaf_capacity);
+  u32 shipped = 0;
+  for (u32 s = 0; s < nshards; ++s) {
+    if (shards[s].tree.size() == 0) continue;
+    const std::string label =
+        "mrapriori:job3:shard" + std::to_string(s) + ":map";
+    for (const sim::StageRecord& st : ctx.report().stages()) {
+      if (st.label != label) continue;
+      EXPECT_EQ(st.broadcast_bytes / ctx.cluster().nodes,
+                CandidateTrie(shards[s].tree).payload_bytes())
+          << label;
+      ++shipped;
+    }
+  }
+  EXPECT_EQ(shipped, nshards);
 }
 
 // ---- sum_arrays ---------------------------------------------------------

@@ -135,7 +135,7 @@ TEST(PricingPins, Yafim) {
   const u64 pins[] = {
       0x436c42d407ac34c7, 0xaff72e0d0d477d3,
       0xb76571c52f2f2901, 0xfe83af823c488dc3,
-      0xf19d2e1957d7497a, 0x72ab21a63db01d57,
+      0x2e6282aa354c90d3, 0x7f36032acc74a938,
       0xdcd882e3122cc154, 0xa544a2fda1187d49};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
@@ -164,8 +164,8 @@ std::vector<std::pair<std::string, PassCombining>> combined_strategies() {
 }
 
 TEST(PricingPins, YafimCombinedPasses) {
-  const u64 pins[] = {0x961a2367f1ba0fab, 0x3362822caa8de80e,
-                      0xbea4f208db42129d, 0xe5fb8f21ff20a567};
+  const u64 pins[] = {0x961a2367f1ba0fab, 0x8e5c041efc4ff0a,
+                      0xbea4f208db42129d, 0x4645e2573111d518};
   size_t i = 0;
   for (const auto& [name, combining] : combined_strategies()) {
     for (CountMode mode : kAllModes) {
@@ -181,7 +181,7 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
   // Small enough that the larger passes shard and the smaller broadcast.
   engine::Context::Options copts = pinned_cluster();
   copts.cluster.executor_memory_bytes = 24 << 10;
-  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x2d98ff05376dc879};
+  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x2d11684a20369002};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     expect_pin(std::string("yafim tight budget ") + count_mode_name(mode),
@@ -203,7 +203,7 @@ TEST(PricingPins, YafimCheckpointResume) {
              0x8898114fdd2e7211);
   opt.stop_after_pass = 0;
   expect_pin("yafim resumed after pass 2", mine_yafim(opt, copts),
-             0xbc8f2fb50dde5bbd);
+             0x6c53830a06b79d04);
 }
 
 std::string mine_sampling(const SamplingOptions& opt) {
@@ -230,8 +230,8 @@ SamplingOptions sampling_options(SplitStrategy strategy, CountMode mode) {
 }
 
 TEST(PricingPins, Sampling) {
-  const u64 pins[] = {0x8415b3c5152862f1, 0x655bff2c3b7688cf,
-                      0x263979e5df46d8db, 0xe591b95cfb69a489};
+  const u64 pins[] = {0x8415b3c5152862f1, 0x47d4f1152da25441,
+                      0x263979e5df46d8db, 0x444740c5eecb9c1e};
   size_t i = 0;
   for (SplitStrategy strategy :
        {SplitStrategy::kBernoulliSamples, SplitStrategy::kDisjointSplits}) {
@@ -252,7 +252,7 @@ TEST(PricingPins, Sampling) {
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   uncached.cache_transactions = false;
   expect_pin("sampling uncached", mine_sampling(uncached),
-             0x154e92bd51ea803c);
+             0xed17b21a3bb200e5);
 }
 
 std::string mine_stream(CountMode mode, BroadcastMode bmode) {
@@ -310,7 +310,7 @@ MrAprioriOptions mr_options(CountMode mode, BroadcastMode bmode) {
 TEST(PricingPins, MrApriori) {
   const u64 pins[] = {
       0xc562fa6193017913, 0x1dc2aca64c2f09a,
-      0xfbefe3f4f879c06a, 0x8c2b498676956eb2};
+      0x66fb543c41d76984, 0x2d4fdadcbbd006ee};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -326,12 +326,12 @@ TEST(PricingPins, MrApriori) {
   expect_pin("mrapriori tight budget",
              mine_mr(mr_options(CountMode::kCandidateId, BroadcastMode::kAuto),
                      copts),
-             0xe010ae0c43c25c23);
+             0xe7e8001917d37d82);
 }
 
 TEST(PricingPins, MrAprioriCombining) {
-  const u64 pins[] = {0xca26a5316c6d7cfb, 0x9fd75233dc70c952,
-                      0x8cde99f7bd7185e8, 0xd22f545e720c8d1e};
+  const u64 pins[] = {0xca26a5316c6d7cfb, 0x226567f884bd8951,
+                      0x8cde99f7bd7185e8, 0xa1388d1806b0726d};
   size_t i = 0;
   for (const auto& [name, combining] : combined_strategies()) {
     for (CountMode mode : kAllModes) {
@@ -346,7 +346,7 @@ TEST(PricingPins, MrAprioriCombining) {
       mr_options(CountMode::kCandidateId, BroadcastMode::kPartitioned);
   partitioned.combining = combined_strategies()[1].second;
   expect_pin("mrapriori dpc partitioned", mine_mr(partitioned),
-             0x34c92b0c2713ee5);
+             0x1b823f0d07fd62e5);
 }
 
 TEST(PricingPins, Son) {
