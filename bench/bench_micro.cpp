@@ -98,10 +98,10 @@ BENCHMARK(BM_LinearProbe)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_TrieProbe(benchmark::State& state) {
   const auto candidates = random_candidates(
       static_cast<u32>(state.range(0)), 3, 200, 2);
-  const fim::HashTree tree(candidates);
-  const fim::CandidateTrie trie(tree);
+  const fim::ItemsetRows rows = fim::to_rows(candidates);
+  const fim::CandidateTrie trie(fim::LevelView{&rows, 0});
   const auto db = quest_db(200);
-  std::vector<u64> cells(tree.size());
+  std::vector<u64> cells(rows.size());
   for (auto _ : state) {
     for (const Transaction& t : db.transactions()) {
       trie.count_row(t, cells.data());
@@ -114,7 +114,7 @@ void BM_TrieProbe(benchmark::State& state) {
 BENCHMARK(BM_TrieProbe)->Arg(100)->Arg(1000)->Arg(10000);
 
 /// The vertical counting kernel (fim/bitmap.h): support of every candidate
-/// in a tree via word-parallel AND + popcount over the per-item rows of an
+/// of a level via word-parallel AND + popcount over the per-item rows of an
 /// index over the candidate items, the one count_rows switches to.
 /// Compare against BM_TrieProbe / BM_HashTreeProbe / BM_LinearProbe at the
 /// same candidate counts -- this is the per-row work a dense task's kernel
@@ -122,16 +122,15 @@ BENCHMARK(BM_TrieProbe)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_BitmapAndPopcount(benchmark::State& state) {
   const auto candidates = random_candidates(
       static_cast<u32>(state.range(0)), 3, 200, 2);
-  std::vector<fim::HashTree> trees;
-  trees.emplace_back(candidates);
-  const fim::HashTree& tree = trees.front();
+  const fim::ItemsetRows rows = fim::to_rows(candidates);
+  const fim::LevelView level{&rows, 0};
   const auto db = quest_db(200);
   const fim::VerticalBitmapIndex index(db.transactions(),
-                                       fim::candidate_items(trees));
-  std::vector<u64> cells(tree.size());
+                                       fim::candidate_items({&level, 1}));
+  std::vector<u64> cells(rows.size());
   for (auto _ : state) {
     std::fill(cells.begin(), cells.end(), 0);
-    index.count_candidates(tree, cells.data());
+    index.count_candidates(level, cells.data());
     benchmark::DoNotOptimize(cells.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -74,9 +74,6 @@ class MemoryBudget {
   void note_cached(u64 bytes) {
     cached_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
-  void note_uncached(u64 bytes) {
-    cached_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
   u64 broadcast_resident_bytes() const {
     return broadcast_resident_.load(std::memory_order_relaxed);
   }

@@ -36,8 +36,8 @@ MiningRun apriori_mine(const TransactionDB& db,
   for (u32 k = 2; !frequent.empty(); ++k) {
     ItemsetRows candidates = apriori_gen_rows(frequent, k);
     if (candidates.empty()) break;
-    const HashTree tree(std::move(candidates), options.branching,
-                        options.leaf_capacity);
+    const HashTree tree(std::move(candidates), /*branching=*/0,
+                        /*leaf_capacity=*/16);
     std::vector<u64> counts(tree.size(), 0);
     HashTree::Probe probe;
     for (const Transaction& t : db.transactions()) {
@@ -47,9 +47,9 @@ MiningRun apriori_mine(const TransactionDB& db,
     frequent = ItemsetRows{k, {}};
     for (u32 ci = 0; ci < tree.size(); ++ci) {
       if (counts[ci] >= min_count) {
-        run.itemsets.add(tree.candidate(ci), counts[ci]);
-        frequent.items.insert(frequent.items.end(), tree.candidate_items(ci),
-                              tree.candidate_items(ci) + k);
+        run.itemsets.add(tree.rows().itemset(ci), counts[ci]);
+        frequent.items.insert(frequent.items.end(), tree.rows().row(ci),
+                              tree.rows().row(ci) + k);
       }
     }
     run.passes.push_back(PassStats{k, tree.size(), frequent.size(), 0.0});

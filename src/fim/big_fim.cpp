@@ -103,7 +103,7 @@ BigFimRun big_fim_mine(engine::Context& ctx, simfs::SimFS& fs,
     HashTree::Probe probe;
     for (const auto& [tid, t] : split) {
       prefix_tree->for_each_contained(t, probe, [&](u32 ci) {
-        const Itemset& prefix = prefix_tree->candidate(ci);
+        const Itemset& prefix = prefix_tree->rows().itemset(ci);
         auto from = std::upper_bound(t.begin(), t.end(), prefix.back());
         for (auto it = from; it != t.end(); ++it) {
           engine::work::add(1);
@@ -114,7 +114,7 @@ BigFimRun big_fim_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
     for (auto& [ci, extensions] : local) {
       for (auto& [item, tids] : extensions) {
-        emit.emit(prefix_tree->candidate(ci),
+        emit.emit(prefix_tree->rows().itemset(ci),
                   ExtTids(item, std::move(tids)));
       }
     }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "fim/hash_tree.h"
-
 namespace yafim::fim {
 
 u64 and_popcount(const u64* const* rows, u32 k, u32 nwords) {
@@ -68,12 +66,13 @@ u64 VerticalBitmapIndex::build_units(u64 occurrences, u64 num_items,
   return occurrences + num_items * words_per_row / kBitmapWordsPerWorkUnit;
 }
 
-u64 VerticalBitmapIndex::count_units(const HashTree& tree,
+u64 VerticalBitmapIndex::count_units(const LevelView& level,
                                      u64 num_transactions) {
   const u64 words_per_row = (num_transactions + 63) / 64;
-  const u64 n = tree.size();
+  const u64 n = level.size();
   // and_words + popcounts of count_candidates: k + 1 words per row.
-  return n + n * (tree.k() + u64{1}) * words_per_row / kBitmapWordsPerWorkUnit;
+  return n +
+         n * (level.k() + u64{1}) * words_per_row / kBitmapWordsPerWorkUnit;
 }
 
 u32 VerticalBitmapIndex::slot_of(Item item) const {
@@ -105,18 +104,17 @@ u64 VerticalBitmapIndex::support(const Item* items, u32 k) const {
   return and_popcount(rows, k, words_per_row_);
 }
 
-void VerticalBitmapIndex::count_candidates(const HashTree& tree,
+void VerticalBitmapIndex::count_candidates(const LevelView& level,
                                            u64* cells) const {
-  const u32 n = tree.size();
+  const u32 n = level.size();
   if (n == 0) return;
-  const u32 k = tree.k();
-  for (u32 ci = 0; ci < n; ++ci) {
-    cells[ci] += support(tree.candidate_items(ci), k);
-  }
+  const u32 k = level.k();
+  u64* level_cells = cells + level.id_offset;
+  for (u32 ci = 0; ci < n; ++ci) level_cells[ci] += support(level.row(ci), k);
   // The absent-item early-out makes the true touched-word count
   // data-dependent; charging the full k words per candidate row keeps the
   // sim price an upper bound and deterministic either way.
-  engine::work::add(count_units(tree, num_transactions_));
+  engine::work::add(count_units(level, num_transactions_));
   if (obs::enabled()) {
     obs::count(obs::CounterId::kBitmapAndWords, u64{n} * k * words_per_row_);
     obs::count(obs::CounterId::kBitmapPopcounts, u64{n} * words_per_row_);

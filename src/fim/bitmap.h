@@ -15,8 +15,8 @@
 //
 // runs word-parallel over contiguous memory with no per-transaction
 // branching at all. A task indexes the rows it has not walked, over the
-// pass's candidate items only; candidates are read straight out of the
-// hash tree's flat item arena (fim/hash_tree.h), so the inner loop is pure
+// pass's candidate items only; candidates are read straight out of their
+// level's flat rows (fim/itemset.h LevelView), so the inner loop is pure
 // pointer-free streaming: k row pointers, one AND chain, one popcount per
 // word.
 #pragma once
@@ -29,8 +29,6 @@
 #include "obs/metrics.h"
 
 namespace yafim::fim {
-
-class HashTree;
 
 /// Sim-cost scaling for word-parallel bitmap work: one engine work unit
 /// (~one 500 ns tuple-op under the calibrated cost model, DESIGN.md §5)
@@ -59,9 +57,9 @@ class VerticalBitmapIndex {
   /// zero-filled arena of `num_items` rows at the word exchange rate.
   static u64 build_units(u64 occurrences, u64 num_items,
                          u64 num_transactions);
-  /// Work units count_candidates(tree, ...) charges on an index over
+  /// Work units count_candidates(level, ...) charges on an index over
   /// `num_transactions` transactions.
-  static u64 count_units(const HashTree& tree, u64 num_transactions);
+  static u64 count_units(const LevelView& level, u64 num_transactions);
 
   u32 num_transactions() const { return num_transactions_; }
   u32 words_per_row() const { return words_per_row_; }
@@ -82,11 +80,11 @@ class VerticalBitmapIndex {
   /// point at k >= 1 canonically sorted items.
   u64 support(const Item* items, u32 k) const;
 
-  /// Count every candidate of `tree` into cells[0..tree.size()): the
-  /// vertical replacement for probing each transaction through the tree.
-  /// Charges engine work (kBitmapWordsPerWorkUnit exchange rate) and the
-  /// obs bitmap.* counters in one batched flush.
-  void count_candidates(const HashTree& tree, u64* cells) const;
+  /// Add every candidate of `level` into its batch-global cell
+  /// cells[level.id_offset + ci], charging engine work (the
+  /// kBitmapWordsPerWorkUnit exchange rate) and the obs bitmap.* counters
+  /// in one batched flush.
+  void count_candidates(const LevelView& level, u64* cells) const;
 
  private:
   static constexpr u32 kNoSlot = 0xffffffffu;

@@ -60,26 +60,22 @@ Job counting_job(const std::string& name, u64 min_count, u32 num_mappers,
 
 }  // namespace
 
-std::vector<Item> candidate_items(const std::vector<HashTree>& trees) {
+std::vector<Item> candidate_items(std::span<const LevelView> levels) {
   // Small ids are deduplicated through a direct-indexed table, so the sort
   // sees each of them once; ids past the table go in as they come.
   constexpr Item kDirectLimit = 1u << 20;
   std::vector<Item> items;
   std::vector<u8> seen;
-  for (const HashTree& tree : trees) {
-    for (u32 ci = 0; ci < tree.size(); ++ci) {
-      const Item* c = tree.candidate_items(ci);
-      for (u32 j = 0; j < tree.k(); ++j) {
-        const Item i = c[j];
-        if (i >= kDirectLimit) {
-          items.push_back(i);
-          continue;
-        }
-        if (i >= seen.size()) seen.resize(size_t{i} + 1, 0);
-        if (!seen[i]) {
-          seen[i] = 1;
-          items.push_back(i);
-        }
+  for (const LevelView& level : levels) {
+    for (const Item i : level.rows->items) {
+      if (i >= kDirectLimit) {
+        items.push_back(i);
+        continue;
+      }
+      if (i >= seen.size()) seen.resize(size_t{i} + 1, 0);
+      if (!seen[i]) {
+        seen[i] = 1;
+        items.push_back(i);
       }
     }
   }
@@ -104,19 +100,18 @@ PairMatrix::PairMatrix(std::vector<Item> items) : items_(std::move(items)) {
 }
 
 std::shared_ptr<const PairMatrix> PairMatrix::of(
-    const std::vector<HashTree>& trees) {
-  if (trees.size() != 1 || trees.front().k() != 2) return nullptr;
-  const HashTree& tree = trees.front();
-  if (tree.size() == 0) return nullptr;
+    std::span<const LevelView> levels) {
+  if (levels.size() != 1 || levels.front().k() != 2) return nullptr;
+  const LevelView& level = levels.front();
+  if (level.size() == 0) return nullptr;
   // C2's first m - 1 rows pair the smallest item with every other one.
-  const Item first = tree.candidate_items(0)[0];
+  const Item first = level.row(0)[0];
   std::vector<Item> items{first};
-  for (u32 ci = 0; ci < tree.size() && tree.candidate_items(ci)[0] == first;
-       ++ci) {
-    items.push_back(tree.candidate_items(ci)[1]);
+  for (u32 ci = 0; ci < level.size() && level.row(ci)[0] == first; ++ci) {
+    items.push_back(level.row(ci)[1]);
   }
   const u64 m = items.size();
-  if (m * (m - 1) / 2 != tree.size() ||
+  if (m * (m - 1) / 2 != level.size() ||
       std::adjacent_find(items.begin(), items.end(),
                          std::greater_equal<Item>()) != items.end()) {
     return nullptr;
@@ -124,7 +119,7 @@ std::shared_ptr<const PairMatrix> PairMatrix::of(
   u32 ci = 0;
   for (u64 a = 0; a + 1 < m; ++a) {
     for (u64 b = a + 1; b < m; ++b, ++ci) {
-      const Item* c = tree.candidate_items(ci);
+      const Item* c = level.row(ci);
       if (c[0] != items[a] || c[1] != items[b]) return nullptr;
     }
   }
@@ -161,13 +156,13 @@ void PairMatrix::count_row(const Transaction& t, u64* cells) const {
   engine::work::add(t.size() + (p == 0 ? 0 : p * (p - 1) / 2));
 }
 
-CandidateTrie::CandidateTrie(const HashTree& tree)
-    : id_offset_(tree.id_offset()), items_(tree.k()), offsets_(tree.k()) {
-  const u32 k = tree.k();
+CandidateTrie::CandidateTrie(const LevelView& level)
+    : id_offset_(level.id_offset), items_(level.k()), offsets_(level.k()) {
+  const u32 k = level.k();
   offsets_[0].push_back(0);
   const Item* prev = nullptr;
-  for (u32 ci = 0; ci < tree.size(); ++ci) {
-    const Item* c = tree.candidate_items(ci);
+  for (u32 ci = 0; ci < level.size(); ++ci) {
+    const Item* c = level.row(ci);
     // The row shares its first `d` items with the previous one and adds one
     // node at each depth below.
     u32 d = 0;
@@ -269,25 +264,16 @@ u64 CandidateTrie::walk(const Transaction& t, u32 depth, u32 node, size_t pos,
   return units;
 }
 
-DenseKernel::DenseKernel(const std::vector<HashTree>& trees,
-                         std::shared_ptr<const PairMatrix> pairs)
-    : pairs_(std::move(pairs)) {
+DenseKernel::DenseKernel(std::span<const LevelView> levels)
+    : pairs_(PairMatrix::of(levels)) {
   if (pairs_) {
-    pairs_offset_ = trees.front().id_offset();
+    pairs_offset_ = levels.front().id_offset;
     items_ = pairs_->items();
     return;
   }
-  tries_.reserve(trees.size());
-  for (const HashTree& tree : trees) tries_.emplace_back(tree);
-  items_ = candidate_items(trees);
-}
-
-std::shared_ptr<const DenseKernel> DenseKernel::of(
-    const std::vector<HashTree>& trees, bool shard) {
-  std::shared_ptr<const PairMatrix> pairs = PairMatrix::of(trees);
-  if (shard && !pairs) return nullptr;
-  return std::shared_ptr<const DenseKernel>(
-      new DenseKernel(trees, std::move(pairs)));
+  tries_.reserve(levels.size());
+  for (const LevelView& level : levels) tries_.emplace_back(level);
+  items_ = candidate_items(levels);
 }
 
 u64 DenseKernel::payload_bytes() const {
@@ -308,7 +294,7 @@ void DenseKernel::count_row(const Transaction& t, u64* cells) const {
 }
 
 void count_rows(std::span<const Transaction> rows,
-                const std::vector<HashTree>& trees, const DenseKernel& kernel,
+                std::span<const LevelView> levels, const DenseKernel& kernel,
                 u64* cells) {
   __extension__ using u128 = unsigned __int128;
   const std::vector<Item>& items = kernel.items();
@@ -325,8 +311,8 @@ void count_rows(std::span<const Transaction> rows,
       const u64 left = n - m;
       u64 bitmap = VerticalBitmapIndex::build_units(occurrences_left,
                                                     items.size(), left);
-      for (const HashTree& tree : trees) {
-        bitmap += VerticalBitmapIndex::count_units(tree, left);
+      for (const LevelView& level : levels) {
+        bitmap += VerticalBitmapIndex::count_units(level, left);
       }
       if (u128{spent} * left > u128{bitmap} * m) break;
     }
@@ -339,21 +325,19 @@ void count_rows(std::span<const Transaction> rows,
   if (m == n) return;
   obs::count(obs::CounterId::kDenseRowsBitmap, n - m);
   const VerticalBitmapIndex index(rows.subspan(m), items);
-  for (const HashTree& tree : trees) {
-    index.count_candidates(tree, cells + tree.id_offset());
-  }
+  for (const LevelView& level : levels) index.count_candidates(level, cells);
 }
 
-CandidateBatch::CandidateBatch(std::vector<ItemsetRows> levels,
-                               u32 branching, u32 leaf_capacity)
-    : trees_(std::make_shared<std::vector<HashTree>>()) {
+CandidateBatch::CandidateBatch(std::vector<ItemsetRows> levels) {
   for (ItemsetRows& level : levels) {
     if (level.empty()) continue;
     kmin_ = kmin_ == 0 ? level.width : std::min(kmin_, level.width);
-    trees_->emplace_back(std::move(level), branching, leaf_capacity);
-    tree_bytes_ += trees_->back().serialized_bytes();
+    rows_.push_back(std::move(level));
   }
-  id_space_ = HashTree::assign_id_offsets(*trees_);
+  for (const ItemsetRows& level : rows_) {
+    views_.push_back({&level, id_space_});
+    id_space_ += level.size();
+  }
 }
 
 std::vector<std::vector<CountPair>> CandidateBatch::split(
@@ -361,28 +345,39 @@ std::vector<std::vector<CountPair>> CandidateBatch::split(
   std::vector<std::vector<CountPair>> by_level(num_levels());
   for (auto& [itemset, support] : counted) {
     const size_t level = itemset.size() - kmin_;
-    YAFIM_CHECK(level < num_levels() && (*trees_)[level].k() == itemset.size(),
+    YAFIM_CHECK(level < num_levels() && views_[level].k() == itemset.size(),
                 "counted itemset of a size the batch does not hold");
     by_level[level].emplace_back(std::move(itemset), support);
   }
   return by_level;
 }
 
-bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
-                           u64 bytes) {
-  return mode == BroadcastMode::kPartitioned ||
-         (mode == BroadcastMode::kAuto &&
-          !ctx.memory_budget().broadcast_fits(bytes));
+namespace {
+
+/// The hash trees of `levels`, with their id offsets, shaped by `opt`.
+std::shared_ptr<std::vector<HashTree>> build_trees(
+    std::span<const LevelView> levels, const CountCoreOptions& opt) {
+  auto trees = std::make_shared<std::vector<HashTree>>();
+  for (const LevelView& level : levels) {
+    trees->emplace_back(*level.rows, opt.branching, opt.leaf_capacity);
+    trees->back().set_id_offset(level.id_offset);
+  }
+  return trees;
 }
 
-std::vector<CountPair> count_candidate_trees(
-    engine::Context& ctx, engine::RDD<Transaction>& transactions,
-    const std::shared_ptr<std::vector<HashTree>>& trees, u64 tree_bytes,
-    u64 id_space, const sim::StageRecord* lineage,
-    const CountCoreOptions& opt) {
+/// The counting job of the batch of `levels`, shipped as `ship`; the
+/// levels' rows outlive the call, which runs the job to completion.
+std::vector<CountPair> count_shipped(engine::Context& ctx,
+                                     engine::RDD<Transaction>& transactions,
+                                     std::span<const LevelView> levels,
+                                     const BatchShipment& ship, u64 id_space,
+                                     const sim::StageRecord* lineage,
+                                     const CountCoreOptions& opt) {
   const bool use_hash_tree = opt.use_hash_tree;
   const u64 min_count = opt.min_count;
   const std::string& pass_name = opt.pass_name;
+  const std::string payload_label =
+      pass_name + ":" + (ship.kernel ? ship.kernel->payload_name() : "trees");
   const u32 pass = ctx.pass();
 
   // Without caching, Spark recomputes the transactions lineage from HDFS on
@@ -394,46 +389,36 @@ std::vector<CountPair> count_candidate_trees(
     ctx.record(std::move(recompute));
   }
 
-  std::vector<CountPair> level;
-  if (!opt.partitioned && opt.count_mode == CountMode::kItemsetKey) {
+  if (!ship.partitioned && opt.count_mode == CountMode::kItemsetKey) {
     // Paper-faithful: every hit copies the itemset out of the tree and
     // the shuffle is keyed on it.
     auto broadcast_trees =
-        ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
-    level =
-        transactions
-            .flat_map([broadcast_trees, use_hash_tree](const Transaction& t) {
-              std::vector<Itemset> occurrences;
-              for (const HashTree& tree : **broadcast_trees) {
-                for_each_hit(tree, t, use_hash_tree, [&](u32 ci) {
-                  occurrences.push_back(tree.candidate(ci));
-                });
-              }
-              return occurrences;
-            })
-            .map([](const Itemset& c) { return CountPair(c, 1); })
-            .reduce_by_key([](u64 a, u64 b) { return a + b; }, 0,
-                           ItemsetHash{}, pass_name + ":count")
-            .named(pass_name + ":counts")
-            .filter([min_count](const CountPair& kv) {
-              return kv.second >= min_count;
-            })
-            .named(pass_name + ":frequent")
-            .collect(pass_name + ":collect");
-    return level;
+        ctx.broadcast(ship.trees, ship.bytes, payload_label);
+    return transactions
+        .flat_map([broadcast_trees, use_hash_tree](const Transaction& t) {
+          std::vector<Itemset> occurrences;
+          for (const HashTree& tree : **broadcast_trees) {
+            for_each_hit(tree, t, use_hash_tree, [&](u32 ci) {
+              occurrences.push_back(tree.rows().itemset(ci));
+            });
+          }
+          return occurrences;
+        })
+        .map([](const Itemset& c) { return CountPair(c, 1); })
+        .reduce_by_key([](u64 a, u64 b) { return a + b; }, 0, ItemsetHash{},
+                       pass_name + ":count")
+        .named(pass_name + ":counts")
+        .filter(
+            [min_count](const CountPair& kv) { return kv.second >= min_count; })
+        .named(pass_name + ":frequent")
+        .collect(pass_name + ":collect");
   }
 
   // Both dense paths count into one id-indexed array per partition, merge
   // the arrays element-wise across the shuffle, and materialize itemsets
-  // from the driver-side trees only for MinSup survivors. A batch counted
-  // by id is walked on its DenseKernel; a pair batch has no tree to shard,
-  // so it stays on the broadcast path whatever opt.partitioned says.
-  const std::shared_ptr<const DenseKernel> kernel =
-      opt.count_mode == CountMode::kCandidateId && use_hash_tree
-          ? DenseKernel::of(*trees, opt.partitioned)
-          : nullptr;
+  // from the batch's rows only for MinSup survivors.
   std::vector<u64> counts;
-  if (opt.partitioned && !kernel) {
+  if (ship.partitioned) {
     // Partitioned candidate store: the trees are sharded by candidate
     // prefix and each shard is shipped to one executor group; transactions
     // are re-partitioned to the shards their viable prefix items reach.
@@ -441,16 +426,16 @@ std::vector<CountPair> count_candidate_trees(
     // probe would, so the merged counts -- and everything downstream -- are
     // bit-identical to the full path.
     ctx.linter().note_broadcast_fallback(
-        tree_bytes, pass_name + ":trees",
-        /*forced=*/ctx.memory_budget().broadcast_fits(tree_bytes));
-    ctx.memory_budget().note_fallback(tree_bytes);
+        ship.bytes, payload_label,
+        /*forced=*/ctx.memory_budget().broadcast_fits(ship.bytes));
+    ctx.memory_budget().note_fallback(ship.bytes);
     const u32 nshards = std::max<u32>(
         1, opt.broadcast_shards ? opt.broadcast_shards
                                 : ctx.default_partitions());
     engine::work::Scope shard_scope;
     auto store = std::make_shared<std::vector<std::vector<TreeShard>>>(nshards);
     u64 shard_bytes = 0;
-    for (const HashTree& tree : *trees) {
+    for (const HashTree& tree : *ship.trees) {
       std::vector<TreeShard> shards =
           shard_hash_tree(tree, nshards, opt.branching, opt.leaf_capacity);
       for (u32 s = 0; s < nshards; ++s) {
@@ -518,20 +503,18 @@ std::vector<CountPair> count_candidate_trees(
     // batch ships as the kernel's payload, which holds every candidate row
     // the bitmap switch reads. The no-hash-tree ablation ships the trees
     // and scans every row linearly.
-    auto broadcast_trees =
-        kernel ? ctx.broadcast(trees, kernel->payload_bytes(),
-                               pass_name + ":" + kernel->payload_name())
-               : ctx.broadcast(trees, tree_bytes, pass_name + ":trees");
+    auto shipped = ctx.broadcast(ship, ship.bytes, payload_label);
     counts =
         transactions
-            .map_partitions([broadcast_trees, kernel,
+            .map_partitions([shipped, levels = std::vector<LevelView>(
+                                          levels.begin(), levels.end()),
                              id_space](const std::vector<Transaction>& part) {
               std::vector<u64> acc(id_space, 0);
-              if (kernel) {
-                count_rows(part, **broadcast_trees, *kernel, acc.data());
+              if (shipped->kernel) {
+                count_rows(part, levels, *shipped->kernel, acc.data());
               } else {
                 for (const Transaction& t : part) {
-                  for (const HashTree& tree : **broadcast_trees) {
+                  for (const HashTree& tree : *shipped->trees) {
                     u64* cells = acc.data() + tree.id_offset();
                     for_each_hit(tree, t, false,
                                  [cells](u32 ci) { ++cells[ci]; });
@@ -546,14 +529,13 @@ std::vector<CountPair> count_candidate_trees(
   }
 
   engine::work::Scope mat_scope;
-  level.clear();
-  for (const HashTree& tree : *trees) {
-    const u64 base = tree.id_offset();
-    for (u32 ci = 0; ci < tree.size(); ++ci) {
+  std::vector<CountPair> frequent;
+  for (const LevelView& level : levels) {
+    const u64* cells = counts.data() + level.id_offset;
+    for (u32 ci = 0; ci < level.size(); ++ci) {
       engine::work::add(1);
-      const u64 support = counts[base + ci];
-      if (support >= min_count) {
-        level.emplace_back(tree.candidate(ci), support);
+      if (cells[ci] >= min_count) {
+        frequent.emplace_back(level.rows->itemset(ci), cells[ci]);
       }
     }
   }
@@ -563,19 +545,58 @@ std::vector<CountPair> count_candidate_trees(
   mat.pass = pass;
   mat.driver_work = mat_scope.measured();
   ctx.record(std::move(mat));
-  return level;
+  return frequent;
+}
+
+}  // namespace
+
+BatchShipment ship_batch(const engine::Context& ctx,
+                         const CandidateBatch& batch, BroadcastMode mode,
+                         const CountCoreOptions& opt) {
+  BatchShipment ship;
+  if (opt.count_mode == CountMode::kCandidateId && opt.use_hash_tree) {
+    ship.kernel = std::make_shared<const DenseKernel>(batch.levels());
+    ship.bytes = ship.kernel->payload_bytes();
+    if (ship.kernel->pairs()) return ship;
+  } else {
+    ship.trees = build_trees(batch.levels(), opt);
+    ship.bytes = HashTree::serialized_bytes(*ship.trees);
+  }
+  ship.partitioned = mode == BroadcastMode::kPartitioned ||
+                     (mode == BroadcastMode::kAuto &&
+                      !ctx.memory_budget().broadcast_fits(ship.bytes));
+  if (ship.partitioned && !ship.trees) {
+    ship.trees = build_trees(batch.levels(), opt);
+  }
+  return ship;
+}
+
+std::vector<CountPair> count_candidate_trees(
+    engine::Context& ctx, engine::RDD<Transaction>& transactions,
+    const std::shared_ptr<std::vector<HashTree>>& trees, u64 tree_bytes,
+    u64 id_space, const sim::StageRecord* lineage,
+    const CountCoreOptions& opt) {
+  const std::vector<LevelView> levels = level_views(*trees);
+  BatchShipment ship{nullptr, trees, tree_bytes, opt.partitioned};
+  if (opt.count_mode == CountMode::kCandidateId && opt.use_hash_tree) {
+    // A pair batch has no tree to shard, whatever opt.partitioned says.
+    auto kernel = std::make_shared<const DenseKernel>(levels);
+    if (kernel->pairs() || !opt.partitioned) {
+      ship = {kernel, nullptr, kernel->payload_bytes(), false};
+    }
+  }
+  return count_shipped(ctx, transactions, levels, ship, id_space, lineage,
+                       opt);
 }
 
 std::vector<CountPair> count_batch(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const CandidateBatch& batch, BroadcastMode broadcast_mode,
     CountCoreOptions opt, const sim::StageRecord* lineage) {
-  opt.partitioned =
-      use_partitioned_store(ctx, broadcast_mode, batch.tree_bytes());
+  const BatchShipment ship = ship_batch(ctx, batch, broadcast_mode, opt);
   opt.kmin = batch.kmin();
-  return count_candidate_trees(ctx, transactions, batch.trees(),
-                               batch.tree_bytes(), batch.id_space(), lineage,
-                               opt);
+  return count_shipped(ctx, transactions, batch.levels(), ship,
+                       batch.id_space(), lineage, opt);
 }
 
 std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
@@ -599,40 +620,41 @@ ItemsetCountJob itemset_count_job(
   auto job = counting_job<ItemsetCountJob>(
       name, min_count, num_mappers, num_reducers,
       [](const Itemset& key) { return key; });
-  for (const HashTree& tree : *trees) {
-    job.distributed_cache_bytes += tree.serialized_bytes();
-  }
+  job.distributed_cache_bytes = HashTree::serialized_bytes(*trees);
   job.map_fn = [trees](const Transaction& t,
                        mr::Emitter<Itemset, u64>& emit) {
     for (const HashTree& tree : *trees) {
       for_each_hit(tree, t, true,
-                   [&](u32 ci) { emit.emit(tree.candidate(ci), 1); });
+                   [&](u32 ci) { emit.emit(tree.rows().itemset(ci), 1); });
     }
   };
   return job;
 }
 
-CandidateIdJob candidate_id_job(
-    const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    std::shared_ptr<const DenseKernel> kernel, u64 min_count, u32 num_mappers,
-    u32 num_reducers) {
-  YAFIM_CHECK(!trees->empty() && trees->front().id_offset() == 0,
-              "an id-keyed job counts trees from id 0");
-  const u64 id_space = trees->back().id_offset() + trees->back().size();
+CandidateIdJob candidate_id_job(const std::string& name,
+                                std::span<const LevelView> levels,
+                                std::shared_ptr<const DenseKernel> kernel,
+                                u64 min_count, u32 num_mappers,
+                                u32 num_reducers) {
+  YAFIM_CHECK(!levels.empty() && levels.front().id_offset == 0,
+              "an id-keyed job counts levels from id 0");
+  const u64 id_space = levels.back().id_offset + levels.back().size();
+  auto views = std::make_shared<const std::vector<LevelView>>(levels.begin(),
+                                                              levels.end());
   auto job = counting_job<CandidateIdJob>(
-      name, min_count, num_mappers, num_reducers, [trees](u32 id) {
-        // The last tree whose range starts at or before `id` owns it.
+      name, min_count, num_mappers, num_reducers, [views](u32 id) {
+        // The last level whose range starts at or before `id` owns it.
         const auto owner = std::prev(std::upper_bound(
-            trees->begin(), trees->end(), id,
-            [](u32 v, const HashTree& tree) { return v < tree.id_offset(); }));
-        return owner->candidate(static_cast<u32>(id - owner->id_offset()));
+            views->begin(), views->end(), id,
+            [](u32 v, const LevelView& level) { return v < level.id_offset; }));
+        return owner->rows->itemset(id - owner->id_offset);
       });
   job.distributed_cache_bytes = kernel->payload_bytes();
-  job.map_partition_fn = [trees, kernel, id_space](
+  job.map_partition_fn = [views, kernel, id_space](
                              std::span<const Transaction> split,
                              mr::Emitter<u32, u64>& emit) {
     std::vector<u64> cells(id_space, 0);
-    count_rows(split, *trees, *kernel, cells.data());
+    count_rows(split, *views, *kernel, cells.data());
     for (u32 id = 0; id < cells.size(); ++id) {
       if (cells[id] != 0) emit.emit(id, cells[id]);
     }

@@ -1,23 +1,24 @@
 // The candidate-counting plan of the level-wise miners, once per substrate.
 //
-// Every Phase-II pass of the paper's Algorithm 3 does the same thing: build
-// Ck's hash trees, ship them, count, filter. This module holds that plan so
-// the miners only generate candidates and consume counts:
+// Every Phase-II pass of the paper's Algorithm 3 does the same thing: ship
+// Ck to the workers, count, filter. This module holds that plan so the
+// miners only generate candidates and consume counts:
 //
-//   * CandidateBatch  -- one pass's candidate levels as hash trees over one
+//   * CandidateBatch  -- one pass's candidate levels: sorted rows over one
 //                        batch-global dense id space. Callers build it
-//                        inside their own driver work::Scope, so tree-build
-//                        work stays in their ap_gen stage.
+//                        inside their own driver work::Scope, so candidate
+//                        generation stays in their ap_gen stage.
+//   * ship_batch      -- the batch's broadcast-or-shard decision, on the
+//                        bytes that would ship (mr_apriori calls it too).
 //   * count_batch     -- the RDD entry point (yafim, sampling, stream):
-//                        the broadcast-or-shard decision, then
-//                        count_candidate_trees.
-//   * count_candidate_trees -- the cluster counting job itself, including
-//                        the lineage recompute of uncached transactions.
+//                        ship_batch, then the cluster counting job,
+//                        including the lineage recompute of uncached
+//                        transactions.
+//   * count_candidate_trees -- the same job over caller-built hash trees.
 //   * the MapReduce jobs (mr_apriori, son): frequent items, and one job
-//     counting a tree batch keyed by itemset or by candidate id.
+//     counting a batch keyed by itemset or by candidate id.
 //
-// count_candidate_trees has three paths, selected by (count_mode,
-// partitioned):
+// The counting job has three paths:
 //   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
 //                         a reduce_by_key shuffle over hash-tree probes.
 //   * kCandidateId     -- dense per-partition u64 arrays indexed by
@@ -26,10 +27,10 @@
 //                         DenseKernel (the pair matrix of a pair batch, else
 //                         the candidate trie) until the bitmap kernel is
 //                         cheaper (count_rows). The batch ships as the
-//                         kernel's arrays instead of the hash trees.
-//   * partitioned      -- either mode degrades here when the trees outgrow
-//                         the executor budget: hash trees sharded by
-//                         candidate prefix, transactions routed to their
+//                         kernel's arrays; no hash tree is built.
+//   * partitioned      -- either mode degrades here when its payload
+//                         outgrows the executor budget: hash trees sharded
+//                         by candidate prefix, transactions routed to their
 //                         shards. A pair batch counted by id never takes it.
 #pragma once
 
@@ -51,23 +52,21 @@ namespace yafim::fim {
 /// (itemset, support) -- the currency of every counting path.
 using CountPair = std::pair<Itemset, u64>;
 
-/// One pass's candidates: a hash tree per level, each level's ids following
-/// the previous level's in one dense id space.
+/// One pass's candidates: each non-empty level's rows, strictly ascending,
+/// its ids following the previous level's in one dense id space. The level
+/// views point into the batch, so it moves but never copies.
 class CandidateBatch {
  public:
-  /// Builds one tree per non-empty level, in order. Each level holds
-  /// canonical rows of one size.
-  CandidateBatch(std::vector<ItemsetRows> levels, u32 branching,
-                 u32 leaf_capacity);
+  /// Keeps every non-empty level, in order. Each holds canonical rows of
+  /// one size.
+  explicit CandidateBatch(std::vector<ItemsetRows> levels);
+  CandidateBatch(CandidateBatch&&) = default;
+  CandidateBatch& operator=(CandidateBatch&&) = default;
 
-  const std::shared_ptr<std::vector<HashTree>>& trees() const {
-    return trees_;
-  }
-  bool empty() const { return trees_->empty(); }
-  size_t num_levels() const { return trees_->size(); }
-  u64 level_size(size_t level) const { return (*trees_)[level].size(); }
-  /// Serialized size of every tree: what a broadcast ships.
-  u64 tree_bytes() const { return tree_bytes_; }
+  /// Every level, with its batch-global id offset.
+  std::span<const LevelView> levels() const { return views_; }
+  bool empty() const { return views_.empty(); }
+  size_t num_levels() const { return views_.size(); }
   /// Width of the dense count array: the number of candidates.
   u64 id_space() const { return id_space_; }
   /// Smallest candidate size in the batch.
@@ -79,15 +78,22 @@ class CandidateBatch {
       std::vector<CountPair> counted) const;
 
  private:
-  std::shared_ptr<std::vector<HashTree>> trees_;
-  u64 tree_bytes_ = 0;
+  std::vector<ItemsetRows> rows_;
+  std::vector<LevelView> views_;  ///< into rows_, which a move keeps
   u64 id_space_ = 0;
   u32 kmin_ = 0;
 };
 
-/// Every item some candidate of `trees` contains, ascending: the rows of
+/// Each tree's rows and id offset, as a level view.
+inline std::vector<LevelView> level_views(const std::vector<HashTree>& trees) {
+  std::vector<LevelView> levels;
+  for (const HashTree& t : trees) levels.push_back({&t.rows(), t.id_offset()});
+  return levels;
+}
+
+/// Every item some candidate of `levels` contains, ascending: the rows of
 /// the index count_rows builds when it switches kernels.
-std::vector<Item> candidate_items(const std::vector<HashTree>& trees);
+std::vector<Item> candidate_items(std::span<const LevelView> levels);
 
 /// C2 without its hash tree. A pair batch is one k = 2 level holding every
 /// pair of its m items in lexicographic order -- C2 exactly as
@@ -101,10 +107,10 @@ class PairMatrix {
   /// The matrix over `items`: ascending, distinct, at least two.
   explicit PairMatrix(std::vector<Item> items);
 
-  /// The matrix of `trees` when they are a pair batch, else null. Built
+  /// The matrix of `levels` when they are a pair batch, else null. Built
   /// once per batch on the driver, in O(|C2|).
   static std::shared_ptr<const PairMatrix> of(
-      const std::vector<HashTree>& trees);
+      std::span<const LevelView> levels);
 
   const std::vector<Item>& items() const { return items_; }
   /// m(m - 1)/2: the width of the dense count array.
@@ -143,10 +149,10 @@ class PairMatrix {
 /// id.
 class CandidateTrie {
  public:
-  /// The trie of `tree`'s rows, with its id offset. Built in O(size * k);
+  /// The trie of `level`'s rows, with its id offset. Built in O(size * k);
   /// YAFIM_CHECKs that the rows ascend strictly, as every producer
   /// (apriori_gen_rows, to_sorted_rows) emits them.
-  explicit CandidateTrie(const HashTree& tree);
+  explicit CandidateTrie(const LevelView& level);
 
   u32 k() const { return static_cast<u32>(items_.size()); }
   u32 size() const { return static_cast<u32>(items_.back().size()); }
@@ -184,23 +190,20 @@ class CandidateTrie {
   std::vector<std::vector<u32>> offsets_;  ///< [d]: depth d's child ranges
 };
 
-/// The per-row kernel of a batch counted by candidate id, chosen once per
+/// The per-row kernel of a batch counted by candidate id, built once per
 /// batch on the driver: a pair batch's PairMatrix, else one CandidateTrie
 /// per level. Tasks count their rows on it (count_rows), and a broadcast or
-/// the distributed cache ships its payload instead of the hash trees.
+/// the distributed cache ships its payload.
 class DenseKernel {
  public:
-  /// The kernel of `trees` -- null when `shard` holds and they are not a
-  /// pair batch: such a batch is counted on the partitioned store instead,
-  /// while a pair batch has no tree to shard and never takes it.
-  static std::shared_ptr<const DenseKernel> of(
-      const std::vector<HashTree>& trees, bool shard = false);
+  /// The kernel of `levels`.
+  explicit DenseKernel(std::span<const LevelView> levels);
 
   /// The pair matrix of a pair batch, else null.
   const PairMatrix* pairs() const { return pairs_.get(); }
   /// One trie per level of any other batch.
   const std::vector<CandidateTrie>& tries() const { return tries_; }
-  /// candidate_items(trees): the rows of the index count_rows switches to.
+  /// candidate_items(levels): the rows of the index count_rows switches to.
   const std::vector<Item>& items() const { return items_; }
   /// What a broadcast or the distributed cache ships: the pair matrix's
   /// item list, or every trie's arrays.
@@ -212,9 +215,6 @@ class DenseKernel {
   void count_row(const Transaction& t, u64* cells) const;
 
  private:
-  DenseKernel(const std::vector<HashTree>& trees,
-              std::shared_ptr<const PairMatrix> pairs);
-
   std::shared_ptr<const PairMatrix> pairs_;
   u64 pairs_offset_ = 0;
   std::vector<CandidateTrie> tries_;
@@ -222,14 +222,14 @@ class DenseKernel {
 };
 
 /// The dense counting kernel of one task: add, for every candidate of
-/// `trees` contained in a row of `rows`, one to
-/// cells[tree.id_offset() + ci]. `kernel` is DenseKernel::of(trees).
+/// `levels` contained in a row of `rows`, one to
+/// cells[level.id_offset + ci]. `kernel` is the DenseKernel of `levels`.
 ///
 /// Rows are counted in order by kernel.count_row. Before each row m > 0 the
 /// work units spent on rows [0, m), scaled to the n - m rows left, are
 /// compared with the exact units the bitmap kernel charges for them: a
 /// VerticalBitmapIndex over rows [m, n) restricted to kernel.items()
-/// (build_units) plus count_candidates on every tree (count_units). Once
+/// (build_units) plus count_candidates on every level (count_units). Once
 /// the projection is larger, rows [m, n) are indexed and every candidate's
 /// AND+popcount is added to the same cells. The choice depends only on
 /// the rows, their order and the candidates, so the cells and the charged
@@ -237,32 +237,21 @@ class DenseKernel {
 /// obs dense.rows_probed and dense.rows_bitmap counters (a row the kernel
 /// walked is a probed row).
 void count_rows(std::span<const Transaction> rows,
-                const std::vector<HashTree>& trees, const DenseKernel& kernel,
+                std::span<const LevelView> levels, const DenseKernel& kernel,
                 u64* cells);
-
-/// Whether a candidate payload of `bytes` goes out as the partitioned
-/// candidate store instead of whole: always under kPartitioned, never under
-/// kFull, and under kAuto when it would not fit next to what the memory
-/// ledger (engine/memory.h) already places on the tightest executor. Taken
-/// per pass, so a YAFIM_FAULT_MEM_* shrink mid-run degrades exactly the
-/// passes after the trigger.
-bool use_partitioned_store(const engine::Context& ctx, BroadcastMode mode,
-                           u64 bytes);
 
 struct CountCoreOptions {
   CountMode count_mode = CountMode::kItemsetKey;
-  /// Count through the hash tree -- or under kCandidateId the batch's
-  /// DenseKernel built from it -- (true), or by linear candidate scans
-  /// (false, the no-hash-tree ablation).
+  /// Count on the DenseKernel or by hash-tree probes (true), or by linear
+  /// candidate scans (false, the no-hash-tree ablation).
   bool use_hash_tree = true;
-  /// Use the partitioned candidate store instead of broadcasting the trees
-  /// whole (count_batch takes the decision per pass).
+  /// count_candidate_trees only: use the partitioned candidate store.
   bool partitioned = false;
   /// Shard count for the partitioned store; 0 = ctx.default_partitions().
   u32 broadcast_shards = 0;
-  /// Hash-tree shape, for re-building shard trees.
-  u32 branching = 8;
-  u32 leaf_capacity = 32;
+  /// Shape of every hash tree built (HashTree's defaults).
+  u32 branching = 0;  // 0 = auto (HashTree::default_branching)
+  u32 leaf_capacity = 16;
   /// Smallest candidate size in the batch (routing viability cutoff).
   u32 kmin = 2;
   /// Only candidates with support >= min_count are returned. Pass 1 to get
@@ -273,9 +262,29 @@ struct CountCoreOptions {
   std::string pass_name;
 };
 
+/// How a batch reaches the tasks: its DenseKernel under kCandidateId with
+/// the hash tree on, its hash trees where something probes or shards them,
+/// the bytes that would ship whole, and whether the store ships instead.
+struct BatchShipment {
+  std::shared_ptr<const DenseKernel> kernel;
+  std::shared_ptr<std::vector<HashTree>> trees;
+  u64 bytes = 0;
+  bool partitioned = false;
+};
+
+/// The broadcast-or-shard decision of `batch`, on the bytes that would ship
+/// whole (the kernel's, else the trees'): kPartitioned always shards, kFull
+/// never, kAuto when they would not fit next to what the memory ledger
+/// (engine/memory.h) places on the tightest executor -- per batch, so a
+/// YAFIM_FAULT_MEM_* shrink degrades exactly the passes after it. A pair
+/// batch has no tree to shard and never does.
+BatchShipment ship_batch(const engine::Context& ctx,
+                         const CandidateBatch& batch, BroadcastMode mode,
+                         const CountCoreOptions& opt);
+
 /// Count every candidate in `trees` against `transactions` and return those
 /// with support >= opt.min_count. `tree_bytes` is the serialized size of
-/// the batch (broadcast pricing + fallback ledger note); `id_space` the
+/// the trees (broadcast pricing + fallback ledger note); `id_space` the
 /// batch-global dense id space (HashTree::assign_id_offsets).
 ///
 /// Under kCandidateId with the hash tree on, the batch is broadcast as its
@@ -293,10 +302,9 @@ std::vector<CountPair> count_candidate_trees(
     u64 id_space, const sim::StageRecord* lineage,
     const CountCoreOptions& opt);
 
-/// Count `batch` against `transactions` through count_candidate_trees and
-/// return the candidates with support >= opt.min_count. opt.partitioned is
-/// decided here (use_partitioned_store) and opt.kmin taken from the batch;
-/// `lineage` is passed through.
+/// Count `batch` against `transactions` as ship_batch decides and return
+/// the candidates with support >= opt.min_count. opt.kmin is taken from
+/// the batch; `lineage` is as for count_candidate_trees.
 std::vector<CountPair> count_batch(
     engine::Context& ctx, engine::RDD<Transaction>& transactions,
     const CandidateBatch& batch, BroadcastMode broadcast_mode,
@@ -324,16 +332,17 @@ ItemsetCountJob itemset_count_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     u64 min_count, u32 num_mappers, u32 num_reducers);
 
-/// The same job keyed by candidate id, over trees whose id ranges start at
-/// 0 (HashTree::assign_id_offsets). Each mapper counts its split into
-/// dense cells over the whole id space through count_rows on `kernel`
-/// (DenseKernel::of(*trees)), the RDD tasks' kernel choice, and emits
+/// The same job keyed by candidate id, over `levels` whose ids start at 0
+/// and whose rows outlive the job. Each mapper counts its split into dense
+/// cells over the whole id space through count_rows on `kernel`
+/// (the DenseKernel of `levels`), the RDD tasks' kernel choice, and emits
 /// (id, count) per candidate of nonzero count; the distributed cache ships
 /// the kernel's payload. Reducers map surviving ids back to itemsets
-/// through their copy of the tree that owns the id.
-CandidateIdJob candidate_id_job(
-    const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
-    std::shared_ptr<const DenseKernel> kernel, u64 min_count, u32 num_mappers,
-    u32 num_reducers);
+/// through the level that owns the id.
+CandidateIdJob candidate_id_job(const std::string& name,
+                                std::span<const LevelView> levels,
+                                std::shared_ptr<const DenseKernel> kernel,
+                                u64 min_count, u32 num_mappers,
+                                u32 num_reducers);
 
 }  // namespace yafim::fim

@@ -63,10 +63,8 @@ DistEclatRun dist_eclat_mine(engine::Context& ctx, simfs::SimFS& fs,
     load.kind = sim::StageKind::kSparkStage;
     load.pass = 0;
     load.dfs_read_bytes = raw.size();
-    load.tasks.assign(
-        tasks, sim::TaskRecord{num_transactions *
-                               (1 + ctx.cluster().record_parse_work) /
-                               tasks});
+    load.tasks = sim::split_work(
+        num_transactions * (1 + ctx.cluster().record_parse_work), tasks);
     ctx.record(std::move(load));
   }
   if (num_transactions == 0) return result;

@@ -30,10 +30,9 @@ HashTree::HashTree(ItemsetRows candidates, u32 branching, u32 leaf_capacity)
   YAFIM_CHECK(rows_.items.size() == size_t{size_} * rows_.width,
               "candidate rows must be whole, non-empty itemsets");
   for (u32 ci = 0; ci < size_; ++ci) {
-    YAFIM_DCHECK(std::adjacent_find(candidate_items(ci),
-                                    candidate_items(ci) + k(),
+    YAFIM_DCHECK(std::adjacent_find(rows_.row(ci), rows_.row(ci) + k(),
                                     std::greater_equal<Item>()) ==
-                     candidate_items(ci) + k(),
+                     rows_.row(ci) + k(),
                  "candidates must be canonical");
   }
   build();
@@ -69,7 +68,7 @@ void HashTree::build() {
     sorted.resize(count);
     std::fill(cursor.begin(), cursor.end(), 0u);
     for (u32 p = 0; p < count; ++p) {
-      slot_of[p] = child_slot(candidate_items(run[p])[depth]);
+      slot_of[p] = child_slot(rows_.row(run[p])[depth]);
       ++cursor[slot_of[p]];
     }
     const u32 children = static_cast<u32>(child_arena_.size());
@@ -89,8 +88,6 @@ void HashTree::build() {
   }
 }
 
-std::vector<Itemset> HashTree::candidates() const { return to_itemsets(rows_); }
-
 std::vector<TreeShard> shard_hash_tree(const HashTree& tree, u32 nshards,
                                        u32 branching, u32 leaf_capacity) {
   YAFIM_CHECK(nshards >= 1, "shard count must be >= 1");
@@ -98,7 +95,7 @@ std::vector<TreeShard> shard_hash_tree(const HashTree& tree, u32 nshards,
   std::vector<std::vector<u64>> ids(nshards);
   for (u32 ci = 0; ci < tree.size(); ++ci) {
     engine::work::add(1);
-    const Item* items = tree.candidate_items(ci);
+    const Item* items = tree.rows().row(ci);
     const u32 s = nshards == 1 ? 0 : candidate_shard(items[0], nshards);
     parts[s].items.insert(parts[s].items.end(), items, items + tree.k());
     ids[s].push_back(tree.id_offset() + ci);
@@ -111,6 +108,12 @@ std::vector<TreeShard> shard_hash_tree(const HashTree& tree, u32 nshards,
                             std::move(ids[s])});
   }
   return out;
+}
+
+u64 HashTree::serialized_bytes(const std::vector<HashTree>& trees) {
+  u64 bytes = 0;
+  for (const HashTree& tree : trees) bytes += tree.serialized_bytes();
+  return bytes;
 }
 
 u64 HashTree::serialized_bytes() const {

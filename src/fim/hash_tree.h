@@ -43,14 +43,13 @@ enum class CountMode {
   /// Paper-faithful: shuffle keyed on full Itemset vectors.
   kItemsetKey = 0,
   /// Dense, kernel chosen per task: count into fixed-width arrays indexed
-  /// by candidate id (tree-local index + the tree's batch-global id
-  /// offset); itemsets are materialized from the driver's tree only for
-  /// MinSup survivors. The batch ships as its DenseKernel -- a pair
-  /// batch's item list, else a prefix trie per level -- and each task
-  /// walks its rows on it until the bitmap kernel's exact price for the
-  /// rows left undercuts the walk's pace, then AND+popcounts those rows on
-  /// a task-local index of the candidate items (fim/count_core.h
-  /// count_rows). Only the partitioned store probes hash trees.
+  /// by candidate id (row index + the level's batch-global id offset) and
+  /// materialize itemsets only for MinSup survivors. The batch ships as its
+  /// DenseKernel -- a pair batch's item list, else a prefix trie per level
+  /// -- which each task walks until the bitmap kernel's exact price for the
+  /// rows left undercuts the walk's pace (fim/count_core.h count_rows).
+  /// Besides the no-hash-tree ablation, only the partitioned store builds
+  /// hash trees.
   kCandidateId = 1,
 };
 
@@ -62,14 +61,16 @@ inline const char* count_mode_name(CountMode mode) {
   return "unknown";
 }
 
-/// How the per-pass candidate structure reaches the workers (shared by
-/// both miners; see DESIGN "Memory model & graceful degradation").
+/// How the per-pass candidates reach the workers (shared by both miners;
+/// see DESIGN "Memory model & graceful degradation", fim/count_core.h
+/// ship_batch).
 enum class BroadcastMode {
-  /// Broadcast while the candidate trees fit the executor-memory budget
+  /// Ship the batch whole while its payload -- the DenseKernel under
+  /// kCandidateId, else the hash trees -- fits the executor-memory budget
   /// (engine::MemoryBudget); degrade to the partitioned candidate store
-  /// when they would not.
+  /// when it would not.
   kAuto,
-  /// Always broadcast the full trees. An over-budget payload keeps the
+  /// Always ship the whole payload. An over-budget payload keeps the
   /// linter's YL002 *error* semantics -- the pre-degradation behavior, and
   /// the CI beyond-memory lane's negative control.
   kFull,
@@ -116,20 +117,9 @@ class HashTree {
   u32 num_leaves() const { return num_leaves_; }
   u32 num_nodes() const { return static_cast<u32>(nodes_.size()); }
 
-  /// Candidate `idx`'s items, a k()-item run in the flat item arena. The
-  /// zero-indirection accessor the hot paths (probe containment checks,
-  /// bitmap AND loops) read.
-  const Item* candidate_items(u32 idx) const { return rows_.row(idx); }
-
-  /// Candidate `idx` materialized as an owning Itemset (driver-side
-  /// survivor materialization, MR reducers, tests).
-  Itemset candidate(u32 idx) const {
-    return rows_.itemset(idx);
-  }
-
-  /// All candidates, materialized (tests/debug only -- the tree itself
-  /// stores just the arena).
-  std::vector<Itemset> candidates() const;
+  /// The candidates: row `ci` is candidate ci's k() items in the flat item
+  /// arena. A LevelView reads them (fim/itemset.h).
+  const ItemsetRows& rows() const { return rows_; }
 
   /// Batch-global id base for this tree's candidates: when several levels
   /// are counted in one pass (PassCombining), tree-local index `ci` maps
@@ -149,8 +139,9 @@ class HashTree {
   }
 
   /// Estimated wire size when broadcast to workers (candidate payload plus
-  /// node structure).
+  /// node structure), of this tree or of a batch of trees.
   u64 serialized_bytes() const;
+  static u64 serialized_bytes(const std::vector<HashTree>& trees);
 
   /// Arena introspection (tests): every candidate id sits in exactly one
   /// leaf bucket, so the bucket arena holds exactly size() slots; the child
@@ -251,7 +242,7 @@ class HashTree {
   /// contains_all() against the item arena: linear merge of the (canonical)
   /// transaction and candidate `ci`'s k-item run.
   bool contains_candidate(const Transaction& t, u32 ci) const {
-    const Item* c = candidate_items(ci);
+    const Item* c = rows_.row(ci);
     size_t ti = 0;
     for (u32 j = 0; j < rows_.width; ++j) {
       while (ti < t.size() && t[ti] < c[j]) ++ti;

@@ -30,8 +30,6 @@ bool contains_all(const Transaction& t, const Itemset& s) {
   return true;
 }
 
-bool lex_less(const Itemset& a, const Itemset& b) { return a < b; }
-
 std::string to_string(const Itemset& s) {
   std::ostringstream out;
   out << '{';

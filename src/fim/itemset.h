@@ -27,10 +27,6 @@ void canonicalize(Itemset& v);
 /// Subset test by linear merge; both arguments must be canonical.
 bool contains_all(const Transaction& t, const Itemset& s);
 
-/// Lexicographic comparison (operator< on vectors does this; named for
-/// readability at call sites).
-bool lex_less(const Itemset& a, const Itemset& b);
-
 /// "{3, 17, 42}" -- for logs, examples, and test failure messages.
 std::string to_string(const Itemset& s);
 
@@ -47,7 +43,7 @@ struct ItemsetEq {
 
 /// Equal-size canonical itemsets stored row after row in one flat array:
 /// row i is items[i*width, (i+1)*width). The driver's candidate form from
-/// apriori_gen_rows() to the built HashTree -- no allocation per itemset.
+/// apriori_gen_rows() to the counting kernels -- no allocation per itemset.
 struct ItemsetRows {
   u32 width = 0;
   std::vector<Item> items;
@@ -56,6 +52,17 @@ struct ItemsetRows {
   bool empty() const { return items.empty(); }
   const Item* row(size_t i) const { return items.data() + i * width; }
   Itemset itemset(size_t i) const { return Itemset(row(i), row(i) + width); }
+};
+
+/// One candidate level as the counting kernels read it, without a copy:
+/// the rows of a CandidateBatch level or of a HashTree, and the
+/// batch-global id of row 0 (row ci counts into cell id_offset + ci).
+struct LevelView {
+  const ItemsetRows* rows = nullptr;
+  u64 id_offset = 0;
+  u32 k() const { return rows->width; }
+  u32 size() const { return static_cast<u32>(rows->size()); }
+  const Item* row(u32 ci) const { return rows->row(ci); }
 };
 
 /// Flatten `sets` in their order; all must have the same non-zero size.

@@ -119,10 +119,8 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
 
     engine::work::Scope driver_scope;
-    const CandidateBatch batch(
-        candidate_levels(to_sorted_rows(frequent), k, options.combining,
-                         options.max_levels),
-        options.branching, options.leaf_capacity);
+    const CandidateBatch batch(candidate_levels(
+        to_sorted_rows(frequent), k, options.combining, options.max_levels));
     if (batch.empty()) break;
     const u32 levels_in_batch = static_cast<u32>(batch.num_levels());
     {
@@ -137,14 +135,12 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     const std::string job_name = "mrapriori:job" + std::to_string(k);
     const std::string out_path = options.work_dir + "/L" + std::to_string(k);
 
-    // One counting job over `trees` -- the batch's trees, or one shard of
-    // each under the partitioned fallback. kItemsetKey is the
-    // paper-faithful shuffle keyed on itemsets, its mappers probing the
-    // trees from the distributed cache; kCandidateId counts on the trees'
-    // DenseKernel (`kernel`, or built here when null), which the cache
-    // ships instead, keys on candidate id and maps survivors back through
-    // the reducers' copy of the trees.
+    // One counting job over the batch, or over one shard of each of its
+    // levels: kItemsetKey's mappers probe `trees` from the distributed
+    // cache, kCandidateId's count `levels` on their DenseKernel (`kernel`,
+    // or built here), which the cache ships instead.
     auto run_batch_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
+                             std::span<const LevelView> levels,
                              std::shared_ptr<const DenseKernel> kernel,
                              const std::string& name, const std::string& out) {
       if (options.count_mode == CountMode::kItemsetKey) {
@@ -153,40 +149,35 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                               options.num_mappers, options.num_reducers),
             input_path, out);
       }
-      if (!kernel) kernel = DenseKernel::of(*trees);
+      if (!kernel) kernel = std::make_shared<const DenseKernel>(levels);
       return runner.run(
-          candidate_id_job(name, std::move(trees), std::move(kernel),
-                           min_count, options.num_mappers,
-                           options.num_reducers),
+          candidate_id_job(name, levels, std::move(kernel), min_count,
+                           options.num_mappers, options.num_reducers),
           input_path, out);
     };
 
-    // Broadcast ceiling (engine/memory.h): when the trees would not fit
-    // next to what the ledger places on the tightest executor, count the
-    // batch as one sub-job per candidate shard, each localizing only its
-    // shard of every level -- at the honest MapReduce price of re-reading
-    // the input per sub-job. A pair batch counted by id localizes only its
-    // item list (PairMatrix), so it never shards.
-    const u64 tree_bytes = batch.tree_bytes();
-    const bool shard =
-        use_partitioned_store(ctx, options.broadcast_mode, tree_bytes);
-    const std::shared_ptr<const DenseKernel> kernel =
-        options.count_mode == CountMode::kCandidateId
-            ? DenseKernel::of(*batch.trees(), shard)
-            : nullptr;
-    const bool partitioned = shard && !kernel;
+    // Broadcast ceiling (engine/memory.h): when what the cache would
+    // localize does not fit next to what the ledger places on the tightest
+    // executor (ship_batch), count the batch as one sub-job per candidate
+    // shard, each localizing only its shard of every level -- at the honest
+    // MapReduce price of re-reading the input per sub-job.
+    CountCoreOptions count_opt;
+    count_opt.count_mode = options.count_mode;
+    const BatchShipment ship =
+        ship_batch(ctx, batch, options.broadcast_mode, count_opt);
     Stopwatch count_clock;
     mr::JobResult<CountPair> result;
-    if (partitioned) {
+    if (ship.partitioned) {
       ctx.linter().note_broadcast_fallback(
-          tree_bytes, job_name + ":distributed_cache",
-          /*forced=*/ctx.memory_budget().broadcast_fits(tree_bytes));
-      ctx.memory_budget().note_fallback(tree_bytes);
+          ship.bytes, job_name + ":distributed_cache",
+          /*forced=*/ctx.memory_budget().broadcast_fits(ship.bytes));
+      ctx.memory_budget().note_fallback(ship.bytes);
       // Grow the shard count until the largest shard, summed over levels,
       // fits the tightest node (sharding keys on the first item, so a
       // perfectly even split is not guaranteed; the cap keeps a degenerate
       // distribution from looping forever -- an oversized shard then lints
       // like any other oversized localization).
+      const u64 tree_bytes = HashTree::serialized_bytes(*ship.trees);
       const u64 budget = ctx.memory_budget().min_node_budget();
       engine::work::Scope shard_scope;
       u32 nshards = std::max<u32>(
@@ -196,9 +187,9 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
       std::vector<std::vector<TreeShard>> shards;  // [level][shard]
       for (;;) {
         shards.clear();
-        for (const HashTree& tree : *batch.trees()) {
-          shards.push_back(shard_hash_tree(tree, nshards, options.branching,
-                                           options.leaf_capacity));
+        for (const HashTree& tree : *ship.trees) {
+          shards.push_back(shard_hash_tree(tree, nshards, count_opt.branching,
+                                           count_opt.leaf_capacity));
         }
         if (budget == 0 || nshards >= 1024) break;
         u64 worst = 0;
@@ -229,7 +220,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
         }
         if (shard_trees->empty()) continue;
         HashTree::assign_id_offsets(*shard_trees);
-        auto r = run_batch_job(std::move(shard_trees), nullptr,
+        auto r = run_batch_job(shard_trees, level_views(*shard_trees), nullptr,
                                job_name + ":shard" + std::to_string(s),
                                out_path + "-shard" + std::to_string(s));
         result.map_tasks = r.map_tasks;
@@ -242,7 +233,8 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
                              std::make_move_iterator(r.output.end()));
       }
     } else {
-      result = run_batch_job(batch.trees(), kernel, job_name, out_path);
+      result = run_batch_job(ship.trees, batch.levels(), ship.kernel, job_name,
+                             out_path);
     }
     run.count_host_seconds += count_clock.seconds();
 
@@ -253,7 +245,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
         run.itemsets.add(itemset, support);
       }
       run.passes.push_back(
-          PassStats{k + j, batch.level_size(j), by_level[j].size(), 0.0});
+          PassStats{k + j, batch.levels()[j].size(), by_level[j].size(), 0.0});
     }
     frequent.clear();
     for (const auto& [itemset, support] : by_level[levels_in_batch - 1]) {

@@ -30,25 +30,17 @@ struct MrAprioriOptions {
   /// simulated core, one reducer per node).
   u32 num_mappers = 0;
   u32 num_reducers = 0;
-  /// Hash-tree tuning (matches YafimOptions for fair compares).
-  u32 branching = 0;  // 0 = auto (HashTree::default_branching)
-  u32 leaf_capacity = 16;
-  /// Counting-shuffle key for jobs k >= 2 (matches YafimOptions so the
-  /// YAFIM-vs-MRApriori comparison stays apples-to-apples): kItemsetKey
-  /// shuffles full itemsets, kCandidateId shuffles dense candidate ids and
-  /// maps survivors back through the mapper-side tree in the reducer, each
-  /// mapper choosing its kernel row by row as a YAFIM task does
-  /// (fim/count_core.h count_rows) and emitting its nonzero counts.
+  /// Counting mode and candidate shipping of jobs k >= 2, with
+  /// YafimOptions' defaults so YAFIM-vs-MRApriori stays apples-to-apples;
+  /// the distributed cache localizes what a broadcast would ship, and hash
+  /// trees take HashTree's default shape. Under kCandidateId each mapper
+  /// chooses its kernel row by row as a YAFIM task does and the reducers
+  /// map surviving ids back through the batch's rows. A sharded batch is
+  /// counted as one sub-job per candidate shard, each localizing only its
+  /// shard (the classic buffer-management answer to an oversized Ck, at
+  /// the price of re-reading the input per sub-job). All modes yield
+  /// identical itemsets.
   CountMode count_mode = CountMode::kCandidateId;
-  /// How the candidate tree reaches the mappers when it outgrows the
-  /// executor-memory budget (matches YafimOptions): kAuto localizes the
-  /// whole tree through the distributed cache while it fits and falls back
-  /// to candidate-set partitioning when it would not -- the level is
-  /// counted as one sub-job per candidate shard, each shipping only its
-  /// shard's tree (the classic buffer-management answer to an oversized
-  /// Ck, at the price of re-reading the input per sub-job); kFull always
-  /// ships the whole tree (over budget keeps YL002's error semantics);
-  /// kPartitioned always shards. All modes yield identical itemsets.
   BroadcastMode broadcast_mode = BroadcastMode::kAuto;
   /// Scratch directory on the DFS for per-iteration outputs.
   std::string work_dir = "hdfs://mrapriori";

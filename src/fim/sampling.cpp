@@ -165,14 +165,11 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
                     .named("twophase:tagged");
   const double local_support = options.min_support * relax;
   const bool with_border = !disjoint;
-  const u32 branching = options.branching;
-  const u32 leaf_capacity = options.leaf_capacity;
   const std::vector<LocalResult> locals =
       tagged
           .group_by_key(num_samples, SampleIdHash{}, "twophase:gather")
           .map_partitions(
-              [universe, local_support, with_border, branching,
-               leaf_capacity](
+              [universe, local_support, with_border](
                   const std::vector<std::pair<u32, std::vector<Transaction>>>&
                       part) {
                 std::vector<LocalResult> out;
@@ -186,8 +183,6 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
                   // The relaxed local threshold goes through the same ceil
                   // helper as every global threshold (fim/dataset.h).
                   opt.min_count = min_count_ceil(local_support, txns.size());
-                  opt.branching = branching;
-                  opt.leaf_capacity = leaf_capacity;
                   const MiningRun mined = apriori_mine(sample, opt);
                   // apriori_mine runs outside the engine's work meter;
                   // charge one sample scan per level as its task cost.
@@ -264,8 +259,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   for (const std::vector<Itemset>& level : by_size) {
     levels.push_back(to_sorted_rows(level));
   }
-  const CandidateBatch batch(std::move(levels), options.branching,
-                             options.leaf_capacity);
+  const CandidateBatch batch(std::move(levels));
   {
     sim::StageRecord stage;
     stage.label = "twophase:union+buildHashTree";
@@ -283,9 +277,6 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
     verified = count_batch(
         ctx, transactions, batch, options.broadcast_mode,
         {.count_mode = options.count_mode,
-         .broadcast_shards = options.broadcast_shards,
-         .branching = options.branching,
-         .leaf_capacity = options.leaf_capacity,
          .min_count = min_count,
          .pass_name = "verify"},
         options.cache_transactions ? nullptr : &load);

@@ -71,9 +71,6 @@ struct SamplingOptions {
   /// Counting-path knobs, passed through to fim/count_core.h unchanged.
   CountMode count_mode = CountMode::kItemsetKey;
   BroadcastMode broadcast_mode = BroadcastMode::kAuto;
-  u32 broadcast_shards = 0;
-  u32 branching = 0;  // 0 = auto (HashTree::default_branching)
-  u32 leaf_capacity = 16;
 };
 
 struct SamplingRun {

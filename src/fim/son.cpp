@@ -79,8 +79,10 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
     by_size[k - 1].items.insert(by_size[k - 1].items.end(), itemset.begin(),
                                 itemset.end());
   }
-  const CandidateBatch batch(std::move(by_size), options.branching,
-                             options.leaf_capacity);
+  auto trees = std::make_shared<std::vector<HashTree>>();
+  for (ItemsetRows& level : by_size) {
+    if (!level.empty()) trees->emplace_back(std::move(level), 0, 16);
+  }
   {
     sim::StageRecord gen;
     gen.label = "son:build hash trees";
@@ -92,7 +94,7 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
 
   // ---- Job 2: exact global counting of the candidate union -------------
   auto counted = runner.run(
-      itemset_count_job("son:global-count", batch.trees(), min_count,
+      itemset_count_job("son:global-count", std::move(trees), min_count,
                         options.num_mappers, options.num_reducers),
       input_path, options.work_dir + "/L");
   for (const auto& [itemset, support] : counted.output) {

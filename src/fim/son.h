@@ -30,9 +30,6 @@ struct SonOptions {
   double min_support = 0.1;
   u32 num_mappers = 0;
   u32 num_reducers = 0;
-  /// Hash-tree tuning for the global counting pass.
-  u32 branching = 0;  // 0 = auto (HashTree::default_branching)
-  u32 leaf_capacity = 16;
   std::string work_dir = "hdfs://son";
 };
 

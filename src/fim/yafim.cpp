@@ -168,7 +168,8 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
       pass_span.emplace("yafim", "yafim:pass" + std::to_string(k));
     }
 
-    // Driver side: ap_gen + hash-tree builds, measured as driver work.
+    // Driver side: ap_gen, measured as driver work. The label keeps the
+    // paper's name; hash trees are built, if at all, by the counting plan.
     std::optional<obs::Span> gen_span;
     if (obs::enabled()) {
       gen_span.emplace("driver",
@@ -176,8 +177,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
     engine::work::Scope driver_scope;
     const CandidateBatch batch(
-        candidate_levels(to_sorted_rows(frequent), k, options.combining),
-        options.branching, options.leaf_capacity);
+        candidate_levels(to_sorted_rows(frequent), k, options.combining));
     if (batch.empty()) break;
     const u32 levels_in_batch = static_cast<u32>(batch.num_levels());
     {
@@ -195,8 +195,8 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     }
 
     // The counting plan lives in fim/count_core: broadcast or shard (the
-    // decision is re-taken every pass) and the lineage recompute of
-    // uncached transactions.
+    // decision is re-taken every pass, on the bytes that would ship) and the
+    // lineage recompute of uncached transactions.
     Stopwatch count_clock;
     level = count_batch(
         ctx, transactions, batch, options.broadcast_mode,
@@ -216,7 +216,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
       for (const auto& [itemset, support] : by_level[j]) {
         run.itemsets.add(itemset, support);
       }
-      run.passes.push_back(PassStats{k + j, batch.level_size(j),
+      run.passes.push_back(PassStats{k + j, batch.levels()[j].size(),
                                      by_level[j].size(), 0.0});
     }
     if (pass_span) {

@@ -37,29 +37,24 @@ struct YafimOptions {
   /// probe candidates through the hash tree; off scans candidates linearly.
   bool use_hash_tree = true;
 
-  /// How Phase II counts candidate hits (fim/hash_tree.h). kItemsetKey is
-  /// the paper-faithful shuffle keyed on full itemsets; kCandidateId (the
-  /// default) counts into dense per-partition arrays indexed by candidate
-  /// id and merges them with sum_arrays(), each task probing the hash tree
-  /// until a task-local bitmap index (fim/bitmap.h) is cheaper for its
-  /// remaining rows (fim/count_core.h count_rows). Both yield bit-identical
-  /// FrequentItemsets; only the data structure and its pricing differ.
+  /// How Phase II counts candidate hits (fim/hash_tree.h CountMode):
+  /// kItemsetKey is the paper-faithful shuffle keyed on full itemsets over
+  /// hash-tree probes, kCandidateId (the default) the dense arrays merged
+  /// by sum_arrays(). Both yield bit-identical FrequentItemsets; only the
+  /// data structure and its pricing differ.
   CountMode count_mode = CountMode::kCandidateId;
 
-  /// How the per-pass candidate trees reach the workers (fim/hash_tree.h):
-  /// kAuto broadcasts while the batch fits the executor-memory budget
-  /// (engine::MemoryBudget) and degrades to the partitioned candidate
-  /// store when it would not; kFull always broadcasts (an over-budget tree
-  /// keeps YL002's error semantics); kPartitioned always shards. Every
-  /// mode yields bit-identical FrequentItemsets -- a partitioned pass
-  /// probes shard trees into the same batch-global dense cells.
+  /// How each pass's candidates reach the workers (fim/hash_tree.h
+  /// BroadcastMode, fim/count_core.h ship_batch). Every mode yields
+  /// bit-identical FrequentItemsets -- a partitioned pass probes shard
+  /// trees into the same batch-global dense cells.
   BroadcastMode broadcast_mode = BroadcastMode::kAuto;
   /// Shard count for the partitioned store (0 = context
   /// default_partitions). Tests use 1 (degenerate single shard) and large
   /// values (empty shards) to exercise the boundary cases.
   u32 broadcast_shards = 0;
 
-  /// Hash-tree tuning.
+  /// Shape of the hash trees built (fim/count_core.h CountCoreOptions).
   u32 branching = 0;  // 0 = auto (HashTree::default_branching)
   u32 leaf_capacity = 16;
 

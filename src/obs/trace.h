@@ -109,8 +109,6 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  bool active() const { return active_; }
-
   /// Attach a numeric argument (shown in the trace viewer's detail pane).
   void arg(std::string key, u64 value) {
     if (active_) args_.emplace_back(std::move(key), value);

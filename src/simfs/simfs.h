@@ -130,9 +130,6 @@ class SimFS {
   void debug_corrupt(const std::string& path, u64 byte_index, u8 bit = 0);
 
   const sim::ClusterConfig& cluster() const { return cluster_; }
-  const sim::CorruptionProfile& corruption_profile() const {
-    return corrupt_;
-  }
 
  private:
   struct StoredFile {

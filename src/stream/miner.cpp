@@ -396,8 +396,7 @@ class StreamingMiner {
     for (const std::vector<Itemset>& level : levels) {
       rows.push_back(fim::to_sorted_rows(level));
     }
-    return fim::CandidateBatch(std::move(rows), options_.branching,
-                               options_.leaf_capacity);
+    return fim::CandidateBatch(std::move(rows));
   }
 
   /// Tracked k>=2 itemsets as one counting batch, a level per size.

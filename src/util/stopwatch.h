@@ -16,8 +16,6 @@ class Stopwatch {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  double millis() const { return seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

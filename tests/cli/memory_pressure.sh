@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
 # mine_cli's memory-pressure contract (README "Memory pressure & graceful
-# degradation"), end to end on T10I4D100K at 0.1% support, whose 3.4 MiB
-# pass-3 candidate tree outgrows a ~1 MiB executor (pass 2 ships as its
-# item list in the default candidate_id mode and never falls back):
+# degradation"), end to end on T10I4D100K at 0.1% support. The default
+# candidate_id mode ships pass 3 as its 464,508 B trie, which outgrows a
+# --memory-gb=0.0004 (~429 KB) executor (pass 2 ships as its item list and
+# never falls back):
 #
-#   1. yafim at --memory-gb=0.001 --shuffle-buffer-mb=1 --lint=error exits
+#   1. yafim at --memory-gb=0.0004 --shuffle-buffer-mb=1 --lint=error exits
 #      0 through the partitioned candidate store and the shuffle spill
 #      (nonzero fallbacks and spill_blocks), YL002 downgraded to a note,
 #      and its itemsets byte-identical to an unconstrained run's;
-#   2. mrapriori at --memory-gb=0.001 --lint=error exits 0 through
+#   2. mrapriori at --memory-gb=0.0004 --lint=error exits 0 through
 #      candidate-set partitioning, with the same itemsets;
 #   3. the negative control: --broadcast-mode=full keeps YL002 an error,
-#      so --lint=error exits 3. Under full broadcast the dense mode ships
-#      pass 3 as its 464,508 B trie, which a ~1 MiB executor holds, so this
-#      step runs at --memory-gb=0.0004 (~429 KB).
+#      so --lint=error exits 3.
 #
 #   tests/cli/memory_pressure.sh PATH/TO/mine_cli
 set -euo pipefail
@@ -52,7 +51,7 @@ degraded() {
 }
 
 # ---- 1. yafim: partitioned store + shuffle spill ------------------------
-degraded yafim --memory-gb=0.001 --shuffle-buffer-mb=1 --lint=error
+degraded yafim --memory-gb=0.0004 --shuffle-buffer-mb=1 --lint=error
 case "$mem" in *"spill_blocks=0"*)
   fail "[yafim] shuffle spill never engaged";;
 esac
@@ -60,7 +59,7 @@ grep -q '^# lint: YL002 note' "$work/yafim.txt" ||
   fail "[yafim] no '# lint: YL002 note' line"
 
 # ---- 2. mrapriori: candidate-set partitioning ---------------------------
-degraded mrapriori --memory-gb=0.001 --lint=error
+degraded mrapriori --memory-gb=0.0004 --lint=error
 
 # ---- 3. negative control: a forced full broadcast stays a lint error ----
 rc=0

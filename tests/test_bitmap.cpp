@@ -7,7 +7,6 @@
 #include <bit>
 
 #include "fim/bitmap.h"
-#include "fim/hash_tree.h"
 #include "util/rng.h"
 
 namespace yafim::fim {
@@ -99,11 +98,13 @@ TEST(VerticalBitmapIndex, CountCandidatesMatchesPerCandidateSupport) {
   for (u32 a = 0; a < 12; ++a) {
     for (u32 b = a + 1; b < 12; ++b) candidates.push_back({a, b});
   }
-  HashTree tree(candidates);
-  std::vector<u64> cells(tree.size(), 7);  // accumulates on top
-  index.count_candidates(tree, cells.data());
-  for (u32 ci = 0; ci < tree.size(); ++ci) {
-    EXPECT_EQ(cells[ci], 7 + brute_support(tx, candidates[ci])) << ci;
+  const ItemsetRows rows = to_rows(candidates);
+  std::vector<u64> cells(rows.size() + 3, 7);  // accumulates on top
+  // Ids from 3: the level's cells start at its id offset.
+  index.count_candidates(LevelView{&rows, 3}, cells.data());
+  for (u32 ci = 0; ci < 3; ++ci) EXPECT_EQ(cells[ci], 7u) << ci;
+  for (u32 ci = 0; ci < rows.size(); ++ci) {
+    EXPECT_EQ(cells[3 + ci], 7 + brute_support(tx, candidates[ci])) << ci;
   }
 }
 

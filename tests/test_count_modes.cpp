@@ -29,7 +29,9 @@
 #include "fim/candidate_gen.h"
 #include "fim/checkpoint.h"
 #include "fim/count_core.h"
+#include "fim/dist_eclat.h"
 #include "fim/mr_apriori.h"
+#include "fim/pfp.h"
 #include "fim/yafim.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -131,20 +133,35 @@ std::vector<CandidateBatch> pass_batches(const MiningRun& run,
                                          CombineStrategy combining) {
   PassCombining policy;
   policy.strategy = combining;
-  const YafimOptions defaults;
   std::vector<CandidateBatch> batches;
   for (u32 k = 2; !run.itemsets.level(k - 1).empty();) {
     std::vector<Itemset> frequent;
     for (const auto& [itemset, support] : run.itemsets.level(k - 1)) {
       frequent.push_back(itemset);
     }
-    CandidateBatch batch(candidate_levels(to_sorted_rows(frequent), k, policy),
-                         defaults.branching, defaults.leaf_capacity);
+    CandidateBatch batch(
+        candidate_levels(to_sorted_rows(frequent), k, policy));
     if (batch.empty()) break;
     k += static_cast<u32>(batch.num_levels());
     batches.push_back(std::move(batch));
   }
   return batches;
+}
+
+/// `batch`'s levels as hash trees of yafim's default shape, ids as in the
+/// batch: what its itemset-keyed count probes.
+std::vector<HashTree> trees_of(const CandidateBatch& batch) {
+  std::vector<HashTree> trees;
+  for (const LevelView& level : batch.levels()) {
+    trees.emplace_back(*level.rows, 0, 16);
+    trees.back().set_id_offset(level.id_offset);
+  }
+  return trees;
+}
+
+/// Serialized bytes of trees_of(batch): what its itemset-keyed count ships.
+u64 tree_bytes_of(const CandidateBatch& batch) {
+  return HashTree::serialized_bytes(trees_of(batch));
 }
 
 // ---- bit-identity matrix ------------------------------------------------
@@ -315,8 +332,8 @@ TEST(CountModes, ModeInvariantCountersAgree) {
       u64 trie_payloads = 0;
       u64 tries = 0;
       for (const CandidateBatch& batch : pass_batches(run, combining)) {
-        tree_bytes += batch.tree_bytes();
-        const auto kernel = DenseKernel::of(*batch.trees());
+        tree_bytes += tree_bytes_of(batch);
+        const auto kernel = std::make_shared<const DenseKernel>(batch.levels());
         if (kernel->pairs()) {
           pair_list += kernel->payload_bytes();
           continue;
@@ -369,10 +386,11 @@ TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
     u64 candidate_checks = 0;
     u64 trie_units = 0;
     for (const CandidateBatch& batch : pass_batches(run, kSpc)) {
-      const auto kernel = DenseKernel::of(*batch.trees());
+      const auto kernel = std::make_shared<const DenseKernel>(batch.levels());
+      const std::vector<HashTree> trees = trees_of(batch);
       std::vector<u64> cells(batch.id_space(), 0);
       for (const Transaction& t : c.db.transactions()) {
-        for (const HashTree& tree : *batch.trees()) {
+        for (const HashTree& tree : trees) {
           HashTree::Probe probe;
           tree.for_each_contained(t, probe, [](u32) {});
           nodes_visited += probe.nodes_visited;
@@ -509,11 +527,13 @@ KernelChoice choose_kernel(std::span<const Transaction> rows,
                            const std::vector<HashTree>& trees) {
   KernelChoice out;
   out.cells.assign(trees.back().id_offset() + trees.back().size(), 0);
+  const std::vector<LevelView> levels = level_views(trees);
+  const auto kernel = std::make_shared<const DenseKernel>(levels);
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
   {
     engine::work::Scope scope;
-    count_rows(rows, trees, *DenseKernel::of(trees), out.cells.data());
+    count_rows(rows, levels, *kernel, out.cells.data());
     out.work = scope.measured();
   }
   obs::set_enabled(false);
@@ -555,10 +575,11 @@ TEST(DenseKernelChoice, SwitchRowFollowsTheRuleAndCellsStayExact) {
     SCOPED_TRACE(c.name);
     const u64 n = c.rows.size();
     // Complete C2s count on the pair matrix, the k = 3 levels on the trie.
-    const auto kernel = DenseKernel::of(c.trees);
+    const std::vector<LevelView> levels = level_views(c.trees);
+    const auto kernel = std::make_shared<const DenseKernel>(levels);
     EXPECT_EQ(kernel->pairs() != nullptr, c.trees.front().k() == 2);
     const std::vector<Item>& items = kernel->items();
-    EXPECT_EQ(items, candidate_items(c.trees));
+    EXPECT_EQ(items, candidate_items(levels));
     // Reference: every row probed through the hash tree, and every row
     // walked on the kernel with what each row's walk charges.
     std::vector<u64> probed_cells(c.trees.front().size(), 0);
@@ -580,7 +601,7 @@ TEST(DenseKernelChoice, SwitchRowFollowsTheRuleAndCellsStayExact) {
       for (u64 r = m; r < n; ++r) occurrences += c.rows[r].size();
       return VerticalBitmapIndex::build_units(occurrences, items.size(),
                                               n - m) +
-             VerticalBitmapIndex::count_units(c.trees.front(), n - m);
+             VerticalBitmapIndex::count_units(levels.front(), n - m);
     };
     u64 expect_m = n;
     u64 spent = row_units[0];
@@ -625,7 +646,7 @@ TEST(DenseKernelChoice, IndexHoldsOnlyCandidateItems) {
     }
   }
   const std::vector<HashTree> trees = every_candidate(32, 2);
-  const std::vector<Item> items = candidate_items(trees);
+  const std::vector<Item> items = candidate_items(level_views(trees));
   ASSERT_EQ(items.size(), 32u);
 
   const KernelChoice got = choose_kernel(rows, trees);
@@ -862,7 +883,7 @@ CountCall count_pairs(CountMode mode, BroadcastMode bmode, bool via_batch,
   for (u32 j = 2; j <= k; ++j) level = apriori_gen_rows(level, j);
   std::vector<ItemsetRows> levels;
   levels.push_back(std::move(level));
-  const CandidateBatch batch(std::move(levels), 0, 16);
+  const CandidateBatch batch(std::move(levels));
   ctx.set_pass(k);
   const size_t first = ctx.report().stages().size();
   CountCoreOptions opt;
@@ -873,13 +894,13 @@ CountCall count_pairs(CountMode mode, BroadcastMode bmode, bool via_batch,
   if (via_batch) {
     out.counted = count_batch(ctx, transactions, batch, bmode, opt, lineage);
   } else {
+    auto trees = std::make_shared<std::vector<HashTree>>(trees_of(batch));
+    const u64 tree_bytes = tree_bytes_of(batch);
     opt.partitioned = bmode == BroadcastMode::kPartitioned ||
-                      !ctx.memory_budget().broadcast_fits(batch.tree_bytes());
+                      !ctx.memory_budget().broadcast_fits(tree_bytes);
     opt.kmin = batch.kmin();
-    out.counted =
-        count_candidate_trees(ctx, transactions, batch.trees(),
-                              batch.tree_bytes(), batch.id_space(), lineage,
-                              opt);
+    out.counted = count_candidate_trees(ctx, transactions, trees, tree_bytes,
+                                        batch.id_space(), lineage, opt);
   }
   const std::vector<sim::StageRecord>& stages = ctx.report().stages();
   for (size_t s = first; s < stages.size(); ++s) {
@@ -987,7 +1008,8 @@ TEST(PairBatch, KernelCellsEqualHashTreeProbeCells) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::vector<HashTree> trees = pair_trees(c.items);
-    const auto pairs = PairMatrix::of(trees);
+    const std::vector<LevelView> levels = level_views(trees);
+    const auto pairs = PairMatrix::of(levels);
     ASSERT_NE(pairs, nullptr);
     EXPECT_EQ(pairs->items(), c.items);
     EXPECT_EQ(pairs->num_pairs(), trees.front().size());
@@ -1028,9 +1050,9 @@ TEST(PairBatch, KernelCellsEqualHashTreeProbeCells) {
 
     // count_rows on the matrix, with its bitmap switch, counts the same.
     std::vector<u64> cells(pairs->num_pairs(), 0);
-    const auto dense = DenseKernel::of(trees);
+    const auto dense = std::make_shared<const DenseKernel>(levels);
     ASSERT_NE(dense->pairs(), nullptr);
-    count_rows(rows, trees, *dense, cells.data());
+    count_rows(rows, levels, *dense, cells.data());
     EXPECT_EQ(cells, probed);
   }
 }
@@ -1042,7 +1064,7 @@ TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
   const TransactionDB db = random_db(10, 160, 0.45, 57);
   const std::vector<Item> items{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   const ItemsetRows c2 = apriori_gen_rows(ItemsetRows{1, items}, 2);
-  ASSERT_NE(PairMatrix::of(pair_trees(items)), nullptr);
+  ASSERT_NE(PairMatrix::of(level_views(pair_trees(items))), nullptr);
 
   ItemsetRows missing_one = c2;
   missing_one.items.erase(missing_one.items.begin() + 14,
@@ -1063,9 +1085,9 @@ TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
   cases.push_back({"C2 with higher levels", dpc_levels});
   for (Case& c : cases) {
     SCOPED_TRACE(c.name);
-    const CandidateBatch batch(std::move(c.levels), 0, 16);
-    EXPECT_EQ(PairMatrix::of(*batch.trees()), nullptr);
-    const auto kernel = DenseKernel::of(*batch.trees());
+    const CandidateBatch batch(std::move(c.levels));
+    EXPECT_EQ(PairMatrix::of(batch.levels()), nullptr);
+    const auto kernel = std::make_shared<const DenseKernel>(batch.levels());
     ASSERT_EQ(kernel->tries().size(), batch.num_levels());
     std::vector<std::vector<CountPair>> counted;
     for (CountMode mode : kAllModes) {
@@ -1090,14 +1112,14 @@ TEST(PairBatch, OnlyACompleteLexicographicC2Qualifies) {
         EXPECT_GT(nodes, 0u);
         EXPECT_GT(checks, 0u);
         EXPECT_EQ(lookups, 0u);
-        EXPECT_EQ(ctx.report().total_broadcast_bytes(), batch.tree_bytes());
+        EXPECT_EQ(ctx.report().total_broadcast_bytes(), tree_bytes_of(batch));
       } else {
         EXPECT_EQ(nodes, 0u);
         EXPECT_EQ(checks, 0u);
         EXPECT_GT(lookups, 0u);
         EXPECT_EQ(ctx.report().total_broadcast_bytes(),
                   kernel->payload_bytes());
-        EXPECT_LT(kernel->payload_bytes(), batch.tree_bytes());
+        EXPECT_LT(kernel->payload_bytes(), tree_bytes_of(batch));
       }
     }
     std::sort(counted[0].begin(), counted[0].end());
@@ -1148,7 +1170,7 @@ TEST(PairBatch, DirectCallIgnoresTheShardDecisionLikeCountBatch) {
 TEST(PairBatch, SaturatedPassTwoSwitchesToTheBitmap) {
   const MiningRun run = run_yafim(saturated_db(), CountMode::kItemsetKey,
                                   kSpc, small_cluster(), kSaturatedMinSupport);
-  ASSERT_NE(PairMatrix::of(*pass_batches(run, kSpc).front().trees()),
+  ASSERT_NE(PairMatrix::of(pass_batches(run, kSpc).front().levels()),
             nullptr);
   obs::CounterRegistry::instance().reset_all();
   obs::set_enabled(true);
@@ -1210,6 +1232,11 @@ HashTree tree_of(ItemsetRows rows, u64 offset = 0) {
   return tree;
 }
 
+/// `tree`'s rows and id offset.
+LevelView view_of(const HashTree& tree) {
+  return {&tree.rows(), tree.id_offset()};
+}
+
 /// A random `fraction` of `level`'s rows, order kept.
 ItemsetRows sample_rows(const ItemsetRows& level, double fraction, Rng& rng) {
   ItemsetRows out{level.width, {}};
@@ -1240,12 +1267,12 @@ TEST(CandidateTrie, RowsAndPayloadMatchTheTree) {
       const HashTree tree =
           tree_of(sample_rows(every_itemset(ids, k), 0.5, rng), 7);
       ASSERT_GT(tree.size(), 0u);
-      const CandidateTrie trie(tree);
+      const CandidateTrie trie(view_of(tree));
       EXPECT_EQ(trie.k(), k);
       EXPECT_EQ(trie.size(), tree.size());
       EXPECT_EQ(trie.id_offset(), 7u);
       for (u32 ci = 0; ci < tree.size(); ++ci) {
-        EXPECT_EQ(trie.row(ci), tree.candidate(ci)) << ci;
+        EXPECT_EQ(trie.row(ci), tree.rows().itemset(ci)) << ci;
       }
       // One node per distinct d-item prefix, d = 1..k; one child offset per
       // node of depths 0..k-1 plus one closing offset per depth.
@@ -1254,7 +1281,7 @@ TEST(CandidateTrie, RowsAndPayloadMatchTheTree) {
       for (u32 d = 1; d <= k; ++d) {
         std::set<Itemset> prefixes;
         for (u32 ci = 0; ci < tree.size(); ++ci) {
-          const Item* c = tree.candidate_items(ci);
+          const Item* c = tree.rows().row(ci);
           prefixes.emplace(c, c + d);
         }
         nodes += prefixes.size();
@@ -1309,7 +1336,8 @@ TEST(CandidateTrie, CellsEqualHashTreeProbeCells) {
     std::vector<HashTree> trees;
     for (const ItemsetRows& level : c.levels) trees.push_back(tree_of(level));
     const u64 id_space = HashTree::assign_id_offsets(trees);
-    const auto kernel = DenseKernel::of(trees);
+    const std::vector<LevelView> levels = level_views(trees);
+    const auto kernel = std::make_shared<const DenseKernel>(levels);
     ASSERT_EQ(kernel->pairs(), nullptr);
     ASSERT_EQ(kernel->tries().size(), trees.size());
     // Rows of the batch's ids and of ids no candidate holds, including
@@ -1350,7 +1378,7 @@ TEST(CandidateTrie, CellsEqualHashTreeProbeCells) {
 
     // count_rows, with its bitmap switch, counts the same.
     std::vector<u64> cells(id_space, 0);
-    count_rows(rows, trees, *kernel, cells.data());
+    count_rows(rows, levels, *kernel, cells.data());
     EXPECT_EQ(cells, probed);
   }
 }
@@ -1361,36 +1389,38 @@ TEST(CandidateTrieDeathTest, ANonAscendingLevelDies) {
   std::swap_ranges(out_of_order.items.begin() + 3,
                    out_of_order.items.begin() + 6,
                    out_of_order.items.begin() + 6);
-  EXPECT_DEATH(CandidateTrie(tree_of(out_of_order)), "strictly ascending");
+  EXPECT_DEATH(CandidateTrie(LevelView{&out_of_order, 0}),
+               "strictly ascending");
   ItemsetRows repeated = every_itemset(items, 2);
   repeated.items.insert(repeated.items.begin() + 2, {0, 2});
-  EXPECT_DEATH(CandidateTrie(tree_of(repeated)), "strictly ascending");
+  EXPECT_DEATH(CandidateTrie(LevelView{&repeated, 0}), "strictly ascending");
 
   // A C2 out of order is no pair batch, and no trie either.
   ItemsetRows c2_out_of_order = every_itemset(items, 2);
   std::swap_ranges(c2_out_of_order.items.begin() + 4,
                    c2_out_of_order.items.begin() + 6,
                    c2_out_of_order.items.begin() + 6);
-  std::vector<HashTree> trees;
-  trees.push_back(tree_of(c2_out_of_order));
-  EXPECT_EQ(PairMatrix::of(trees), nullptr);
-  EXPECT_DEATH((void)DenseKernel::of(trees), "strictly ascending");
+  const LevelView c2_level{&c2_out_of_order, 0};
+  EXPECT_EQ(PairMatrix::of({&c2_level, 1}), nullptr);
+  EXPECT_DEATH(DenseKernel({&c2_level, 1}), "strictly ascending");
 }
 
 TEST(CandidateTrie, CandidateIdJobShipsTheKernelPayload) {
   // A k = 3 job localizes its trie, a pair batch's job its item list.
-  auto triples =
-      std::make_shared<const std::vector<HashTree>>(every_candidate(12, 3));
-  const auto trie_kernel = DenseKernel::of(*triples);
+  const std::vector<HashTree> triples = every_candidate(12, 3);
+  const std::vector<LevelView> triple_levels = level_views(triples);
+  const auto trie_kernel = std::make_shared<const DenseKernel>(triple_levels);
   ASSERT_EQ(trie_kernel->pairs(), nullptr);
-  const u64 trie_bytes = CandidateTrie(triples->front()).payload_bytes();
-  EXPECT_LT(trie_bytes, triples->front().serialized_bytes());
-  EXPECT_EQ(candidate_id_job("job3", triples, trie_kernel, 1, 2, 2)
+  const u64 trie_bytes = CandidateTrie(triple_levels.front()).payload_bytes();
+  EXPECT_LT(trie_bytes, triples.front().serialized_bytes());
+  EXPECT_EQ(candidate_id_job("job3", triple_levels, trie_kernel, 1, 2, 2)
                 .distributed_cache_bytes,
             trie_bytes);
-  auto pairs =
-      std::make_shared<const std::vector<HashTree>>(every_candidate(12, 2));
-  EXPECT_EQ(candidate_id_job("job2", pairs, DenseKernel::of(*pairs), 1, 2, 2)
+  const std::vector<HashTree> pairs = every_candidate(12, 2);
+  const std::vector<LevelView> pair_levels = level_views(pairs);
+  EXPECT_EQ(candidate_id_job("job2", pair_levels,
+                             std::make_shared<const DenseKernel>(pair_levels),
+                             1, 2, 2)
                 .distributed_cache_bytes,
             16u + 4 * 12);
 
@@ -1410,11 +1440,11 @@ TEST(CandidateTrie, CandidateIdJobShipsTheKernelPayload) {
   EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets));
   // With a budget far above the tree the store takes its minimum of two
   // shards.
-  ASSERT_GT(ctx.memory_budget().min_node_budget(), batches[1].tree_bytes());
+  ASSERT_GT(ctx.memory_budget().min_node_budget(), tree_bytes_of(batches[1]));
   const u32 nshards = 2;
   const std::vector<TreeShard> shards =
-      shard_hash_tree(batches[1].trees()->front(), nshards, opt.branching,
-                      opt.leaf_capacity);
+      shard_hash_tree(trees_of(batches[1]).front(), nshards,
+                      /*branching=*/0, /*leaf_capacity=*/16);
   u32 shipped = 0;
   for (u32 s = 0; s < nshards; ++s) {
     if (shards[s].tree.size() == 0) continue;
@@ -1423,7 +1453,7 @@ TEST(CandidateTrie, CandidateIdJobShipsTheKernelPayload) {
     for (const sim::StageRecord& st : ctx.report().stages()) {
       if (st.label != label) continue;
       EXPECT_EQ(st.broadcast_bytes / ctx.cluster().nodes,
-                CandidateTrie(shards[s].tree).payload_bytes())
+                CandidateTrie(view_of(shards[s].tree)).payload_bytes())
           << label;
       ++shipped;
     }
@@ -1636,6 +1666,46 @@ TEST(Pricing, YafimParseStageTotalIsExact) {
     EXPECT_EQ(priced, 1009u * (1 + ctx.cluster().record_parse_work));
   }
   EXPECT_TRUE(found);
+}
+
+/// Summed task work of the stage labelled `label`, which must exist once.
+u64 stage_work(const engine::Context& ctx, const std::string& label) {
+  u64 work = 0;
+  int found = 0;
+  for (const auto& s : ctx.report().stages()) {
+    if (s.label != label) continue;
+    ++found;
+    for (const auto& t : s.tasks) work += t.work;
+  }
+  EXPECT_EQ(found, 1) << label;
+  return work;
+}
+
+TEST(Pricing, PfpAndDistEclatParseStageTotalsAreExact) {
+  // 1009 rows over 7 load tasks: the parse total leaves a remainder that
+  // pricing each task at total / tasks would drop.
+  const auto db = random_db(12, 1009, 0.3, 2);
+  constexpr u32 kTasks = 7;
+  const u64 total = 1009u * (1 + small_cluster().cluster.record_parse_work);
+  ASSERT_NE(total % kTasks, 0u);
+  {
+    engine::Context ctx(small_cluster());
+    simfs::SimFS fs(ctx.cluster());
+    PfpOptions opt;
+    opt.min_support = 0.3;
+    opt.partitions = kTasks;
+    (void)pfp_mine(ctx, fs, db, opt);
+    EXPECT_EQ(stage_work(ctx, "pfp:load+parse"), total);
+  }
+  {
+    engine::Context ctx(small_cluster());
+    simfs::SimFS fs(ctx.cluster());
+    DistEclatOptions opt;
+    opt.min_support = 0.3;
+    opt.partitions = kTasks;
+    (void)dist_eclat_mine(ctx, fs, db, opt);
+    EXPECT_EQ(stage_work(ctx, "disteclat:load+parse"), total);
+  }
 }
 
 // ---- dense-path stage accounting ---------------------------------------

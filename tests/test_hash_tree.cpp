@@ -49,9 +49,9 @@ TEST(HashTree, SingleCandidate) {
 TEST(HashTree, CandidateAccessors) {
   HashTree tree({{1, 2}, {3, 4}});
   EXPECT_EQ(tree.size(), 2u);
-  EXPECT_EQ(tree.candidate(0), (Itemset{1, 2}));
-  EXPECT_EQ(tree.candidate(1), (Itemset{3, 4}));
-  EXPECT_EQ(tree.candidates().size(), 2u);
+  EXPECT_EQ(tree.rows().itemset(0), (Itemset{1, 2}));
+  EXPECT_EQ(tree.rows().itemset(1), (Itemset{3, 4}));
+  EXPECT_EQ(tree.rows().size(), 2u);
   EXPECT_GT(tree.serialized_bytes(), 0u);
   EXPECT_GE(tree.num_leaves(), 1u);
   EXPECT_GE(tree.num_nodes(), tree.num_leaves());
@@ -102,7 +102,7 @@ TEST(HashTree, ArenaEmptyCandidateBatch) {
   EXPECT_EQ(tree.child_arena_size(), 0u);
   EXPECT_EQ(tree.num_nodes(), 1u);  // the root, an empty leaf
   EXPECT_EQ(tree.num_leaves(), 1u);
-  EXPECT_TRUE(tree.candidates().empty());
+  EXPECT_TRUE(tree.rows().empty());
   // Header-only wire size: no candidates, one bucket-less leaf node.
   EXPECT_EQ(tree.serialized_bytes(), 16u + 8u);
 }
@@ -119,8 +119,8 @@ TEST(HashTree, ArenaHoldsEveryCandidateExactlyOnce) {
             (tree.num_nodes() - tree.num_leaves()) * tree.branching());
   // The item arena round-trips every candidate in insertion order.
   for (u32 ci = 0; ci < tree.size(); ++ci) {
-    EXPECT_EQ(tree.candidate(ci), candidates[ci]) << ci;
-    const Item* items = tree.candidate_items(ci);
+    EXPECT_EQ(tree.rows().itemset(ci), candidates[ci]) << ci;
+    const Item* items = tree.rows().row(ci);
     for (u32 j = 0; j < tree.k(); ++j) EXPECT_EQ(items[j], candidates[ci][j]);
   }
 }
@@ -211,7 +211,7 @@ void expect_rows_and_itemsets_agree(const std::vector<Itemset>& candidates,
     EXPECT_EQ(tree->serialized_bytes(), shape.bytes);
     expect_shape_rule(*tree, leaf_capacity);
   }
-  EXPECT_EQ(from_rows.candidates(), candidates);
+  EXPECT_EQ(to_itemsets(from_rows.rows()), candidates);
 }
 
 TEST(HashTree, ShapeOfRandomThousand) {

@@ -22,7 +22,9 @@
 #include "engine/lint.h"
 #include "engine/rdd.h"
 #include "fim/apriori_seq.h"
+#include "fim/candidate_gen.h"
 #include "fim/checkpoint.h"
+#include "fim/count_core.h"
 #include "fim/hash_tree.h"
 #include "fim/mr_apriori.h"
 #include "fim/yafim.h"
@@ -100,7 +102,7 @@ TEST(ShardHashTree, PartitionsCandidatesByFirstItemWithGlobalIds) {
   for (u32 s = 0; s < nshards; ++s) {
     ASSERT_EQ(shards[s].tree.size(), shards[s].global_ids.size());
     for (u32 ci = 0; ci < shards[s].tree.size(); ++ci) {
-      const auto items = shards[s].tree.candidate_items(ci);
+      const auto items = shards[s].tree.rows().row(ci);
       // Every candidate landed on the shard its first item hashes to...
       EXPECT_EQ(candidate_shard(items[0], nshards), s);
       // ...and carries its original batch-global dense id.
@@ -109,8 +111,8 @@ TEST(ShardHashTree, PartitionsCandidatesByFirstItemWithGlobalIds) {
       ASSERT_LT(gid, 100u + cands.size());
       EXPECT_FALSE(seen_id[gid - 100]) << "duplicate global id " << gid;
       seen_id[gid - 100] = true;
-      EXPECT_EQ(tree.candidate(static_cast<u32>(gid - 100)),
-                shards[s].tree.candidate(ci));
+      EXPECT_EQ(tree.rows().itemset(gid - 100),
+                shards[s].tree.rows().itemset(ci));
       ++total;
     }
   }
@@ -217,8 +219,9 @@ TEST(MemoryPressure, MrAprioriPartitionedSubJobsBitIdentical) {
   const auto reference = run_yafim(db, ref_opt);
 
   for (CountMode mode : kAllModes) {
+    // Below pass 3's 952 B trie, which the dense mode would ship whole.
     auto copts = small_cluster();
-    copts.cluster.executor_memory_bytes = 2048;
+    copts.cluster.executor_memory_bytes = 512;
     engine::Context ctx(copts);
     simfs::SimFS fs(ctx.cluster());
     MrAprioriOptions opt;
@@ -556,8 +559,8 @@ TEST(MemoryPressure, Yl002NoteSaysWhyTheStoreEngaged) {
     const char* wording;
   };
   const Case cases[] = {
-      {"over budget", 1024, BroadcastMode::kAuto,
-       " exceeds executor memory of 1024 B; partitioned candidate broadcast "
+      {"over budget", 512, BroadcastMode::kAuto,
+       " exceeds executor memory of 512 B; partitioned candidate broadcast "
        "engaged -- the tree is sharded"},
       {"forced", 0, BroadcastMode::kPartitioned,
        " fits executor memory of 24 GiB; partitioned candidate broadcast "
@@ -624,6 +627,84 @@ TEST(MemoryPressure, FullModeKeepsYl002Error) {
   }
   EXPECT_TRUE(saw_error);
   EXPECT_TRUE(ctx.linter().any_at_least(engine::LintSeverity::kWarn));
+}
+
+TEST(MemoryPressure, DecisionWeighsTheBytesThatShip) {
+  // Every batch from pass 3 on ships as its trie in the dense mode and as
+  // its hash trees in the faithful one. An executor that holds each trie,
+  // but none of those trees, next to what it caches counts every pass
+  // whole in the dense mode: no fallback, no shard stage, no YL002.
+  const TransactionDB& db = pass3_db();
+  YafimOptions faithful;
+  faithful.min_support = 0.2;
+  faithful.count_mode = CountMode::kItemsetKey;
+  const MiningRun reference = run_yafim(db, faithful);
+  u64 largest_trie = 0;
+  u64 smallest_trees = ~u64{0};
+  for (u32 k = 3; !reference.itemsets.level(k - 1).empty(); ++k) {
+    std::vector<Itemset> frequent;
+    for (const auto& [itemset, support] : reference.itemsets.level(k - 1)) {
+      frequent.push_back(itemset);
+    }
+    const CandidateBatch batch(
+        candidate_levels(to_sorted_rows(frequent), k, PassCombining{}));
+    if (batch.empty()) break;
+    largest_trie = std::max(largest_trie,
+                            DenseKernel(batch.levels()).payload_bytes());
+    smallest_trees = std::min(
+        smallest_trees,
+        HashTree(*batch.levels().front().rows, 0, 16).serialized_bytes());
+  }
+  ASSERT_GT(largest_trie, 0u) << "no batch from pass 3 on";
+  ASSERT_LT(largest_trie, smallest_trees);
+
+  for (const bool mapreduce : {false, true}) {
+    // yafim's cached transactions take their share of every executor.
+    const u64 cached_share =
+        mapreduce ? 0 : db.serialize().size() / small_cluster().cluster.nodes;
+    auto mine = [&](CountMode mode, BroadcastMode bmode,
+                    engine::Context& ctx) {
+      simfs::SimFS fs(ctx.cluster());
+      if (mapreduce) {
+        MrAprioriOptions opt;
+        opt.min_support = 0.2;
+        opt.count_mode = mode;
+        opt.broadcast_mode = bmode;
+        return mr_apriori_mine(ctx, fs, db, opt);
+      }
+      YafimOptions opt = faithful;
+      opt.count_mode = mode;
+      opt.broadcast_mode = bmode;
+      return yafim_mine(ctx, fs, db, opt);
+    };
+    const std::string where = mapreduce ? "mrapriori" : "yafim";
+    auto copts = small_cluster();
+    copts.cluster.executor_memory_bytes = largest_trie + cached_share;
+    copts.lint.enabled = true;
+
+    // The trees do not fit: the faithful mode shards.
+    engine::Context faithful_ctx(copts);
+    (void)mine(CountMode::kItemsetKey, BroadcastMode::kAuto, faithful_ctx);
+    EXPECT_GT(faithful_ctx.memory_budget().broadcast_fallbacks(), 0u)
+        << where;
+
+    engine::Context ctx(copts);
+    const MiningRun run =
+        mine(CountMode::kCandidateId, BroadcastMode::kAuto, ctx);
+    EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets)) << where;
+    EXPECT_EQ(ctx.memory_budget().broadcast_fallbacks(), 0u) << where;
+    for (const sim::StageRecord& st : ctx.report().stages()) {
+      EXPECT_EQ(st.label.find(":shard"), std::string::npos)
+          << where << ": " << st.label;
+    }
+
+    engine::Context full_ctx(copts);
+    (void)mine(CountMode::kCandidateId, BroadcastMode::kFull, full_ctx);
+    full_ctx.linter().finalize();
+    for (const auto& diag : full_ctx.linter().diagnostics()) {
+      EXPECT_NE(diag.rule, "YL002") << where << ": " << diag.message;
+    }
+  }
 }
 
 // ---- broadcast pricing under blacklisting -------------------------------

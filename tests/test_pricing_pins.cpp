@@ -136,7 +136,7 @@ TEST(PricingPins, Yafim) {
       0x436c42d407ac34c7, 0xaff72e0d0d477d3,
       0xb76571c52f2f2901, 0xfe83af823c488dc3,
       0x2e6282aa354c90d3, 0x7f36032acc74a938,
-      0xdcd882e3122cc154, 0xa544a2fda1187d49};
+      0x1905d56ca731af8b, 0xa61810acff252526};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -178,15 +178,23 @@ TEST(PricingPins, YafimCombinedPasses) {
 }
 
 TEST(PricingPins, YafimFallsBackUnderATightBudget) {
-  // Small enough that the larger passes shard and the smaller broadcast.
-  engine::Context::Options copts = pinned_cluster();
-  copts.cluster.executor_memory_bytes = 24 << 10;
-  const u64 pins[] = {0x48d51ab53cb1f0c4, 0x2d11684a20369002};
-  size_t i = 0;
-  for (CountMode mode : kAllModes) {
-    expect_pin(std::string("yafim tight budget ") + count_mode_name(mode),
-               mine_yafim(yafim_options(mode, BroadcastMode::kAuto), copts),
-               pins[i++]);
+  // Small enough that the larger passes shard and the smaller broadcast:
+  // passes 3-5 ship 15-57 KiB of hash trees under itemset_key, 3-12 KiB of
+  // tries under candidate_id.
+  struct Case {
+    CountMode mode;
+    u64 executor_memory;
+    u64 pin;
+  };
+  const Case cases[] = {
+      {CountMode::kItemsetKey, 24 << 10, 0x48d51ab53cb1f0c4},
+      {CountMode::kCandidateId, 8 << 10, 0x5453feae3987c385}};
+  for (const Case& c : cases) {
+    engine::Context::Options copts = pinned_cluster();
+    copts.cluster.executor_memory_bytes = c.executor_memory;
+    expect_pin(std::string("yafim tight budget ") + count_mode_name(c.mode),
+               mine_yafim(yafim_options(c.mode, BroadcastMode::kAuto), copts),
+               c.pin);
   }
 }
 
@@ -247,7 +255,7 @@ TEST(PricingPins, Sampling) {
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   partitioned.broadcast_mode = BroadcastMode::kPartitioned;
   expect_pin("sampling partitioned", mine_sampling(partitioned),
-             0x35d250cfd2b08b46);
+             0xd23c4f07374ed989);
   SamplingOptions uncached = sampling_options(
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   uncached.cache_transactions = false;
@@ -310,7 +318,7 @@ MrAprioriOptions mr_options(CountMode mode, BroadcastMode bmode) {
 TEST(PricingPins, MrApriori) {
   const u64 pins[] = {
       0xc562fa6193017913, 0x1dc2aca64c2f09a,
-      0x66fb543c41d76984, 0x2d4fdadcbbd006ee};
+      0x66fb543c41d76984, 0x48617bec0596393a};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -319,14 +327,15 @@ TEST(PricingPins, MrApriori) {
                  mine_mr(mr_options(mode, bmode)), pins[i++]);
     }
   }
-  // A budget below the whole tree: the shard count doubles until the
-  // largest shard fits.
+  // A budget below the tries of jobs 4 and 5, so both shard. The shard
+  // count doubles until the largest shard's tree fits, which no shard's
+  // does here: it stops at its cap of 1024, and the non-empty shards run.
   engine::Context::Options copts = pinned_cluster();
-  copts.cluster.executor_memory_bytes = 24 << 10;
+  copts.cluster.executor_memory_bytes = 8 << 10;
   expect_pin("mrapriori tight budget",
              mine_mr(mr_options(CountMode::kCandidateId, BroadcastMode::kAuto),
                      copts),
-             0xe7e8001917d37d82);
+             0x43951a8ec7b0f5eb);
 }
 
 TEST(PricingPins, MrAprioriCombining) {
@@ -346,7 +355,7 @@ TEST(PricingPins, MrAprioriCombining) {
       mr_options(CountMode::kCandidateId, BroadcastMode::kPartitioned);
   partitioned.combining = combined_strategies()[1].second;
   expect_pin("mrapriori dpc partitioned", mine_mr(partitioned),
-             0x1b823f0d07fd62e5);
+             0xb31c7c8b4a3a39be);
 }
 
 TEST(PricingPins, Son) {
