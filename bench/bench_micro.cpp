@@ -99,7 +99,7 @@ void BM_TrieProbe(benchmark::State& state) {
   const auto candidates = random_candidates(
       static_cast<u32>(state.range(0)), 3, 200, 2);
   const fim::ItemsetRows rows = fim::to_rows(candidates);
-  const fim::CandidateTrie trie(fim::LevelView{&rows, 0});
+  const fim::CandidateTrie trie(fim::LevelView::of(rows, 0));
   const auto db = quest_db(200);
   std::vector<u64> cells(rows.size());
   for (auto _ : state) {
@@ -123,7 +123,7 @@ void BM_BitmapAndPopcount(benchmark::State& state) {
   const auto candidates = random_candidates(
       static_cast<u32>(state.range(0)), 3, 200, 2);
   const fim::ItemsetRows rows = fim::to_rows(candidates);
-  const fim::LevelView level{&rows, 0};
+  const auto level = fim::LevelView::of(rows, 0);
   const auto db = quest_db(200);
   const fim::VerticalBitmapIndex index(db.transactions(),
                                        fim::candidate_items({&level, 1}));

@@ -150,8 +150,8 @@ void PlanLinter::note_broadcast_fallback(u64 bytes, const std::string& name,
      << (forced ? "; partitioned candidate broadcast forced by the "
                   "partitioned broadcast mode"
                 : "; partitioned candidate broadcast engaged")
-     << " -- the tree is sharded across executors and transactions are "
-        "re-partitioned to it";
+     << " -- the candidates are split into first-item ranges across "
+        "executors and transactions are re-partitioned to them";
   LintDiagnostic diag;
   diag.rule = "YL002";
   diag.severity = LintSeverity::kNote;

@@ -7,11 +7,11 @@
 // of merely flagging it: Context consults it before every broadcast, and
 // the miners degrade gracefully when a payload would not fit --
 //
-//   * full broadcast  -> partitioned candidate store (fim/hash_tree.h
-//     sharding: the tree is split over the dense candidate-id space by
-//     candidate prefix and transactions are re-partitioned to shards,
-//     trading one shuffle of the transaction set against shipping the tree
-//     everywhere -- the trade-off studied in Aouad et al., arXiv 1903.03008);
+//   * full broadcast  -> partitioned candidate store (fim/count_core.h
+//     split_first_items: contiguous ranges of first items, each shipping
+//     the DenseKernel of its slices to one executor group, and transactions
+//     re-partitioned to the ranges they reach -- the trade-off studied in
+//     Aouad et al., arXiv 1903.03008);
 //   * in-memory shuffle buffers -> spill to simfs with block compression
 //     (util/bytes yz codec), priced by the cost model and checksummed like
 //     every other simfs block.

@@ -4,6 +4,7 @@
 #include <functional>
 #include <iterator>
 #include <optional>
+#include <utility>
 
 #include "engine/broadcast.h"
 #include "fim/bitmap.h"
@@ -67,7 +68,7 @@ std::vector<Item> candidate_items(std::span<const LevelView> levels) {
   std::vector<Item> items;
   std::vector<u8> seen;
   for (const LevelView& level : levels) {
-    for (const Item i : level.rows->items) {
+    for (const Item i : level.items()) {
       if (i >= kDirectLimit) {
         items.push_back(i);
         continue;
@@ -335,7 +336,7 @@ CandidateBatch::CandidateBatch(std::vector<ItemsetRows> levels) {
     rows_.push_back(std::move(level));
   }
   for (const ItemsetRows& level : rows_) {
-    views_.push_back({&level, id_space_});
+    views_.push_back(LevelView::of(level, id_space_));
     id_space_ += level.size();
   }
 }
@@ -352,6 +353,64 @@ std::vector<std::vector<CountPair>> CandidateBatch::split(
   return by_level;
 }
 
+std::vector<FirstItemRange> split_first_items(
+    std::span<const LevelView> levels, u64 cap_bytes) {
+  // A slice ships as a CandidateTrie: a 16-byte header, the root's two
+  // offsets and one closing offset per depth below it, then 4 bytes for
+  // each node a row adds -- one per depth past the prefix it shares with
+  // the row before it -- and for the child offset each such node above
+  // depth k carries. Rows of different first items share no node, so a
+  // range's payload adds up class by class, exactly.
+  const size_t n = levels.size();
+  // Per level: the open range's first row, the class's, the next class's.
+  std::vector<u32> begin(n, 0), at(n, 0), end(n, 0), stop(n, 0);
+  for (size_t l = 0; l < n; ++l) stop[l] = levels[l].size();
+  std::vector<FirstItemRange> ranges;
+  FirstItemRange open;
+  auto close = [&] {
+    for (size_t l = 0; l < n; ++l) {
+      if (at[l] > begin[l]) {
+        open.levels.push_back(levels[l].slice(begin[l], at[l]));
+      }
+    }
+    begin = at;
+    ranges.push_back(std::exchange(open, {}));
+  };
+  while (at != stop) {
+    // The next class: each level's rows of the smallest first item left.
+    Item item = ~Item{0};
+    for (size_t l = 0; l < n; ++l) {
+      if (at[l] < stop[l]) item = std::min(item, levels[l].row(at[l])[0]);
+    }
+    u64 rows = 0, headers = 0, new_headers = 0;  // new: slices `open` lacks
+    for (size_t l = 0; l < n; ++l) {
+      const LevelView& level = levels[l];
+      const u32 k = level.k();
+      for (end[l] = at[l]; end[l] < stop[l] && level.row(end[l])[0] == item;
+           ++end[l]) {
+        const Item* row = level.row(end[l]);
+        const u32 shared = end[l] == 0 ? 0 : static_cast<u32>(
+            std::mismatch(row, row + k, row - k).first - row);
+        rows += 4 * (2 * u64{k - shared} - 1);
+      }
+      if (end[l] == at[l]) continue;
+      headers += 16 + 4 * (u64{k} + 1);
+      if (begin[l] == at[l]) new_headers += 16 + 4 * (u64{k} + 1);
+    }
+    if (open.payload_bytes != 0 &&
+        open.payload_bytes + rows + new_headers > cap_bytes) {
+      close();
+      new_headers = headers;
+    }
+    if (open.payload_bytes == 0) open.first_item = item;
+    open.payload_bytes += rows + new_headers;
+    at = end;
+  }
+  if (open.payload_bytes != 0) close();
+  for (const u32 rows : stop) engine::work::add(rows);
+  return ranges;
+}
+
 namespace {
 
 /// The hash trees of `levels`, with their id offsets, shaped by `opt`.
@@ -359,11 +418,19 @@ std::shared_ptr<std::vector<HashTree>> build_trees(
     std::span<const LevelView> levels, const CountCoreOptions& opt) {
   auto trees = std::make_shared<std::vector<HashTree>>();
   for (const LevelView& level : levels) {
-    trees->emplace_back(*level.rows, opt.branching, opt.leaf_capacity);
+    trees->emplace_back(
+        ItemsetRows{level.k(), {level.items().begin(), level.items().end()}},
+        opt.branching, opt.leaf_capacity);
     trees->back().set_id_offset(level.id_offset);
   }
   return trees;
 }
+
+/// One range of the partitioned store and the kernel its tasks count on.
+struct StoreShard {
+  FirstItemRange range;
+  DenseKernel kernel;
+};
 
 /// The counting job of the batch of `levels`, shipped as `ship`; the
 /// levels' rows outlive the call, which runs the job to completion.
@@ -419,35 +486,37 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
   // from the batch's rows only for MinSup survivors.
   std::vector<u64> counts;
   if (ship.partitioned) {
-    // Partitioned candidate store: the trees are sharded by candidate
-    // prefix and each shard is shipped to one executor group; transactions
-    // are re-partitioned to the shards their viable prefix items reach.
-    // Shard probes write the same batch-global dense cells a broadcast
-    // probe would, so the merged counts -- and everything downstream -- are
-    // bit-identical to the full path.
+    // Partitioned candidate store: the batch is split into ranges of first
+    // items, each shipped as the DenseKernel of its level slices to one
+    // executor group, and transactions are re-partitioned to the ranges
+    // their viable prefix items fall in. A slice counts into the same
+    // batch-global dense cells a broadcast task would, so the merged counts
+    // -- and everything downstream -- are bit-identical to the full path.
     ctx.linter().note_broadcast_fallback(
         ship.bytes, payload_label,
         /*forced=*/ctx.memory_budget().broadcast_fits(ship.bytes));
     ctx.memory_budget().note_fallback(ship.bytes);
-    const u32 nshards = std::max<u32>(
+    const u32 target = std::max<u32>(
         1, opt.broadcast_shards ? opt.broadcast_shards
                                 : ctx.default_partitions());
+    u64 payload = 0;
+    for (const FirstItemRange& whole : split_first_items(levels, ~u64{0})) {
+      payload += whole.payload_bytes;
+    }
     engine::work::Scope shard_scope;
-    auto store = std::make_shared<std::vector<std::vector<TreeShard>>>(nshards);
+    auto store = std::make_shared<std::vector<StoreShard>>();
     u64 shard_bytes = 0;
-    for (const HashTree& tree : *ship.trees) {
-      std::vector<TreeShard> shards =
-          shard_hash_tree(tree, nshards, opt.branching, opt.leaf_capacity);
-      for (u32 s = 0; s < nshards; ++s) {
-        shard_bytes += shards[s].tree.serialized_bytes();
-        (*store)[s].push_back(std::move(shards[s]));
-      }
+    for (FirstItemRange& range :
+         split_first_items(levels, ceil_div(payload, u64{target}))) {
+      DenseKernel kernel(range.levels);
+      shard_bytes += kernel.payload_bytes();
+      store->push_back({std::move(range), std::move(kernel)});
     }
     {
-      // Each shard travels to one executor group instead of every node:
-      // priced as a shuffle of the shard trees, not a broadcast.
+      // Each range travels to one executor group instead of every node:
+      // priced as a shuffle of the range kernels, not a broadcast.
       sim::StageRecord dist;
-      dist.label = pass_name + ":shard-trees";
+      dist.label = pass_name + ":shard-kernels";
       dist.kind = sim::StageKind::kSparkStage;
       dist.pass = pass;
       dist.driver_work = shard_scope.measured();
@@ -456,40 +525,39 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
       obs::count(obs::CounterId::kShardShuffleBytes, shard_bytes);
     }
     const u32 kmin = opt.kmin;  // smallest candidate size in this batch
+    const u32 nranges = std::max<u32>(1, static_cast<u32>(store->size()));
     counts =
         transactions
-            .flat_map([nshards, kmin](const Transaction& t) {
+            .flat_map([store, kmin](const Transaction& t) {
               // Any candidate c contained in t has its first item at some
               // t[i] with at least |c|-1 items after it; route t once to
-              // each distinct shard of those prefix items.
+              // each distinct range of those prefix items, which ascend
+              // with them.
               std::vector<std::pair<u32, Transaction>> out;
-              if (t.size() >= kmin) {
-                std::vector<u8> seen(nshards, 0);
-                for (size_t i = 0; i + kmin <= t.size(); ++i) {
-                  const u32 s = candidate_shard(t[i], nshards);
-                  if (!seen[s]) {
-                    seen[s] = 1;
-                    out.emplace_back(s, t);
-                  }
+              for (size_t i = 0; i + kmin <= t.size(); ++i) {
+                const auto above = std::upper_bound(
+                    store->begin(), store->end(), t[i],
+                    [](Item item, const StoreShard& shard) {
+                      return item < shard.range.first_item;
+                    });
+                if (above == store->begin()) continue;  // before every range
+                const u32 s = static_cast<u32>(above - store->begin() - 1);
+                if (out.empty() || out.back().first != s) {
+                  out.emplace_back(s, t);
                 }
               }
               return out;
             })
             .named(pass_name + ":route")
-            .group_by_key(nshards, ShardIdHash{}, pass_name + ":route")
+            .group_by_key(nranges, ShardIdHash{}, pass_name + ":route")
             .map_partitions(
-                [store, use_hash_tree, id_space](
+                [store, id_space](
                     const std::vector<
                         std::pair<u32, std::vector<Transaction>>>& part) {
                   std::vector<u64> acc(id_space, 0);
                   for (const auto& [shard, txns] : part) {
-                    for (const TreeShard& ts : (*store)[shard]) {
-                      const std::vector<u64>& ids = ts.global_ids;
-                      for (const Transaction& t : txns) {
-                        for_each_hit(ts.tree, t, use_hash_tree,
-                                     [&acc, &ids](u32 ci) { ++acc[ids[ci]]; });
-                      }
-                    }
+                    const StoreShard& s = (*store)[shard];
+                    count_rows(txns, s.range.levels, s.kernel, acc.data());
                   }
                   std::vector<std::vector<u64>> out;
                   out.push_back(std::move(acc));
@@ -535,7 +603,7 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
     for (u32 ci = 0; ci < level.size(); ++ci) {
       engine::work::add(1);
       if (cells[ci] >= min_count) {
-        frequent.emplace_back(level.rows->itemset(ci), cells[ci]);
+        frequent.emplace_back(level.itemset(ci), cells[ci]);
       }
     }
   }
@@ -565,9 +633,6 @@ BatchShipment ship_batch(const engine::Context& ctx,
   ship.partitioned = mode == BroadcastMode::kPartitioned ||
                      (mode == BroadcastMode::kAuto &&
                       !ctx.memory_budget().broadcast_fits(ship.bytes));
-  if (ship.partitioned && !ship.trees) {
-    ship.trees = build_trees(batch.levels(), opt);
-  }
   return ship;
 }
 
@@ -579,7 +644,7 @@ std::vector<CountPair> count_candidate_trees(
   const std::vector<LevelView> levels = level_views(*trees);
   BatchShipment ship{nullptr, trees, tree_bytes, opt.partitioned};
   if (opt.count_mode == CountMode::kCandidateId && opt.use_hash_tree) {
-    // A pair batch has no tree to shard, whatever opt.partitioned says.
+    // A pair batch never shards, whatever opt.partitioned says.
     auto kernel = std::make_shared<const DenseKernel>(levels);
     if (kernel->pairs() || !opt.partitioned) {
       ship = {kernel, nullptr, kernel->payload_bytes(), false};
@@ -636,8 +701,7 @@ CandidateIdJob candidate_id_job(const std::string& name,
                                 std::shared_ptr<const DenseKernel> kernel,
                                 u64 min_count, u32 num_mappers,
                                 u32 num_reducers) {
-  YAFIM_CHECK(!levels.empty() && levels.front().id_offset == 0,
-              "an id-keyed job counts levels from id 0");
+  YAFIM_CHECK(!levels.empty(), "an id-keyed job counts at least one level");
   const u64 id_space = levels.back().id_offset + levels.back().size();
   auto views = std::make_shared<const std::vector<LevelView>>(levels.begin(),
                                                               levels.end());
@@ -647,7 +711,7 @@ CandidateIdJob candidate_id_job(const std::string& name,
         const auto owner = std::prev(std::upper_bound(
             views->begin(), views->end(), id,
             [](u32 v, const LevelView& level) { return v < level.id_offset; }));
-        return owner->rows->itemset(id - owner->id_offset);
+        return owner->itemset(id - owner->id_offset);
       });
   job.distributed_cache_bytes = kernel->payload_bytes();
   job.map_partition_fn = [views, kernel, id_space](

@@ -29,9 +29,10 @@
 //                         cheaper (count_rows). The batch ships as the
 //                         kernel's arrays; no hash tree is built.
 //   * partitioned      -- either mode degrades here when its payload
-//                         outgrows the executor budget: hash trees sharded
-//                         by candidate prefix, transactions routed to their
-//                         shards. A pair batch counted by id never takes it.
+//                         outgrows the executor budget: first-item ranges
+//                         of the batch (split_first_items), each shipping
+//                         its slices' DenseKernel, transactions routed to
+//                         them. A pair batch counted by id never takes it.
 #pragma once
 
 #include <memory>
@@ -87,7 +88,9 @@ class CandidateBatch {
 /// Each tree's rows and id offset, as a level view.
 inline std::vector<LevelView> level_views(const std::vector<HashTree>& trees) {
   std::vector<LevelView> levels;
-  for (const HashTree& t : trees) levels.push_back({&t.rows(), t.id_offset()});
+  for (const HashTree& t : trees) {
+    levels.push_back(LevelView::of(t.rows(), t.id_offset()));
+  }
   return levels;
 }
 
@@ -240,6 +243,25 @@ void count_rows(std::span<const Transaction> rows,
                 std::span<const LevelView> levels, const DenseKernel& kernel,
                 u64* cells);
 
+/// One shard of the partitioned store: the rows whose first item lies in
+/// [first_item, the next range's first_item), as a slice of every level
+/// that has such rows, keeping their batch-global ids.
+struct FirstItemRange {
+  Item first_item = 0;
+  std::vector<LevelView> levels;
+  /// Every slice's CandidateTrie payload: what the DenseKernel of `levels`
+  /// ships (less, as its item list, if the slice is a whole pair batch).
+  u64 payload_bytes = 0;
+};
+
+/// The partitioned store's split of `levels` (ascending rows): their
+/// first-item classes in ascending order, packed greedily into contiguous
+/// ranges. A range closes before the class that would push its payload
+/// past `cap_bytes`, so only a range of one class can exceed the cap.
+/// Charges one work unit per row.
+std::vector<FirstItemRange> split_first_items(
+    std::span<const LevelView> levels, u64 cap_bytes);
+
 struct CountCoreOptions {
   CountMode count_mode = CountMode::kItemsetKey;
   /// Count on the DenseKernel or by hash-tree probes (true), or by linear
@@ -247,7 +269,8 @@ struct CountCoreOptions {
   bool use_hash_tree = true;
   /// count_candidate_trees only: use the partitioned candidate store.
   bool partitioned = false;
-  /// Shard count for the partitioned store; 0 = ctx.default_partitions().
+  /// The partitioned store's target range count (split_first_items caps
+  /// each range at the batch's payload over it); 0 = ctx.default_partitions().
   u32 broadcast_shards = 0;
   /// Shape of every hash tree built (HashTree's defaults).
   u32 branching = 0;  // 0 = auto (HashTree::default_branching)
@@ -263,8 +286,8 @@ struct CountCoreOptions {
 };
 
 /// How a batch reaches the tasks: its DenseKernel under kCandidateId with
-/// the hash tree on, its hash trees where something probes or shards them,
-/// the bytes that would ship whole, and whether the store ships instead.
+/// the hash tree on, else its hash trees, the bytes that would ship whole,
+/// and whether the partitioned store ships instead (on its own kernels).
 struct BatchShipment {
   std::shared_ptr<const DenseKernel> kernel;
   std::shared_ptr<std::vector<HashTree>> trees;
@@ -277,7 +300,7 @@ struct BatchShipment {
 /// never, kAuto when they would not fit next to what the memory ledger
 /// (engine/memory.h) places on the tightest executor -- per batch, so a
 /// YAFIM_FAULT_MEM_* shrink degrades exactly the passes after it. A pair
-/// batch has no tree to shard and never does.
+/// batch counted by id ships its item list and never shards.
 BatchShipment ship_batch(const engine::Context& ctx,
                          const CandidateBatch& batch, BroadcastMode mode,
                          const CountCoreOptions& opt);
@@ -289,8 +312,8 @@ BatchShipment ship_batch(const engine::Context& ctx,
 ///
 /// Under kCandidateId with the hash tree on, the batch is broadcast as its
 /// DenseKernel (the `<pass_name>:pairs` or `:trie` payload) and counted
-/// dense; a pair batch is counted so whatever opt.partitioned says, as
-/// there is no tree to shard.
+/// dense; a pair batch is counted so whatever opt.partitioned says. The
+/// partitioned store splits the trees' rows as count_batch's does.
 ///
 /// `lineage`, when non-null, is the stage that loaded the uncached
 /// `transactions`: Spark recomputes it for this job, so it is recorded
@@ -332,13 +355,13 @@ ItemsetCountJob itemset_count_job(
     const std::string& name, std::shared_ptr<const std::vector<HashTree>> trees,
     u64 min_count, u32 num_mappers, u32 num_reducers);
 
-/// The same job keyed by candidate id, over `levels` whose ids start at 0
-/// and whose rows outlive the job. Each mapper counts its split into dense
-/// cells over the whole id space through count_rows on `kernel`
-/// (the DenseKernel of `levels`), the RDD tasks' kernel choice, and emits
-/// (id, count) per candidate of nonzero count; the distributed cache ships
-/// the kernel's payload. Reducers map surviving ids back to itemsets
-/// through the level that owns the id.
+/// The same job keyed by candidate id, over `levels` -- a batch's levels or
+/// one FirstItemRange's slices of them -- whose rows outlive the job. Each
+/// mapper counts its split into batch-global dense cells through
+/// count_rows on `kernel` (the DenseKernel of `levels`), the RDD tasks'
+/// kernel choice, and emits (id, count) per candidate of nonzero count;
+/// the distributed cache ships the kernel's payload. Reducers map
+/// surviving ids back to itemsets through the level that owns the id.
 CandidateIdJob candidate_id_job(const std::string& name,
                                 std::span<const LevelView> levels,
                                 std::shared_ptr<const DenseKernel> kernel,

@@ -88,28 +88,6 @@ void HashTree::build() {
   }
 }
 
-std::vector<TreeShard> shard_hash_tree(const HashTree& tree, u32 nshards,
-                                       u32 branching, u32 leaf_capacity) {
-  YAFIM_CHECK(nshards >= 1, "shard count must be >= 1");
-  std::vector<ItemsetRows> parts(nshards, ItemsetRows{tree.k(), {}});
-  std::vector<std::vector<u64>> ids(nshards);
-  for (u32 ci = 0; ci < tree.size(); ++ci) {
-    engine::work::add(1);
-    const Item* items = tree.rows().row(ci);
-    const u32 s = nshards == 1 ? 0 : candidate_shard(items[0], nshards);
-    parts[s].items.insert(parts[s].items.end(), items, items + tree.k());
-    ids[s].push_back(tree.id_offset() + ci);
-  }
-  std::vector<TreeShard> out;
-  out.reserve(nshards);
-  for (u32 s = 0; s < nshards; ++s) {
-    out.push_back(TreeShard{HashTree(std::move(parts[s]), branching,
-                                     leaf_capacity),
-                            std::move(ids[s])});
-  }
-  return out;
-}
-
 u64 HashTree::serialized_bytes(const std::vector<HashTree>& trees) {
   u64 bytes = 0;
   for (const HashTree& tree : trees) bytes += tree.serialized_bytes();

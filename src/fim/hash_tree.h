@@ -48,8 +48,8 @@ enum class CountMode {
   /// DenseKernel -- a pair batch's item list, else a prefix trie per level
   /// -- which each task walks until the bitmap kernel's exact price for the
   /// rows left undercuts the walk's pace (fim/count_core.h count_rows).
-  /// Besides the no-hash-tree ablation, only the partitioned store builds
-  /// hash trees.
+  /// Only the no-hash-tree ablation builds hash trees; the partitioned
+  /// store ships the DenseKernels of first-item slices.
   kCandidateId = 1,
 };
 
@@ -293,38 +293,5 @@ class HashTree {
   u32 leaf_capacity_ = 16;
   u32 num_leaves_ = 0;
 };
-
-// --- partitioned candidate store (broadcast fallback) --------------------
-//
-// When a pass's candidate trees would not fit next to what the memory
-// ledger already places on the tightest executor, the miners shard the
-// candidates over the cluster instead of broadcasting the whole structure:
-// each shard holds a hash tree over a slice of the candidates, and
-// transactions are re-partitioned to the shards they can reach.
-
-/// Deterministic shard of a candidate, keyed on its first (smallest) item.
-/// Any transaction containing the candidate also contains that item among
-/// its own viable prefix positions, so routing a transaction to the shards
-/// of those items reaches every candidate it could support exactly once.
-inline u32 candidate_shard(Item first_item, u32 nshards) {
-  return static_cast<u32>(mix64(u64{first_item} + 0x9e3779b97f4a7c15ULL) %
-                          nshards);
-}
-
-/// One shard of the store: a hash tree over the shard's slice of one
-/// level's candidates, plus the map from shard-local candidate index back
-/// to the source tree's batch-global dense ids. Shard probes increment the
-/// same counting cells a full-tree probe would -- which is what keeps the
-/// fallback path bit-identical to the broadcast path.
-struct TreeShard {
-  HashTree tree;
-  std::vector<u64> global_ids;
-};
-
-/// Split `tree`'s candidates over `nshards` by candidate_shard() of their
-/// first item. Every candidate lands in exactly one shard; shards with no
-/// candidates get an empty tree (size() == 0, probes return immediately).
-std::vector<TreeShard> shard_hash_tree(const HashTree& tree, u32 nshards,
-                                       u32 branching, u32 leaf_capacity);
 
 }  // namespace yafim::fim

@@ -7,6 +7,7 @@
 // lexicographic order the natural candidate-generation order.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,15 +55,34 @@ struct ItemsetRows {
   Itemset itemset(size_t i) const { return Itemset(row(i), row(i) + width); }
 };
 
-/// One candidate level as the counting kernels read it, without a copy:
-/// the rows of a CandidateBatch level or of a HashTree, and the
-/// batch-global id of row 0 (row ci counts into cell id_offset + ci).
+/// One candidate level as the counting kernels read it, without a copy: a
+/// range of consecutive rows of a CandidateBatch level or of a HashTree,
+/// and the batch-global id of its first row (row ci counts into cell
+/// id_offset + ci). A whole level is one range; a shard of the partitioned
+/// store is a slice of it.
 struct LevelView {
-  const ItemsetRows* rows = nullptr;
+  const Item* first = nullptr;  ///< the range's first row
+  u32 width = 0;
+  u32 count = 0;
   u64 id_offset = 0;
-  u32 k() const { return rows->width; }
-  u32 size() const { return static_cast<u32>(rows->size()); }
-  const Item* row(u32 ci) const { return rows->row(ci); }
+
+  /// Every row of `rows`, row 0 with batch-global id `id_offset`.
+  static LevelView of(const ItemsetRows& rows, u64 id_offset) {
+    return {rows.items.data(), rows.width, static_cast<u32>(rows.size()),
+            id_offset};
+  }
+  u32 k() const { return width; }
+  u32 size() const { return count; }
+  /// The rows' items, row after row.
+  std::span<const Item> items() const {
+    return {first, size_t{count} * width};
+  }
+  const Item* row(u32 ci) const { return first + size_t{ci} * width; }
+  Itemset itemset(u32 ci) const { return Itemset(row(ci), row(ci) + width); }
+  /// Rows [begin, end), keeping their batch-global ids.
+  LevelView slice(u32 begin, u32 end) const {
+    return {row(begin), width, end - begin, id_offset + begin};
+  }
 };
 
 /// Flatten `sets` in their order; all must have the same non-zero size.

@@ -1,11 +1,10 @@
 #include "fim/mr_apriori.h"
 
-#include <algorithm>
+#include <iterator>
 #include <memory>
 
 #include "fim/candidate_gen.h"
 #include "fim/count_core.h"
-#include "fim/hash_tree.h"
 #include "obs/metrics.h"
 #include "util/checksum.h"
 #include "util/stopwatch.h"
@@ -135,32 +134,12 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     const std::string job_name = "mrapriori:job" + std::to_string(k);
     const std::string out_path = options.work_dir + "/L" + std::to_string(k);
 
-    // One counting job over the batch, or over one shard of each of its
-    // levels: kItemsetKey's mappers probe `trees` from the distributed
-    // cache, kCandidateId's count `levels` on their DenseKernel (`kernel`,
-    // or built here), which the cache ships instead.
-    auto run_batch_job = [&](std::shared_ptr<const std::vector<HashTree>> trees,
-                             std::span<const LevelView> levels,
-                             std::shared_ptr<const DenseKernel> kernel,
-                             const std::string& name, const std::string& out) {
-      if (options.count_mode == CountMode::kItemsetKey) {
-        return runner.run(
-            itemset_count_job(name, std::move(trees), min_count,
-                              options.num_mappers, options.num_reducers),
-            input_path, out);
-      }
-      if (!kernel) kernel = std::make_shared<const DenseKernel>(levels);
-      return runner.run(
-          candidate_id_job(name, levels, std::move(kernel), min_count,
-                           options.num_mappers, options.num_reducers),
-          input_path, out);
-    };
-
     // Broadcast ceiling (engine/memory.h): when what the cache would
     // localize does not fit next to what the ledger places on the tightest
-    // executor (ship_batch), count the batch as one sub-job per candidate
-    // shard, each localizing only its shard of every level -- at the honest
-    // MapReduce price of re-reading the input per sub-job.
+    // executor (ship_batch), count the batch as one sub-job per range of
+    // first items (split_first_items), each localizing only the kernel of
+    // its slices of every level -- at the honest MapReduce price of
+    // re-reading the input per sub-job.
     CountCoreOptions count_opt;
     count_opt.count_mode = options.count_mode;
     const BatchShipment ship =
@@ -172,37 +151,12 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
           ship.bytes, job_name + ":distributed_cache",
           /*forced=*/ctx.memory_budget().broadcast_fits(ship.bytes));
       ctx.memory_budget().note_fallback(ship.bytes);
-      // Grow the shard count until the largest shard, summed over levels,
-      // fits the tightest node (sharding keys on the first item, so a
-      // perfectly even split is not guaranteed; the cap keeps a degenerate
-      // distribution from looping forever -- an oversized shard then lints
-      // like any other oversized localization).
-      const u64 tree_bytes = HashTree::serialized_bytes(*ship.trees);
+      // Each range fits the tightest node unless it is one first-item
+      // class, which then lints like any other oversized localization.
       const u64 budget = ctx.memory_budget().min_node_budget();
       engine::work::Scope shard_scope;
-      u32 nshards = std::max<u32>(
-          2, budget != 0 ? static_cast<u32>(std::min<u64>(
-                               1024, 2 * ceil_div(tree_bytes, budget)))
-                         : std::max(1u, ctx.cluster().nodes));
-      std::vector<std::vector<TreeShard>> shards;  // [level][shard]
-      for (;;) {
-        shards.clear();
-        for (const HashTree& tree : *ship.trees) {
-          shards.push_back(shard_hash_tree(tree, nshards, count_opt.branching,
-                                           count_opt.leaf_capacity));
-        }
-        if (budget == 0 || nshards >= 1024) break;
-        u64 worst = 0;
-        for (u32 s = 0; s < nshards; ++s) {
-          u64 bytes = 0;
-          for (const auto& level : shards) {
-            bytes += level[s].tree.serialized_bytes();
-          }
-          worst = std::max(worst, bytes);
-        }
-        if (worst <= budget) break;
-        nshards = std::min<u32>(1024, nshards * 2);
-      }
+      const std::vector<FirstItemRange> ranges =
+          split_first_items(batch.levels(), budget != 0 ? budget : ~u64{0});
       {
         sim::StageRecord shard_stage;
         shard_stage.label = job_name + ":shard-candidates";
@@ -211,30 +165,30 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
         shard_stage.driver_work = shard_scope.measured();
         ctx.record(std::move(shard_stage));
       }
-      for (u32 s = 0; s < nshards; ++s) {
-        auto shard_trees = std::make_shared<std::vector<HashTree>>();
-        for (auto& level : shards) {
-          if (level[s].tree.size() != 0) {
-            shard_trees->push_back(std::move(level[s].tree));
-          }
-        }
-        if (shard_trees->empty()) continue;
-        HashTree::assign_id_offsets(*shard_trees);
-        auto r = run_batch_job(shard_trees, level_views(*shard_trees), nullptr,
-                               job_name + ":shard" + std::to_string(s),
-                               out_path + "-shard" + std::to_string(s));
-        result.map_tasks = r.map_tasks;
-        result.reduce_tasks = r.reduce_tasks;
-        result.input_bytes += r.input_bytes;
-        result.shuffle_bytes += r.shuffle_bytes;
+      for (size_t s = 0; s < ranges.size(); ++s) {
+        const std::vector<LevelView>& levels = ranges[s].levels;
+        auto r = runner.run(
+            candidate_id_job(job_name + ":shard" + std::to_string(s), levels,
+                             std::make_shared<const DenseKernel>(levels),
+                             min_count, options.num_mappers,
+                             options.num_reducers),
+            input_path, out_path + "-shard" + std::to_string(s));
         result.output_bytes += r.output_bytes;
         result.output.insert(result.output.end(),
                              std::make_move_iterator(r.output.begin()),
                              std::make_move_iterator(r.output.end()));
       }
+    } else if (options.count_mode == CountMode::kItemsetKey) {
+      // The mappers probe the hash trees from the distributed cache.
+      result = runner.run(itemset_count_job(job_name, ship.trees, min_count,
+                                            options.num_mappers,
+                                            options.num_reducers),
+                          input_path, out_path);
     } else {
-      result = run_batch_job(ship.trees, batch.levels(), ship.kernel, job_name,
-                             out_path);
+      result = runner.run(
+          candidate_id_job(job_name, batch.levels(), ship.kernel, min_count,
+                           options.num_mappers, options.num_reducers),
+          input_path, out_path);
     }
     run.count_host_seconds += count_clock.seconds();
 

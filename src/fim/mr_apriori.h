@@ -35,11 +35,11 @@ struct MrAprioriOptions {
   /// the distributed cache localizes what a broadcast would ship, and hash
   /// trees take HashTree's default shape. Under kCandidateId each mapper
   /// chooses its kernel row by row as a YAFIM task does and the reducers
-  /// map surviving ids back through the batch's rows. A sharded batch is
-  /// counted as one sub-job per candidate shard, each localizing only its
-  /// shard (the classic buffer-management answer to an oversized Ck, at
-  /// the price of re-reading the input per sub-job). All modes yield
-  /// identical itemsets.
+  /// map surviving ids back through the batch's rows. A batch too large
+  /// for the tightest executor runs as one id-keyed sub-job per range of
+  /// first items that fits it (split_first_items), each localizing only
+  /// its slices' kernel, at the price of re-reading the input per sub-job.
+  /// All modes yield identical itemsets.
   CountMode count_mode = CountMode::kCandidateId;
   BroadcastMode broadcast_mode = BroadcastMode::kAuto;
   /// Scratch directory on the DFS for per-iteration outputs.

@@ -46,12 +46,12 @@ struct YafimOptions {
 
   /// How each pass's candidates reach the workers (fim/hash_tree.h
   /// BroadcastMode, fim/count_core.h ship_batch). Every mode yields
-  /// bit-identical FrequentItemsets -- a partitioned pass probes shard
-  /// trees into the same batch-global dense cells.
+  /// bit-identical FrequentItemsets -- a partitioned pass counts its
+  /// first-item slices into the same batch-global dense cells.
   BroadcastMode broadcast_mode = BroadcastMode::kAuto;
-  /// Shard count for the partitioned store (0 = context
-  /// default_partitions). Tests use 1 (degenerate single shard) and large
-  /// values (empty shards) to exercise the boundary cases.
+  /// Target range count of the partitioned store (0 = context
+  /// default_partitions). Tests use 1 (one range) and more ranges than
+  /// first items (one per item) to exercise the boundary cases.
   u32 broadcast_shards = 0;
 
   /// Shape of the hash trees built (fim/count_core.h CountCoreOptions).

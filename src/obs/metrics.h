@@ -83,7 +83,7 @@ enum class CounterId : u32 {
   kBitmapAndWords,         ///< 64-bit words ANDed by bitmap support counting
   kBitmapPopcounts,        ///< popcount ops issued by bitmap support counting
   kBroadcastFallbacks,     ///< broadcasts degraded to the partitioned store
-  kShardShuffleBytes,      ///< bytes re-partitioning shard trees+transactions
+  kShardShuffleBytes,      ///< first-item range kernels the store ships
   kSpillBlocksWritten,     ///< shuffle blocks spilled to simfs
   kSpillBytesRaw,          ///< pre-compression bytes of spilled blocks
   kSpillBytesStored,       ///< on-simfs bytes of spilled blocks

@@ -67,10 +67,7 @@ class StreamingMiner {
     cfg.write_u64(options_.source.seed);
     cfg.write_u32(static_cast<u32>(options_.count_mode));
     cfg.write_u32(static_cast<u32>(options_.broadcast_mode));
-    cfg.write_u32(options_.branching);
-    cfg.write_u32(options_.leaf_capacity);
     cfg.write_u32(options_.partitions);
-    cfg.write_u32(options_.broadcast_shards);
     cfg.write_double(options_.backpressure.widen_threshold);
     cfg.write_double(options_.backpressure.relax_threshold);
     cfg.write_u32(options_.backpressure.max_window_factor);
@@ -380,9 +377,6 @@ class StreamingMiner {
     return fim::count_batch(ctx_, transactions, batch,
                             options_.broadcast_mode,
                             {.count_mode = options_.count_mode,
-                             .broadcast_shards = options_.broadcast_shards,
-                             .branching = options_.branching,
-                             .leaf_capacity = options_.leaf_capacity,
                              .min_count = 1,
                              .pass_name = pass_name},
                             nullptr);

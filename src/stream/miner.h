@@ -91,10 +91,7 @@ struct StreamOptions {
   // default count mode.
   fim::CountMode count_mode = fim::CountMode::kCandidateId;
   fim::BroadcastMode broadcast_mode = fim::BroadcastMode::kAuto;
-  u32 branching = 8;
-  u32 leaf_capacity = 32;
-  u32 partitions = 0;        ///< 0 = ctx.default_partitions()
-  u32 broadcast_shards = 0;  ///< 0 = ctx.default_partitions()
+  u32 partitions = 0;  ///< 0 = ctx.default_partitions()
 
   /// Snapshot store; null disables checkpointing (and resume).
   fim::CheckpointStore* checkpoint = nullptr;

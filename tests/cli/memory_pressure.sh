@@ -10,7 +10,9 @@
 #      (nonzero fallbacks and spill_blocks), YL002 downgraded to a note,
 #      and its itemsets byte-identical to an unconstrained run's;
 #   2. mrapriori at --memory-gb=0.0004 --lint=error exits 0 through
-#      candidate-set partitioning, with the same itemsets;
+#      candidate-set partitioning, with the same itemsets, and splits job 3
+#      into at most two first-item ranges (its --stages table holds at most
+#      two job3:shard<N>:map stages, each a re-read of the input);
 #   3. the negative control: --broadcast-mode=full keeps YL002 an error,
 #      so --lint=error exits 3.
 #
@@ -33,7 +35,7 @@ grep -v '^#' "$work/reference_raw.txt" > "$work/reference.txt" || true
 [ -s "$work/reference.txt" ] || fail "unconstrained run printed no itemsets"
 
 # degraded ENGINE ARGS...: mine under ARGS, which must exit 0, engage the
-# fallback and print the reference itemsets.
+# fallback and print the reference itemsets (after any --stages table).
 degraded() {
   local engine=$1
   shift
@@ -45,7 +47,8 @@ degraded() {
   case "$mem" in *"fallbacks=0"*)
     fail "[$engine] partitioned fallback never engaged";;
   esac
-  grep -v '^#' "$out" > "$work/$engine-sets.txt" || true
+  grep -v -e '^#' -e '^[+|]' -e '^total: ' "$out" > "$work/$engine-sets.txt" ||
+    true
   diff -q "$work/reference.txt" "$work/$engine-sets.txt" > /dev/null ||
     fail "[$engine] itemsets differ from the unconstrained run"
 }
@@ -59,7 +62,12 @@ grep -q '^# lint: YL002 note' "$work/yafim.txt" ||
   fail "[yafim] no '# lint: YL002 note' line"
 
 # ---- 2. mrapriori: candidate-set partitioning ---------------------------
-degraded mrapriori --memory-gb=0.0004 --lint=error
+degraded mrapriori --memory-gb=0.0004 --lint=error --stages
+subjobs=$(grep -c 'mrapriori:job3:shard[0-9]*:map ' "$work/mrapriori.txt") ||
+  true
+echo "[mrapriori] job 3 ran $subjobs sub-jobs"
+[ "$subjobs" -ge 1 ] && [ "$subjobs" -le 2 ] ||
+  fail "[mrapriori] job 3 ran $subjobs sub-jobs, want 1 or 2"
 
 # ---- 3. negative control: a forced full broadcast stays a lint error ----
 rc=0

@@ -101,7 +101,7 @@ TEST(VerticalBitmapIndex, CountCandidatesMatchesPerCandidateSupport) {
   const ItemsetRows rows = to_rows(candidates);
   std::vector<u64> cells(rows.size() + 3, 7);  // accumulates on top
   // Ids from 3: the level's cells start at its id offset.
-  index.count_candidates(LevelView{&rows, 3}, cells.data());
+  index.count_candidates(LevelView::of(rows, 3), cells.data());
   for (u32 ci = 0; ci < 3; ++ci) EXPECT_EQ(cells[ci], 7u) << ci;
   for (u32 ci = 0; ci < rows.size(); ++ci) {
     EXPECT_EQ(cells[3 + ci], 7 + brute_support(tx, candidates[ci])) << ci;

@@ -153,7 +153,9 @@ std::vector<CandidateBatch> pass_batches(const MiningRun& run,
 std::vector<HashTree> trees_of(const CandidateBatch& batch) {
   std::vector<HashTree> trees;
   for (const LevelView& level : batch.levels()) {
-    trees.emplace_back(*level.rows, 0, 16);
+    trees.emplace_back(
+        ItemsetRows{level.k(), {level.items().begin(), level.items().end()}},
+        0, 16);
     trees.back().set_id_offset(level.id_offset);
   }
   return trees;
@@ -420,6 +422,39 @@ TEST(CountModes, ProbeCountersAgreeBetweenProbingModes) {
     } else {
       EXPECT_EQ(dense[2], trie_units);
     }
+  }
+}
+
+TEST(CountModes, PartitionedStoreProbesNoHashTree) {
+  // The store counts every batch on the DenseKernels of its first-item
+  // slices in both modes, so a forced-partitioned run probes no hash tree;
+  // its slices' rows are walked or indexed (dense.rows_*) instead.
+  const TransactionDB db = random_db(16, 200, 0.45, 100);
+  const MiningRun reference = run_yafim(db, CountMode::kItemsetKey, kSpc);
+  ASSERT_GE(reference.passes.size(), 3u);
+  for (CountMode mode : kAllModes) {
+    engine::Context ctx(small_cluster());
+    simfs::SimFS fs(ctx.cluster());
+    YafimOptions opt;
+    opt.min_support = 0.2;
+    opt.count_mode = mode;
+    opt.broadcast_mode = BroadcastMode::kPartitioned;
+    obs::CounterRegistry::instance().reset_all();
+    obs::set_enabled(true);
+    const MiningRun run = yafim_mine(ctx, fs, db, opt);
+    obs::set_enabled(false);
+    EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets))
+        << count_mode_name(mode);
+    EXPECT_GT(ctx.memory_budget().broadcast_fallbacks(), 0u)
+        << count_mode_name(mode);
+    EXPECT_EQ(obs::counter_value(obs::CounterId::kHashTreeNodesVisited), 0u)
+        << count_mode_name(mode);
+    EXPECT_EQ(obs::counter_value(obs::CounterId::kHashTreeCandChecks), 0u)
+        << count_mode_name(mode);
+    EXPECT_GT(obs::counter_value(obs::CounterId::kDenseRowsProbed) +
+                  obs::counter_value(obs::CounterId::kDenseRowsBitmap),
+              0u)
+        << count_mode_name(mode);
   }
 }
 
@@ -1164,7 +1199,7 @@ TEST(PairBatch, DirectCallIgnoresTheShardDecisionLikeCountBatch) {
   EXPECT_EQ(batch3.counted, direct3.counted);
   EXPECT_EQ(batch3.stages, direct3.stages);
   EXPECT_EQ(direct3.fallbacks, 1u);
-  EXPECT_EQ(direct3.stages.front().rfind("pass3:shard-trees", 0), 0u);
+  EXPECT_EQ(direct3.stages.front().rfind("pass3:shard-kernels", 0), 0u);
 }
 
 TEST(PairBatch, SaturatedPassTwoSwitchesToTheBitmap) {
@@ -1234,7 +1269,7 @@ HashTree tree_of(ItemsetRows rows, u64 offset = 0) {
 
 /// `tree`'s rows and id offset.
 LevelView view_of(const HashTree& tree) {
-  return {&tree.rows(), tree.id_offset()};
+  return LevelView::of(tree.rows(), tree.id_offset());
 }
 
 /// A random `fraction` of `level`'s rows, order kept.
@@ -1389,18 +1424,19 @@ TEST(CandidateTrieDeathTest, ANonAscendingLevelDies) {
   std::swap_ranges(out_of_order.items.begin() + 3,
                    out_of_order.items.begin() + 6,
                    out_of_order.items.begin() + 6);
-  EXPECT_DEATH(CandidateTrie(LevelView{&out_of_order, 0}),
+  EXPECT_DEATH(CandidateTrie(LevelView::of(out_of_order, 0)),
                "strictly ascending");
   ItemsetRows repeated = every_itemset(items, 2);
   repeated.items.insert(repeated.items.begin() + 2, {0, 2});
-  EXPECT_DEATH(CandidateTrie(LevelView{&repeated, 0}), "strictly ascending");
+  EXPECT_DEATH(CandidateTrie(LevelView::of(repeated, 0)),
+               "strictly ascending");
 
   // A C2 out of order is no pair batch, and no trie either.
   ItemsetRows c2_out_of_order = every_itemset(items, 2);
   std::swap_ranges(c2_out_of_order.items.begin() + 4,
                    c2_out_of_order.items.begin() + 6,
                    c2_out_of_order.items.begin() + 6);
-  const LevelView c2_level{&c2_out_of_order, 0};
+  const LevelView c2_level = LevelView::of(c2_out_of_order, 0);
   EXPECT_EQ(PairMatrix::of({&c2_level, 1}), nullptr);
   EXPECT_DEATH(DenseKernel({&c2_level, 1}), "strictly ascending");
 }
@@ -1424,41 +1460,134 @@ TEST(CandidateTrie, CandidateIdJobShipsTheKernelPayload) {
                 .distributed_cache_bytes,
             16u + 4 * 12);
 
-  // Under a forced partitioned store every sub-job of mrapriori's job 3
-  // ships the trie of its shard of the pass-3 tree.
+  // When the store engages, mrapriori's job 3 runs one sub-job per range
+  // of split_first_items at the tightest executor's budget, and each ships
+  // the tries of its slices: one range under a forced store with room to
+  // spare, several under a budget of half the batch's trie payload.
   const MiningRun faithful =
       run_yafim(mixed_db(), CountMode::kItemsetKey, kSpc, small_cluster(),
                 kMixedMinSupport);
   const std::vector<CandidateBatch> batches = pass_batches(faithful, kSpc);
   ASSERT_GE(batches.size(), 2u);
-  engine::Context ctx(small_cluster());
-  simfs::SimFS fs(ctx.cluster());
-  MrAprioriOptions opt;
-  opt.min_support = kMixedMinSupport;
-  opt.broadcast_mode = BroadcastMode::kPartitioned;
-  const MiningRun run = mr_apriori_mine(ctx, fs, mixed_db(), opt);
-  EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets));
-  // With a budget far above the tree the store takes its minimum of two
-  // shards.
-  ASSERT_GT(ctx.memory_budget().min_node_budget(), tree_bytes_of(batches[1]));
-  const u32 nshards = 2;
-  const std::vector<TreeShard> shards =
-      shard_hash_tree(trees_of(batches[1]).front(), nshards,
-                      /*branching=*/0, /*leaf_capacity=*/16);
-  u32 shipped = 0;
-  for (u32 s = 0; s < nshards; ++s) {
-    if (shards[s].tree.size() == 0) continue;
-    const std::string label =
-        "mrapriori:job3:shard" + std::to_string(s) + ":map";
-    for (const sim::StageRecord& st : ctx.report().stages()) {
-      if (st.label != label) continue;
-      EXPECT_EQ(st.broadcast_bytes / ctx.cluster().nodes,
-                CandidateTrie(view_of(shards[s].tree)).payload_bytes())
-          << label;
-      ++shipped;
+  const std::span<const LevelView> pass3 = batches[1].levels();
+  const u64 pass3_payload = DenseKernel(pass3).payload_bytes();
+  struct Case {
+    const char* name;
+    u64 executor_memory;  ///< 0 keeps the cluster's 24 GiB
+    BroadcastMode bmode;
+    size_t min_ranges;
+  };
+  const Case cases[] = {
+      {"forced", 0, BroadcastMode::kPartitioned, 1},
+      {"half the trie", pass3_payload / 2, BroadcastMode::kAuto, 2}};
+  for (const Case& c : cases) {
+    auto copts = small_cluster();
+    if (c.executor_memory) {
+      copts.cluster.executor_memory_bytes = c.executor_memory;
+    }
+    engine::Context ctx(copts);
+    simfs::SimFS fs(ctx.cluster());
+    MrAprioriOptions opt;
+    opt.min_support = kMixedMinSupport;
+    opt.broadcast_mode = c.bmode;
+    const MiningRun run = mr_apriori_mine(ctx, fs, mixed_db(), opt);
+    EXPECT_TRUE(run.itemsets.same_itemsets(faithful.itemsets)) << c.name;
+    const std::vector<FirstItemRange> ranges =
+        split_first_items(pass3, ctx.memory_budget().min_node_budget());
+    EXPECT_GE(ranges.size(), c.min_ranges) << c.name;
+    if (c.min_ranges == 1) {
+      EXPECT_EQ(ranges.size(), 1u) << c.name;
+    }
+    u32 shipped = 0;
+    for (size_t s = 0; s < ranges.size(); ++s) {
+      const std::string label =
+          "mrapriori:job3:shard" + std::to_string(s) + ":map";
+      for (const sim::StageRecord& st : ctx.report().stages()) {
+        if (st.label != label) continue;
+        EXPECT_EQ(st.broadcast_bytes / ctx.cluster().nodes,
+                  ranges[s].payload_bytes)
+            << c.name << " " << label;
+        ++shipped;
+      }
+    }
+    EXPECT_EQ(shipped, ranges.size()) << c.name;
+  }
+}
+
+// ---- partitioned store (split_first_items) ------------------------------
+
+TEST(PartitionedStore, RoutedSlicesCountTheWholeBatch) {
+  // Route each row once to every range its viable prefix items fall in
+  // (binary search over the range starts) and count each range's rows on
+  // the DenseKernel of its slices: the cells are the whole batch's, at a
+  // cap that keeps one range, at caps that split it into several, and at
+  // a cap that gives every first item its own range.
+  Rng rng(71);
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::vector<Item> ids =
+        spread_ids(11, trial % 2 ? (1u << 20) - 12 : 0);
+    std::vector<ItemsetRows> rows;
+    for (u32 k = 2; k <= 4; ++k) {
+      rows.push_back(sample_rows(every_itemset(ids, k), 0.35, rng));
+    }
+    const CandidateBatch batch(std::move(rows));
+    ASSERT_EQ(batch.num_levels(), 3u);
+    const double density = trial < 4 ? 0.3 : 0.8;
+    std::vector<Transaction> txns{{}, {ids[3]}};
+    for (int r = 0; r < 160; ++r) {
+      Transaction t;
+      for (Item i : ids) {
+        if (rng.bernoulli(density)) t.push_back(i);
+      }
+      txns.push_back(std::move(t));
+    }
+    std::vector<u64> whole(batch.id_space(), 0);
+    count_rows(txns, batch.levels(), DenseKernel(batch.levels()),
+               whole.data());
+    std::set<Item> classes;
+    for (const LevelView& level : batch.levels()) {
+      for (u32 ci = 0; ci < level.size(); ++ci) {
+        classes.insert(level.row(ci)[0]);
+      }
+    }
+    const u64 payload = DenseKernel(batch.levels()).payload_bytes();
+    for (const u64 cap : {payload, payload / 2, payload / 4, u64{1}}) {
+      SCOPED_TRACE("cap " + std::to_string(cap));
+      const std::vector<FirstItemRange> ranges =
+          split_first_items(batch.levels(), cap);
+      if (cap == payload) {
+        EXPECT_EQ(ranges.size(), 1u);
+      }
+      if (cap == payload / 4) {
+        EXPECT_GE(ranges.size(), 3u);
+      }
+      if (cap == 1) {
+        EXPECT_EQ(ranges.size(), classes.size());
+      }
+      std::vector<std::vector<Transaction>> routed(ranges.size());
+      for (const Transaction& t : txns) {
+        size_t last = ranges.size();  // no range yet
+        for (size_t i = 0; i + batch.kmin() <= t.size(); ++i) {
+          const auto above = std::upper_bound(
+              ranges.begin(), ranges.end(), t[i],
+              [](Item item, const FirstItemRange& range) {
+                return item < range.first_item;
+              });
+          if (above == ranges.begin()) continue;
+          const size_t s = static_cast<size_t>(above - ranges.begin()) - 1;
+          if (s != last) routed[s].push_back(t);
+          last = s;
+        }
+      }
+      std::vector<u64> cells(batch.id_space(), 0);
+      for (size_t s = 0; s < ranges.size(); ++s) {
+        count_rows(routed[s], ranges[s].levels,
+                   DenseKernel(ranges[s].levels), cells.data());
+      }
+      EXPECT_EQ(cells, whole);
     }
   }
-  EXPECT_EQ(shipped, nshards);
 }
 
 // ---- sum_arrays ---------------------------------------------------------

@@ -309,8 +309,6 @@ TEST_P(HashTreeSweep, AgreesWithLinearScan) {
   }
   HashTree tree(std::vector<Itemset>(unique.begin(), unique.end()), branching,
                 leaf_capacity);
-  const std::vector<TreeShard> shards =
-      shard_hash_tree(tree, 3, branching, leaf_capacity);
 
   HashTree::Probe probe;
   for (int trial = 0; trial < 40; ++trial) {
@@ -326,17 +324,6 @@ TEST_P(HashTreeSweep, AgreesWithLinearScan) {
     // No duplicates: multiset == set size.
     EXPECT_EQ(tree_hits.size(),
               std::set<u32>(tree_hits.begin(), tree_hits.end()).size());
-
-    // The partitioned store: each shard agrees with its own linear scan,
-    // and the shards' hits, mapped to global ids, are the full tree's.
-    std::multiset<u64> shard_hits;
-    for (const TreeShard& shard : shards) {
-      const auto hits = probe_tree(shard.tree, t, probe);
-      ASSERT_EQ(hits, probe_linear(shard.tree, t)) << "trial=" << trial;
-      for (u32 ci : hits) shard_hits.insert(shard.global_ids[ci]);
-    }
-    EXPECT_EQ(shard_hits,
-              std::multiset<u64>(tree_hits.begin(), tree_hits.end()));
   }
   expect_shape_rule(tree, leaf_capacity);
 }

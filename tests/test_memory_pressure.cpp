@@ -12,8 +12,10 @@
 // pricing round-up under executor blacklisting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -77,54 +79,105 @@ MiningRun run_yafim(const TransactionDB& db, const YafimOptions& opt,
   return yafim_mine(ctx, fs, db, opt);
 }
 
-// ---- candidate sharding primitives --------------------------------------
+// ---- first-item ranges (split_first_items) ------------------------------
 
-TEST(CandidateShard, DeterministicAndInRange) {
-  for (u32 nshards : {1u, 2u, 7u, 64u}) {
-    for (Item item = 0; item < 100; ++item) {
-      const u32 s = candidate_shard(item, nshards);
-      EXPECT_LT(s, nshards);
-      EXPECT_EQ(s, candidate_shard(item, nshards));
+/// Levels k = 2..4 over items [0, 14), each a seeded sample of every
+/// k-itemset, as one batch.
+CandidateBatch three_level_batch(u64 seed) {
+  Rng rng(seed);
+  std::vector<ItemsetRows> levels;
+  ItemsetRows every{1, {}};
+  for (Item i = 0; i < 14; ++i) every.items.push_back(i);
+  for (u32 k = 2; k <= 4; ++k) {
+    every = apriori_gen_rows(every, k);
+    ItemsetRows sample{k, {}};
+    for (size_t r = 0; r < every.size(); ++r) {
+      if (rng.bernoulli(0.3)) {
+        sample.items.insert(sample.items.end(), every.row(r),
+                            every.row(r) + k);
+      }
     }
+    levels.push_back(std::move(sample));
   }
+  return CandidateBatch(std::move(levels));
 }
 
-TEST(ShardHashTree, PartitionsCandidatesByFirstItemWithGlobalIds) {
-  std::vector<Itemset> cands = {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}};
-  HashTree tree(cands, /*branching=*/4, /*leaf_capacity=*/2);
-  tree.set_id_offset(100);
-  const u32 nshards = 4;
-  const auto shards = shard_hash_tree(tree, nshards, 4, 2);
-  ASSERT_EQ(shards.size(), nshards);
-
-  u32 total = 0;
-  std::vector<bool> seen_id(cands.size(), false);
-  for (u32 s = 0; s < nshards; ++s) {
-    ASSERT_EQ(shards[s].tree.size(), shards[s].global_ids.size());
-    for (u32 ci = 0; ci < shards[s].tree.size(); ++ci) {
-      const auto items = shards[s].tree.rows().row(ci);
-      // Every candidate landed on the shard its first item hashes to...
-      EXPECT_EQ(candidate_shard(items[0], nshards), s);
-      // ...and carries its original batch-global dense id.
-      const u64 gid = shards[s].global_ids[ci];
-      ASSERT_GE(gid, 100u);
-      ASSERT_LT(gid, 100u + cands.size());
-      EXPECT_FALSE(seen_id[gid - 100]) << "duplicate global id " << gid;
-      seen_id[gid - 100] = true;
-      EXPECT_EQ(tree.rows().itemset(gid - 100),
-                shards[s].tree.rows().itemset(ci));
-      ++total;
+TEST(FirstItemSplit, RangesTileTheBatchWithinTheCap) {
+  for (const u64 seed : {3u, 4u, 5u}) {
+    const CandidateBatch batch = three_level_batch(seed);
+    ASSERT_EQ(batch.num_levels(), 3u);
+    std::set<Item> classes;
+    for (const LevelView& level : batch.levels()) {
+      for (u32 ci = 0; ci < level.size(); ++ci) {
+        classes.insert(level.row(ci)[0]);
+      }
+    }
+    const u64 payload = DenseKernel(batch.levels()).payload_bytes();
+    for (const u64 cap : {~u64{0}, payload, payload / 2, payload / 5, u64{1}}) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " cap " + std::to_string(cap);
+      const std::vector<FirstItemRange> ranges =
+          split_first_items(batch.levels(), cap);
+      if (cap >= payload) {
+        ASSERT_EQ(ranges.size(), 1u) << where;
+        EXPECT_EQ(ranges.front().payload_bytes, payload) << where;
+      }
+      if (cap == 1) {
+        EXPECT_EQ(ranges.size(), classes.size()) << where;
+      }
+      if (cap == payload / 5) {
+        EXPECT_GE(ranges.size(), 5u) << where;
+      }
+      std::vector<u32> seen(batch.id_space(), 0);
+      Item prev_last = 0;
+      for (size_t r = 0; r < ranges.size(); ++r) {
+        const FirstItemRange& range = ranges[r];
+        ASSERT_FALSE(range.levels.empty()) << where;
+        Item lo = ~Item{0};
+        Item hi = 0;
+        u64 tries = 0;
+        for (const LevelView& slice : range.levels) {
+          ASSERT_GT(slice.size(), 0u) << where;
+          // A contiguous run of the batch level of its size, at its
+          // batch-global ids.
+          const LevelView& level = batch.levels()[slice.k() - 2];
+          ASSERT_GE(slice.id_offset, level.id_offset) << where;
+          const u64 at = slice.id_offset - level.id_offset;
+          ASSERT_LE(at + slice.size(), level.size()) << where;
+          for (u32 ci = 0; ci < slice.size(); ++ci) {
+            EXPECT_EQ(slice.itemset(ci),
+                      level.itemset(static_cast<u32>(at + ci)))
+                << where;
+            ++seen[slice.id_offset + ci];
+            lo = std::min(lo, slice.row(ci)[0]);
+            hi = std::max(hi, slice.row(ci)[0]);
+          }
+          tries += CandidateTrie(slice).payload_bytes();
+        }
+        // Ranges ascend by first item and do not overlap.
+        EXPECT_EQ(range.first_item, lo) << where;
+        if (r > 0) {
+          EXPECT_GT(lo, prev_last) << where;
+        }
+        prev_last = hi;
+        // What the range's kernel ships (less if its slices happen to be a
+        // whole pair batch), within the cap unless the range is one
+        // first-item class.
+        EXPECT_EQ(range.payload_bytes, tries) << where;
+        const DenseKernel kernel(range.levels);
+        if (kernel.pairs()) {
+          EXPECT_LT(kernel.payload_bytes(), tries) << where;
+        } else {
+          EXPECT_EQ(kernel.payload_bytes(), tries) << where;
+        }
+        if (range.payload_bytes > cap) {
+          EXPECT_EQ(lo, hi) << where;
+        }
+      }
+      // Every row lands in exactly one range.
+      EXPECT_EQ(seen, std::vector<u32>(batch.id_space(), 1)) << where;
     }
   }
-  EXPECT_EQ(total, cands.size());
-}
-
-TEST(ShardHashTree, SingleShardIsTheWholeTree) {
-  std::vector<Itemset> cands = {{0, 1}, {5, 6}, {9, 11}};
-  HashTree tree(cands, 4, 2);
-  const auto shards = shard_hash_tree(tree, 1, 4, 2);
-  ASSERT_EQ(shards.size(), 1u);
-  EXPECT_EQ(shards[0].tree.size(), cands.size());
 }
 
 // ---- bit-identity: partitioned broadcast --------------------------------
@@ -168,12 +221,11 @@ TEST(MemoryPressure, PartitionedBroadcastBitIdenticalAcrossCountModes) {
   }
 }
 
-/// Shard-count boundary cases for the partitioned store: a single shard
-/// (degenerate -- the "partitioned" plan with the whole tree in one place)
-/// and far more shards than distinct first items (most shards hold no
-/// candidates and receive no transactions). Both must merge per-shard dense
-/// arrays via sum_arrays into exactly the counts the itemset-keyed shuffle
-/// produces.
+/// Range-count boundary cases for the partitioned store: a target of one
+/// range (degenerate -- the "partitioned" plan with the whole batch in one
+/// place) and a target above the number of distinct first items (each item
+/// its own range). Both must merge per-range dense arrays via sum_arrays
+/// into exactly the counts the itemset-keyed shuffle produces.
 TEST(MemoryPressure, ShardCountBoundaryCasesMatchItemsetKeyCounts) {
   const auto db = random_db(16, 220, 0.35, 9);
   YafimOptions faithful;
@@ -561,10 +613,11 @@ TEST(MemoryPressure, Yl002NoteSaysWhyTheStoreEngaged) {
   const Case cases[] = {
       {"over budget", 512, BroadcastMode::kAuto,
        " exceeds executor memory of 512 B; partitioned candidate broadcast "
-       "engaged -- the tree is sharded"},
+       "engaged -- the candidates are split into first-item ranges"},
       {"forced", 0, BroadcastMode::kPartitioned,
        " fits executor memory of 24 GiB; partitioned candidate broadcast "
-       "forced by the partitioned broadcast mode -- the tree is sharded"}};
+       "forced by the partitioned broadcast mode -- the candidates are "
+       "split into first-item ranges"}};
   for (const Case& c : cases) {
     for (const bool mapreduce : {false, true}) {
       const std::string where =
@@ -651,9 +704,11 @@ TEST(MemoryPressure, DecisionWeighsTheBytesThatShip) {
     if (batch.empty()) break;
     largest_trie = std::max(largest_trie,
                             DenseKernel(batch.levels()).payload_bytes());
+    const std::span<const Item> rows = batch.levels().front().items();
     smallest_trees = std::min(
         smallest_trees,
-        HashTree(*batch.levels().front().rows, 0, 16).serialized_bytes());
+        HashTree(ItemsetRows{k, {rows.begin(), rows.end()}}, 0, 16)
+            .serialized_bytes());
   }
   ASSERT_GT(largest_trie, 0u) << "no batch from pass 3 on";
   ASSERT_LT(largest_trie, smallest_trees);

@@ -134,9 +134,9 @@ YafimOptions yafim_options(CountMode mode, BroadcastMode bmode) {
 TEST(PricingPins, Yafim) {
   const u64 pins[] = {
       0x436c42d407ac34c7, 0xaff72e0d0d477d3,
-      0xb76571c52f2f2901, 0xfe83af823c488dc3,
+      0x8387ab2ca5cef69a, 0xa80536d61b157e2c,
       0x2e6282aa354c90d3, 0x7f36032acc74a938,
-      0x1905d56ca731af8b, 0xa61810acff252526};
+      0xf9223c2c09ec040f, 0x29e21ad1a0768bc4};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -187,8 +187,8 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
     u64 pin;
   };
   const Case cases[] = {
-      {CountMode::kItemsetKey, 24 << 10, 0x48d51ab53cb1f0c4},
-      {CountMode::kCandidateId, 8 << 10, 0x5453feae3987c385}};
+      {CountMode::kItemsetKey, 24 << 10, 0x52807235746da437},
+      {CountMode::kCandidateId, 8 << 10, 0x7c7b816b20c7c716}};
   for (const Case& c : cases) {
     engine::Context::Options copts = pinned_cluster();
     copts.cluster.executor_memory_bytes = c.executor_memory;
@@ -255,7 +255,7 @@ TEST(PricingPins, Sampling) {
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   partitioned.broadcast_mode = BroadcastMode::kPartitioned;
   expect_pin("sampling partitioned", mine_sampling(partitioned),
-             0xd23c4f07374ed989);
+             0x8321e14d4b21d3c0);
   SamplingOptions uncached = sampling_options(
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   uncached.cache_transactions = false;
@@ -282,7 +282,7 @@ std::string mine_stream(CountMode mode, BroadcastMode bmode) {
 }
 
 TEST(PricingPins, Stream) {
-  const u64 pins[] = {0xab88deed2d1ef56f, 0xab71d195f42b0cb6};
+  const u64 pins[] = {0x2987156dd9189e3e, 0xab71d195f42b0cb6};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     expect_pin(std::string("stream ") + count_mode_name(mode),
@@ -296,7 +296,7 @@ TEST(PricingPins, Stream) {
              0xab71d195f42b0cb6);
   expect_pin("stream itemset_key partitioned",
              mine_stream(CountMode::kItemsetKey, BroadcastMode::kPartitioned),
-             0x814f85990faa1dd1);
+             0x12fe9277d3f29588);
 }
 
 std::string mine_mr(const MrAprioriOptions& opt,
@@ -317,8 +317,8 @@ MrAprioriOptions mr_options(CountMode mode, BroadcastMode bmode) {
 
 TEST(PricingPins, MrApriori) {
   const u64 pins[] = {
-      0xc562fa6193017913, 0x1dc2aca64c2f09a,
-      0x66fb543c41d76984, 0x48617bec0596393a};
+      0xc562fa6193017913, 0xef3aa1c12660eeb3,
+      0x66fb543c41d76984, 0x9605989fe0827ab6};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -327,15 +327,14 @@ TEST(PricingPins, MrApriori) {
                  mine_mr(mr_options(mode, bmode)), pins[i++]);
     }
   }
-  // A budget below the tries of jobs 4 and 5, so both shard. The shard
-  // count doubles until the largest shard's tree fits, which no shard's
-  // does here: it stops at its cap of 1024, and the non-empty shards run.
+  // A budget below the tries of jobs 4 and 5 (11,788 and 8,616 B), so both
+  // split into the first-item ranges that fit it: two sub-jobs each.
   engine::Context::Options copts = pinned_cluster();
   copts.cluster.executor_memory_bytes = 8 << 10;
   expect_pin("mrapriori tight budget",
              mine_mr(mr_options(CountMode::kCandidateId, BroadcastMode::kAuto),
                      copts),
-             0x43951a8ec7b0f5eb);
+             0x82a01e2a24363236);
 }
 
 TEST(PricingPins, MrAprioriCombining) {
@@ -350,12 +349,13 @@ TEST(PricingPins, MrAprioriCombining) {
                  mine_mr(opt), pins[i++]);
     }
   }
-  // Every sub-job ships one shard of each level of the batch.
+  // Every sub-job ships the kernel of one first-item range's slices of the
+  // batch's levels.
   MrAprioriOptions partitioned =
       mr_options(CountMode::kCandidateId, BroadcastMode::kPartitioned);
   partitioned.combining = combined_strategies()[1].second;
   expect_pin("mrapriori dpc partitioned", mine_mr(partitioned),
-             0xb31c7c8b4a3a39be);
+             0x26ad094ef6ecd3ec);
 }
 
 TEST(PricingPins, Son) {
