@@ -198,6 +198,40 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
   }
 }
 
+/// DetSan's replay tally, and the memory ledger's spill totals: what the
+/// sanitizer and spill pins add to priced().
+std::string detsan_and_spill(const engine::Context& ctx) {
+  const engine::MemoryBudget& ledger = ctx.memory_budget();
+  std::ostringstream out;
+  out << "detsan " << ctx.detsan().tasks_replayed() << ' '
+      << ctx.detsan().divergences() << "\nspill "
+      << ledger.spill_blocks_written() << ' ' << ledger.spill_bytes_raw()
+      << ' ' << ledger.spill_bytes_stored() << '\n';
+  return out.str();
+}
+
+/// The pinned cluster with every task replayed by DetSan: each operator's
+/// replay (Phase I's flat_map, map and map-side combine among them) and
+/// its work are priced.
+engine::Context::Options detsan_everywhere() {
+  engine::Context::Options opts = pinned_cluster();
+  opts.detsan.enabled = true;
+  opts.detsan.sample_rate = 1.0;
+  return opts;
+}
+
+TEST(PricingPins, YafimUnderDetSan) {
+  engine::Context ctx(detsan_everywhere());
+  simfs::SimFS fs(ctx.cluster());
+  const MiningRun run = yafim_mine(
+      ctx, fs, level_db(),
+      yafim_options(CountMode::kCandidateId, BroadcastMode::kAuto));
+  ASSERT_GT(ctx.detsan().tasks_replayed(), 0u);
+  EXPECT_EQ(ctx.detsan().divergences(), 0u);
+  expect_pin("yafim detsan", passes(run) + priced(ctx) + detsan_and_spill(ctx),
+             0x89c5454a4c7ef048);
+}
+
 TEST(PricingPins, YafimCheckpointResume) {
   const engine::Context::Options copts = pinned_cluster();
   simfs::SimFS store_fs(copts.cluster);
@@ -263,7 +297,8 @@ TEST(PricingPins, Sampling) {
              0xed17b21a3bb200e5);
 }
 
-std::string mine_stream(CountMode mode, BroadcastMode bmode) {
+std::string mine_stream(CountMode mode, BroadcastMode bmode,
+                        engine::Context::Options copts = pinned_cluster()) {
   static const TransactionDB db = random_db(12, 150, 0.4, 21);
   stream::StreamOptions opt;
   opt.min_support = 0.25;
@@ -272,12 +307,17 @@ std::string mine_stream(CountMode mode, BroadcastMode bmode) {
   opt.source.ingest_rate = 120.0;
   opt.count_mode = mode;
   opt.broadcast_mode = bmode;
-  engine::Context ctx(pinned_cluster());
+  engine::Context ctx(copts);
   simfs::SimFS fs(ctx.cluster());
   const stream::StreamResult res = stream::stream_mine(ctx, fs, db, opt);
   std::ostringstream out;
   out << "stream " << res.total_transactions << ' ' << res.itemsets.total()
       << ' ' << res.reverifications << '\n';
+  if (ctx.detsan().enabled()) {
+    EXPECT_GT(ctx.detsan().tasks_replayed(), 0u);
+    EXPECT_EQ(ctx.detsan().divergences(), 0u);
+    return out.str() + priced(ctx) + detsan_and_spill(ctx);
+  }
   return out.str() + priced(ctx);
 }
 
@@ -297,6 +337,10 @@ TEST(PricingPins, Stream) {
   expect_pin("stream itemset_key partitioned",
              mine_stream(CountMode::kItemsetKey, BroadcastMode::kPartitioned),
              0x12fe9277d3f29588);
+  expect_pin("stream detsan",
+             mine_stream(CountMode::kCandidateId, BroadcastMode::kAuto,
+                         detsan_everywhere()),
+             0xc9d2e74389bb6b5d);
 }
 
 std::string mine_mr(const MrAprioriOptions& opt,
@@ -335,6 +379,26 @@ TEST(PricingPins, MrApriori) {
              mine_mr(mr_options(CountMode::kCandidateId, BroadcastMode::kAuto),
                      copts),
              0x82a01e2a24363236);
+}
+
+TEST(PricingPins, MrAprioriSpillsUnderA256ByteShuffleBuffer) {
+  // Job 1's map-side buffers exceed 256 B, so its item counts take the
+  // shuffle's spill path through SimFS and back.
+  engine::Context::Options copts = pinned_cluster();
+  copts.cluster.shuffle_buffer_bytes = 256;
+  engine::Context ctx(copts);
+  simfs::SimFS fs(ctx.cluster());
+  const MiningRun run = mr_apriori_mine(
+      ctx, fs, level_db(),
+      mr_options(CountMode::kCandidateId, BroadcastMode::kAuto));
+  bool job1_spilled = false;
+  for (const sim::StageRecord& st : ctx.report().stages()) {
+    job1_spilled |= st.label == "mrapriori:job1:spill";
+  }
+  EXPECT_TRUE(job1_spilled);
+  expect_pin("mrapriori 256 B shuffle buffer",
+             passes(run) + priced(ctx) + detsan_and_spill(ctx),
+             0xc0046950ab563411);
 }
 
 TEST(PricingPins, MrAprioriCombining) {
