@@ -7,12 +7,16 @@
 //   broadcasts and probes hash trees.)
 //   4. SPC vs FPC vs DPC pass combining (related work, Lin et al.) on both
 //      substrates: YAFIM cluster passes and MRApriori jobs.
+//   5. Phase I's count key: one-item Itemsets vs fim::Singleton, priced
+//      alike, timed on the host.
 #include <algorithm>
 #include <tuple>
 
 #include "common.h"
+#include "engine/rdd.h"
 #include "fim/sampling.h"
 #include "stream/miner.h"
+#include "util/stopwatch.h"
 
 using namespace yafim;
 using namespace yafim::benchharness;
@@ -93,6 +97,75 @@ CountModeResult yafim_count_mode(const datagen::BenchmarkDataset& bench,
     best.count_host_s = std::min(best.count_host_s, res.count_host_s);
   }
   return best;
+}
+
+/// Load plus Phase I as perfbench's traced replay (perfbench/bench.cpp)
+/// still builds them: yafim_mine's stages and labels, with every item
+/// occurrence keyed by a one-item Itemset. Returns the frequent items.
+u64 itemset_keyed_phase_one(engine::Context& ctx, simfs::SimFS& fs,
+                            const std::string& path, double min_support) {
+  using CountPair = std::pair<fim::Itemset, u64>;
+  ctx.set_spill_fs(&fs);
+  ctx.set_pass(0);
+  const std::vector<u8> raw = fs.read(path);
+  fim::TransactionDB db = fim::TransactionDB::deserialize(raw);
+  sim::StageRecord parse;
+  parse.label = "load:textFile+parse";
+  parse.kind = sim::StageKind::kSparkStage;
+  parse.pass = ctx.pass();
+  parse.tasks =
+      sim::split_work(db.size() * (1 + ctx.cluster().record_parse_work),
+                      ctx.default_partitions());
+  parse.dfs_read_bytes = raw.size();
+  ctx.record(std::move(parse));
+  const u64 min_count = db.min_support_count(min_support);
+  auto transactions = ctx.parallelize(db.release())
+                          .map([](const fim::Transaction& t) { return t; })
+                          .named("transactions");
+  transactions.persist();
+  ctx.memory_budget().note_cached(raw.size());
+
+  ctx.set_pass(1);
+  return transactions.flat_map([](const fim::Transaction& t) { return t; })
+      .named("phase1:items")
+      .map([](const fim::Item& i) { return CountPair(fim::Itemset{i}, 1); })
+      .reduce_by_key([](u64 a, u64 b) { return a + b; }, 0,
+                     fim::ItemsetHash{}, "phase1:count")
+      .named("phase1:counts")
+      .filter([min_count](const CountPair& kv) {
+        return kv.second >= min_count;
+      })
+      .named("phase1:frequent")
+      .collect("phase1:collect")
+      .size();
+}
+
+/// Load plus Phase I on a fresh context: the Itemset-keyed chain above
+/// (x = 0) or yafim_mine stopped after pass 1 (x = 1). Simulated seconds of
+/// everything priced, host seconds of the call.
+struct PhaseOneResult {
+  double sim_s = 0.0;
+  double host_s = 0.0;
+  u64 frequent = 0;
+};
+
+PhaseOneResult phase_one_once(simfs::SimFS& fs, const std::string& path,
+                              double min_support, bool by_value) {
+  engine::Context ctx(
+      engine::Context::Options{.cluster = sim::ClusterConfig::paper()});
+  PhaseOneResult res;
+  Stopwatch clock;
+  if (by_value) {
+    fim::YafimOptions opt;
+    opt.min_support = min_support;
+    opt.stop_after_pass = 1;
+    res.frequent = fim::yafim_mine(ctx, fs, path, opt).itemsets.total();
+  } else {
+    res.frequent = itemset_keyed_phase_one(ctx, fs, path, min_support);
+  }
+  res.host_s = clock.seconds();
+  res.sim_s = ctx.report().total_seconds(ctx.cost_model());
+  return res;
 }
 
 }  // namespace
@@ -196,6 +269,46 @@ int main(int argc, char** argv) {
                 faithful.count_sim_s / dense.count_sim_s);
   }
   print_table(countmode_table, args);
+
+  std::printf("\n-- Phase I count key: one-item Itemsets (perfbench's "
+              "replay) vs by-value fim::Singleton (yafim_mine), load + "
+              "pass 1, fastest of 3 --\n");
+  Table phase1_table({"dataset", "key", "sim(s)", "host(s)", "frequent"});
+  for (const auto& bench : benches) {
+    simfs::SimFS fs(sim::ClusterConfig::paper());
+    const std::string path = "hdfs://ablation/" + bench.name;
+    fs.write(path, bench.db.serialize());
+    PhaseOneResult best[2];
+    for (int round = 0; round < 3; ++round) {
+      for (int x = 0; x < 2; ++x) {
+        const PhaseOneResult res =
+            phase_one_once(fs, path, bench.paper_min_support, x == 1);
+        if (round == 0) {
+          best[x] = res;
+          continue;
+        }
+        YAFIM_CHECK(res.sim_s == best[x].sim_s &&
+                        res.frequent == best[x].frequent,
+                    "a Phase I mine's deterministic numbers differ across "
+                    "runs");
+        best[x].host_s = std::min(best[x].host_s, res.host_s);
+      }
+    }
+    YAFIM_CHECK(best[0].frequent == best[1].frequent,
+                "the Phase I keys disagree on the frequent items");
+    for (int x = 0; x < 2; ++x) {
+      phase1_table.add_row({bench.name, x == 0 ? "Itemset" : "Singleton",
+                            Table::num(best[x].sim_s),
+                            Table::num(best[x].host_s, 4),
+                            Table::num(best[x].frequent)});
+      // perf_gate.py: x=0 and x=1 sims equal; T10's host ratio banded.
+      json.add("phase1_sim_s:" + bench.name, x, best[x].sim_s);
+      json.add("phase1_host_s:" + bench.name, x, best[x].host_s);
+    }
+    std::printf("  %s: host Itemset/Singleton %.2fx\n", bench.name.c_str(),
+                best[0].host_s / best[1].host_s);
+  }
+  print_table(phase1_table, args);
 
   std::printf("\n-- Determinism sanitizer (engine/detsan.h): replay "
               "overhead at the default sample rate vs off --\n");

@@ -45,6 +45,17 @@ Six checks, tuned to what each quantity can promise:
                     acceptance bound from the DetSan design), and the
                     detsan-on sim seconds must not exceed the baseline's
                     beyond the deterministic sim tolerance.
+7. phase I key:     load + Phase I keyed by one-item Itemsets (x=0, the
+                    chain perfbench's replay builds) and by yafim_mine's
+                    by-value key (x=1) in 'phase1_sim_s:<dataset>' must
+                    price the same simulated seconds to a relative 1e-9,
+                    the bound perfbench's replay check uses: --sim-tol's
+                    2% would pass a key priced at 4 B instead of 12, which
+                    moves T10I4D100K's Phase I by 0.04% at scale 0.1. For
+                    the datasets in PHASE1_HOST_GATED the host ratio x0/x1
+                    in 'phase1_host_s:<dataset>' must stay above the
+                    baseline's times (1 - band). MushRoom's Phase I runs
+                    in about a millisecond at CI scale, too short to time.
 
 Usage:
   perf_gate.py CURRENT.json BASELINE.json [--sim-tol 1.02] [--ratio-band 0.5]
@@ -55,6 +66,8 @@ import json
 import sys
 
 MODES = {1: "candidate_id"}
+PHASE1_HOST_GATED = ("T10I4D100K",)
+PHASE1_SIM_REL_TOL = 1e-9
 
 
 def fail(message):
@@ -283,6 +296,39 @@ def main():
         check(ds[1] <= bds[1] * args.sim_tol,
               f"{dataset} detsan: on sim {ds[1]:.2f}s vs baseline "
               f"{bds[1]:.2f}s (tol x{args.sim_tol})")
+
+    # 7. Phase I key gate: same wire price, and the host gain holds.
+    cur_p1sim = series_by_dataset(current, "phase1_sim_s", args.current)
+    cur_p1host = series_by_dataset(current, "phase1_host_s", args.current)
+    base_p1host = series_by_dataset(baseline, "phase1_host_s", args.baseline)
+    if base_p1host and not cur_p1sim:
+        fail(f"{args.current}: baseline has 'phase1_host_s:*' series but the "
+             "current run does not (bench_ablation too old?)")
+    for dataset in sorted(cur_p1sim):
+        sim = cur_p1sim[dataset]
+        if 0 not in sim or 1 not in sim:
+            fail(f"{args.current}: series 'phase1_sim_s:{dataset}' needs "
+                 "both x=0 (Itemset key) and x=1 (by-value key) points")
+        check(abs(sim[1] - sim[0]) <= PHASE1_SIM_REL_TOL * sim[0],
+              f"{dataset} phase I: by-value key sim {sim[1]:.9g}s vs "
+              f"Itemset key {sim[0]:.9g}s (must be equal, rel tol "
+              f"{PHASE1_SIM_REL_TOL:g})")
+        if dataset not in PHASE1_HOST_GATED:
+            continue
+        host = cur_p1host.get(dataset, {})
+        bhost = base_p1host.get(dataset, {})
+        if not (0 in bhost and 1 in bhost):
+            print(f"note {dataset} phase I: not in baseline, sim check only")
+            continue
+        if not (0 in host and 1 in host and host[1] > 0 and bhost[1] > 0):
+            fail(f"{args.current}: series 'phase1_host_s:{dataset}' needs "
+                 "positive x=0 and x=1 points")
+        cur_ratio = host[0] / host[1]
+        base_ratio = bhost[0] / bhost[1]
+        floor = base_ratio * (1.0 - args.ratio_band)
+        check(cur_ratio >= floor,
+              f"{dataset} phase I: host Itemset/by-value {cur_ratio:.2f}x vs "
+              f"baseline {base_ratio:.2f}x (floor {floor:.2f}x)")
 
     if failures:
         print(f"\nperf gate: {len(failures)} regression(s)")

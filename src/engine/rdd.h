@@ -1,10 +1,12 @@
 // RDD<T>: a typed, lazy, partitioned, immutable dataset -- the minispark
 // analogue of Spark's resilient distributed dataset.
 //
-// * Narrow transformations build lineage nodes and are fused at execution:
-//   one task computes the whole operator chain for one partition, exactly
-//   like a Spark stage. Each is element-wise (map/flat_map/filter) or
-//   per-partition (map_partitions, the seeded samples, zip_with_index).
+// * Narrow transformations build lineage nodes that run in one task per
+//   partition: the task computes the whole operator chain, as a Spark stage
+//   does. They are not fused: each node builds its whole output partition
+//   before the next node reads it, where Spark streams elements through the
+//   chain. Each is element-wise (map/flat_map/filter) or per-partition
+//   (map_partitions, the seeded samples, zip_with_index).
 // * Wide operations (reduce_by_key, group_by_key, sum_arrays) are stage
 //   boundaries: they execute a map stage, partition its output (accounting
 //   shuffle bytes), and run a reduce stage.
@@ -23,7 +25,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -88,6 +89,16 @@ struct ArrayTraits<std::vector<E>> {
 // Replays run inside the task's work::Scope and call work::add like the
 // primary pass, so their cost is priced into the sim automatically.
 
+/// util::canon_hash_value(v), also for a type whose overload lives in its
+/// own namespace and is declared after this header (fim::Singleton): a
+/// qualified call would bind only the overloads declared before it, while
+/// this one adds those ADL finds where the template is instantiated.
+template <typename U>
+u64 canon_hash(const U& v) {
+  using util::canon_hash_value;
+  return canon_hash_value(v);
+}
+
 /// Index of the first element of `primary` that `replay` cannot account
 /// for under multiset equality (primary.size() when replay only has
 /// extras). Called on the divergence path only.
@@ -96,9 +107,9 @@ size_t detsan_first_unmatched(const std::vector<U>& primary,
                               const std::vector<U>& replay) {
   std::unordered_map<u64, i64> counts;
   counts.reserve(replay.size());
-  for (const U& e : replay) ++counts[util::canon_hash_value(e)];
+  for (const U& e : replay) ++counts[canon_hash(e)];
   for (size_t i = 0; i < primary.size(); ++i) {
-    if (--counts[util::canon_hash_value(primary[i])] < 0) return i;
+    if (--counts[canon_hash(primary[i])] < 0) return i;
   }
   return primary.size();
 }
@@ -137,8 +148,7 @@ void detsan_check_ordered(DetSan& ds, u32 node_id, const char* op,
   const size_t common = std::min(primary.size(), replay.size());
   size_t at = common;  // only the lengths differ
   for (size_t i = 0; i < common; ++i) {
-    if (util::canon_hash_value(primary[i]) !=
-        util::canon_hash_value(replay[i])) {
+    if (canon_hash(primary[i]) != canon_hash(replay[i])) {
       at = i;
       break;
     }
@@ -164,15 +174,14 @@ void detsan_check_kv(DetSan& ds, const Who& who, const char* op,
   }
   for (const auto& [k, v] : primary) {
     const auto it = replay.find(k);
-    if (it != replay.end() &&
-        util::canon_hash_value(it->second) == util::canon_hash_value(v)) {
+    if (it != replay.end() && canon_hash(it->second) == canon_hash(v)) {
       continue;
     }
     ds.report_divergence(
         who, op,
         std::string(it == replay.end() ? "key missing from replay"
                                        : "combined value for key") +
-            " (key hash " + std::to_string(util::canon_hash_value(k)) + ", " +
+            " (key hash " + std::to_string(canon_hash(k)) + ", " +
             std::to_string(primary.size()) + " vs " +
             std::to_string(replay.size()) + " key(s))");
     return;
@@ -196,7 +205,7 @@ void detsan_replay_fold(DetSan& ds, u32 node_id, u32 pid,
     racc = f(racc, in[order[i]]);
   }
   ds.note_replayed();
-  if (util::canon_hash_value(acc) == util::canon_hash_value(racc)) return;
+  if (canon_hash(acc) == canon_hash(racc)) return;
   ds.report_divergence(node_id, "reduce",
                        "partition fold over " + std::to_string(in.size()) +
                            " element(s): permuted fold order disagrees");
@@ -525,90 +534,8 @@ class PartitionNode final : public Node<U> {
 // before the reduce stage. The spill and read-back are priced as DFS I/O
 // plus codec CPU through the cost model.
 //
-// Only the element shapes the engine actually spills need a wire format:
-// arithmetic scalars, vectors of spillable elements, and pairs of
-// spillable halves. Shuffles over any other type keep the in-memory path
-// (`if constexpr (is_spillable_v<T>)` at the call sites).
-
-template <typename T>
-struct SpillFormat : std::bool_constant<std::is_arithmetic_v<T>> {};
-template <typename E>
-struct SpillFormat<std::vector<E>> : SpillFormat<E> {};
-template <typename A, typename B>
-struct SpillFormat<std::pair<A, B>>
-    : std::bool_constant<SpillFormat<A>::value && SpillFormat<B>::value> {};
-template <typename T>
-inline constexpr bool is_spillable_v = SpillFormat<T>::value;
-
-template <typename T>
-  requires std::is_arithmetic_v<T>
-void spill_put(std::vector<u8>& out, const T& v);
-template <typename E>
-void spill_put(std::vector<u8>& out, const std::vector<E>& v);
-template <typename A, typename B>
-void spill_put(std::vector<u8>& out, const std::pair<A, B>& v);
-
-template <typename T>
-  requires std::is_arithmetic_v<T>
-void spill_put(std::vector<u8>& out, const T& v) {
-  const u8* b = reinterpret_cast<const u8*>(&v);
-  out.insert(out.end(), b, b + sizeof(T));
-}
-
-template <typename E>
-void spill_put(std::vector<u8>& out, const std::vector<E>& v) {
-  spill_put(out, static_cast<u64>(v.size()));
-  if constexpr (std::is_arithmetic_v<E>) {
-    const u8* b = reinterpret_cast<const u8*>(v.data());
-    out.insert(out.end(), b, b + v.size() * sizeof(E));
-  } else {
-    for (const E& e : v) spill_put(out, e);
-  }
-}
-
-template <typename A, typename B>
-void spill_put(std::vector<u8>& out, const std::pair<A, B>& v) {
-  spill_put(out, v.first);
-  spill_put(out, v.second);
-}
-
-template <typename T>
-  requires std::is_arithmetic_v<T>
-void spill_get(std::span<const u8> in, size_t& pos, T& v);
-template <typename E>
-void spill_get(std::span<const u8> in, size_t& pos, std::vector<E>& v);
-template <typename A, typename B>
-void spill_get(std::span<const u8> in, size_t& pos, std::pair<A, B>& v);
-
-template <typename T>
-  requires std::is_arithmetic_v<T>
-void spill_get(std::span<const u8> in, size_t& pos, T& v) {
-  YAFIM_CHECK(pos + sizeof(T) <= in.size(), "spill: truncated block");
-  std::memcpy(&v, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-}
-
-template <typename E>
-void spill_get(std::span<const u8> in, size_t& pos, std::vector<E>& v) {
-  u64 n = 0;
-  spill_get(in, pos, n);
-  v.clear();
-  if constexpr (std::is_arithmetic_v<E>) {
-    YAFIM_CHECK(pos + n * sizeof(E) <= in.size(), "spill: truncated block");
-    v.resize(static_cast<size_t>(n));
-    std::memcpy(v.data(), in.data() + pos, n * sizeof(E));
-    pos += n * sizeof(E);
-  } else {
-    v.resize(static_cast<size_t>(n));
-    for (u64 i = 0; i < n; ++i) spill_get(in, pos, v[i]);
-  }
-}
-
-template <typename A, typename B>
-void spill_get(std::span<const u8> in, size_t& pos, std::pair<A, B>& v) {
-  spill_get(in, pos, v.first);
-  spill_get(in, pos, v.second);
-}
+// The blocks' wire format (spill_put/spill_get, is_spillable_v) lives in
+// engine/bytes_of.h next to byte_size(), which prices the same bytes.
 
 /// One spill block as encoded on a pool thread: the bytes to store
 /// (yz-compressed when the context compresses spills), their serialized

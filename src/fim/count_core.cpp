@@ -668,13 +668,13 @@ std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes) {
   return TransactionDB::deserialize(bytes).release();
 }
 
-ItemsetCountJob frequent_items_job(const std::string& name, u64 min_count,
-                                   u32 num_mappers, u32 num_reducers) {
-  auto job = counting_job<ItemsetCountJob>(
+ItemCountJob frequent_items_job(const std::string& name, u64 min_count,
+                                u32 num_mappers, u32 num_reducers) {
+  auto job = counting_job<ItemCountJob>(
       name, min_count, num_mappers, num_reducers,
-      [](const Itemset& key) { return key; });
-  job.map_fn = [](const Transaction& t, mr::Emitter<Itemset, u64>& emit) {
-    for (Item i : t) emit.emit(Itemset{i}, 1);
+      [](Singleton key) { return Itemset{key.item}; });
+  job.map_fn = [](const Transaction& t, mr::Emitter<Singleton, u64>& emit) {
+    for (Item i : t) emit.emit(Singleton{i}, 1);
   };
   return job;
 }

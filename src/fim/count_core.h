@@ -53,6 +53,10 @@ namespace yafim::fim {
 /// (itemset, support) -- the currency of every counting path.
 using CountPair = std::pair<Itemset, u64>;
 
+/// (item, support) -- Phase I's pair, on the wire exactly CountPair's for
+/// the 1-itemset (fim/itemset.h Singleton).
+using ItemCount = std::pair<Singleton, u64>;
+
 /// One pass's candidates: each non-empty level's rows, strictly ascending,
 /// its ids following the previous level's in one dense id space. The level
 /// views point into the batch, so it moves but never copies.
@@ -340,13 +344,15 @@ std::vector<Transaction> decode_transactions(const std::vector<u8>& bytes);
 
 using ItemsetCountJob =
     mr::JobSpec<Transaction, Itemset, u64, CountPair, ItemsetHash>;
+using ItemCountJob =
+    mr::JobSpec<Transaction, Singleton, u64, CountPair, SingletonHash>;
 using CandidateIdJob =
     mr::JobSpec<Transaction, u32, u64, CountPair, DenseIdHash>;
 
 /// Job 1 of the level-wise miners: (item, 1) per occurrence, summed
 /// map-side, reduced to the items with support >= min_count.
-ItemsetCountJob frequent_items_job(const std::string& name, u64 min_count,
-                                   u32 num_mappers, u32 num_reducers);
+ItemCountJob frequent_items_job(const std::string& name, u64 min_count,
+                                u32 num_mappers, u32 num_reducers);
 
 /// One job over every candidate of `trees`, which reach the mappers through
 /// the distributed cache: (candidate, 1) per hash-tree hit, summed

@@ -81,6 +81,10 @@ std::vector<u8> TransactionDB::serialize() const {
   return w.take();
 }
 
+u64 TransactionDB::serialized_size(std::span<const u8> bytes) {
+  return ByteReader(bytes).read_u64();
+}
+
 TransactionDB TransactionDB::deserialize(std::span<const u8> bytes) {
   ByteReader r(bytes);
   const u64 n = r.read_u64();

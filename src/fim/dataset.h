@@ -100,6 +100,9 @@ class TransactionDB {
   // --- binary serialization (SimFS payloads) ---------------------------
   std::vector<u8> serialize() const;
   static TransactionDB deserialize(std::span<const u8> bytes);
+  /// |D| of a serialize() payload, read from its header without decoding
+  /// the transactions.
+  static u64 serialized_size(std::span<const u8> bytes);
 
   // --- text interop (one transaction per line, items space-separated) --
 

@@ -71,7 +71,7 @@ std::vector<Itemset> to_itemsets(const ItemsetRows& rows) {
 size_t ItemsetHash::operator()(const Itemset& s) const {
   // FNV-style fold of each item through a strong 64-bit mixer; stable
   // across platforms and runs (required by the shuffle partitioner).
-  u64 h = 0xcbf29ce484222325ULL ^ s.size();
+  u64 h = kSeed ^ s.size();
   for (Item item : s) {
     h = mix64(h ^ item);
   }

@@ -9,9 +9,13 @@
 
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "engine/bytes_of.h"
+#include "util/canon_hash.h"
 #include "util/common.h"
+#include "util/rng.h"
 
 namespace yafim::fim {
 
@@ -35,7 +39,25 @@ std::string to_string(const Itemset& s);
 /// partitioner (must be stable across runs -- do NOT replace with
 /// std::hash, which libstdc++ does not guarantee stable for this purpose).
 struct ItemsetHash {
+  static constexpr u64 kSeed = 0xcbf29ce484222325ULL;
   size_t operator()(const Itemset& s) const;
+};
+
+/// A 1-itemset held by value: the key Phase I counts by, with no vector to
+/// allocate, hash or compare per item occurrence. On the wire it is
+/// Itemset{item}: the same partitioner hash (SingletonHash), byte_size,
+/// spill bytes and DetSan canon hash (the overloads at the end of this
+/// header), so keying a shuffle by it changes no simulated price.
+struct Singleton {
+  Item item = 0;
+  bool operator==(const Singleton&) const = default;
+};
+
+/// ItemsetHash{}(Itemset{s.item}), without the vector.
+struct SingletonHash {
+  size_t operator()(Singleton s) const noexcept {
+    return static_cast<size_t>(mix64((ItemsetHash::kSeed ^ 1) ^ s.item));
+  }
 };
 
 struct ItemsetEq {
@@ -95,4 +117,45 @@ ItemsetRows to_sorted_rows(const std::vector<Itemset>& sets);
 /// Every row materialized as an owning Itemset.
 std::vector<Itemset> to_itemsets(const ItemsetRows& rows);
 
+// ---- Singleton's wire format: Itemset{item}'s, byte for byte ------------
+// ADL finds these from the engine's templates (byte_size, spill_put and the
+// canon hash of a pair, and engine/rdd.h's canon_hash); the
+// using-declarations after the namespace let qualified engine::byte_size
+// and util::canon_hash_value calls after this header see them too.
+
+/// The u64 length prefix and the one item.
+inline u64 byte_size(Singleton) { return sizeof(u64) + sizeof(Item); }
+
+inline void spill_put(std::vector<u8>& out, Singleton s) {
+  engine::detail::spill_put(out, u64{1});
+  engine::detail::spill_put(out, s.item);
+}
+
+inline void spill_get(std::span<const u8> in, size_t& pos, Singleton& s) {
+  u64 n = 0;
+  engine::detail::spill_get(in, pos, n);
+  YAFIM_CHECK(n == 1, "spill: a 1-itemset key of length != 1");
+  engine::detail::spill_get(in, pos, s.item);
+}
+
+/// util::canon_hash_value(Itemset{s.item}), without the vector.
+inline u64 canon_hash_value(Singleton s) {
+  return mix64(mix64(util::detail::kCanonSeqSeed ^ 1) ^
+               util::canon_hash_value(s.item));
+}
+
 }  // namespace yafim::fim
+
+namespace yafim::engine {
+using fim::byte_size;
+namespace detail {
+template <>
+struct SpillFormat<fim::Singleton> : std::true_type {};
+}  // namespace detail
+}  // namespace yafim::engine
+
+namespace yafim::util {
+using fim::canon_hash_value;
+template <>
+struct CanonHashable<fim::Singleton> : std::true_type {};
+}  // namespace yafim::util

@@ -20,10 +20,17 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
   ctx.set_spill_fs(&fs);
   mr::JobRunner runner(ctx, fs);
 
-  // Driver-side setup knowledge: |D| for the absolute threshold. (In
-  // PApriori the driver knows the dataset size a priori; not charged.)
-  const std::vector<u8> raw = fs.read(input_path);
-  const u64 num_transactions = TransactionDB::deserialize(raw).size();
+  // Driver-side setup knowledge: |D| for the absolute threshold, from the
+  // payload's header. (In PApriori the driver knows the dataset size a
+  // priori; not charged.) The bytes are kept only to fingerprint a
+  // checkpoint.
+  u64 num_transactions = 0;
+  u64 input_hash = 0;
+  {
+    const std::vector<u8> raw = fs.read(input_path);
+    num_transactions = TransactionDB::serialized_size(raw);
+    if (options.checkpoint) input_hash = xxh64(raw.data(), raw.size());
+  }
   MiningRun run;
   if (num_transactions == 0) {
     run.itemsets = FrequentItemsets(1, 0);
@@ -43,7 +50,7 @@ MiningRun mr_apriori_mine(engine::Context& ctx, simfs::SimFS& fs,
     // same reason as yafim.cpp: they price the k >= 2 jobs differently, so
     // snapshots must not mix.
     fingerprint = checkpoint_fingerprint(
-        "mrapriori", xxh64(raw.data(), raw.size()), min_count,
+        "mrapriori", input_hash, min_count,
         (options.max_levels +
          (u64{static_cast<u32>(options.count_mode)} << 32) +
          (u64{static_cast<u32>(options.broadcast_mode)} << 36)) ^

@@ -37,8 +37,13 @@ PfpRun pfp_mine(engine::Context& ctx, simfs::SimFS& fs,
 
   // ---- Load -------------------------------------------------------------
   ctx.set_pass(0);
-  const std::vector<u8> raw = fs.read(input_path);
-  TransactionDB db = TransactionDB::deserialize(raw);
+  TransactionDB db;
+  u64 input_bytes = 0;  // all the mine keeps of the input's bytes
+  {
+    const std::vector<u8> raw = fs.read(input_path);
+    db = TransactionDB::deserialize(raw);
+    input_bytes = raw.size();
+  }
   const u64 num_transactions = db.size();
   const u64 min_count =
       num_transactions == 0 ? 1 : db.min_support_count(options.min_support);
@@ -50,7 +55,7 @@ PfpRun pfp_mine(engine::Context& ctx, simfs::SimFS& fs,
     load.label = "pfp:load+parse";
     load.kind = sim::StageKind::kSparkStage;
     load.pass = 0;
-    load.dfs_read_bytes = raw.size();
+    load.dfs_read_bytes = input_bytes;
     load.tasks = sim::split_work(
         num_transactions * (1 + ctx.cluster().record_parse_work), tasks);
     ctx.record(std::move(load));

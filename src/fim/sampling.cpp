@@ -97,8 +97,13 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
 
   // ---- Phase 0: load + stage the dataset (same shape as yafim_mine) ----
   ctx.set_pass(0);
-  const std::vector<u8> raw = fs.read(input_path);
-  TransactionDB db = TransactionDB::deserialize(raw);
+  TransactionDB db;
+  u64 input_bytes = 0;  // all the mine keeps of the input's bytes
+  {
+    const std::vector<u8> raw = fs.read(input_path);
+    db = TransactionDB::deserialize(raw);
+    input_bytes = raw.size();
+  }
   const u32 load_tasks =
       options.partitions ? options.partitions : ctx.default_partitions();
   sim::StageRecord load;
@@ -107,7 +112,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
   load.pass = ctx.pass();
   load.tasks = sim::split_work(
       db.size() * (1 + ctx.cluster().record_parse_work), load_tasks);
-  load.dfs_read_bytes = raw.size();
+  load.dfs_read_bytes = input_bytes;
   ctx.record(load);
 
   const u64 num_transactions = db.size();
@@ -152,7 +157,7 @@ SamplingRun sampling_mine(engine::Context& ctx, simfs::SimFS& fs,
           .named("transactions");
   if (options.cache_transactions) {
     transactions.persist();
-    ctx.memory_budget().note_cached(raw.size());
+    ctx.memory_budget().note_cached(input_bytes);
   }
 
   // ---- Pass 1: draw every sample and mine it locally, in one scan ------

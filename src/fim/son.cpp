@@ -14,7 +14,7 @@ SonRun son_mine(engine::Context& ctx, simfs::SimFS& fs,
   MiningRun& run = son.run;
 
   const u64 num_transactions =
-      TransactionDB::deserialize(fs.read(input_path)).size();
+      TransactionDB::serialized_size(fs.read(input_path));
   if (num_transactions == 0) {
     run.itemsets = FrequentItemsets(1, 0);
     return son;

@@ -1,6 +1,7 @@
 #include "fim/yafim.h"
 
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -30,8 +31,17 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   ctx.set_pass(0);
   std::optional<obs::Span> load_span;
   if (obs::enabled()) load_span.emplace("yafim", "yafim:load");
-  const std::vector<u8> raw = fs.read(input_path);
-  TransactionDB db = TransactionDB::deserialize(raw);
+  // Once parsed, the input is priced by its size and fingerprinted by its
+  // hash; the mine does not hold its bytes.
+  TransactionDB db;
+  u64 input_bytes = 0;
+  u64 input_hash = 0;
+  {
+    const std::vector<u8> raw = fs.read(input_path);
+    db = TransactionDB::deserialize(raw);
+    input_bytes = raw.size();
+    if (options.checkpoint) input_hash = xxh64(raw.data(), raw.size());
+  }
   const u32 load_tasks =
       options.partitions ? options.partitions : ctx.default_partitions();
   // Parsing records through the input format costs record_parse_work per
@@ -45,7 +55,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
   load.pass = ctx.pass();
   load.tasks = sim::split_work(
       db.size() * (1 + ctx.cluster().record_parse_work), load_tasks);
-  load.dfs_read_bytes = raw.size();
+  load.dfs_read_bytes = input_bytes;
   ctx.record(load);
 
   const u64 num_transactions = db.size();
@@ -66,7 +76,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     // incompatible per-pass timings together. The leading 1 is the one
     // level per pass single-pass snapshots have always carried.
     fingerprint = checkpoint_fingerprint(
-        "yafim", xxh64(raw.data(), raw.size()), min_count,
+        "yafim", input_hash, min_count,
         (1 + (u64{static_cast<u32>(options.count_mode)} << 32) +
          (u64{static_cast<u32>(options.broadcast_mode)} << 36)) ^
             pass_combining_fingerprint(options.combining));
@@ -99,7 +109,7 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     transactions.persist();
     // Admit the cached partitions into the memory ledger (serialized size
     // as the resident estimate) so broadcast_fits sees them as pressure.
-    ctx.memory_budget().note_cached(raw.size());
+    ctx.memory_budget().note_cached(input_bytes);
   }
   if (load_span) {
     load_span->arg("transactions", num_transactions);
@@ -128,28 +138,30 @@ MiningRun yafim_mine(engine::Context& ctx, simfs::SimFS& fs,
     ctx.set_pass(1);
     std::optional<obs::Span> pass1_span;
     if (obs::enabled()) pass1_span.emplace("yafim", "yafim:pass1");
-    level =
+    const std::vector<ItemCount> items =
         transactions
-            .flat_map([](const Transaction& t) { return t; })
+            .flat_map([](const Transaction& t) {
+              return std::span<const Item>(t);
+            })
             .named("phase1:items")
-            .map([](const Item& i) { return CountPair(Itemset{i}, 1); })
+            .map([](Item i) { return ItemCount(Singleton{i}, 1); })
             .reduce_by_key([](u64 a, u64 b) { return a + b; }, 0,
-                           ItemsetHash{}, "phase1:count")
+                           SingletonHash{}, "phase1:count")
             .named("phase1:counts")
-            .filter([min_count](const CountPair& kv) {
+            .filter([min_count](const ItemCount& kv) {
               return kv.second >= min_count;
             })
             .named("phase1:frequent")
             .collect("phase1:collect");
 
-    frequent.reserve(level.size());
-    for (const auto& [itemset, support] : level) {
-      run.itemsets.add(itemset, support);
-      frequent.push_back(itemset);
+    frequent.reserve(items.size());
+    for (const auto& [key, support] : items) {
+      run.itemsets.add(Itemset{key.item}, support);
+      frequent.push_back(Itemset{key.item});
     }
-    run.passes.push_back(PassStats{1, level.size(), level.size(), 0.0});
+    run.passes.push_back(PassStats{1, items.size(), items.size(), 0.0});
     if (pass1_span) {
-      pass1_span->arg("frequent", level.size());
+      pass1_span->arg("frequent", items.size());
       pass1_span->end();
     }
     maybe_checkpoint(1, frequent);

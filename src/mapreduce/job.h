@@ -137,9 +137,14 @@ class JobRunner {
                                     spec.name + ":distributed_cache");
     }
 
-    // Input: every job re-reads its input from the DFS.
-    const std::vector<u8> raw = fs_.read(input_path);
-    const std::vector<I> records = spec.decode_input(raw);
+    // Input: every job re-reads its input from the DFS. Once decoded, only
+    // its size is priced; the job does not hold its bytes.
+    u64 input_bytes = 0;
+    const std::vector<I> records = [&] {
+      const std::vector<u8> raw = fs_.read(input_path);
+      input_bytes = raw.size();
+      return spec.decode_input(raw);
+    }();
 
     // Map phase (with optional combiner), hash-partitioned spill. Both
     // phases funnel through Context::measure_tasks, the engine's fault
@@ -219,7 +224,7 @@ class JobRunner {
       map_stage.kind = sim::StageKind::kMapPhase;
       map_stage.pass = ctx_.pass();
       map_stage.tasks = std::move(tasks);
-      map_stage.dfs_read_bytes = raw.size();
+      map_stage.dfs_read_bytes = input_bytes;
       // Distributed-cache payloads are localized once per node.
       map_stage.broadcast_bytes = spec.distributed_cache_bytes * cluster.nodes;
       ctx_.record(std::move(map_stage));
@@ -265,7 +270,7 @@ class JobRunner {
     JobResult<O> result;
     result.map_tasks = map_tasks;
     result.reduce_tasks = reduce_tasks;
-    result.input_bytes = raw.size();
+    result.input_bytes = input_bytes;
     result.shuffle_bytes = shuffle_bytes.load();
     for (auto& part : reduce_out) {
       result.output.insert(result.output.end(),

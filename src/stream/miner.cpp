@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -217,13 +218,17 @@ class StreamingMiner {
 
     // Batch L1: every item's arrival count this window (no threshold -- an
     // infrequent item may become frequent later, so all counts are kept).
-    std::vector<CountPair> item_counts =
+    const std::vector<fim::ItemCount> item_counts =
         batch_rdd
-            .flat_map([](const Transaction& t) { return t; })
+            .flat_map([](const Transaction& t) {
+              return std::span<const fim::Item>(t);
+            })
             .named(label + ":items")
-            .map([](const fim::Item& i) { return CountPair(Itemset{i}, 1); })
+            .map([](fim::Item i) {
+              return fim::ItemCount(fim::Singleton{i}, 1);
+            })
             .reduce_by_key([](u64 a, u64 c) { return a + c; }, 0,
-                           fim::ItemsetHash{}, label + ":item-count")
+                           fim::SingletonHash{}, label + ":item-count")
             .named(label + ":item-counts")
             .collect(label + ":item-collect");
 
@@ -238,8 +243,8 @@ class StreamingMiner {
     // ---- merge ----
     maybe_kill(b, StreamPhase::kMerge);
     total_ += n;
-    for (auto& [itemset, support] : item_counts) {
-      supports_[itemset] += support;
+    for (const auto& [key, support] : item_counts) {
+      supports_[Itemset{key.item}] += support;
     }
     for (auto& [itemset, support] : tracked_counts) {
       supports_[itemset] += support;

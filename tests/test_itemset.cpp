@@ -1,8 +1,13 @@
 // Unit tests for itemset primitives and the FrequentItemsets result type.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "engine/bytes_of.h"
 #include "fim/itemset.h"
 #include "fim/result.h"
+#include "util/canon_hash.h"
 #include "util/rng.h"
 
 namespace yafim::fim {
@@ -65,6 +70,39 @@ TEST(ItemsetHash, StableAndSpread) {
   EXPECT_NE(h({}), h({0}));
   // Size-sensitivity: {0} vs {0,0} style degenerate collisions avoided.
   EXPECT_NE(h({0}), h({0, 0}));
+}
+
+/// Both ends of the item range and a seeded spread between them.
+std::vector<Item> wire_items() {
+  std::vector<Item> items{0, 1, 0xFFFFFFFFu};
+  Rng rng(28);
+  for (int i = 0; i < 256; ++i) items.push_back(static_cast<Item>(rng.next()));
+  return items;
+}
+
+static_assert(util::is_canon_hashable_v<std::pair<Singleton, u64>>);
+static_assert(engine::detail::is_spillable_v<std::pair<Singleton, u64>>);
+
+TEST(Singleton, PartitionsLikeItsOneItemItemset) {
+  for (const Item i : wire_items()) {
+    EXPECT_EQ(SingletonHash{}(Singleton{i}), ItemsetHash{}(Itemset{i})) << i;
+  }
+}
+
+TEST(Singleton, PricedAndCanonHashedLikeItsOneItemItemset) {
+  for (const Item i : wire_items()) {
+    const std::pair<Singleton, u64> key_pair(Singleton{i}, 41);
+    const std::pair<Itemset, u64> itemset_pair(Itemset{i}, 41);
+    EXPECT_EQ(engine::byte_size(Singleton{i}), 12u);
+    EXPECT_EQ(engine::byte_size(Singleton{i}), engine::byte_size(Itemset{i}));
+    EXPECT_EQ(engine::byte_size(key_pair), engine::byte_size(itemset_pair));
+    EXPECT_EQ(engine::byte_size(std::vector<Singleton>(3, Singleton{i})),
+              engine::byte_size(std::vector<Itemset>(3, Itemset{i})));
+    EXPECT_EQ(util::canon_hash_value(Singleton{i}),
+              util::canon_hash_value(Itemset{i}));
+    EXPECT_EQ(util::canon_hash_value(key_pair),
+              util::canon_hash_value(itemset_pair));
+  }
 }
 
 TEST(FrequentItemsets, AddAndLookup) {

@@ -3,11 +3,15 @@
 // recording.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <sstream>
 #include <string>
 
 #include "engine/broadcast.h"
 #include "engine/rdd.h"
+#include "fim/itemset.h"
+#include "simfs/simfs.h"
 #include "util/rng.h"
 
 namespace yafim::engine {
@@ -254,6 +258,94 @@ TEST(Rdd, ByteSizeCustomization) {
   EXPECT_EQ(byte_size(std::make_pair(1, std::string("x"))), 13u);
   const std::vector<std::string> nested{"a", "bb"};
   EXPECT_EQ(byte_size(nested), 8u + 9u + 10u);
+}
+
+// --- fim::Singleton on the wire: Itemset{item}'s bytes -------------------
+
+fim::Item item_of(fim::Singleton key) { return key.item; }
+fim::Item item_of(const fim::Itemset& key) { return key.at(0); }
+
+TEST(RddWire, SingletonSpillsAsItsOneItemItemset) {
+  std::vector<fim::Item> items{0, 1, 0xFFFFFFFFu};
+  Rng rng(28);
+  for (int i = 0; i < 256; ++i) {
+    items.push_back(static_cast<fim::Item>(rng.next()));
+  }
+  for (const fim::Item i : items) {
+    const std::pair<fim::Singleton, u64> key_pair(fim::Singleton{i}, 41);
+    std::vector<u8> key_bytes, itemset_bytes;
+    detail::spill_put(key_bytes, key_pair);
+    detail::spill_put(itemset_bytes,
+                      std::pair<fim::Itemset, u64>(fim::Itemset{i}, 41));
+    EXPECT_EQ(key_bytes, itemset_bytes) << i;
+    EXPECT_EQ(key_bytes.size(), byte_size(key_pair));
+
+    std::pair<fim::Singleton, u64> back;
+    size_t pos = 0;
+    detail::spill_get(std::span<const u8>(key_bytes), pos, back);
+    EXPECT_EQ(pos, key_bytes.size());
+    EXPECT_EQ(back, key_pair);
+  }
+}
+
+/// Count `items` keyed by `Key`, through reduce_by_key and through
+/// group_by_key, on a cluster whose 64 B shuffle buffer makes the grouping
+/// spill and with DetSan replaying every task; returns both outputs in
+/// collect order and everything priced.
+template <typename Key, typename Hash>
+std::string spilled_count(const std::vector<fim::Item>& items) {
+  Context::Options opts = small_cluster();
+  opts.fault = FaultProfile{};
+  opts.cluster.shuffle_buffer_bytes = 64;
+  opts.detsan.enabled = true;
+  opts.detsan.sample_rate = 1.0;
+  Context ctx(opts);
+  simfs::SimFS fs(ctx.cluster());
+  ctx.set_spill_fs(&fs);
+  const auto pairs = ctx.parallelize(items, 6).map(
+      [](fim::Item i) { return std::pair<Key, u64>(Key{i}, 1); });
+  std::ostringstream out;
+  for (const auto& [key, n] :
+       pairs.reduce_by_key([](u64 a, u64 b) { return a + b; }, 4, Hash{},
+                           "count")
+           .collect()) {
+    out << item_of(key) << ':' << n << ' ';
+  }
+  out << '\n';
+  for (const auto& [key, ones] : pairs.group_by_key(4, Hash{}, "group")
+                                     .collect()) {
+    out << item_of(key) << ':' << ones.size() << ' ';
+  }
+  out << '\n';
+  for (const sim::StageRecord& st : ctx.report().stages()) {
+    out << st.label << ' ' << static_cast<int>(st.kind) << ' '
+        << st.shuffle_bytes << ' ' << st.dfs_read_bytes << ' '
+        << st.dfs_write_bytes << " work";
+    for (const sim::TaskRecord& task : st.tasks) out << ' ' << task.work;
+    out << '\n';
+  }
+  const double total = ctx.report().total_seconds(ctx.cost_model());
+  u64 bits = 0;
+  std::memcpy(&bits, &total, sizeof(bits));
+  const MemoryBudget& ledger = ctx.memory_budget();
+  out << "total_seconds " << bits << " spill "
+      << ledger.spill_blocks_written() << ' ' << ledger.spill_bytes_raw()
+      << ' ' << ledger.spill_bytes_stored() << " detsan "
+      << ctx.detsan().tasks_replayed() << ' ' << ctx.detsan().divergences();
+  return out.str();
+}
+
+TEST(RddWire, SingletonKeyedShufflePricesAsItemsetKeyed) {
+  std::vector<fim::Item> items;
+  Rng rng(9);
+  for (int i = 0; i < 3000; ++i) {
+    items.push_back(static_cast<fim::Item>(rng.below(97)));
+  }
+  items.push_back(0xFFFFFFFFu);
+  const std::string by_value =
+      spilled_count<fim::Singleton, fim::SingletonHash>(items);
+  EXPECT_NE(by_value.find("group:spill "), std::string::npos) << by_value;
+  EXPECT_EQ(by_value, (spilled_count<fim::Itemset, fim::ItemsetHash>(items)));
 }
 
 /// Property sweep: reduce_by_key equals serial aggregation for many

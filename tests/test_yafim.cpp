@@ -3,6 +3,10 @@
 // modes, and the structure of the recorded simulated-cost stages.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
+#include "engine/rdd.h"
 #include "fim/apriori_seq.h"
 #include "fim/yafim.h"
 #include "util/rng.h"
@@ -176,6 +180,96 @@ TEST(Yafim, NaiveShipModeStillExactButSlower) {
     EXPECT_TRUE(run.itemsets.same_itemsets(seq.itemsets));
   }
   EXPECT_GT(naive_s, broadcast_s);
+}
+
+/// Load plus Phase I as perfbench's traced replay (perfbench/bench.cpp)
+/// builds them: yafim_mine's stages and labels, with every item occurrence
+/// keyed by a one-item Itemset.
+std::vector<std::pair<Itemset, u64>> itemset_keyed_phase_one(
+    engine::Context& ctx, simfs::SimFS& fs, const std::string& path,
+    double min_support) {
+  using CountPair = std::pair<Itemset, u64>;
+  ctx.set_spill_fs(&fs);
+  ctx.set_pass(0);
+  const std::vector<u8> raw = fs.read(path);
+  TransactionDB db = TransactionDB::deserialize(raw);
+  sim::StageRecord parse;
+  parse.label = "load:textFile+parse";
+  parse.kind = sim::StageKind::kSparkStage;
+  parse.pass = ctx.pass();
+  parse.tasks =
+      sim::split_work(db.size() * (1 + ctx.cluster().record_parse_work),
+                      ctx.default_partitions());
+  parse.dfs_read_bytes = raw.size();
+  ctx.record(std::move(parse));
+  const u64 min_count = db.min_support_count(min_support);
+  auto transactions = ctx.parallelize(db.release())
+                          .map([](const Transaction& t) { return t; })
+                          .named("transactions");
+  transactions.persist();
+  ctx.memory_budget().note_cached(raw.size());
+
+  ctx.set_pass(1);
+  return transactions.flat_map([](const Transaction& t) { return t; })
+      .named("phase1:items")
+      .map([](const Item& i) { return CountPair(Itemset{i}, 1); })
+      .reduce_by_key([](u64 a, u64 b) { return a + b; }, 0, ItemsetHash{},
+                     "phase1:count")
+      .named("phase1:counts")
+      .filter([min_count](const CountPair& kv) {
+        return kv.second >= min_count;
+      })
+      .named("phase1:frequent")
+      .collect("phase1:collect");
+}
+
+TEST(Yafim, PhaseOnePricesLikeTheItemsetKeyedReplay) {
+  // perfbench's traced replay fails its run unless this chain prices what
+  // yafim_mine prices; here the two must record the same stages.
+  const auto db = random_db(60, 500, 0.15, 29);
+  engine::Context::Options opts = small_cluster();
+  opts.fault = engine::FaultProfile{};
+  YafimOptions opt;
+  opt.min_support = 0.1;
+  opt.stop_after_pass = 1;
+
+  engine::Context mine_ctx(opts);
+  simfs::SimFS mine_fs(mine_ctx.cluster());
+  const auto run = yafim_mine(mine_ctx, mine_fs, db, opt);
+
+  engine::Context ctx(opts);
+  simfs::SimFS fs(ctx.cluster());
+  fs.write("hdfs://data/tx", db.serialize());
+  const auto items =
+      itemset_keyed_phase_one(ctx, fs, "hdfs://data/tx", opt.min_support);
+  ASSERT_GT(items.size(), 1u);
+  EXPECT_EQ(run.itemsets.level(1).size(), items.size());
+  for (const auto& [itemset, support] : items) {
+    EXPECT_EQ(run.itemsets.support_of(itemset), support);
+  }
+
+  const auto& mine = mine_ctx.report().stages();
+  const auto& replay = ctx.report().stages();
+  ASSERT_EQ(mine.size(), replay.size());
+  bool shuffled = false;
+  for (size_t i = 0; i < mine.size(); ++i) {
+    SCOPED_TRACE(replay[i].label);
+    EXPECT_EQ(mine[i].label, replay[i].label);
+    EXPECT_EQ(mine[i].kind, replay[i].kind);
+    EXPECT_EQ(mine[i].pass, replay[i].pass);
+    ASSERT_EQ(mine[i].tasks.size(), replay[i].tasks.size());
+    for (size_t t = 0; t < mine[i].tasks.size(); ++t) {
+      EXPECT_EQ(mine[i].tasks[t].work, replay[i].tasks[t].work);
+    }
+    EXPECT_EQ(mine[i].shuffle_bytes, replay[i].shuffle_bytes);
+    EXPECT_EQ(mine[i].dfs_read_bytes, replay[i].dfs_read_bytes);
+    shuffled |= mine[i].shuffle_bytes > 0;
+  }
+  EXPECT_TRUE(shuffled);
+  const double mine_s = mine_ctx.report().total_seconds(mine_ctx.cost_model());
+  const double replay_s = ctx.report().total_seconds(ctx.cost_model());
+  EXPECT_EQ(std::memcmp(&mine_s, &replay_s, sizeof(double)), 0)
+      << mine_s << " vs " << replay_s;
 }
 
 TEST(Yafim, MineFromExplicitDfsPath) {
