@@ -1,6 +1,7 @@
 // Unit tests for itemset primitives and the FrequentItemsets result type.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -102,6 +103,24 @@ TEST(Singleton, PricedAndCanonHashedLikeItsOneItemItemset) {
               util::canon_hash_value(Itemset{i}));
     EXPECT_EQ(util::canon_hash_value(key_pair),
               util::canon_hash_value(itemset_pair));
+  }
+}
+
+TEST(Singleton, SpillsAsItsOneItemItemset) {
+  for (const Item i : wire_items()) {
+    const std::pair<Singleton, u64> key_pair(Singleton{i}, 41);
+    std::vector<u8> key_bytes, itemset_bytes;
+    engine::detail::spill_put(key_bytes, key_pair);
+    engine::detail::spill_put(itemset_bytes,
+                              std::pair<Itemset, u64>(Itemset{i}, 41));
+    EXPECT_EQ(key_bytes, itemset_bytes) << i;
+    EXPECT_EQ(key_bytes.size(), engine::byte_size(key_pair));
+
+    std::pair<Singleton, u64> back;
+    size_t pos = 0;
+    engine::detail::spill_get(std::span<const u8>(key_bytes), pos, back);
+    EXPECT_EQ(pos, key_bytes.size());
+    EXPECT_EQ(back, key_pair);
   }
 }
 

@@ -265,29 +265,6 @@ TEST(Rdd, ByteSizeCustomization) {
 fim::Item item_of(fim::Singleton key) { return key.item; }
 fim::Item item_of(const fim::Itemset& key) { return key.at(0); }
 
-TEST(RddWire, SingletonSpillsAsItsOneItemItemset) {
-  std::vector<fim::Item> items{0, 1, 0xFFFFFFFFu};
-  Rng rng(28);
-  for (int i = 0; i < 256; ++i) {
-    items.push_back(static_cast<fim::Item>(rng.next()));
-  }
-  for (const fim::Item i : items) {
-    const std::pair<fim::Singleton, u64> key_pair(fim::Singleton{i}, 41);
-    std::vector<u8> key_bytes, itemset_bytes;
-    detail::spill_put(key_bytes, key_pair);
-    detail::spill_put(itemset_bytes,
-                      std::pair<fim::Itemset, u64>(fim::Itemset{i}, 41));
-    EXPECT_EQ(key_bytes, itemset_bytes) << i;
-    EXPECT_EQ(key_bytes.size(), byte_size(key_pair));
-
-    std::pair<fim::Singleton, u64> back;
-    size_t pos = 0;
-    detail::spill_get(std::span<const u8>(key_bytes), pos, back);
-    EXPECT_EQ(pos, key_bytes.size());
-    EXPECT_EQ(back, key_pair);
-  }
-}
-
 /// Count `items` keyed by `Key`, through reduce_by_key and through
 /// group_by_key, on a cluster whose 64 B shuffle buffer makes the grouping
 /// spill and with DetSan replaying every task; returns both outputs in
