@@ -9,11 +9,17 @@
 //      substrates: YAFIM cluster passes and MRApriori jobs.
 //   5. Phase I's count key: one-item Itemsets vs fim::Singleton, priced
 //      alike, timed on the host.
+//   6. Candidate generation: the join alone vs the shipped rule (prefix-class
+//      bitsets when they price less), priced and timed on the host.
 #include <algorithm>
+#include <limits>
 #include <tuple>
 
 #include "common.h"
 #include "engine/rdd.h"
+#include "engine/work.h"
+#include "fim/candidate_gen.h"
+#include "fim/eclat.h"
 #include "fim/sampling.h"
 #include "stream/miner.h"
 #include "util/stopwatch.h"
@@ -168,6 +174,56 @@ PhaseOneResult phase_one_once(simfs::SimFS& fs, const std::string& path,
   return res;
 }
 
+/// Candidate generation over every level of one exact mine, k = 2 up to
+/// one past the largest frequent itemset: the join alone (x = 0) or
+/// apriori_gen_rows' rule (x = 1). Summed work units and candidates, and
+/// the fastest of 3 rounds of summed host seconds. Checks, per pass, that
+/// both emit the same rows and that the rule prices no more than the join.
+struct ApGenResult {
+  u64 units[2] = {0, 0};
+  double host_s[2] = {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::infinity()};
+  u64 candidates = 0;
+};
+
+ApGenResult ap_gen_both(const fim::TransactionDB& db, double min_support) {
+  const fim::MiningRun run = fim::eclat_mine(db, min_support);
+  std::vector<fim::ItemsetRows> levels;  // levels[j] holds L(j+1)
+  for (u32 k = 1; k <= run.itemsets.max_k(); ++k) {
+    std::vector<fim::Itemset> sets;
+    for (const auto& [itemset, support] : run.itemsets.level(k)) {
+      sets.push_back(itemset);
+    }
+    levels.push_back(fim::to_sorted_rows(sets));
+  }
+  ApGenResult res;
+  for (int round = 0; round < 3; ++round) {
+    double host[2] = {0.0, 0.0};
+    for (size_t j = 0; j < levels.size(); ++j) {
+      const u32 k = static_cast<u32>(j) + 2;
+      Stopwatch join_clock;
+      const fim::detail::Generated join =
+          fim::detail::join_candidates(levels[j], k);
+      host[0] += join_clock.seconds();
+      engine::work::Scope scope;
+      Stopwatch rule_clock;
+      const fim::ItemsetRows rows = fim::apriori_gen_rows(levels[j], k);
+      host[1] += rule_clock.seconds();
+      YAFIM_CHECK(rows.items == join.rows.items,
+                  "the join and the shipped rule emit different candidates");
+      YAFIM_CHECK(scope.measured() <= join.units,
+                  "the shipped rule priced a pass above the join");
+      if (round == 0) {
+        res.units[0] += join.units;
+        res.units[1] += scope.measured();
+        res.candidates += rows.size();
+      }
+    }
+    for (int x = 0; x < 2; ++x) res.host_s[x] = std::min(res.host_s[x], host[x]);
+  }
+  return res;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -309,6 +365,36 @@ int main(int argc, char** argv) {
                 best[0].host_s / best[1].host_s);
   }
   print_table(phase1_table, args);
+
+  std::printf("\n-- Candidate generation: the join alone vs the shipped rule "
+              "(prefix-class bitsets when they price less), every pass of "
+              "one mine, fastest of 3 --\n");
+  Table apgen_table({"dataset", "Sup", "generator", "units", "sim(s)",
+                     "host(s)", "candidates"});
+  const sim::CostModel driver_model(sim::ClusterConfig::paper());
+  // MushRoom at its paper support; T10I4D100K at 0.1%, where pass 3's C3
+  // makes candidate generation a sizeable driver stage.
+  for (const auto& [bench, min_support] :
+       {std::pair{&benches[0], benches[0].paper_min_support},
+        std::pair{&benches[1], 0.001}}) {
+    const ApGenResult res = ap_gen_both(bench->db, min_support);
+    for (int x = 0; x < 2; ++x) {
+      const double sim_s = driver_model.compute_seconds(res.units[x]);
+      apgen_table.add_row({bench->name, Table::num(min_support * 100, 2) + "%",
+                           x == 0 ? "join" : "rule", Table::num(res.units[x]),
+                           Table::num(sim_s, 4), Table::num(res.host_s[x], 4),
+                           Table::num(res.candidates)});
+      // perf_gate.py: x=1 sim <= x=0 and the baseline; T10's host ratio.
+      json.add("apgen_sim_s:" + bench->name, x, sim_s);
+      json.add("apgen_host_s:" + bench->name, x, res.host_s[x]);
+    }
+    std::printf("  %s: units join/rule %.2fx, host join/rule %.2fx\n",
+                bench->name.c_str(),
+                static_cast<double>(res.units[0]) /
+                    static_cast<double>(res.units[1]),
+                res.host_s[0] / res.host_s[1]);
+  }
+  print_table(apgen_table, args);
 
   std::printf("\n-- Determinism sanitizer (engine/detsan.h): replay "
               "overhead at the default sample rate vs off --\n");

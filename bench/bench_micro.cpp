@@ -137,12 +137,47 @@ void BM_BitmapAndPopcount(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapAndPopcount)->Arg(100)->Arg(1000)->Arg(10000);
 
+/// A T10-shaped L2 over `items` items: every pair of 300 overlapping
+/// patterns of 3-9 items (half drawn from the 100 most popular ids) plus
+/// 4000 random pairs, so prefix classes range from empty to ~100 rows.
+std::vector<Itemset> t10_shaped_l2(u32 items) {
+  Rng rng(11);
+  std::set<Itemset> pairs;
+  for (int p = 0; p < 300; ++p) {
+    std::vector<Item> pattern;
+    const u32 len = 3 + static_cast<u32>(rng.below(7));
+    while (pattern.size() < len) {
+      const Item item =
+          static_cast<Item>(rng.below(rng.bernoulli(0.5) ? 100 : items));
+      if (std::find(pattern.begin(), pattern.end(), item) == pattern.end()) {
+        pattern.push_back(item);
+      }
+    }
+    std::sort(pattern.begin(), pattern.end());
+    for (u32 a = 0; a < len; ++a) {
+      for (u32 b = a + 1; b < len; ++b) pairs.insert({pattern[a], pattern[b]});
+    }
+  }
+  for (int r = 0; r < 4000; ++r) {
+    const Item a = static_cast<Item>(rng.below(items));
+    const Item b = static_cast<Item>(rng.below(items));
+    if (a != b) pairs.insert({std::min(a, b), std::max(a, b)});
+  }
+  return {pairs.begin(), pairs.end()};
+}
+
 void BM_AprioriGen(benchmark::State& state) {
-  // L2 over a clique of items: quadratic join with heavy pruning.
+  // shape 0: L2 over a clique of items, one prefix class per item and
+  // every triple a candidate. shape 1: the T10-shaped L2 above, uneven
+  // classes and heavy pruning.
   std::vector<Itemset> l2;
   const u32 items = static_cast<u32>(state.range(0));
-  for (u32 a = 0; a < items; ++a) {
-    for (u32 b = a + 1; b < items; ++b) l2.push_back({a, b});
+  if (state.range(1) == 0) {
+    for (u32 a = 0; a < items; ++a) {
+      for (u32 b = a + 1; b < items; ++b) l2.push_back({a, b});
+    }
+  } else {
+    l2 = t10_shaped_l2(items);
   }
   for (auto _ : state) {
     auto c3 = fim::apriori_gen(l2, 3);
@@ -150,7 +185,12 @@ void BM_AprioriGen(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * l2.size());
 }
-BENCHMARK(BM_AprioriGen)->Arg(16)->Arg(48)->Arg(96);
+BENCHMARK(BM_AprioriGen)
+    ->ArgNames({"items", "shape"})
+    ->Args({16, 0})
+    ->Args({48, 0})
+    ->Args({96, 0})
+    ->Args({870, 1});
 
 void BM_ContainsAll(benchmark::State& state) {
   Rng rng(3);

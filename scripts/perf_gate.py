@@ -5,7 +5,7 @@ Compares a fresh BENCH_countmode.json (bench_ablation --json output) against
 the checked-in baseline (bench/baselines/BENCH_countmode_baseline.json,
 generated at the same --scale as the CI run) and fails on regression.
 
-Six checks, tuned to what each quantity can promise:
+Eight checks, tuned to what each quantity can promise:
 
 1. intra-run sim:   the dense counting mode (candidate_id x=1, which picks
                     its kernel per task) must price its pass>=2 counting
@@ -56,6 +56,14 @@ Six checks, tuned to what each quantity can promise:
                     in 'phase1_host_s:<dataset>' must stay above the
                     baseline's times (1 - band). MushRoom's Phase I runs
                     in about a millisecond at CI scale, too short to time.
+8. ap_gen:          candidate generation over every pass of one mine, the
+                    join alone (x=0) and the shipped rule (x=1), in
+                    'apgen_sim_s:<dataset>': the rule must price no more
+                    than the join (deterministic, rel tol 1e-9) and no
+                    more than the baseline's rule (--sim-tol). For the
+                    datasets in APGEN_HOST_GATED the host ratio x0/x1 in
+                    'apgen_host_s:<dataset>' must stay above the
+                    baseline's times (1 - band).
 
 Usage:
   perf_gate.py CURRENT.json BASELINE.json [--sim-tol 1.02] [--ratio-band 0.5]
@@ -68,6 +76,8 @@ import sys
 MODES = {1: "candidate_id"}
 PHASE1_HOST_GATED = ("T10I4D100K",)
 PHASE1_SIM_REL_TOL = 1e-9
+APGEN_HOST_GATED = ("T10I4D100K",)
+APGEN_SIM_REL_TOL = 1e-9
 
 
 def fail(message):
@@ -328,6 +338,46 @@ def main():
         floor = base_ratio * (1.0 - args.ratio_band)
         check(cur_ratio >= floor,
               f"{dataset} phase I: host Itemset/by-value {cur_ratio:.2f}x vs "
+              f"baseline {base_ratio:.2f}x (floor {floor:.2f}x)")
+
+    # 8. Candidate generation: the rule never prices above the join or the
+    # baseline, and the host gain holds.
+    cur_agsim = series_by_dataset(current, "apgen_sim_s", args.current)
+    cur_aghost = series_by_dataset(current, "apgen_host_s", args.current)
+    base_agsim = series_by_dataset(baseline, "apgen_sim_s", args.baseline)
+    base_aghost = series_by_dataset(baseline, "apgen_host_s", args.baseline)
+    if base_agsim and not cur_agsim:
+        fail(f"{args.current}: baseline has 'apgen_sim_s:*' series but the "
+             "current run does not (bench_ablation too old?)")
+    for dataset in sorted(cur_agsim):
+        sim = cur_agsim[dataset]
+        if 0 not in sim or 1 not in sim:
+            fail(f"{args.current}: series 'apgen_sim_s:{dataset}' needs "
+                 "both x=0 (join) and x=1 (shipped rule) points")
+        check(sim[1] <= sim[0] * (1.0 + APGEN_SIM_REL_TOL),
+              f"{dataset} ap_gen: rule sim {sim[1]:.6f}s vs join "
+              f"{sim[0]:.6f}s (must not be dearer)")
+        bsim = base_agsim.get(dataset, {})
+        if 1 not in bsim:
+            print(f"note {dataset} ap_gen: not in baseline, intra-run "
+                  "check only")
+            continue
+        check(sim[1] <= bsim[1] * args.sim_tol,
+              f"{dataset} ap_gen: rule sim {sim[1]:.6f}s vs baseline "
+              f"{bsim[1]:.6f}s (tol x{args.sim_tol})")
+        if dataset not in APGEN_HOST_GATED:
+            continue
+        host = cur_aghost.get(dataset, {})
+        bhost = base_aghost.get(dataset, {})
+        if not (0 in host and 1 in host and host[1] > 0 and 0 in bhost
+                and 1 in bhost and bhost[1] > 0):
+            fail(f"{args.current}: series 'apgen_host_s:{dataset}' needs "
+                 "positive x=0 and x=1 points here and in the baseline")
+        cur_ratio = host[0] / host[1]
+        base_ratio = bhost[0] / bhost[1]
+        floor = base_ratio * (1.0 - args.ratio_band)
+        check(cur_ratio >= floor,
+              f"{dataset} ap_gen: host join/rule {cur_ratio:.2f}x vs "
               f"baseline {base_ratio:.2f}x (floor {floor:.2f}x)")
 
     if failures:

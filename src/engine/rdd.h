@@ -9,7 +9,8 @@
 //   (map_partitions, the seeded samples, zip_with_index).
 // * Wide operations (reduce_by_key, group_by_key, sum_arrays) are stage
 //   boundaries: they execute a map stage, partition its output (accounting
-//   shuffle bytes), and run a reduce stage.
+//   shuffle bytes), and run a reduce stage. group_by_key and sum_arrays
+//   spill their map output under memory pressure; reduce_by_key does not.
 // * persist() caches computed partitions in (simulated) executor memory;
 //   a partition lost to fault injection -- or LRU-evicted under a finite
 //   executor memory budget -- is transparently recomputed from lineage
@@ -525,9 +526,12 @@ class PartitionNode final : public Node<U> {
 
 // --- shuffle spill (memory-pressure degradation) -----------------------
 //
-// When a shuffle stage's map-side buffers exceed the per-node budget
-// (ClusterConfig::shuffle_buffer_bytes, via Context::should_spill), the
-// stage spills its blocks to the context's spill filesystem: each map
+// group_by_key and sum_arrays (and the MapReduce map output, through
+// mapreduce/job.h) spill; reduce_by_key keeps its combined pairs in memory
+// at any buffer size. When such a shuffle's map-side buffers exceed the
+// per-node budget (ClusterConfig::shuffle_buffer_bytes, via
+// Context::should_spill), the stage spills its blocks to the context's
+// spill filesystem: each map
 // task's output is genuinely serialized, optionally compressed with the
 // util/bytes yz codec, written to checksummed simfs (so corruption
 // injection covers spilled data like any other block), and read back

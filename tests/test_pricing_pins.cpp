@@ -133,10 +133,10 @@ YafimOptions yafim_options(CountMode mode, BroadcastMode bmode) {
 
 TEST(PricingPins, Yafim) {
   const u64 pins[] = {
-      0x436c42d407ac34c7, 0xaff72e0d0d477d3,
-      0x8387ab2ca5cef69a, 0xa80536d61b157e2c,
-      0x2e6282aa354c90d3, 0x7f36032acc74a938,
-      0xf9223c2c09ec040f, 0x29e21ad1a0768bc4};
+      0x3641af49acba0cbc, 0xa83cea3c10afc32c,
+      0xc9acb8a4b1186b1a, 0x57823a562f80872c,
+      0x3a43983fd3265103, 0xfff018266ace4bb1,
+      0x638a2b7b21ce4c40, 0x85a9175b30a2c007};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -164,8 +164,8 @@ std::vector<std::pair<std::string, PassCombining>> combined_strategies() {
 }
 
 TEST(PricingPins, YafimCombinedPasses) {
-  const u64 pins[] = {0x961a2367f1ba0fab, 0x8e5c041efc4ff0a,
-                      0xbea4f208db42129d, 0x4645e2573111d518};
+  const u64 pins[] = {0x40d032a0f74f0ff6, 0x8855a11a5a150a3e,
+                      0x568be8f6478c3ab7, 0x91a8e9927cfc8120};
   size_t i = 0;
   for (const auto& [name, combining] : combined_strategies()) {
     for (CountMode mode : kAllModes) {
@@ -187,8 +187,8 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
     u64 pin;
   };
   const Case cases[] = {
-      {CountMode::kItemsetKey, 24 << 10, 0x52807235746da437},
-      {CountMode::kCandidateId, 8 << 10, 0x7c7b816b20c7c716}};
+      {CountMode::kItemsetKey, 24 << 10, 0xad76d358415bf62d},
+      {CountMode::kCandidateId, 8 << 10, 0xef925dde41eb8028}};
   for (const Case& c : cases) {
     engine::Context::Options copts = pinned_cluster();
     copts.cluster.executor_memory_bytes = c.executor_memory;
@@ -229,7 +229,7 @@ TEST(PricingPins, YafimUnderDetSan) {
   ASSERT_GT(ctx.detsan().tasks_replayed(), 0u);
   EXPECT_EQ(ctx.detsan().divergences(), 0u);
   expect_pin("yafim detsan", passes(run) + priced(ctx) + detsan_and_spill(ctx),
-             0x89c5454a4c7ef048);
+             0x7ac76c7a6f2b4dc2);
 }
 
 TEST(PricingPins, YafimCheckpointResume) {
@@ -245,7 +245,7 @@ TEST(PricingPins, YafimCheckpointResume) {
              0x8898114fdd2e7211);
   opt.stop_after_pass = 0;
   expect_pin("yafim resumed after pass 2", mine_yafim(opt, copts),
-             0x6c53830a06b79d04);
+             0x800814bfe4e18d36);
 }
 
 std::string mine_sampling(const SamplingOptions& opt) {
@@ -272,8 +272,8 @@ SamplingOptions sampling_options(SplitStrategy strategy, CountMode mode) {
 }
 
 TEST(PricingPins, Sampling) {
-  const u64 pins[] = {0x8415b3c5152862f1, 0x47d4f1152da25441,
-                      0x263979e5df46d8db, 0x444740c5eecb9c1e};
+  const u64 pins[] = {0x9362f3fb01f724f8, 0xb23e843356f0c1c1,
+                      0xf7fa58ed8027ab9a, 0x8eed56a9eddd2c6};
   size_t i = 0;
   for (SplitStrategy strategy :
        {SplitStrategy::kBernoulliSamples, SplitStrategy::kDisjointSplits}) {
@@ -289,12 +289,12 @@ TEST(PricingPins, Sampling) {
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   partitioned.broadcast_mode = BroadcastMode::kPartitioned;
   expect_pin("sampling partitioned", mine_sampling(partitioned),
-             0x8321e14d4b21d3c0);
+             0x26cc357e67431322);
   SamplingOptions uncached = sampling_options(
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   uncached.cache_transactions = false;
   expect_pin("sampling uncached", mine_sampling(uncached),
-             0xed17b21a3bb200e5);
+             0x3bd7e8173617d7e7);
 }
 
 std::string mine_stream(CountMode mode, BroadcastMode bmode,
@@ -361,8 +361,8 @@ MrAprioriOptions mr_options(CountMode mode, BroadcastMode bmode) {
 
 TEST(PricingPins, MrApriori) {
   const u64 pins[] = {
-      0xc562fa6193017913, 0xef3aa1c12660eeb3,
-      0x66fb543c41d76984, 0x9605989fe0827ab6};
+      0x2d54c462ccea9d8, 0x8df1b13b5ae9a7e,
+      0x93af0b62ce834738, 0x4401a14543f57635};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -378,7 +378,7 @@ TEST(PricingPins, MrApriori) {
   expect_pin("mrapriori tight budget",
              mine_mr(mr_options(CountMode::kCandidateId, BroadcastMode::kAuto),
                      copts),
-             0x82a01e2a24363236);
+             0xeb3b6908bc73a2d6);
 }
 
 TEST(PricingPins, MrAprioriSpillsUnderA256ByteShuffleBuffer) {
@@ -398,12 +398,12 @@ TEST(PricingPins, MrAprioriSpillsUnderA256ByteShuffleBuffer) {
   EXPECT_TRUE(job1_spilled);
   expect_pin("mrapriori 256 B shuffle buffer",
              passes(run) + priced(ctx) + detsan_and_spill(ctx),
-             0xc0046950ab563411);
+             0x474a1ea70ec4cc22);
 }
 
 TEST(PricingPins, MrAprioriCombining) {
-  const u64 pins[] = {0xca26a5316c6d7cfb, 0x226567f884bd8951,
-                      0x8cde99f7bd7185e8, 0xa1388d1806b0726d};
+  const u64 pins[] = {0xcc5802c8e1e26d21, 0x82a02fe4d96cfc7c,
+                      0xcea705a81686b98b, 0x97f13e0e26f0a05d};
   size_t i = 0;
   for (const auto& [name, combining] : combined_strategies()) {
     for (CountMode mode : kAllModes) {
@@ -419,7 +419,7 @@ TEST(PricingPins, MrAprioriCombining) {
       mr_options(CountMode::kCandidateId, BroadcastMode::kPartitioned);
   partitioned.combining = combined_strategies()[1].second;
   expect_pin("mrapriori dpc partitioned", mine_mr(partitioned),
-             0x26ad094ef6ecd3ec);
+             0xcdca31b7a705757b);
 }
 
 TEST(PricingPins, Son) {
@@ -432,7 +432,7 @@ TEST(PricingPins, Son) {
   out << "union " << son.candidate_union << " false "
       << son.false_candidates << '\n';
   expect_pin("son", out.str() + passes(son.run) + priced(ctx),
-             0x63c2fbeb46fe2af7);
+             0x281d756b52927dab);
 }
 
 }  // namespace

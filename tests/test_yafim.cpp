@@ -6,8 +6,12 @@
 #include <cstring>
 #include <utility>
 
+#include "datagen/benchmarks.h"
 #include "engine/rdd.h"
+#include "engine/work.h"
 #include "fim/apriori_seq.h"
+#include "fim/candidate_gen.h"
+#include "fim/hash_tree.h"
 #include "fim/yafim.h"
 #include "util/rng.h"
 
@@ -270,6 +274,49 @@ TEST(Yafim, PhaseOnePricesLikeTheItemsetKeyedReplay) {
   const double replay_s = ctx.report().total_seconds(ctx.cost_model());
   EXPECT_EQ(std::memcmp(&mine_s, &replay_s, sizeof(double)), 0)
       << mine_s << " vs " << replay_s;
+}
+
+TEST(Yafim, ApGenPricesLikeTheReplay) {
+  // perfbench's traced replay prices each pass's driver stage as the
+  // apriori_gen(std::vector<Itemset>) adapter plus a HashTree build in one
+  // work::Scope, and fails its run unless it prices what yafim_mine
+  // prices. A T10-shaped database keeps the prefix-class path on every
+  // pass from k = 3 on; Chess at 80% keeps the join at k = 11 and 12.
+  u32 classed = 0;
+  u32 joined = 0;
+  for (const auto& [db, min_support] :
+       {std::pair{datagen::make_t10i4d100k(0.05).db, 0.002},
+        std::pair{datagen::make_chess().db, 0.8}}) {
+    engine::Context::Options opts = small_cluster();
+    opts.fault = engine::FaultProfile{};
+    engine::Context ctx(opts);
+    simfs::SimFS fs(ctx.cluster());
+    YafimOptions opt;
+    opt.min_support = min_support;
+    const MiningRun run = yafim_mine(ctx, fs, db, opt);
+    u32 gen_stages = 0;
+    for (const sim::StageRecord& stage : ctx.report().stages()) {
+      if (!stage.label.ends_with(":ap_gen+buildHashTree")) continue;
+      ++gen_stages;
+      const u32 k = stage.pass;
+      std::vector<Itemset> frequent;
+      for (const auto& [itemset, support] : run.itemsets.level(k - 1)) {
+        frequent.push_back(itemset);
+      }
+      engine::work::Scope replay;
+      const HashTree tree(apriori_gen(frequent, k), opt.branching,
+                          opt.leaf_capacity);
+      EXPECT_EQ(stage.driver_work, replay.measured()) << "k=" << k;
+      if (k >= 3) {
+        const u64 join =
+            detail::join_candidates(to_sorted_rows(frequent), k).units;
+        (stage.driver_work < join ? classed : joined) += 1;
+      }
+    }
+    EXPECT_GE(gen_stages, 5u);
+  }
+  EXPECT_GT(classed, 0u);
+  EXPECT_GT(joined, 0u);
 }
 
 TEST(Yafim, MineFromExplicitDfsPath) {
