@@ -148,76 +148,9 @@ detail::Generated join(const ItemsetRows& prev, u32 k,
   return gen;
 }
 
-/// The distinct last items of sorted rows, ascending, and each one's rank
-/// among them: by a presence bitmap over the items' value range when that
-/// takes fewer words than there are rows, else by binary search.
-class LastItems {
- public:
-  explicit LastItems(const ItemsetRows& rows) {
-    const size_t n = rows.size();
-    const u32 p = rows.width - 1;
-    if (n == 0) return;
-    Item hi = 0;
-    lo_ = ~Item{0};
-    for (size_t r = 0; r < n; ++r) {
-      lo_ = std::min(lo_, rows.row(r)[p]);
-      hi = std::max(hi, rows.row(r)[p]);
-    }
-    if ((hi - lo_) / 64 < n) {
-      present_.resize((hi - lo_) / 64 + 1);
-      for (size_t r = 0; r < n; ++r) {
-        const u32 d = rows.row(r)[p] - lo_;
-        present_[d / 64] |= u64{1} << (d % 64);
-      }
-      below_.resize(present_.size());
-      u32 count = 0;
-      for (size_t i = 0; i < present_.size(); ++i) {
-        below_[i] = count;
-        count += std::popcount(present_[i]);
-      }
-      items_.reserve(count);
-      for (size_t i = 0; i < present_.size(); ++i) {
-        for (u64 bits = present_[i]; bits != 0; bits &= bits - 1) {
-          items_.push_back(lo_ + static_cast<Item>(i * 64) +
-                           std::countr_zero(bits));
-        }
-      }
-    } else {
-      items_.resize(n);
-      for (size_t r = 0; r < n; ++r) items_[r] = rows.row(r)[p];
-      std::sort(items_.begin(), items_.end());
-      items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
-    }
-  }
-
-  size_t size() const { return items_.size(); }
-  Item item(size_t rank) const { return items_[rank]; }
-
-  /// The rank of `item`, or kNone when no row ends in it.
-  u32 rank(Item item) const {
-    if (present_.empty()) {
-      const auto it = std::lower_bound(items_.begin(), items_.end(), item);
-      return it != items_.end() && *it == item
-                 ? static_cast<u32>(it - items_.begin())
-                 : kNone;
-    }
-    if (item < lo_ || (item - lo_) / 64 >= present_.size()) return kNone;
-    const u32 d = item - lo_;
-    const u64 word = present_[d / 64];
-    if (((word >> (d % 64)) & 1) == 0) return kNone;
-    return below_[d / 64] +
-           std::popcount(word & ((u64{1} << (d % 64)) - 1));
-  }
-
- private:
-  std::vector<Item> items_;
-  Item lo_ = 0;
-  std::vector<u64> present_;  ///< bit d: lo_ + d ends a row; empty: search
-  std::vector<u32> below_;    ///< set bits of present_ before each word
-};
-
-/// The prefix-class path (k >= 3), or nothing when its class bitsets would
-/// take more than two words per row of `prev`.
+/// The prefix-class path (k >= 3), or nothing when prev's last items span
+/// 64 values per row or more, or its class bitsets would take more than two
+/// words per row of `prev`.
 std::optional<detail::Generated> prefix_classes(const ItemsetRows& prev,
                                                 u32 k,
                                                 std::span<const u32> start) {
@@ -225,12 +158,38 @@ std::optional<detail::Generated> prefix_classes(const ItemsetRows& prev,
   const u32 w = k - 1;
   const u32 p = k - 2;  // prefix length
   const size_t num_classes = start.size() - 1;
+  // An item's rank is its index among prev's distinct last items, ascending:
+  // read off a presence bitmap over their values [lo, hi], under a word per
+  // row.
+  Item lo = n > 0 ? prev.row(0)[p] : 0;
+  Item hi = lo;
+  for (size_t r = 1; r < n; ++r) {
+    lo = std::min(lo, prev.row(r)[p]);
+    hi = std::max(hi, prev.row(r)[p]);
+  }
+  if (n > 0 && (hi - lo) / 64 >= n) return std::nullopt;
+  std::vector<u64> present((hi - lo) / 64 + 1);
+  for (size_t r = 0; r < n; ++r) {
+    const u32 d = prev.row(r)[p] - lo;
+    present[d / 64] |= u64{1} << (d % 64);
+  }
+  std::vector<u32> below(present.size());  // ranks before each word
+  std::vector<Item> last;                  // by rank
+  for (size_t i = 0; i < present.size(); ++i) {
+    below[i] = static_cast<u32>(last.size());
+    for (u64 bits = present[i]; bits != 0; bits &= bits - 1) {
+      last.push_back(lo + static_cast<Item>(i * 64) + std::countr_zero(bits));
+    }
+  }
+  std::vector<u32> rank(n);
+  for (size_t r = 0; r < n; ++r) {
+    const u32 d = prev.row(r)[p] - lo;
+    rank[r] = below[d / 64] +
+              std::popcount(present[d / 64] & ((u64{1} << (d % 64)) - 1));
+  }
   // Class g's members are its rows' last items, ascending. Its bitset over
   // their ranks keeps the words from its smallest member's to its largest
   // member's; word i is bits[base[g] + i] (unsigned wrap-around).
-  const LastItems last(prev);
-  std::vector<u32> rank(n);
-  for (size_t r = 0; r < n; ++r) rank[r] = last.rank(prev.row(r)[p]);
   std::vector<u32> first_word(num_classes);
   std::vector<u32> last_word(num_classes);
   std::vector<size_t> base(num_classes);
@@ -248,19 +207,8 @@ std::optional<detail::Generated> prefix_classes(const ItemsetRows& prev,
       bits[base[g] + rank[r] / 64] |= u64{1} << (rank[r] % 64);
     }
   }
-  // The class with prefix Q: at k = 3 by the rank of Q's one item, after
-  // that through a table of the classes' prefixes.
-  std::vector<u32> class_of_rank;
-  std::optional<RowTable> classes;
-  if (k == 3) {
-    class_of_rank.assign(last.size(), kNone);
-    for (size_t g = 0; g < num_classes; ++g) {
-      const u32 r = last.rank(prev.row(start[g])[0]);
-      if (r != kNone) class_of_rank[r] = static_cast<u32>(g);
-    }
-  } else {
-    classes.emplace(prev, p, start.first(num_classes));
-  }
+  // The class with prefix Q, through a table of the classes' prefixes.
+  const RowTable classes(prev, p, start.first(num_classes));
 
   detail::Generated gen{{k, {}}, 0};
   ItemsetRows& out = gen.rows;
@@ -273,19 +221,14 @@ std::optional<detail::Generated> prefix_classes(const ItemsetRows& prev,
   for (size_t g = 0; g < num_classes; ++g) {
     const u32 g1 = start[g + 1];
     if (g1 - start[g] < 2) continue;
-    if (classes) {
-      drop_each(prev.row(start[g]), p, p, dropped.data(), head_fold.data());
-    }
+    drop_each(prev.row(start[g]), p, p, dropped.data(), head_fold.data());
     for (u32 a = start[g]; a + 1 < g1; ++a) {
       const Item* ra = prev.row(a);
       bool found = true;
       for (u32 s = 0; found && s < p; ++s) {
         ++gen.units;
-        others[s] =
-            classes ? classes->find(fold(head_fold[s], ra[p]),
-                                    dropped.data() + size_t{s} * (p - 1),
-                                    ra[p])
-                    : class_of_rank[rank[a]];
+        others[s] = classes.find(fold(head_fold[s], ra[p]),
+                                 dropped.data() + size_t{s} * (p - 1), ra[p]);
         found = others[s] != kNone;
       }
       if (!found) continue;
@@ -306,8 +249,7 @@ std::optional<detail::Generated> prefix_classes(const ItemsetRows& prev,
         if (i == lo / 64) meet &= ~u64{0} << (lo % 64);
         for (; meet != 0; meet &= meet - 1) {
           for (u32 j = 0; j < w; ++j) out.items.push_back(ra[j]);
-          out.items.push_back(
-              last.item(size_t{i} * 64 + std::countr_zero(meet)));
+          out.items.push_back(last[size_t{i} * 64 + std::countr_zero(meet)]);
           ++gen.units;
         }
       }

@@ -35,20 +35,23 @@ namespace yafim::fim {
 /// last items of the rows that start with Q, one prefix group. Row P+x
 /// extends to exactly the P+x+c with c > x in S_P and in S_{(P-p)+x} for
 /// every p in P. Each class is a bitset over the ranks of prev's distinct
-/// last items, stored from its smallest member's word to its largest's;
-/// S_{(P-p)+x} is found by x's rank at k = 3 and through an open-addressing
-/// table of the class prefixes after. Units: one per class lookup, p in
-/// P's order up to and including the first miss (the row then emits
-/// nothing); k-2 per word ANDed, from the word after x's rank to S_P's last
-/// word, clipped to every other class's stored words; one per candidate
-/// emitted. A row whose x is the largest of S_P costs nothing.
+/// last items (read off a presence bitmap over their values), stored from
+/// its smallest member's word to its largest's; S_{(P-p)+x} is found
+/// through an open-addressing table of the class prefixes. Units: one per
+/// class lookup, p in P's order up to and including the first miss (the
+/// row then emits nothing); k-2 per word ANDed, from the word after x's
+/// rank to S_P's last word, clipped to every other class's stored words;
+/// one per candidate emitted. A row whose x is the largest of S_P costs
+/// nothing.
 ///
 /// The rule, per call: k == 2 takes the join. Otherwise the prefix-class
-/// path runs unless its bitsets would take more than two words per row of
-/// `prev`. Its rows are kept when its units are no more than a lower bound
-/// of the join's -- the join comparisons, plus one probe per pruned pair,
-/// plus k per candidate; exact at k = 3 -- and the join runs and is charged
-/// otherwise. So no call costs more units than the join alone.
+/// path runs unless prev's last items span 64 values per row or more (its
+/// presence bitmap would take a word per row) or its bitsets would take
+/// more than two words per row of `prev`. Its rows are kept when its units
+/// are no more than a lower bound of the join's -- the join comparisons,
+/// plus one probe per pruned pair, plus k per candidate; exact at k = 3 --
+/// and the join runs and is charged otherwise. So no call costs more units
+/// than the join alone.
 ///
 /// Scratch memory besides the result is linear in |prev|: under 16 bytes
 /// per row for the join's row table, and at most 68 per row on the
@@ -76,7 +79,7 @@ struct Generated {
 Generated join_candidates(const ItemsetRows& prev, u32 k);
 
 /// The prefix-class path alone, priced as above; nothing for k < 3 or when
-/// its bitsets would take more than two words per row.
+/// the rule above declines it.
 std::optional<Generated> prefix_class_candidates(const ItemsetRows& prev,
                                                  u32 k);
 

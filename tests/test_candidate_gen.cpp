@@ -150,9 +150,10 @@ std::set<Itemset> extension_gen(const std::vector<Itemset>& prev, u32 k) {
 }
 
 /// Reference price of the prefix-class path, from its definition in
-/// fim/candidate_gen.h: nothing when its class bitsets would take more than
-/// two words per row, else one unit per class lookup up to and including
-/// the first miss, k-2 per word ANDed and one per candidate emitted.
+/// fim/candidate_gen.h: nothing when the last items span 64 values per row
+/// or more, or its class bitsets would take more than two words per row,
+/// else one unit per class lookup up to and including the first miss, k-2
+/// per word ANDed and one per candidate emitted.
 std::optional<u64> prefix_class_units(std::vector<Itemset> prev, u32 k) {
   std::sort(prev.begin(), prev.end());
   // Class: (k-2)-prefix -> its rows' last items, ascending.
@@ -161,6 +162,10 @@ std::optional<u64> prefix_class_units(std::vector<Itemset> prev, u32 k) {
   for (const Itemset& row : prev) {
     classes[Itemset(row.begin(), row.end() - 1)].push_back(row.back());
     last_items.insert(row.back());
+  }
+  if (!prev.empty() &&
+      (*last_items.rbegin() - *last_items.begin()) / 64 >= prev.size()) {
+    return std::nullopt;
   }
   const std::vector<Item> ranked(last_items.begin(), last_items.end());
   const auto word = [&](Item item) -> u64 {
@@ -318,6 +323,19 @@ TEST(CandidateGen, BitsetsOverTwoWordsPerRowTakeTheJoin) {
   EXPECT_TRUE(apriori_gen(l2, 3).empty());
 }
 
+TEST(CandidateGen, LastItemsOverAWordPerRowTakeTheJoin) {
+  // Four rows whose last items span 2..hi: the ranking bitmap takes
+  // (hi - 2) / 64 + 1 words, under one per row up to hi = 257.
+  for (const Item hi : {257u, 258u}) {
+    const std::vector<Itemset> l2{{1, 2}, {1, 3}, {1, hi}, {2, 3}};
+    const auto classes = detail::prefix_class_candidates(to_rows(l2), 3);
+    EXPECT_EQ(classes.has_value(), hi == 257u) << hi;
+    EXPECT_EQ(classes.has_value(), prefix_class_units(l2, 3).has_value());
+    EXPECT_EQ(measured_units(l2, 3), rule_units(l2, 3)) << hi;
+    EXPECT_EQ(apriori_gen(l2, 3), (std::vector<Itemset>{{1, 2, 3}}));
+  }
+}
+
 /// Brute-force reference: all k-sets whose every (k-1)-subset is in prev.
 std::set<Itemset> brute_force_gen(const std::vector<Itemset>& prev, u32 k,
                                   u32 universe) {
@@ -438,8 +456,8 @@ std::vector<Itemset> layered_input(u32 k, const std::vector<Item>& universe,
   return {rows.begin(), rows.end()};
 }
 
-/// Items near 0, near 2^32 - 1, or spread over the whole range (which
-/// ranks by sorting rather than by a presence bitmap).
+/// Items near 0, near 2^32 - 1, or spread over the whole range (too wide
+/// for the prefix-class path's ranking bitmap: the join runs).
 enum class Values { kLow, kHigh, kSpread };
 
 std::vector<Item> universe_of(u32 size, Values values) {
