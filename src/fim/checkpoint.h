@@ -6,7 +6,8 @@
 // frontier Lk that seeds candidate generation for pass k+1. A later run
 // pointed at the same store resumes from the newest *valid* snapshot and
 // skips every completed pass -- the exact restart cost the paper's
-// HDFS-bound MapReduce baseline pays on any failure.
+// HDFS-bound MapReduce baseline pays on any failure. Both engines save and
+// resume in their shared level-wise driver (fim/levelwise.h).
 //
 // Snapshot format (binary, little-endian via ByteWriter). Every snapshot
 // shares one frame -- the header, the trailing checksum, the checksum-first

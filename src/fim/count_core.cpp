@@ -569,23 +569,29 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
     // Dense, kernel chosen per task (count_rows): the pair matrix or the
     // trie walk until the bitmap kernel is cheaper for the rows left. The
     // batch ships as the kernel's payload, which holds every candidate row
-    // the bitmap switch reads. The no-hash-tree ablation ships the trees
-    // and scans every row linearly.
+    // the bitmap switch reads. The no-hash-tree ablation ships the same
+    // payload and scans every candidate row linearly.
     auto shipped = ctx.broadcast(ship, ship.bytes, payload_label);
     counts =
         transactions
             .map_partitions([shipped, levels = std::vector<LevelView>(
                                           levels.begin(), levels.end()),
-                             id_space](const std::vector<Transaction>& part) {
+                             id_space, use_hash_tree](
+                                const std::vector<Transaction>& part) {
               std::vector<u64> acc(id_space, 0);
-              if (shipped->kernel) {
+              if (use_hash_tree) {
                 count_rows(part, levels, *shipped->kernel, acc.data());
               } else {
                 for (const Transaction& t : part) {
-                  for (const HashTree& tree : *shipped->trees) {
-                    u64* cells = acc.data() + tree.id_offset();
-                    for_each_hit(tree, t, false,
-                                 [cells](u32 ci) { ++cells[ci]; });
+                  for (const LevelView& level : levels) {
+                    for (u32 ci = 0; ci < level.size(); ++ci) {
+                      const Item* c = level.row(ci);
+                      if (std::includes(t.begin(), t.end(), c,
+                                        c + level.k())) {
+                        ++acc[level.id_offset + ci];
+                      }
+                    }
+                    engine::work::add(level.size());
                   }
                 }
               }
@@ -622,7 +628,7 @@ BatchShipment ship_batch(const engine::Context& ctx,
                          const CandidateBatch& batch, BroadcastMode mode,
                          const CountCoreOptions& opt) {
   BatchShipment ship;
-  if (opt.count_mode == CountMode::kCandidateId && opt.use_hash_tree) {
+  if (opt.count_mode == CountMode::kCandidateId) {
     ship.kernel = std::make_shared<const DenseKernel>(batch.levels());
     ship.bytes = ship.kernel->payload_bytes();
     if (ship.kernel->pairs()) return ship;
@@ -643,7 +649,7 @@ std::vector<CountPair> count_candidate_trees(
     const CountCoreOptions& opt) {
   const std::vector<LevelView> levels = level_views(*trees);
   BatchShipment ship{nullptr, trees, tree_bytes, opt.partitioned};
-  if (opt.count_mode == CountMode::kCandidateId && opt.use_hash_tree) {
+  if (opt.count_mode == CountMode::kCandidateId) {
     // A pair batch never shards, whatever opt.partitioned says.
     auto kernel = std::make_shared<const DenseKernel>(levels);
     if (kernel->pairs() || !opt.partitioned) {

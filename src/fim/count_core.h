@@ -269,7 +269,7 @@ std::vector<FirstItemRange> split_first_items(
 struct CountCoreOptions {
   CountMode count_mode = CountMode::kItemsetKey;
   /// Count on the DenseKernel or by hash-tree probes (true), or by linear
-  /// candidate scans (false, the no-hash-tree ablation).
+  /// scans of the shipped rows (false, the no-hash-tree ablation).
   bool use_hash_tree = true;
   /// count_candidate_trees only: use the partitioned candidate store.
   bool partitioned = false;
@@ -289,9 +289,9 @@ struct CountCoreOptions {
   std::string pass_name;
 };
 
-/// How a batch reaches the tasks: its DenseKernel under kCandidateId with
-/// the hash tree on, else its hash trees, the bytes that would ship whole,
-/// and whether the partitioned store ships instead (on its own kernels).
+/// How a batch reaches the tasks: its DenseKernel under kCandidateId, its
+/// hash trees under kItemsetKey, the bytes that would ship whole, and
+/// whether the partitioned store ships instead (on its own kernels).
 struct BatchShipment {
   std::shared_ptr<const DenseKernel> kernel;
   std::shared_ptr<std::vector<HashTree>> trees;
@@ -314,10 +314,10 @@ BatchShipment ship_batch(const engine::Context& ctx,
 /// the trees (broadcast pricing + fallback ledger note); `id_space` the
 /// batch-global dense id space (HashTree::assign_id_offsets).
 ///
-/// Under kCandidateId with the hash tree on, the batch is broadcast as its
-/// DenseKernel (the `<pass_name>:pairs` or `:trie` payload) and counted
-/// dense; a pair batch is counted so whatever opt.partitioned says. The
-/// partitioned store splits the trees' rows as count_batch's does.
+/// Under kCandidateId the batch is broadcast as its DenseKernel (the
+/// `<pass_name>:pairs` or `:trie` payload) and counted dense; a pair batch
+/// is counted so whatever opt.partitioned says. The partitioned store
+/// splits the trees' rows as count_batch's does.
 ///
 /// `lineage`, when non-null, is the stage that loaded the uncached
 /// `transactions`: Spark recomputes it for this job, so it is recorded

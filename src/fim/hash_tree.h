@@ -48,8 +48,8 @@ enum class CountMode {
   /// DenseKernel -- a pair batch's item list, else a prefix trie per level
   /// -- which each task walks until the bitmap kernel's exact price for the
   /// rows left undercuts the walk's pace (fim/count_core.h count_rows).
-  /// Only the no-hash-tree ablation builds hash trees; the partitioned
-  /// store ships the DenseKernels of first-item slices.
+  /// No hash tree is built, not even for the no-hash-tree ablation; the
+  /// partitioned store ships the DenseKernels of first-item slices.
   kCandidateId = 1,
 };
 

@@ -8,7 +8,8 @@
 // The paper notes all MapReduce implementations of Apriori share this
 // per-iteration I/O structure, so one baseline represents the class. Lin
 // et al.'s SPC/FPC/DPC are this driver with one, a fixed number, or a
-// budgeted number of candidate levels per job (`combining`).
+// budgeted number of candidate levels per job (`combining`). The driver is
+// the level-wise loop YAFIM runs too (fim/levelwise.h).
 #pragma once
 
 #include <string>

@@ -10,6 +10,7 @@
 //                         Transactions.flatMap(subset(Ck, t))
 //                         -> map((c, 1)) -> reduceByKey(+)
 //                         -> filter(>= MinSup)                    => Lk
+// The pass loop around both phases is fim/levelwise.h's, shared with MRApriori.
 #pragma once
 
 #include <string>
@@ -34,7 +35,8 @@ struct YafimOptions {
   /// cache the transactions RDD in memory across iterations; off models
   /// Spark recomputing from HDFS every pass.
   bool cache_transactions = true;
-  /// probe candidates through the hash tree; off scans candidates linearly.
+  /// count on the hash tree or the dense kernel; off scans every candidate
+  /// row linearly, on the same shipped payload.
   bool use_hash_tree = true;
 
   /// How Phase II counts candidate hits (fim/hash_tree.h CountMode):

@@ -3,6 +3,10 @@
 // against speculative candidate counting.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "datagen/benchmarks.h"
 #include "fim/apriori_seq.h"
 #include "fim/mr_apriori.h"
 #include "fim/yafim.h"
@@ -143,6 +147,70 @@ TEST(PassCombining, EmptyDatabase) {
       run_strategy(TransactionDB(), CombineStrategy::kDynamic, 0.1);
   EXPECT_EQ(res.run.itemsets.total(), 0u);
   EXPECT_EQ(res.jobs, 0u);
+}
+
+/// Each ap_gen stage's driver work, keyed by its pass tag, over the stages
+/// whose label is `label_of(pass)`.
+template <typename LabelOf>
+std::map<u32, u64> ap_gen_work(const engine::Context& ctx, LabelOf label_of) {
+  std::map<u32, u64> work;
+  for (const sim::StageRecord& stage : ctx.report().stages()) {
+    if (stage.label == label_of(stage.pass)) {
+      work[stage.pass] = stage.driver_work;
+    }
+  }
+  return work;
+}
+
+// Both substrates run one level-wise driver (fim/levelwise.h), so under
+// every pass combining they generate the same candidate levels per pass,
+// at the same driver price, and keep the same survivors: the paper's
+// "exactly same as MRApriori", pass by pass.
+TEST(PassCombining, YafimAndMrAprioriGenerateTheSamePasses) {
+  const datagen::BenchmarkDataset t10 = datagen::make_t10i4d100k(0.05);
+  const datagen::BenchmarkDataset chess = datagen::make_chess();
+  const std::pair<const TransactionDB*, double> runs[] = {{&t10.db, 0.002},
+                                                          {&chess.db, 0.8}};
+  for (const auto& [db, min_support] : runs) {
+    for (const auto strategy :
+         {CombineStrategy::kSinglePass, CombineStrategy::kFixedPasses,
+          CombineStrategy::kDynamic}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "transactions=" << db->size() << " strategy="
+                   << static_cast<int>(strategy));
+      engine::Context yctx(small_cluster());
+      simfs::SimFS yfs(yctx.cluster());
+      YafimOptions yopt;
+      yopt.min_support = min_support;
+      yopt.combining.strategy = strategy;
+      const MiningRun yafim = yafim_mine(yctx, yfs, *db, yopt);
+
+      engine::Context mctx(small_cluster());
+      simfs::SimFS mfs(mctx.cluster());
+      MrAprioriOptions mopt;
+      mopt.min_support = min_support;
+      mopt.combining.strategy = strategy;
+      const MiningRun mr = mr_apriori_mine(mctx, mfs, *db, mopt);
+
+      ASSERT_EQ(yafim.passes.size(), mr.passes.size());
+      ASSERT_GE(yafim.passes.size(), 3u);
+      for (size_t i = 0; i < yafim.passes.size(); ++i) {
+        EXPECT_EQ(yafim.passes[i].k, mr.passes[i].k);
+        EXPECT_EQ(yafim.passes[i].candidates, mr.passes[i].candidates);
+        EXPECT_EQ(yafim.passes[i].frequent, mr.passes[i].frequent);
+      }
+      EXPECT_TRUE(yafim.itemsets.same_itemsets(mr.itemsets));
+
+      const std::map<u32, u64> yafim_gen = ap_gen_work(yctx, [](u32 k) {
+        return "pass" + std::to_string(k) + ":ap_gen+buildHashTree";
+      });
+      const std::map<u32, u64> mr_gen = ap_gen_work(mctx, [](u32 k) {
+        return "mrapriori:ap_gen L" + std::to_string(k);
+      });
+      EXPECT_FALSE(yafim_gen.empty());
+      EXPECT_EQ(yafim_gen, mr_gen);
+    }
+  }
 }
 
 /// Exactness sweep across strategies, thresholds and both substrates.
