@@ -5,7 +5,7 @@ Compares a fresh BENCH_countmode.json (bench_ablation --json output) against
 the checked-in baseline (bench/baselines/BENCH_countmode_baseline.json,
 generated at the same --scale as the CI run) and fails on regression.
 
-Eight checks, tuned to what each quantity can promise:
+Nine checks, tuned to what each quantity can promise:
 
 1. intra-run sim:   the dense counting mode (candidate_id x=1, which picks
                     its kernel per task) must price its pass>=2 counting
@@ -64,6 +64,13 @@ Eight checks, tuned to what each quantity can promise:
                     datasets in APGEN_HOST_GATED the host ratio x0/x1 in
                     'apgen_host_s:<dataset>' must stay above the
                     baseline's times (1 - band).
+9. shipped bytes:   the counting shuffle's megabytes per mode in
+                    'countmode_shuffle_mb:<dataset>' are deterministic, so
+                    they gate exactly (rel tol 1e-9): for the datasets in
+                    SHUFFLE_KEYED_GATED candidate_id (x=1), whose map tasks
+                    ship only the cells they hit when that is smaller,
+                    must ship no more than itemset_key (x=0), and neither
+                    mode may ship more than the baseline's.
 
 Usage:
   perf_gate.py CURRENT.json BASELINE.json [--sim-tol 1.02] [--ratio-band 0.5]
@@ -78,6 +85,8 @@ PHASE1_HOST_GATED = ("T10I4D100K",)
 PHASE1_SIM_REL_TOL = 1e-9
 APGEN_HOST_GATED = ("T10I4D100K",)
 APGEN_SIM_REL_TOL = 1e-9
+SHUFFLE_KEYED_GATED = ("T10I4D100K",)
+SHUFFLE_REL_TOL = 1e-9
 
 
 def fail(message):
@@ -379,6 +388,39 @@ def main():
         check(cur_ratio >= floor,
               f"{dataset} ap_gen: host join/rule {cur_ratio:.2f}x vs "
               f"baseline {base_ratio:.2f}x (floor {floor:.2f}x)")
+
+    # 9. Shipped bytes: the dense mode ships no more than the keyed one
+    # where its partials go sparse, and no mode ships more than before.
+    cur_mb = series_by_dataset(current, "countmode_shuffle_mb", args.current)
+    base_mb = series_by_dataset(baseline, "countmode_shuffle_mb",
+                                args.baseline)
+    if base_mb and not cur_mb:
+        fail(f"{args.current}: baseline has 'countmode_shuffle_mb:*' series "
+             "but the current run does not (bench_ablation too old?)")
+    for dataset in sorted(cur_mb):
+        mb = cur_mb[dataset]
+        if dataset in SHUFFLE_KEYED_GATED:
+            if 0 not in mb or 1 not in mb:
+                fail(f"{args.current}: series 'countmode_shuffle_mb:{dataset}'"
+                     " needs both x=0 (itemset_key) and x=1 (candidate_id) "
+                     "points")
+            check(mb[1] <= mb[0] * (1.0 + SHUFFLE_REL_TOL),
+                  f"{dataset} candidate_id: shipped {mb[1]:.3f} MB vs "
+                  f"itemset_key {mb[0]:.3f} MB (must not exceed)")
+        bmb = base_mb.get(dataset)
+        if bmb is None:
+            print(f"note {dataset} shipped bytes: not in baseline, intra-run "
+                  "check only")
+            continue
+        for x in sorted(mb):
+            mode = MODES.get(x, "itemset_key")
+            if x not in bmb:
+                fail(f"{args.baseline}: series 'countmode_shuffle_mb:"
+                     f"{dataset}' has no x={x} ({mode}) point -- regenerate "
+                     "the baseline")
+            check(mb[x] <= bmb[x] * (1.0 + SHUFFLE_REL_TOL),
+                  f"{dataset} {mode}: shipped {mb[x]:.3f} MB vs baseline "
+                  f"{bmb[x]:.3f} MB (must not exceed)")
 
     if failures:
         print(f"\nperf gate: {len(failures)} regression(s)")

@@ -6,7 +6,8 @@
 //
 // spill_put()/spill_get(): the bytes a spilled shuffle block really holds
 // (engine/rdd.h ShuffleSpill), in the layout byte_size() prices: a u64
-// length before a vector's elements, a pair's halves back to back.
+// length before a vector's elements, a pair's halves back to back, and a
+// sum_arrays partial in the form it ships (ArrayPartial).
 #pragma once
 
 #include <cstring>
@@ -136,6 +137,61 @@ template <typename A, typename B>
 void spill_get(std::span<const u8> in, size_t& pos, std::pair<A, B>& v) {
   spill_get(in, pos, v.first);
   spill_get(in, pos, v.second);
+}
+
+/// One map task's combined sum_arrays partial in the form it ships
+/// (engine/rdd.h): dense, every cell behind a u64 length as a vector
+/// spills; or sparse, a u64 header (kSparse | entry count), the ascending
+/// u32 ids of the nonzero cells, then their values. A partial ships sparse
+/// only when that is strictly smaller.
+template <typename E>
+struct ArrayPartial {
+  static constexpr u64 kSparse = u64{1} << 63;
+
+  std::vector<E> cells;  ///< dense: every cell; sparse: the ids' values
+  std::vector<u32> ids;  ///< sparse only
+  bool sparse = false;
+
+  static u64 dense_bytes(u64 width) { return 8 + width * sizeof(E); }
+  static u64 sparse_bytes(u64 entries) {
+    return 8 + entries * (sizeof(u32) + sizeof(E));
+  }
+  static bool ships_sparse(u64 width, u64 entries) {
+    return width <= (u64{1} << 32) &&
+           sparse_bytes(entries) < dense_bytes(width);
+  }
+};
+
+template <typename E>
+void spill_put(std::vector<u8>& out, const ArrayPartial<E>& p) {
+  if (!p.sparse) {
+    spill_put(out, p.cells);
+    return;
+  }
+  spill_put(out, static_cast<u64>(ArrayPartial<E>::kSparse | p.ids.size()));
+  const u8* ids = reinterpret_cast<const u8*>(p.ids.data());
+  out.insert(out.end(), ids, ids + p.ids.size() * sizeof(u32));
+  const u8* cells = reinterpret_cast<const u8*>(p.cells.data());
+  out.insert(out.end(), cells, cells + p.cells.size() * sizeof(E));
+}
+
+template <typename E>
+void spill_get(std::span<const u8> in, size_t& pos, ArrayPartial<E>& p) {
+  u64 header = 0;
+  spill_get(in, pos, header);
+  p.sparse = (header & ArrayPartial<E>::kSparse) != 0;
+  const u64 n = header & ~ArrayPartial<E>::kSparse;
+  p.ids.clear();
+  if (p.sparse) {
+    YAFIM_CHECK(pos + n * sizeof(u32) <= in.size(), "spill: truncated block");
+    p.ids.resize(static_cast<size_t>(n));
+    std::memcpy(p.ids.data(), in.data() + pos, n * sizeof(u32));
+    pos += n * sizeof(u32);
+  }
+  YAFIM_CHECK(pos + n * sizeof(E) <= in.size(), "spill: truncated block");
+  p.cells.resize(static_cast<size_t>(n));
+  std::memcpy(p.cells.data(), in.data() + pos, n * sizeof(E));
+  pos += n * sizeof(E);
 }
 
 }  // namespace detail

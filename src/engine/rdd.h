@@ -9,7 +9,9 @@
 //   (map_partitions, the seeded samples, zip_with_index).
 // * Wide operations (reduce_by_key, group_by_key, sum_arrays) are stage
 //   boundaries: they execute a map stage, partition its output (accounting
-//   shuffle bytes), and run a reduce stage. group_by_key and sum_arrays
+//   shuffle bytes), and run a reduce stage. sum_arrays ships each map
+//   task's partial whole or as its nonzero cells, whichever is smaller,
+//   and prices both sides on what ships. group_by_key and sum_arrays
 //   spill their map output under memory pressure; reduce_by_key does not.
 // * persist() caches computed partitions in (simulated) executor memory;
 //   a partition lost to fault injection -- or LRU-evicted under a finite
@@ -552,9 +554,10 @@ struct EncodedBlock {
 };
 
 /// Per-shuffle spill controller. `Block` is one map task's buffered output
-/// (a partial array for sum_arrays, the per-reduce bucket vector for
-/// keyed shuffles). The codec runs on the pool; simfs writes, pricing and
-/// DetSan reports stay on the driver, in block-index order. Lifecycle:
+/// (a partial in the form it ships for sum_arrays, the per-reduce bucket
+/// vector for keyed shuffles). The codec runs on the pool; simfs writes,
+/// pricing and DetSan reports stay on the driver, in block-index order.
+/// Lifecycle:
 ///   admit(bytes)      -- driver: admit the stage's buffers into the ledger
 ///                        and decide, once, whether the stage spills
 ///   encode(i, block)  -- any thread: serialize, DetSan check, compress
@@ -713,6 +716,52 @@ void add_cells(std::vector<E>& acc, const std::vector<E>& part) {
   for (size_t i = 0; i < acc.size(); ++i) acc[i] += part[i];
 }
 
+/// Count `part`'s nonzero cells in each slice [bounds[r], bounds[r + 1])
+/// into nonzero[r]; with `acc`, add `part` into it in the same pass. The
+/// fused pass reads four cells per step into four running counts, which
+/// keeps it as fast as the add alone (one count cost ~12% more).
+template <typename E>
+void count_nonzero(const E* part, std::span<const size_t> bounds,
+                   u64* nonzero, E* acc = nullptr) {
+  for (size_t r = 0; r + 1 < bounds.size(); ++r) {
+    size_t i = bounds[r];
+    const size_t end = bounds[r + 1];
+    u64 n0 = 0, n1 = 0, n2 = 0, n3 = 0;
+    for (; acc && i + 4 <= end; i += 4) {
+      const E p0 = part[i], p1 = part[i + 1], p2 = part[i + 2],
+              p3 = part[i + 3];
+      acc[i] += p0;
+      acc[i + 1] += p1;
+      acc[i + 2] += p2;
+      acc[i + 3] += p3;
+      n0 += p0 != E{};
+      n1 += p1 != E{};
+      n2 += p2 != E{};
+      n3 += p3 != E{};
+    }
+    for (; i < end; ++i) {
+      if (acc) acc[i] += part[i];
+      n0 += part[i] != E{};
+    }
+    nonzero[r] = n0 + n1 + n2 + n3;
+  }
+}
+
+/// The sparse form of a partial with `entries` nonzero cells.
+template <typename E>
+ArrayPartial<E> sparse_partial(const std::vector<E>& cells, u64 entries) {
+  ArrayPartial<E> out;
+  out.sparse = true;
+  out.ids.reserve(entries);
+  out.cells.reserve(entries);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i] == E{}) continue;
+    out.ids.push_back(static_cast<u32>(i));
+    out.cells.push_back(cells[i]);
+  }
+  return out;
+}
+
 /// Width-cell integer accumulators shared by one stage's tasks. A task
 /// borrows a free slot for the length of its fold; the pool runs at most
 /// one task per worker, so min(pool size, tasks) slots never run dry and
@@ -727,9 +776,9 @@ class FoldSlots {
     for (u32 s = slots; s > 0; --s) free_.push_back(s - 1);
   }
 
-  /// Add every array of `parts` into one borrowed slot (any thread).
-  void fold(std::span<const std::vector<E>> parts) {
-    if (parts.empty()) return;
+  /// Run add(acc) on one borrowed slot's width cells (any thread).
+  template <typename Add>
+  void fold(Add&& add) {
     u32 slot = 0;
     {
       util::MutexLock lock(mutex_);
@@ -739,7 +788,7 @@ class FoldSlots {
     }
     std::vector<E>& acc = cells_[slot];  // ours until pushed back below
     if (acc.empty()) acc.assign(width_, E{});
-    for (const std::vector<E>& part : parts) add_cells(acc, part);
+    add(acc);
     util::MutexLock lock(mutex_);
     free_.push_back(slot);
   }
@@ -1117,36 +1166,49 @@ class RDD {
   /// `width` cells (EngineError{kArrayWidthMismatch} otherwise).
   ///
   /// Priced as on the cluster: each map task combines its partition's
-  /// arrays into one partial, so exactly one width-cell array per map task
-  /// crosses the shuffle -- `map_tasks * byte_size(vector<E>(width))`
-  /// bytes, independent of how many input arrays (or candidate hits) the
-  /// partitions held, which is the whole point versus keying the shuffle
-  /// on itemsets. The reduce side slices the index space contiguously over
-  /// tasks and is priced as summing all map_tasks partials.
+  /// arrays into one partial and ships it in the smaller of two forms,
+  /// decided from its own cells (detail::ArrayPartial): dense, 8 + width
+  /// cells' bytes, or sparse, 8 bytes plus a u32 id and a cell per nonzero
+  /// cell, only when strictly smaller. A dense partial costs its width per
+  /// input array combined; a sparse one a unit per entry emitted, plus the
+  /// width per input array past the first. The reduce side slices the id
+  /// space contiguously over tasks, and slice r sums its cells of every
+  /// dense partial and its entries of every sparse one.
   ///
   /// The host never holds those partials at once. A task folds its inputs
-  /// into one of min(pool size, map_tasks) FoldSlots; when the stage
-  /// spills, it encodes its partial straight into its spill block instead,
-  /// and the restored blocks fold into the same slots. :reduce sums the
-  /// slots. The fold is exact only for integer cells, hence integral E.
-  /// Returns the fully merged array on the driver.
+  /// into one of min(pool size, map_tasks) FoldSlots, counting each reduce
+  /// slice's nonzero cells in the same pass. When the stage spills (decided
+  /// before it runs, on the dense size every partial is bounded by), a
+  /// task encodes its partial in the form it ships straight into its spill
+  /// block instead, and the restored blocks fold into the same slots.
+  /// :reduce sums the slots. The fold is exact only for integer cells,
+  /// hence integral E. Returns the fully merged array on the driver.
   template <typename E = typename detail::ArrayTraits<T>::elem_type>
     requires(detail::ArrayTraits<T>::is_array &&
              std::is_same_v<E, typename detail::ArrayTraits<T>::elem_type> &&
              std::is_integral_v<E>)
   std::vector<E> sum_arrays(size_t width,
                             const std::string& label = "sumArrays") const {
+    using Partial = detail::ArrayPartial<E>;
     Context& ctx = node_->ctx();
     const u32 map_tasks = node_->num_partitions();
-    // Length prefix + cells: every partial has this size, so the spill
-    // decision is known before the stage runs.
-    const u64 partial_bytes = 8 + width * sizeof(E);
+    const u32 reduce_tasks = static_cast<u32>(std::max<size_t>(
+        1, std::min<size_t>(ctx.default_partitions(), width)));
+    // Reduce task r sums cells [bounds[r], bounds[r + 1]).
+    std::vector<size_t> bounds(reduce_tasks + 1);
+    for (u32 r = 0; r <= reduce_tasks; ++r) {
+      bounds[r] = width * r / reduce_tasks;
+    }
 
     lint_consume(PlanLinter::Consume::kShuffle, label);
-    detail::ShuffleSpill<std::vector<E>> spill(ctx, label);
-    const bool spilling = spill.admit(map_tasks * partial_bytes);
+    detail::ShuffleSpill<Partial> spill(ctx, label);
+    const bool spilling =
+        spill.admit(map_tasks * Partial::dense_bytes(width));
     std::vector<detail::EncodedBlock> blocks(spilling ? map_tasks : 0);
     detail::FoldSlots<E> slots(std::min(ctx.pool().size(), map_tasks), width);
+    // Per map task: its nonzero cells in each reduce slice, and its form.
+    std::vector<u64> nonzero(size_t{map_tasks} * reduce_tasks, 0);
+    std::vector<u8> sparse(map_tasks, 0);
     std::atomic<u64> shuffle_bytes{0};
     std::atomic<bool> bad_width{false};
     ctx.run_stage_with_shuffle(
@@ -1159,16 +1221,17 @@ class RDD {
               return;
             }
           }
-          work::add(static_cast<u64>(width) * in->size());
-          shuffle_bytes.fetch_add(partial_bytes, std::memory_order_relaxed);
+          u64* nz = nonzero.data() + size_t{pid} * reduce_tasks;
           DetSan& ds = ctx.detsan();
           const bool replay = ds.should_replay(node_->id(), pid);
-          if (!spilling && !replay) {
-            slots.fold(*in);  // the partial never materializes
-            return;
+          // The partial is a lone input array itself; it materializes only
+          // to combine several, to replay or to spill.
+          std::vector<E> partial;
+          const bool combined = spilling || replay || in->size() > 1;
+          if (combined) {
+            partial.assign(width, E{});
+            for (const auto& arr : *in) detail::add_cells(partial, arr);
           }
-          std::vector<E> partial(width, E{});
-          for (const auto& arr : *in) detail::add_cells(partial, arr);
           // Permuted-order re-accumulation: += over a permuted element
           // order must land on the same cells.
           if (replay) {
@@ -1181,10 +1244,36 @@ class RDD {
             detail::detsan_check_ordered(ds, node_->id(), "sum_arrays",
                                          partial, racc);
           }
+          const E* cells = combined      ? partial.data()
+                           : in->empty() ? nullptr
+                                         : in->front().data();
           if (spilling) {
-            blocks[pid] = spill.encode(pid, partial);
+            detail::count_nonzero(cells, bounds, nz);
+          } else if (cells) {
+            slots.fold([&](std::vector<E>& acc) {
+              detail::count_nonzero(cells, bounds, nz, acc.data());
+            });
+          }
+          const u64 entries = std::accumulate(nz, nz + reduce_tasks, u64{0});
+          const u64 inputs = in->size();
+          sparse[pid] = Partial::ships_sparse(width, entries);
+          if (sparse[pid]) {
+            work::add(entries + (inputs > 1 ? width * (inputs - 1) : 0));
+            shuffle_bytes.fetch_add(Partial::sparse_bytes(entries),
+                                    std::memory_order_relaxed);
           } else {
-            slots.fold(std::span(&partial, 1));
+            work::add(width * inputs);
+            shuffle_bytes.fetch_add(Partial::dense_bytes(width),
+                                    std::memory_order_relaxed);
+          }
+          if (spilling) {
+            Partial shipped;
+            if (sparse[pid]) {
+              shipped = detail::sparse_partial(partial, entries);
+            } else {
+              shipped.cells = std::move(partial);
+            }
+            blocks[pid] = spill.encode(pid, shipped);
           }
         },
         shuffle_bytes);
@@ -1198,22 +1287,30 @@ class RDD {
 
     if (spilling) {
       spill.write(std::move(blocks));
-      spill.restore([&slots](u32, std::vector<E>&& part) {
-        slots.fold(std::span(&part, 1));
+      spill.restore([&slots](u32, Partial&& part) {
+        slots.fold([&part](std::vector<E>& acc) {
+          if (!part.sparse) return detail::add_cells(acc, part.cells);
+          for (size_t j = 0; j < part.ids.size(); ++j) {
+            acc[part.ids[j]] += part.cells[j];
+          }
+        });
       });
     }
 
-    const u32 reduce_tasks = static_cast<u32>(std::max<size_t>(
-        1, std::min<size_t>(ctx.default_partitions(), width)));
+    // Priced as summing what every map task shipped into each slice.
+    std::vector<u64> reduce_work(reduce_tasks, 0);
+    for (u32 p = 0; p < map_tasks; ++p) {
+      for (u32 r = 0; r < reduce_tasks; ++r) {
+        reduce_work[r] += sparse[p] ? nonzero[size_t{p} * reduce_tasks + r]
+                                    : bounds[r + 1] - bounds[r];
+      }
+    }
     const std::vector<std::vector<E>> parts = slots.take();
     std::vector<E> merged(width, E{});
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      const size_t begin = width * r / reduce_tasks;
-      const size_t end = width * (r + 1) / reduce_tasks;
-      // Priced as summing every map task's partial, as a cluster would.
-      work::add(static_cast<u64>(end - begin) * map_tasks);
+      work::add(reduce_work[r]);
       for (const std::vector<E>& part : parts) {
-        for (size_t i = begin; i < end; ++i) merged[i] += part[i];
+        for (size_t i = bounds[r]; i < bounds[r + 1]; ++i) merged[i] += part[i];
       }
     });
     obs::count(obs::CounterId::kArrayReduceCells, width);

@@ -55,6 +55,17 @@ engine::Context::Options small_cluster() {
   return opts;
 }
 
+/// The stage `label` in ctx's report.
+const sim::StageRecord& stage_named(const engine::Context& ctx,
+                                    const std::string& label) {
+  for (const sim::StageRecord& st : ctx.report().stages()) {
+    if (st.label == label) return st;
+  }
+  ADD_FAILURE() << "no stage " << label;
+  static const sim::StageRecord none;
+  return none;
+}
+
 TransactionDB random_db(u32 universe, int transactions, double density,
                         u64 seed) {
   Rng rng(seed);
@@ -455,6 +466,37 @@ TEST(CountModes, PartitionedStoreProbesNoHashTree) {
                   obs::counter_value(obs::CounterId::kDenseRowsBitmap),
               0u)
         << count_mode_name(mode);
+  }
+}
+
+TEST(CountModes, PartitionedStoreRangeTasksShipOnlyTheirOwnCells) {
+  // A range task writes only the cells of its own first-item slices, and
+  // each candidate id belongs to one range, so a routed pass's partials
+  // ship at most 8 B per task plus 12 B per candidate, in both modes.
+  const TransactionDB db = random_db(16, 200, 0.45, 100);
+  for (CountMode mode : kAllModes) {
+    engine::Context ctx(small_cluster());
+    simfs::SimFS fs(ctx.cluster());
+    YafimOptions opt;
+    opt.min_support = 0.2;
+    opt.count_mode = mode;
+    opt.broadcast_mode = BroadcastMode::kPartitioned;
+    const MiningRun run = yafim_mine(ctx, fs, db, opt);
+    u32 routed = 0;
+    for (const PassStats& p : run.passes) {
+      const std::string pass = "pass" + std::to_string(p.k);
+      bool has_route = false;
+      for (const sim::StageRecord& st : ctx.report().stages()) {
+        has_route |= st.label == pass + ":route:reduce";
+      }
+      if (!has_route) continue;  // pair batches never shard
+      ++routed;
+      const sim::StageRecord& map =
+          stage_named(ctx, pass + ":count:map-combine");
+      EXPECT_LE(map.shuffle_bytes, 8 * map.tasks.size() + 12 * p.candidates)
+          << count_mode_name(mode) << " " << pass;
+    }
+    EXPECT_GT(routed, 0u) << count_mode_name(mode);
   }
 }
 
@@ -1664,6 +1706,114 @@ TEST(SumArrays, EmptyPartitionsContributeZeros) {
   EXPECT_EQ(merged, (std::vector<u64>{11, 22}));
 }
 
+TEST(SumArrays, ShipsSparseOnlyWhenStrictlySmaller) {
+  // Width 3: two nonzero cells cost 8 + 2 * 12 = 32 B sparse, exactly the
+  // dense 8 + 3 * 8, so that partial ships dense for 3 units (its width);
+  // one nonzero cell ships sparse in 20 B for 1 unit (its entry).
+  struct Case {
+    std::vector<u64> cells;
+    u64 bytes;
+    u64 work;
+  };
+  const Case cases[] = {{{1, 2, 0}, 32, 3}, {{0, 5, 0}, 20, 1}};
+  for (const Case& c : cases) {
+    engine::Context ctx(small_cluster());
+    const auto merged =
+        ctx.from_partitions(std::vector<std::vector<std::vector<u64>>>{
+                                {c.cells}})
+            .sum_arrays(3, "sum");
+    EXPECT_EQ(merged, c.cells);
+    const sim::StageRecord& map = stage_named(ctx, "sum:map-combine");
+    EXPECT_EQ(map.shuffle_bytes, c.bytes) << c.bytes;
+    ASSERT_EQ(map.tasks.size(), 1u);
+    EXPECT_EQ(map.tasks[0].work, c.work) << c.bytes;
+  }
+}
+
+TEST(SumArrays, EmptyPartitionShipsEightBytesForNoWork) {
+  engine::Context ctx(small_cluster());
+  const size_t width = 50;
+  const std::vector<u64> full(width, 2);
+  const auto merged =
+      ctx.from_partitions(std::vector<std::vector<std::vector<u64>>>{
+                              {full}, {}})
+          .sum_arrays(width, "sum");
+  EXPECT_EQ(merged, full);
+  const sim::StageRecord& map = stage_named(ctx, "sum:map-combine");
+  EXPECT_EQ(map.shuffle_bytes, (8 + width * 8) + 8);
+  ASSERT_EQ(map.tasks.size(), 2u);
+  EXPECT_EQ(map.tasks[0].work, width);
+  EXPECT_EQ(map.tasks[1].work, 0u);
+  // :reduce sums only the dense partial.
+  u64 reduce_work = 0;
+  for (const sim::TaskRecord& t : stage_named(ctx, "sum:reduce").tasks) {
+    reduce_work += t.work;
+  }
+  EXPECT_EQ(reduce_work, width);
+}
+
+TEST(SumArrays, ReduceSlicePricesDenseWidthPlusSparseEntries) {
+  // A dense partial (every cell hit) and a sparse one (five cells hit,
+  // two inputs combined) over a width the reducers slice unevenly.
+  engine::Context ctx(small_cluster());
+  const size_t width = 100;
+  std::vector<u64> dense(width, 1);
+  std::vector<u64> a(width, 0), b(width, 0);
+  a[0] = 1, a[33] = 2, b[33] = 3, b[34] = 1, b[70] = 4, b[99] = 5;
+  std::vector<u64> expected(width);
+  for (size_t i = 0; i < width; ++i) expected[i] = dense[i] + a[i] + b[i];
+  const auto merged =
+      ctx.from_partitions(std::vector<std::vector<std::vector<u64>>>{
+                              {dense}, {a, b}})
+          .sum_arrays(width, "sum");
+  EXPECT_EQ(merged, expected);
+  const std::vector<size_t> hits = {0, 33, 34, 70, 99};
+
+  const sim::StageRecord& map = stage_named(ctx, "sum:map-combine");
+  EXPECT_EQ(map.shuffle_bytes, (8 + width * 8) + (8 + hits.size() * 12));
+  ASSERT_EQ(map.tasks.size(), 2u);
+  EXPECT_EQ(map.tasks[0].work, width);
+  // One unit per entry, plus the width for the second input combined.
+  EXPECT_EQ(map.tasks[1].work, hits.size() + width);
+
+  const sim::StageRecord& reduce = stage_named(ctx, "sum:reduce");
+  const size_t r = reduce.tasks.size();
+  ASSERT_EQ(r, std::min<size_t>(ctx.default_partitions(), width));
+  for (size_t t = 0; t < r; ++t) {
+    const size_t begin = width * t / r, end = width * (t + 1) / r;
+    u64 entries = 0;
+    for (size_t id : hits) entries += id >= begin && id < end;
+    EXPECT_EQ(reduce.tasks[t].work, (end - begin) + entries) << "slice " << t;
+  }
+}
+
+TEST(SumArrays, DetSanReplaysASparseTaskClean) {
+  for (const bool spill : {false, true}) {
+    auto opts = small_cluster();
+    opts.detsan.enabled = true;
+    opts.detsan.sample_rate = 1.0;
+    if (spill) opts.cluster.shuffle_buffer_bytes = 1;
+    engine::Context ctx(opts);
+    simfs::SimFS fs(ctx.cluster());
+    ctx.set_spill_fs(&fs);
+    // Four partitions of two arrays, each hitting one cell of 40.
+    std::vector<std::vector<u64>> arrays(8, std::vector<u64>(40, 0));
+    for (size_t i = 0; i < arrays.size(); ++i) arrays[i][5 * i] = i + 1;
+    std::vector<u64> expected(40, 0);
+    for (size_t i = 0; i < arrays.size(); ++i) expected[5 * i] = i + 1;
+    const auto merged =
+        ctx.parallelize(std::move(arrays), 4).sum_arrays(40, "sum");
+    EXPECT_EQ(merged, expected) << "spill=" << spill;
+    // Every partial ships sparse: 8 + 2 * 12 B each.
+    EXPECT_EQ(stage_named(ctx, "sum:map-combine").shuffle_bytes, 4u * 32)
+        << "spill=" << spill;
+    // One replay per map task, plus one re-serialization per spill block.
+    EXPECT_EQ(ctx.detsan().tasks_replayed(), spill ? 8u : 4u);
+    EXPECT_EQ(ctx.detsan().divergences(), 0u);
+    EXPECT_EQ(ctx.memory_budget().spill_blocks_written(), spill ? 4u : 0u);
+  }
+}
+
 /// One sum_arrays over 96 partitions of zero-heavy arrays on a fresh
 /// context with `threads` host threads. With `spill`, a 1-byte shuffle
 /// buffer sends every partial through simfs.
@@ -1672,6 +1822,7 @@ struct FoldRun {
   std::vector<sim::StageRecord> stages;
   double sim_seconds = 0.0;
   u64 spill_blocks = 0;
+  u64 spill_raw = 0;
 };
 
 FoldRun sum_96_partitions(const std::vector<std::vector<u64>>& arrays,
@@ -1687,27 +1838,51 @@ FoldRun sum_96_partitions(const std::vector<std::vector<u64>>& arrays,
   run.stages = ctx.report().stages();
   run.sim_seconds = ctx.sim_seconds();
   run.spill_blocks = ctx.memory_budget().spill_blocks_written();
+  run.spill_raw = ctx.memory_budget().spill_bytes_raw();
   return run;
 }
 
 TEST(SumArrays, FoldIsIdenticalAcrossHostThreadCounts) {
   // 200 arrays over 96 partitions: every task folds two or three inputs,
-  // and tasks outnumber every pool's fold slots.
+  // and tasks outnumber every pool's fold slots. The first half hits few
+  // cells and the second most, so both forms ship and spill.
   const size_t width = 257;
   Rng rng(29);
   std::vector<std::vector<u64>> arrays(200, std::vector<u64>(width, 0));
   std::vector<u64> expected(width, 0);
-  for (auto& a : arrays) {
+  for (size_t n = 0; n < arrays.size(); ++n) {
     for (size_t i = 0; i < width; ++i) {
-      if (rng.bernoulli(0.2)) a[i] = rng.below(50);
-      expected[i] += a[i];
+      if (rng.bernoulli(n < 100 ? 0.05 : 0.6)) arrays[n][i] = rng.below(50);
+      expected[i] += arrays[n][i];
     }
   }
+  // What each partition (parallelize's contiguous slices: 2 arrays each,
+  // 3 in the first 8) ships in the smaller form.
+  u64 shipped = 0;
+  u32 sparse_tasks = 0;
+  for (size_t p = 0, at = 0; p < 96; ++p) {
+    const size_t len = p < 8 ? 3 : 2;
+    u64 entries = 0;
+    for (size_t i = 0; i < width; ++i) {
+      u64 cell = 0;
+      for (size_t n = at; n < at + len; ++n) cell += arrays[n][i];
+      entries += cell != 0;
+    }
+    at += len;
+    const u64 sparse = 8 + 12 * entries, dense = 8 + 8 * width;
+    sparse_tasks += sparse < dense;
+    shipped += std::min(sparse, dense);
+  }
+  ASSERT_GT(sparse_tasks, 0u);
+  ASSERT_LT(sparse_tasks, 96u);
 
   for (const bool spill : {false, true}) {
     const FoldRun ref = sum_96_partitions(arrays, width, 1, spill);
     EXPECT_EQ(ref.merged, expected) << "spill=" << spill;
     EXPECT_EQ(ref.spill_blocks, spill ? 96u : 0u);
+    EXPECT_EQ(ref.stages.front().shuffle_bytes, shipped) << "spill=" << spill;
+    // Each spill block holds its partial in the form it ships.
+    EXPECT_EQ(ref.spill_raw, spill ? shipped : 0u);
     for (const u32 threads : {3u, 8u}) {
       const FoldRun run = sum_96_partitions(arrays, width, threads, spill);
       const std::string where = "threads=" + std::to_string(threads) +

@@ -350,13 +350,33 @@ TEST(MemoryPressure, MrAprioriSpillsUnderShuffleBudget) {
   EXPECT_GT(ctx.memory_budget().spill_blocks_written(), 0u);
 }
 
-/// One partial's wire format, written independently of the engine's
-/// encoder: the u64 cell count, then the cells.
+/// One partial's wire format in the form it ships, written independently
+/// of the engine's encoder. Dense: the u64 cell count, then the cells.
+/// Sparse, when strictly smaller: the u64 entry count with its top bit
+/// set, the u32 ids of the nonzero cells, then their values.
 std::vector<u8> serialize_partial(const std::vector<u64>& cells) {
-  const u64 n = cells.size();
-  std::vector<u8> out(sizeof(n) + n * sizeof(u64));
-  std::memcpy(out.data(), &n, sizeof(n));
-  std::memcpy(out.data() + sizeof(n), cells.data(), n * sizeof(u64));
+  std::vector<u32> ids;
+  std::vector<u64> values;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i] == 0) continue;
+    ids.push_back(static_cast<u32>(i));
+    values.push_back(cells[i]);
+  }
+  const bool sparse = 8 + 12 * ids.size() < 8 + 8 * cells.size();
+  const u64 header = sparse ? (u64{1} << 63) | ids.size() : cells.size();
+  std::vector<u8> out(sizeof(header));
+  std::memcpy(out.data(), &header, sizeof(header));
+  auto append = [&out](const void* data, size_t n) {
+    const size_t at = out.size();
+    out.resize(at + n);
+    std::memcpy(out.data() + at, data, n);
+  };
+  if (sparse) {
+    append(ids.data(), ids.size() * sizeof(u32));
+    append(values.data(), values.size() * sizeof(u64));
+  } else {
+    append(cells.data(), cells.size() * sizeof(u64));
+  }
   return out;
 }
 
@@ -364,7 +384,8 @@ TEST(MemoryPressure, SumArraysSpillsOneBlockPerMapTask) {
   const u32 map_tasks = 12;
   const size_t width = 300;
   // parallelize slices contiguously, so partition p holds arrays 2p and
-  // 2p + 1 and its partial is their sum.
+  // 2p + 1 and its partial is their sum: about 19% of its cells are
+  // nonzero, so it ships and spills sparse.
   Rng rng(77);
   std::vector<std::vector<u64>> arrays(2 * map_tasks,
                                        std::vector<u64>(width, 0));
@@ -401,6 +422,7 @@ TEST(MemoryPressure, SumArraysSpillsOneBlockPerMapTask) {
     raw += bytes.size();
     stored += yz_compress(bytes).size();
   }
+  EXPECT_LT(raw, map_tasks * (8 + width * sizeof(u64)));  // sparse blocks
   EXPECT_EQ(mb.spill_bytes_raw(), raw);
   EXPECT_EQ(mb.spill_bytes_stored(), stored);
   // The action leaves no spill files behind and a balanced ledger.

@@ -134,9 +134,9 @@ YafimOptions yafim_options(CountMode mode, BroadcastMode bmode) {
 TEST(PricingPins, Yafim) {
   const u64 pins[] = {
       0x3641af49acba0cbc, 0xa83cea3c10afc32c,
-      0xc9acb8a4b1186b1a, 0x57823a562f80872c,
+      0x355c3b06fa24f0ab, 0x3720c7151afc65b1,
       0x3a43983fd3265103, 0xfff018266ace4bb1,
-      0x638a2b7b21ce4c40, 0x85a9175b30a2c007};
+      0x7c7e3d40feb649ad, 0xfa8bf3f7ba76ad81};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     for (BroadcastMode bmode :
@@ -164,8 +164,8 @@ std::vector<std::pair<std::string, PassCombining>> combined_strategies() {
 }
 
 TEST(PricingPins, YafimCombinedPasses) {
-  const u64 pins[] = {0x40d032a0f74f0ff6, 0x8855a11a5a150a3e,
-                      0x568be8f6478c3ab7, 0x91a8e9927cfc8120};
+  const u64 pins[] = {0x40d032a0f74f0ff6, 0x7becec6f02ddd761,
+                      0x568be8f6478c3ab7, 0x7c9e3540dfc733c8};
   size_t i = 0;
   for (const auto& [name, combining] : combined_strategies()) {
     for (CountMode mode : kAllModes) {
@@ -187,8 +187,8 @@ TEST(PricingPins, YafimFallsBackUnderATightBudget) {
     u64 pin;
   };
   const Case cases[] = {
-      {CountMode::kItemsetKey, 24 << 10, 0xad76d358415bf62d},
-      {CountMode::kCandidateId, 8 << 10, 0xef925dde41eb8028}};
+      {CountMode::kItemsetKey, 24 << 10, 0xc93f13bd178ef2a3},
+      {CountMode::kCandidateId, 8 << 10, 0xdf37254ad12bc214}};
   for (const Case& c : cases) {
     engine::Context::Options copts = pinned_cluster();
     copts.cluster.executor_memory_bytes = c.executor_memory;
@@ -272,7 +272,7 @@ SamplingOptions sampling_options(SplitStrategy strategy, CountMode mode) {
 }
 
 TEST(PricingPins, Sampling) {
-  const u64 pins[] = {0x9362f3fb01f724f8, 0xb23e843356f0c1c1,
+  const u64 pins[] = {0x9362f3fb01f724f8, 0x099bfec619ec64d1,
                       0xf7fa58ed8027ab9a, 0x8eed56a9eddd2c6};
   size_t i = 0;
   for (SplitStrategy strategy :
@@ -289,12 +289,12 @@ TEST(PricingPins, Sampling) {
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   partitioned.broadcast_mode = BroadcastMode::kPartitioned;
   expect_pin("sampling partitioned", mine_sampling(partitioned),
-             0x26cc357e67431322);
+             0x2a12d0ecdaf23547);
   SamplingOptions uncached = sampling_options(
       SplitStrategy::kBernoulliSamples, CountMode::kCandidateId);
   uncached.cache_transactions = false;
   expect_pin("sampling uncached", mine_sampling(uncached),
-             0x3bd7e8173617d7e7);
+             0xd81604fb77a89696);
 }
 
 std::string mine_stream(CountMode mode, BroadcastMode bmode,
@@ -322,7 +322,7 @@ std::string mine_stream(CountMode mode, BroadcastMode bmode,
 }
 
 TEST(PricingPins, Stream) {
-  const u64 pins[] = {0x2987156dd9189e3e, 0xab71d195f42b0cb6};
+  const u64 pins[] = {0x2987156dd9189e3e, 0x7cd353cdb49a1337};
   size_t i = 0;
   for (CountMode mode : kAllModes) {
     expect_pin(std::string("stream ") + count_mode_name(mode),
@@ -333,14 +333,14 @@ TEST(PricingPins, Stream) {
   expect_pin("stream partitioned",
              mine_stream(CountMode::kCandidateId,
                          BroadcastMode::kPartitioned),
-             0xab71d195f42b0cb6);
+             0x7cd353cdb49a1337);
   expect_pin("stream itemset_key partitioned",
              mine_stream(CountMode::kItemsetKey, BroadcastMode::kPartitioned),
-             0x12fe9277d3f29588);
+             0x512a40fbf990aae4);
   expect_pin("stream detsan",
              mine_stream(CountMode::kCandidateId, BroadcastMode::kAuto,
                          detsan_everywhere()),
-             0xc9d2e74389bb6b5d);
+             0x8ba2484d59f6f36a);
 }
 
 std::string mine_mr(const MrAprioriOptions& opt,
