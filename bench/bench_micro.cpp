@@ -268,7 +268,9 @@ BENCHMARK(BM_ReduceByKeyFewKeys)->Arg(1 << 20)->Arg(1 << 22);
 /// fixed-width arrays. Args: the width, and the per-mille of cells each
 /// partition hits: all of them, and T10I4D100K @0.05%'s measured pass-2
 /// and pass-3 fills (15.8% and 4.5%, which ship sparse), so the host cost
-/// of the fold's fused nonzero count shows at each fill.
+/// of the fold's fused nonzero count shows at each fill. On this cluster
+/// the 100,000-cell merges end on the reducers and the narrower ones on
+/// the driver: 1,716 cells is Chess @80%'s pass 6, which folds there.
 void BM_SumArrays(benchmark::State& state) {
   engine::Context::Options opts{.cluster = sim::ClusterConfig::with_nodes(2)};
   opts.fault = engine::FaultProfile{};
@@ -291,6 +293,7 @@ void BM_SumArrays(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * width * 16);
 }
 BENCHMARK(BM_SumArrays)
+    ->Args({1716, 1000})
     ->Args({10000, 1000})
     ->Args({100000, 1000})
     ->Args({100000, 158})

@@ -37,12 +37,6 @@ Context::Context(Options opts)
   obs::Tracer::instance().set_thread_name("driver");
 }
 
-void Context::run_stage(const std::string& label, u32 ntasks,
-                        const std::function<void(u32)>& body) {
-  static const std::atomic<u64> kNoShuffle{0};
-  run_stage_with_shuffle(label, ntasks, body, kNoShuffle);
-}
-
 std::vector<sim::TaskRecord> Context::measure_tasks(
     const std::string& label, u32 ntasks,
     const std::function<void(u32)>& body) {
@@ -205,9 +199,9 @@ std::vector<sim::TaskRecord> Context::measure_tasks_with_faults(
   return tasks;
 }
 
-void Context::run_stage_with_shuffle(const std::string& label, u32 ntasks,
-                                     const std::function<void(u32)>& body,
-                                     const std::atomic<u64>& shuffle_bytes) {
+void Context::run_stage(const std::string& label, u32 ntasks,
+                        const std::function<void(u32)>& body,
+                        const StageBytes* bytes) {
   std::optional<obs::Span> span;
   if (obs::enabled()) {
     span.emplace("stage", label);
@@ -222,7 +216,10 @@ void Context::run_stage_with_shuffle(const std::string& label, u32 ntasks,
   record.kind = sim::StageKind::kSparkStage;
   record.pass = pass_;
   record.tasks = std::move(tasks);
-  record.shuffle_bytes = shuffle_bytes.load(std::memory_order_relaxed);
+  if (bytes) {
+    record.shuffle_bytes = bytes->shuffle.load(std::memory_order_relaxed);
+    record.driver_fetch_bytes = bytes->fetched.load(std::memory_order_relaxed);
+  }
   if (pending_broadcast_ > 0) {
     if (opts_.share_mode == ShareMode::kBroadcast) {
       record.broadcast_bytes = pending_broadcast_;
@@ -235,6 +232,9 @@ void Context::run_stage_with_shuffle(const std::string& label, u32 ntasks,
     if (record.shuffle_bytes) span->arg("shuffle_bytes", record.shuffle_bytes);
     if (record.broadcast_bytes) {
       span->arg("broadcast_bytes", record.broadcast_bytes);
+    }
+    if (record.driver_fetch_bytes) {
+      span->arg("driver_fetch_bytes", record.driver_fetch_bytes);
     }
     u64 total_work = 0;
     for (const sim::TaskRecord& t : record.tasks) total_work += t.work;

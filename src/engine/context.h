@@ -41,6 +41,14 @@ class Broadcast;
 /// beyond the cap still insert normally via rehash.
 inline constexpr size_t kCombineReserveCap = size_t{1} << 16;
 
+/// Bytes a stage's tasks send off their executors (Context::run_stage).
+struct StageBytes {
+  /// All-to-all to the next stage.
+  std::atomic<u64> shuffle{0};
+  /// Task results through the driver's link.
+  std::atomic<u64> fetched{0};
+};
+
 /// How shared data reaches the workers (paper §IV-C): Spark broadcast
 /// variables (tree broadcast, the paper's choice) vs naively shipping a copy
 /// with every task through the driver (the bottleneck it calls out).
@@ -172,18 +180,11 @@ class Context {
   void add_pending_broadcast(u64 bytes) { pending_broadcast_ += bytes; }
 
   /// Execute `body(0..ntasks-1)` on the pool, measure per-task work, and
-  /// record a StageRecord. `shuffle_bytes` may be filled in by the caller
-  /// after the fact via the returned record's index -- reduce_by_key uses
-  /// run_stage_with_shuffle instead.
+  /// record a StageRecord with the bytes the tasks moved, if any. `bytes`
+  /// is read after the tasks complete, so the body may accumulate into it.
   void run_stage(const std::string& label, u32 ntasks,
-                 const std::function<void(u32)>& body);
-
-  /// As run_stage, but also records shuffle bytes produced by the stage.
-  /// `shuffle_bytes` is read after the tasks complete, so the body may
-  /// accumulate into it.
-  void run_stage_with_shuffle(const std::string& label, u32 ntasks,
-                              const std::function<void(u32)>& body,
-                              const std::atomic<u64>& shuffle_bytes);
+                 const std::function<void(u32)>& body,
+                 const StageBytes* bytes = nullptr);
 
   /// Execute `body(0..ntasks-1)` on the pool and return the measured
   /// per-task work, without recording a stage. Building block for

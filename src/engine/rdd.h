@@ -8,11 +8,14 @@
 //   chain. Each is element-wise (map/flat_map/filter) or per-partition
 //   (map_partitions, the seeded samples, zip_with_index).
 // * Wide operations (reduce_by_key, group_by_key, sum_arrays) are stage
-//   boundaries: they execute a map stage, partition its output (accounting
-//   shuffle bytes), and run a reduce stage. sum_arrays ships each map
-//   task's partial whole or as its nonzero cells, whichever is smaller,
-//   and prices both sides on what ships. group_by_key and sum_arrays
-//   spill their map output under memory pressure; reduce_by_key does not.
+//   boundaries: they execute a map stage, then merge its output. The keyed
+//   ones always partition it (accounting shuffle bytes) and run a reduce
+//   stage. sum_arrays ships each map task's partial whole or as its
+//   nonzero cells, whichever is smaller, and prices both sides on what
+//   ships; a merge narrow enough that no reduce stage could launch for
+//   less ends on the driver instead, with no shuffle and no reduce stage.
+//   group_by_key and a shuffling sum_arrays spill their map output under
+//   memory pressure; reduce_by_key does not.
 // * persist() caches computed partitions in (simulated) executor memory;
 //   a partition lost to fault injection -- or LRU-evicted under a finite
 //   executor memory budget -- is transparently recomputed from lineage
@@ -528,16 +531,15 @@ class PartitionNode final : public Node<U> {
 
 // --- shuffle spill (memory-pressure degradation) -----------------------
 //
-// group_by_key and sum_arrays (and the MapReduce map output, through
-// mapreduce/job.h) spill; reduce_by_key keeps its combined pairs in memory
-// at any buffer size. When such a shuffle's map-side buffers exceed the
-// per-node budget (ClusterConfig::shuffle_buffer_bytes, via
-// Context::should_spill), the stage spills its blocks to the context's
-// spill filesystem: each map
-// task's output is genuinely serialized, optionally compressed with the
-// util/bytes yz codec, written to checksummed simfs (so corruption
-// injection covers spilled data like any other block), and read back
-// before the reduce stage. The spill and read-back are priced as DFS I/O
+// group_by_key and a sum_arrays that shuffles (and the MapReduce map
+// output, through mapreduce/job.h) spill; reduce_by_key keeps its combined
+// pairs in memory at any buffer size. When such a shuffle's map-side
+// buffers exceed the per-node budget (ClusterConfig::shuffle_buffer_bytes,
+// via Context::should_spill), the stage spills its blocks to the context's
+// spill filesystem: each map task's output is genuinely serialized,
+// optionally compressed with the util/bytes yz codec, written to
+// checksummed simfs (so corruption injection covers spilled data like any
+// other block), and read back before the reduce stage. The spill and read-back are priced as DFS I/O
 // plus codec CPU through the cost model.
 //
 // The blocks' wire format (spill_put/spill_get, is_spillable_v) lives in
@@ -809,6 +811,39 @@ class FoldSlots {
   std::vector<u32> free_ YAFIM_GUARDED_BY(mutex_);
 };
 
+/// Arrays of integer cells E, which sum_arrays merges exactly.
+template <typename T, typename E>
+inline constexpr bool is_count_array_v =
+    ArrayTraits<T>::is_array &&
+    std::is_same_v<E, typename ArrayTraits<T>::elem_type> &&
+    std::is_integral_v<E>;
+
+/// What a sum_arrays merge returns: every cell, or only the (id, sum) of
+/// the cells that reach its minimum.
+template <typename E>
+struct MergedArrays {
+  std::vector<E> cells;
+  std::vector<std::pair<u32, E>> kept;
+};
+
+/// Whether a sum_arrays merge ends on the driver: only when even its
+/// ceiling -- every map task's partial dense, merged cell by cell (and the
+/// merged cells scanned once, with `scan`), those partials' bytes through
+/// the driver's link -- prices no more than the launch floor of the
+/// `reduce_tasks` empty tasks a reduce stage would run.
+template <typename E>
+bool merges_on_driver(const Context& ctx, u32 map_tasks, u32 reduce_tasks,
+                      u64 width, bool scan) {
+  const sim::CostModel& model = ctx.cost_model();
+  sim::StageRecord floor;
+  floor.tasks.resize(reduce_tasks);
+  const double ceiling =
+      model.compute_seconds((u64{map_tasks} + scan) * width) +
+      model.driver_link_seconds(u64{map_tasks} *
+                                ArrayPartial<E>::dense_bytes(width));
+  return ceiling <= sim::stage_seconds(floor, model);
+}
+
 }  // namespace detail
 
 /// Value-semantic handle to a lineage node. Cheap to copy.
@@ -981,8 +1016,8 @@ class RDD {
 
     lint_consume(PlanLinter::Consume::kShuffle, label);
     Buckets map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
+    StageBytes shipped;
+    ctx.run_stage(
         label + ":map-combine", map_tasks,
         [&](u32 pid) {
           auto in = node_->get(pid);
@@ -1000,11 +1035,11 @@ class RDD {
             }
           }
           map_out[pid].resize(reduce_tasks);
-          shuffle_bytes.fetch_add(
+          shipped.shuffle.fetch_add(
               detail::hash_partition(acc, map_out[pid], hash),
               std::memory_order_relaxed);
         },
-        shuffle_bytes);
+        &shipped);
 
     std::vector<std::vector<T>> out(reduce_tasks);
     ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
@@ -1041,8 +1076,8 @@ class RDD {
 
     lint_consume(PlanLinter::Consume::kShuffle, label);
     Buckets map_out(map_tasks);
-    std::atomic<u64> shuffle_bytes{0};
-    ctx.run_stage_with_shuffle(
+    StageBytes shipped;
+    ctx.run_stage(
         label + ":map", map_tasks,
         [&](u32 pid) {
           auto in = node_->get(pid);
@@ -1053,16 +1088,16 @@ class RDD {
             bytes += byte_size(kv);
             map_out[pid][hash(kv.first) % reduce_tasks].push_back(kv);
           }
-          shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
+          shipped.shuffle.fetch_add(bytes, std::memory_order_relaxed);
         },
-        shuffle_bytes);
+        &shipped);
 
     // Spillable key/value shapes degrade to simfs when the buffered bytes
     // exceed the shuffle budget; other shapes keep the in-memory path.
     std::optional<detail::ShuffleSpill<std::vector<std::vector<T>>>> spill;
     if constexpr (detail::is_spillable_v<T>) {
       spill.emplace(ctx, label);
-      if (spill->admit(shuffle_bytes.load(std::memory_order_relaxed))) {
+      if (spill->admit(shipped.shuffle.load(std::memory_order_relaxed))) {
         spill->round_trip(map_out);
       }
     }
@@ -1163,32 +1198,64 @@ class RDD {
   /// Element-wise sum of fixed-width integer arrays -- the dense
   /// counterpart of reduce_by_key for counting against a known universe of
   /// `width` candidate ids. Every element must be a std::vector of exactly
-  /// `width` cells (EngineError{kArrayWidthMismatch} otherwise).
-  ///
-  /// Priced as on the cluster: each map task combines its partition's
+  /// `width` cells (EngineError{kArrayWidthMismatch} otherwise). Returns
+  /// the fully merged array on the driver; merge_arrays prices the merge.
+  template <typename E = typename detail::ArrayTraits<T>::elem_type>
+    requires detail::is_count_array_v<T, E>
+  std::vector<E> sum_arrays(size_t width,
+                            const std::string& label = "sumArrays") const {
+    return merge_arrays<E>(width, std::nullopt, label).cells;
+  }
+
+  /// sum_arrays keeping only the cells whose sum reaches `min`, as (id,
+  /// sum) pairs in id order: the paper's reduceByKey -> filter -> collect,
+  /// with the filter run where the merge ends.
+  template <typename E = typename detail::ArrayTraits<T>::elem_type>
+    requires detail::is_count_array_v<T, E>
+  std::vector<std::pair<u32, E>> sum_arrays_at_least(
+      size_t width, E min, const std::string& label = "sumArrays") const {
+    return merge_arrays<E>(width, min, label).kept;
+  }
+
+  std::shared_ptr<detail::Node<T>> node() const { return node_; }
+
+ private:
+  /// A shuffle's map-side output: [map task][reduce task] -> elements.
+  using Buckets = std::vector<std::vector<std::vector<T>>>;
+
+  /// The merge behind sum_arrays (no `min`) and sum_arrays_at_least,
+  /// priced as on the cluster. Each map task combines its partition's
   /// arrays into one partial and ships it in the smaller of two forms,
   /// decided from its own cells (detail::ArrayPartial): dense, 8 + width
   /// cells' bytes, or sparse, 8 bytes plus a u32 id and a cell per nonzero
   /// cell, only when strictly smaller. A dense partial costs its width per
   /// input array combined; a sparse one a unit per entry emitted, plus the
-  /// width per input array past the first. The reduce side slices the id
-  /// space contiguously over tasks, and slice r sums its cells of every
-  /// dense partial and its entries of every sparse one.
+  /// width per input array past the first. Merging costs a unit per cell
+  /// of a dense partial and per entry of a sparse one, and with a `min` a
+  /// unit per merged cell scanned for survivors.
+  ///
+  /// The merge ends one of two ways, chosen before the map stage runs
+  /// (detail::merges_on_driver):
+  /// * on the driver: the partials return as task results, with no shuffle
+  ///   and no spill, and a `:aggregate` overhead record charges the merge
+  ///   to the driver and the partials' bytes to its link;
+  /// * on the reducers: the partials shuffle to a `:reduce` stage that
+  ///   slices the id space contiguously over its tasks. Slice r merges its
+  ///   cells of every dense partial and its entries of every sparse one,
+  ///   and returns its cells (dense), or with a `min` its survivors
+  ///   (sparse), through the driver's link.
   ///
   /// The host never holds those partials at once. A task folds its inputs
   /// into one of min(pool size, map_tasks) FoldSlots, counting each reduce
-  /// slice's nonzero cells in the same pass. When the stage spills (decided
-  /// before it runs, on the dense size every partial is bounded by), a
-  /// task encodes its partial in the form it ships straight into its spill
-  /// block instead, and the restored blocks fold into the same slots.
-  /// :reduce sums the slots. The fold is exact only for integer cells,
-  /// hence integral E. Returns the fully merged array on the driver.
-  template <typename E = typename detail::ArrayTraits<T>::elem_type>
-    requires(detail::ArrayTraits<T>::is_array &&
-             std::is_same_v<E, typename detail::ArrayTraits<T>::elem_type> &&
-             std::is_integral_v<E>)
-  std::vector<E> sum_arrays(size_t width,
-                            const std::string& label = "sumArrays") const {
+  /// slice's nonzero cells in the same pass. When the shuffle spills
+  /// (decided before it runs, on the dense size every partial is bounded
+  /// by), a task encodes its partial in the form it ships straight into its
+  /// spill block instead, and the restored blocks fold into the same
+  /// slots. The merge sums the slots. The fold is exact only for integer
+  /// cells, hence integral E.
+  template <typename E>
+  detail::MergedArrays<E> merge_arrays(size_t width, std::optional<E> min,
+                                       const std::string& label) const {
     using Partial = detail::ArrayPartial<E>;
     Context& ctx = node_->ctx();
     const u32 map_tasks = node_->num_partitions();
@@ -1199,19 +1266,21 @@ class RDD {
     for (u32 r = 0; r <= reduce_tasks; ++r) {
       bounds[r] = width * r / reduce_tasks;
     }
+    const bool on_driver = detail::merges_on_driver<E>(
+        ctx, map_tasks, reduce_tasks, width, min.has_value());
 
     lint_consume(PlanLinter::Consume::kShuffle, label);
     detail::ShuffleSpill<Partial> spill(ctx, label);
     const bool spilling =
-        spill.admit(map_tasks * Partial::dense_bytes(width));
+        !on_driver && spill.admit(map_tasks * Partial::dense_bytes(width));
     std::vector<detail::EncodedBlock> blocks(spilling ? map_tasks : 0);
     detail::FoldSlots<E> slots(std::min(ctx.pool().size(), map_tasks), width);
     // Per map task: its nonzero cells in each reduce slice, and its form.
     std::vector<u64> nonzero(size_t{map_tasks} * reduce_tasks, 0);
     std::vector<u8> sparse(map_tasks, 0);
-    std::atomic<u64> shuffle_bytes{0};
+    StageBytes partials;
     std::atomic<bool> bad_width{false};
-    ctx.run_stage_with_shuffle(
+    ctx.run_stage(
         label + ":map-combine", map_tasks,
         [&](u32 pid) {
           auto in = node_->get(pid);
@@ -1259,12 +1328,12 @@ class RDD {
           sparse[pid] = Partial::ships_sparse(width, entries);
           if (sparse[pid]) {
             work::add(entries + (inputs > 1 ? width * (inputs - 1) : 0));
-            shuffle_bytes.fetch_add(Partial::sparse_bytes(entries),
-                                    std::memory_order_relaxed);
+            partials.shuffle.fetch_add(Partial::sparse_bytes(entries),
+                                       std::memory_order_relaxed);
           } else {
             work::add(width * inputs);
-            shuffle_bytes.fetch_add(Partial::dense_bytes(width),
-                                    std::memory_order_relaxed);
+            partials.shuffle.fetch_add(Partial::dense_bytes(width),
+                                       std::memory_order_relaxed);
           }
           if (spilling) {
             Partial shipped;
@@ -1276,14 +1345,16 @@ class RDD {
             blocks[pid] = spill.encode(pid, shipped);
           }
         },
-        shuffle_bytes);
+        // Ending on the driver, the partials are task results that
+        // :aggregate fetches, not shuffle output.
+        on_driver ? nullptr : &partials);
     if (bad_width.load(std::memory_order_relaxed)) {
       throw EngineError(
           EngineErrorKind::kArrayWidthMismatch,
           label + ": input array width != " + std::to_string(width));
     }
-    obs::count(obs::CounterId::kArrayReduceBytes,
-               shuffle_bytes.load(std::memory_order_relaxed));
+    const u64 partial_bytes = partials.shuffle.load(std::memory_order_relaxed);
+    obs::count(obs::CounterId::kArrayReduceBytes, partial_bytes);
 
     if (spilling) {
       spill.write(std::move(blocks));
@@ -1297,31 +1368,66 @@ class RDD {
       });
     }
 
-    // Priced as summing what every map task shipped into each slice.
-    std::vector<u64> reduce_work(reduce_tasks, 0);
-    for (u32 p = 0; p < map_tasks; ++p) {
-      for (u32 r = 0; r < reduce_tasks; ++r) {
-        reduce_work[r] += sparse[p] ? nonzero[size_t{p} * reduce_tasks + r]
-                                    : bounds[r + 1] - bounds[r];
+    // Priced as merging what every map task shipped into each slice, then
+    // scanning the slice for survivors.
+    std::vector<u64> merge_work(reduce_tasks, 0);
+    for (u32 r = 0; r < reduce_tasks; ++r) {
+      const u64 slice = bounds[r + 1] - bounds[r];
+      for (u32 p = 0; p < map_tasks; ++p) {
+        merge_work[r] +=
+            sparse[p] ? nonzero[size_t{p} * reduce_tasks + r] : slice;
       }
+      if (min) merge_work[r] += slice;
     }
     const std::vector<std::vector<E>> parts = slots.take();
     std::vector<E> merged(width, E{});
-    ctx.run_stage(label + ":reduce", reduce_tasks, [&](u32 r) {
-      work::add(reduce_work[r]);
+    std::vector<std::vector<std::pair<u32, E>>> kept(min ? reduce_tasks : 0);
+    auto merge_slice = [&](u32 r) {
       for (const std::vector<E>& part : parts) {
         for (size_t i = bounds[r]; i < bounds[r + 1]; ++i) merged[i] += part[i];
       }
-    });
+      if (!min) return;
+      for (size_t i = bounds[r]; i < bounds[r + 1]; ++i) {
+        if (merged[i] >= *min) {
+          kept[r].emplace_back(static_cast<u32>(i), merged[i]);
+        }
+      }
+    };
+    if (on_driver) {
+      for (u32 r = 0; r < reduce_tasks; ++r) merge_slice(r);
+      sim::StageRecord aggregate;
+      aggregate.label = label + ":aggregate";
+      aggregate.kind = sim::StageKind::kOverhead;
+      aggregate.pass = ctx.pass();
+      aggregate.driver_work =
+          std::accumulate(merge_work.begin(), merge_work.end(), u64{0});
+      aggregate.driver_fetch_bytes = partial_bytes;
+      ctx.record(std::move(aggregate));
+    } else {
+      StageBytes results;
+      ctx.run_stage(
+          label + ":reduce", reduce_tasks,
+          [&](u32 r) {
+            work::add(merge_work[r]);
+            merge_slice(r);
+            results.fetched.fetch_add(
+                min ? Partial::sparse_bytes(kept[r].size())
+                    : Partial::dense_bytes(bounds[r + 1] - bounds[r]),
+                std::memory_order_relaxed);
+          },
+          &results);
+    }
     obs::count(obs::CounterId::kArrayReduceCells, width);
-    return merged;
+    detail::MergedArrays<E> out;
+    if (!min) {
+      out.cells = std::move(merged);
+      return out;
+    }
+    for (auto& slice : kept) {
+      out.kept.insert(out.kept.end(), slice.begin(), slice.end());
+    }
+    return out;
   }
-
-  std::shared_ptr<detail::Node<T>> node() const { return node_; }
-
- private:
-  /// A shuffle's map-side output: [map task][reduce task] -> elements.
-  using Buckets = std::vector<std::vector<std::vector<T>>>;
 
   /// Plan-linter consumption hook, called right before an action/shuffle
   /// pulls this RDD's partitions (engine/lint.h walks the lineage then).

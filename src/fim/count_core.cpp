@@ -482,9 +482,9 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
   }
 
   // Both dense paths count into one id-indexed array per partition, merge
-  // the arrays element-wise across the shuffle, and materialize itemsets
-  // from the batch's rows only for MinSup survivors.
-  std::vector<u64> counts;
+  // the arrays element-wise, keep the MinSup survivors where the merge
+  // ends, and materialize itemsets from the batch's rows for those only.
+  std::vector<std::pair<u32, u64>> survivors;
   if (ship.partitioned) {
     // Partitioned candidate store: the batch is split into ranges of first
     // items, each shipped as the DenseKernel of its level slices to one
@@ -526,7 +526,7 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
     }
     const u32 kmin = opt.kmin;  // smallest candidate size in this batch
     const u32 nranges = std::max<u32>(1, static_cast<u32>(store->size()));
-    counts =
+    survivors =
         transactions
             .flat_map([store, kmin](const Transaction& t) {
               // Any candidate c contained in t has its first item at some
@@ -564,7 +564,7 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
                   return out;
                 })
             .named(pass_name + ":shard-count")
-            .sum_arrays(id_space, pass_name + ":count");
+            .sum_arrays_at_least(id_space, min_count, pass_name + ":count");
   } else {
     // Dense, kernel chosen per task (count_rows): the pair matrix or the
     // trie walk until the bitmap kernel is cheaper for the rows left. The
@@ -572,7 +572,7 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
     // the bitmap switch reads. The no-hash-tree ablation ships the same
     // payload and scans every candidate row linearly.
     auto shipped = ctx.broadcast(ship, ship.bytes, payload_label);
-    counts =
+    survivors =
         transactions
             .map_partitions([shipped, levels = std::vector<LevelView>(
                                           levels.begin(), levels.end()),
@@ -599,19 +599,18 @@ std::vector<CountPair> count_shipped(engine::Context& ctx,
               out.push_back(std::move(acc));
               return out;
             })
-            .sum_arrays(id_space, pass_name + ":count");
+            .sum_arrays_at_least(id_space, min_count, pass_name + ":count");
   }
 
+  // The survivors come in id order, so the levels' id ranges in turn.
   engine::work::Scope mat_scope;
   std::vector<CountPair> frequent;
-  for (const LevelView& level : levels) {
-    const u64* cells = counts.data() + level.id_offset;
-    for (u32 ci = 0; ci < level.size(); ++ci) {
-      engine::work::add(1);
-      if (cells[ci] >= min_count) {
-        frequent.emplace_back(level.itemset(ci), cells[ci]);
-      }
-    }
+  frequent.reserve(survivors.size());
+  const LevelView* level = levels.data();
+  for (const auto& [id, support] : survivors) {
+    engine::work::add(1);
+    while (id >= level->id_offset + level->size()) ++level;
+    frequent.emplace_back(level->itemset(id - level->id_offset), support);
   }
   sim::StageRecord mat;
   mat.label = pass_name + ":materialize";

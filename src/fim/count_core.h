@@ -22,7 +22,9 @@
 //   * kItemsetKey      -- paper-faithful: per-hit itemset copies keyed into
 //                         a reduce_by_key shuffle over hash-tree probes.
 //   * kCandidateId     -- dense per-partition u64 arrays indexed by
-//                         batch-global candidate id, merged via sum_arrays;
+//                         batch-global candidate id, merged via
+//                         sum_arrays_at_least, which returns only the MinSup
+//                         survivors to the driver;
 //                         each task walks its rows on the batch's
 //                         DenseKernel (the pair matrix of a pair batch, else
 //                         the candidate trie) until the bitmap kernel is

@@ -42,8 +42,9 @@ struct YafimOptions {
   /// How Phase II counts candidate hits (fim/hash_tree.h CountMode):
   /// kItemsetKey is the paper-faithful shuffle keyed on full itemsets over
   /// hash-tree probes, kCandidateId (the default) the dense arrays merged
-  /// by sum_arrays(). Both yield bit-identical FrequentItemsets; only the
-  /// data structure and its pricing differ.
+  /// by sum_arrays_at_least(), which returns only the MinSup survivors.
+  /// Both yield bit-identical FrequentItemsets; only the data structure
+  /// and its pricing differ.
   CountMode count_mode = CountMode::kCandidateId;
 
   /// How each pass's candidates reach the workers (fim/hash_tree.h

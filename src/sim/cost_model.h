@@ -57,6 +57,12 @@ class CostModel {
   /// bottleneck that broadcast variables remove. Used by the ablation.
   double naive_ship_seconds(u64 bytes, u64 tasks) const;
 
+  /// `bytes` of task results fetched through the driver's single link,
+  /// priced as naive shipping prices its uplink for one task.
+  double driver_link_seconds(u64 bytes) const {
+    return static_cast<double>(bytes) / net_bps();
+  }
+
   /// Work-unit calibration constant (units per second per core).
   static constexpr double kWorkUnitsPerSecPerCore = 2e6;
 

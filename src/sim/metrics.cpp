@@ -79,6 +79,8 @@ double stage_seconds(const StageRecord& stage, const CostModel& model) {
   if (stage.naive_ship_bytes)
     total += model.naive_ship_seconds(stage.naive_ship_bytes,
                                       stage.tasks.size());
+  if (stage.driver_fetch_bytes)
+    total += model.driver_link_seconds(stage.driver_fetch_bytes);
   return total;
 }
 
@@ -114,7 +116,7 @@ std::string format_report(const SimReport& report, const CostModel& model) {
   };
 
   Table table({"pass", "stage", "kind", "tasks", "work", "shuffle", "bcast",
-               "dfs r/w", "sec"});
+               "fetch", "dfs r/w", "sec"});
   for (const StageRecord& stage : report.stages()) {
     u64 work = stage.driver_work;
     for (const TaskRecord& t : stage.tasks) work += t.work;
@@ -123,6 +125,7 @@ std::string format_report(const SimReport& report, const CostModel& model) {
          Table::num(u64{stage.tasks.size()}), Table::num(work),
          format_bytes(stage.shuffle_bytes),
          format_bytes(stage.broadcast_bytes + stage.naive_ship_bytes),
+         format_bytes(stage.driver_fetch_bytes),
          format_bytes(stage.dfs_read_bytes) + "/" +
              format_bytes(stage.dfs_write_bytes),
          Table::num(stage_seconds(stage, model))});

@@ -61,6 +61,9 @@ struct StageRecord {
   u64 broadcast_bytes = 0;
   /// Bytes shipped naively (per task, through the driver) -- ablation mode.
   u64 naive_ship_bytes = 0;
+  /// Task results the driver fetches through its single link: sum_arrays'
+  /// partials when the driver merges them, or its reducers' output.
+  u64 driver_fetch_bytes = 0;
   /// Bytes read from / written to the simulated HDFS.
   u64 dfs_read_bytes = 0;
   u64 dfs_write_bytes = 0;

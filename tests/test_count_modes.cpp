@@ -55,6 +55,22 @@ engine::Context::Options small_cluster() {
   return opts;
 }
 
+/// small_cluster() with free task launches: a reduce stage's launch floor
+/// is zero, so every sum_arrays merge ends on the reducers.
+engine::Context::Options reducer_cluster() {
+  auto opts = small_cluster();
+  opts.cluster.spark_task_launch_s = 0.0;
+  return opts;
+}
+
+/// Whether ctx's report holds a stage `label`.
+bool has_stage(const engine::Context& ctx, const std::string& label) {
+  for (const sim::StageRecord& st : ctx.report().stages()) {
+    if (st.label == label) return true;
+  }
+  return false;
+}
+
 /// The stage `label` in ctx's report.
 const sim::StageRecord& stage_named(const engine::Context& ctx,
                                     const std::string& label) {
@@ -200,6 +216,35 @@ TEST(CountModes, YafimBitIdenticalAcrossModesAndBatching) {
       EXPECT_EQ(run.passes[i].candidates, faithful.passes[i].candidates);
       EXPECT_EQ(run.passes[i].frequent, faithful.passes[i].frequent);
     }
+  }
+}
+
+TEST(CountModes, MaterializeChargesOneUnitPerSurvivor) {
+  // Survivors come back from where the merge ends, on either plan, so the
+  // driver builds only the frequent itemsets: one unit each.
+  const auto db = random_db(14, 200, 0.4, 7);
+  for (const bool reducers : {false, true}) {
+    engine::Context ctx(reducers ? reducer_cluster() : small_cluster());
+    simfs::SimFS fs(ctx.cluster());
+    YafimOptions opt;
+    opt.min_support = 0.2;
+    opt.count_mode = CountMode::kCandidateId;
+    const MiningRun run = yafim_mine(ctx, fs, db, opt);
+    u32 counted = 0;
+    for (const PassStats& p : run.passes) {
+      if (p.k < 2) continue;
+      const std::string pass = "pass" + std::to_string(p.k);
+      const std::string where = pass + " reducers=" + std::to_string(reducers);
+      EXPECT_EQ(stage_named(ctx, pass + ":materialize").driver_work,
+                p.frequent)
+          << where;
+      EXPECT_LT(p.frequent, p.candidates) << where;
+      EXPECT_EQ(has_stage(ctx, pass + ":count:reduce"), reducers) << where;
+      EXPECT_EQ(has_stage(ctx, pass + ":count:aggregate"), !reducers)
+          << where;
+      ++counted;
+    }
+    EXPECT_GE(counted, 2u);
   }
 }
 
@@ -928,9 +973,9 @@ std::string stage_text(const sim::StageRecord& st) {
         << t.speculative;
   }
   out << ' ' << st.shuffle_bytes << ' ' << st.broadcast_bytes << ' '
-      << st.naive_ship_bytes << ' ' << st.dfs_read_bytes << ' '
-      << st.dfs_write_bytes << ' ' << st.driver_work << ' '
-      << st.fixed_overhead_s;
+      << st.naive_ship_bytes << ' ' << st.driver_fetch_bytes << ' '
+      << st.dfs_read_bytes << ' ' << st.dfs_write_bytes << ' '
+      << st.driver_work << ' ' << st.fixed_overhead_s;
   return out.str();
 }
 
@@ -1654,7 +1699,7 @@ TEST(SumArrays, ElementwiseSumAcrossPartitions) {
 }
 
 TEST(SumArrays, ShuffleBytesPricedAsArrayWidthPerMapTask) {
-  engine::Context ctx(small_cluster());
+  engine::Context ctx(reducer_cluster());
   const size_t width = 1000;
   const u32 parts = 5;
   std::vector<std::vector<u64>> arrays(parts * 3,
@@ -1717,7 +1762,7 @@ TEST(SumArrays, ShipsSparseOnlyWhenStrictlySmaller) {
   };
   const Case cases[] = {{{1, 2, 0}, 32, 3}, {{0, 5, 0}, 20, 1}};
   for (const Case& c : cases) {
-    engine::Context ctx(small_cluster());
+    engine::Context ctx(reducer_cluster());
     const auto merged =
         ctx.from_partitions(std::vector<std::vector<std::vector<u64>>>{
                                 {c.cells}})
@@ -1731,7 +1776,7 @@ TEST(SumArrays, ShipsSparseOnlyWhenStrictlySmaller) {
 }
 
 TEST(SumArrays, EmptyPartitionShipsEightBytesForNoWork) {
-  engine::Context ctx(small_cluster());
+  engine::Context ctx(reducer_cluster());
   const size_t width = 50;
   const std::vector<u64> full(width, 2);
   const auto merged =
@@ -1755,7 +1800,7 @@ TEST(SumArrays, EmptyPartitionShipsEightBytesForNoWork) {
 TEST(SumArrays, ReduceSlicePricesDenseWidthPlusSparseEntries) {
   // A dense partial (every cell hit) and a sparse one (five cells hit,
   // two inputs combined) over a width the reducers slice unevenly.
-  engine::Context ctx(small_cluster());
+  engine::Context ctx(reducer_cluster());
   const size_t width = 100;
   std::vector<u64> dense(width, 1);
   std::vector<u64> a(width, 0), b(width, 0);
@@ -1789,7 +1834,7 @@ TEST(SumArrays, ReduceSlicePricesDenseWidthPlusSparseEntries) {
 
 TEST(SumArrays, DetSanReplaysASparseTaskClean) {
   for (const bool spill : {false, true}) {
-    auto opts = small_cluster();
+    auto opts = reducer_cluster();
     opts.detsan.enabled = true;
     opts.detsan.sample_rate = 1.0;
     if (spill) opts.cluster.shuffle_buffer_bytes = 1;
@@ -1814,9 +1859,215 @@ TEST(SumArrays, DetSanReplaysASparseTaskClean) {
   }
 }
 
+/// The widest merge of `map_tasks` partials, with or without the survivor
+/// scan, that still ends on the driver in `ctx`: its ceiling (every partial
+/// dense, merged cell by cell, the partials' bytes through the driver's
+/// link) against the launch floor of the reduce stage it would run.
+size_t widest_driver_merge(const engine::Context& ctx, u32 map_tasks,
+                           bool scan) {
+  const sim::CostModel& model = ctx.cost_model();
+  const auto on_driver = [&](u64 width) {
+    sim::StageRecord reduce;
+    reduce.tasks.resize(std::min<u64>(ctx.default_partitions(), width));
+    return model.compute_seconds((map_tasks + scan) * width) +
+               model.driver_link_seconds(map_tasks * (8 + 8 * width)) <=
+           sim::stage_seconds(reduce, model);
+  };
+  size_t width = 1;
+  while (on_driver(width + 1)) ++width;
+  return width;
+}
+
+TEST(SumArrays, MergeEndsOnTheDriverUpToTheReduceLaunchFloor) {
+  // The paper's cluster at its default 96 partitions.
+  engine::Context::Options opts;
+  opts.host_threads = 4;
+  opts.fault = engine::FaultProfile{};
+  for (const bool scan : {false, true}) {
+    const size_t widest = widest_driver_merge(engine::Context(opts), 96, scan);
+    EXPECT_GT(widest, 5000u) << "scan=" << scan;
+    EXPECT_LT(widest, 6000u) << "scan=" << scan;
+    for (const size_t width : {widest, widest + 1}) {
+      engine::Context ctx(opts);
+      auto rdd = ctx.parallelize(
+          std::vector<std::vector<u64>>(96, std::vector<u64>(width, 1)), 96);
+      if (scan) {
+        EXPECT_EQ(rdd.sum_arrays_at_least(width, u64{96}, "sum").size(),
+                  width);
+      } else {
+        EXPECT_EQ(rdd.sum_arrays(width, "sum"), std::vector<u64>(width, 96));
+      }
+      const bool driver = width == widest;
+      const std::string where =
+          "width=" + std::to_string(width) + " scan=" + std::to_string(scan);
+      EXPECT_EQ(has_stage(ctx, "sum:aggregate"), driver) << where;
+      EXPECT_EQ(has_stage(ctx, "sum:reduce"), !driver) << where;
+    }
+  }
+}
+
+/// Twelve arrays of `width` cells, two per partition over six partitions:
+/// the first four partitions' partials hit a few cells and ship sparse,
+/// the last two hit most and ship dense.
+std::vector<std::vector<u64>> mixed_arrays(size_t width, u64 seed) {
+  Rng rng(seed);
+  std::vector<std::vector<u64>> arrays(12, std::vector<u64>(width, 0));
+  for (size_t n = 0; n < arrays.size(); ++n) {
+    for (u64& cell : arrays[n]) {
+      if (rng.bernoulli(n < 8 ? 0.04 : 0.7)) cell = 1 + rng.below(9);
+    }
+  }
+  return arrays;
+}
+
+/// The cells of `arrays` summed serially, and those reaching `min`.
+std::pair<std::vector<u64>, std::vector<std::pair<u32, u64>>> serial_merge(
+    const std::vector<std::vector<u64>>& arrays, size_t width, u64 min) {
+  std::vector<u64> cells(width, 0);
+  for (const auto& a : arrays) {
+    for (size_t i = 0; i < width; ++i) cells[i] += a[i];
+  }
+  std::vector<std::pair<u32, u64>> kept;
+  for (size_t i = 0; i < width; ++i) {
+    if (cells[i] >= min) kept.emplace_back(static_cast<u32>(i), cells[i]);
+  }
+  return {cells, kept};
+}
+
+TEST(SumArrays, DriverMergeChargesWhatTheReducersWould) {
+  const size_t width = 90;
+  const u64 min = 6;
+  const auto arrays = mixed_arrays(width, 41);
+  const auto [cells, kept] = serial_merge(arrays, width, min);
+  for (const bool scan : {false, true}) {
+    // The reducers' plan, for its prices.
+    engine::Context rctx(reducer_cluster());
+    auto rrdd = rctx.parallelize(arrays, 6);
+    if (scan) {
+      EXPECT_EQ(rrdd.sum_arrays_at_least(width, min, "sum"), kept);
+    } else {
+      EXPECT_EQ(rrdd.sum_arrays(width, "sum"), cells);
+    }
+    u64 reduce_work = 0;
+    for (const sim::TaskRecord& t : stage_named(rctx, "sum:reduce").tasks) {
+      reduce_work += t.work;
+    }
+    const sim::StageRecord& rmap = stage_named(rctx, "sum:map-combine");
+
+    // The driver's, under a 16 B shuffle buffer that would spill a shuffle.
+    auto opts = small_cluster();
+    opts.cluster.shuffle_buffer_bytes = 16;
+    engine::Context ctx(opts);
+    simfs::SimFS fs(ctx.cluster());
+    ctx.set_spill_fs(&fs);
+    auto rdd = ctx.parallelize(arrays, 6);
+    if (scan) {
+      EXPECT_EQ(rdd.sum_arrays_at_least(width, min, "sum"), kept);
+    } else {
+      EXPECT_EQ(rdd.sum_arrays(width, "sum"), cells);
+    }
+    const std::string where = "scan=" + std::to_string(scan);
+    const auto& stages = ctx.report().stages();
+    ASSERT_EQ(stages.size(), 2u) << where;
+    const sim::StageRecord& map = stages[0];
+    EXPECT_EQ(map.label, "sum:map-combine");
+    EXPECT_EQ(map.shuffle_bytes, 0u) << where;
+    ASSERT_EQ(map.tasks.size(), rmap.tasks.size());
+    for (size_t t = 0; t < map.tasks.size(); ++t) {
+      EXPECT_EQ(map.tasks[t].work, rmap.tasks[t].work) << where;
+    }
+    const sim::StageRecord& aggregate = stages[1];
+    EXPECT_EQ(aggregate.label, "sum:aggregate");
+    EXPECT_EQ(aggregate.kind, sim::StageKind::kOverhead);
+    EXPECT_TRUE(aggregate.tasks.empty());
+    EXPECT_EQ(aggregate.driver_work, reduce_work) << where;
+    // The partials the reducers would have shuffled, through the link.
+    EXPECT_EQ(aggregate.driver_fetch_bytes, rmap.shuffle_bytes) << where;
+    EXPECT_EQ(aggregate.shuffle_bytes, 0u) << where;
+    EXPECT_EQ(ctx.memory_budget().spill_blocks_written(), 0u) << where;
+    EXPECT_EQ(ctx.memory_budget().shuffle_buffered_bytes(), 0u) << where;
+  }
+}
+
+TEST(SumArrays, ReducersReturnOnlySurvivors) {
+  const size_t width = 90;
+  const u64 min = 25;
+  const auto arrays = mixed_arrays(width, 43);
+  const auto [cells, kept] = serial_merge(arrays, width, min);
+  ASSERT_FALSE(kept.empty());
+  engine::Context dense_ctx(reducer_cluster());
+  EXPECT_EQ(dense_ctx.parallelize(arrays, 6).sum_arrays(width, "sum"), cells);
+  engine::Context ctx(reducer_cluster());
+  EXPECT_EQ(
+      ctx.parallelize(arrays, 6).sum_arrays_at_least(width, min, "sum"), kept);
+
+  const sim::StageRecord& dense = stage_named(dense_ctx, "sum:reduce");
+  const sim::StageRecord& reduce = stage_named(ctx, "sum:reduce");
+  const size_t r = reduce.tasks.size();
+  ASSERT_EQ(dense.tasks.size(), r);
+  u64 dense_bytes = 0, survivor_bytes = 0;
+  for (size_t t = 0; t < r; ++t) {
+    const size_t begin = width * t / r, end = width * (t + 1) / r;
+    u64 survivors = 0;
+    for (const auto& [id, sum] : kept) survivors += id >= begin && id < end;
+    // The slice merges as before, then scans each of its cells once.
+    EXPECT_EQ(reduce.tasks[t].work, dense.tasks[t].work + (end - begin))
+        << "slice " << t;
+    dense_bytes += 8 + 8 * (end - begin);
+    survivor_bytes += 8 + 12 * survivors;
+  }
+  EXPECT_EQ(dense.driver_fetch_bytes, dense_bytes);
+  EXPECT_EQ(reduce.driver_fetch_bytes, survivor_bytes);
+  EXPECT_LT(survivor_bytes, dense_bytes);
+}
+
+TEST(SumArrays, BothPlansMatchASerialReference) {
+  const size_t width = 90;
+  const u64 min = 6;
+  const auto arrays = mixed_arrays(width, 47);
+  const auto [cells, kept] = serial_merge(arrays, width, min);
+  enum Variant { kPlain, kDetSan, kFaults, kSpill };
+  for (const bool reducers : {false, true}) {
+    for (const Variant v : {kPlain, kDetSan, kFaults, kSpill}) {
+      auto opts = reducers ? reducer_cluster() : small_cluster();
+      if (v == kDetSan) {
+        opts.detsan.enabled = true;
+        opts.detsan.sample_rate = 1.0;
+      }
+      if (v == kFaults) {
+        opts.fault.seed = 31;
+        opts.fault.task_failure_p = 0.3;
+        opts.fault.max_task_attempts = 12;
+      }
+      if (v == kSpill) opts.cluster.shuffle_buffer_bytes = 1;
+      engine::Context ctx(opts);
+      simfs::SimFS fs(ctx.cluster());
+      ctx.set_spill_fs(&fs);
+      auto rdd = ctx.parallelize(arrays, 6);
+      const std::string where = std::string(reducers ? "reducers" : "driver") +
+                                " variant=" + std::to_string(v);
+      EXPECT_EQ(rdd.sum_arrays(width, "sum"), cells) << where;
+      EXPECT_EQ(rdd.sum_arrays_at_least(width, min, "sum"), kept) << where;
+      EXPECT_EQ(has_stage(ctx, "sum:reduce"), reducers) << where;
+      EXPECT_EQ(has_stage(ctx, "sum:aggregate"), !reducers) << where;
+      if (v == kDetSan) {
+        EXPECT_GT(ctx.detsan().tasks_replayed(), 0u) << where;
+        EXPECT_EQ(ctx.detsan().divergences(), 0u) << where;
+      }
+      if (v == kFaults) {
+        EXPECT_GT(ctx.fault_injector().task_retries(), 0u) << where;
+      }
+      EXPECT_EQ(ctx.memory_budget().spill_blocks_written(),
+                v == kSpill && reducers ? 12u : 0u)
+          << where;
+    }
+  }
+}
+
 /// One sum_arrays over 96 partitions of zero-heavy arrays on a fresh
-/// context with `threads` host threads. With `spill`, a 1-byte shuffle
-/// buffer sends every partial through simfs.
+/// context with `threads` host threads, merged on the reducers or on the
+/// driver. With `spill`, a 1-byte shuffle buffer sends every partial the
+/// reducers merge through simfs.
 struct FoldRun {
   std::vector<u64> merged;
   std::vector<sim::StageRecord> stages;
@@ -1826,8 +2077,9 @@ struct FoldRun {
 };
 
 FoldRun sum_96_partitions(const std::vector<std::vector<u64>>& arrays,
-                          size_t width, u32 threads, bool spill) {
-  auto opts = small_cluster();
+                          size_t width, u32 threads, bool reducers,
+                          bool spill) {
+  auto opts = reducers ? reducer_cluster() : small_cluster();
   opts.host_threads = threads;
   if (spill) opts.cluster.shuffle_buffer_bytes = 1;
   engine::Context ctx(opts);
@@ -1876,17 +2128,32 @@ TEST(SumArrays, FoldIsIdenticalAcrossHostThreadCounts) {
   ASSERT_GT(sparse_tasks, 0u);
   ASSERT_LT(sparse_tasks, 96u);
 
-  for (const bool spill : {false, true}) {
-    const FoldRun ref = sum_96_partitions(arrays, width, 1, spill);
-    EXPECT_EQ(ref.merged, expected) << "spill=" << spill;
-    EXPECT_EQ(ref.spill_blocks, spill ? 96u : 0u);
-    EXPECT_EQ(ref.stages.front().shuffle_bytes, shipped) << "spill=" << spill;
-    // Each spill block holds its partial in the form it ships.
-    EXPECT_EQ(ref.spill_raw, spill ? shipped : 0u);
+  for (const auto& [reducers, spill] :
+       {std::pair{true, false}, std::pair{true, true},
+        std::pair{false, false}, std::pair{false, true}}) {
+    const std::string plan = std::string(reducers ? "reducers" : "driver") +
+                             " spill=" + std::to_string(spill);
+    const FoldRun ref = sum_96_partitions(arrays, width, 1, reducers, spill);
+    EXPECT_EQ(ref.merged, expected) << plan;
+    if (reducers) {
+      EXPECT_EQ(ref.spill_blocks, spill ? 96u : 0u);
+      EXPECT_EQ(ref.stages.front().shuffle_bytes, shipped) << plan;
+      // Each spill block holds its partial in the form it ships.
+      EXPECT_EQ(ref.spill_raw, spill ? shipped : 0u);
+    } else {
+      // The driver fetches what the reducers would have shuffled, and
+      // never spills.
+      EXPECT_EQ(ref.spill_blocks, 0u) << plan;
+      EXPECT_EQ(ref.stages.front().shuffle_bytes, 0u) << plan;
+      ASSERT_EQ(ref.stages.size(), 2u) << plan;
+      EXPECT_EQ(ref.stages.back().label, "fold:aggregate");
+      EXPECT_EQ(ref.stages.back().driver_fetch_bytes, shipped) << plan;
+    }
     for (const u32 threads : {3u, 8u}) {
-      const FoldRun run = sum_96_partitions(arrays, width, threads, spill);
-      const std::string where = "threads=" + std::to_string(threads) +
-                                " spill=" + std::to_string(spill);
+      const FoldRun run =
+          sum_96_partitions(arrays, width, threads, reducers, spill);
+      const std::string where =
+          plan + " threads=" + std::to_string(threads);
       EXPECT_EQ(run.merged, ref.merged) << where;
       EXPECT_EQ(run.spill_blocks, ref.spill_blocks) << where;
       ASSERT_EQ(run.stages.size(), ref.stages.size()) << where;
@@ -1898,6 +2165,8 @@ TEST(SumArrays, FoldIsIdenticalAcrossHostThreadCounts) {
         EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << stage;
         EXPECT_EQ(a.dfs_read_bytes, b.dfs_read_bytes) << stage;
         EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << stage;
+        EXPECT_EQ(a.driver_work, b.driver_work) << stage;
+        EXPECT_EQ(a.driver_fetch_bytes, b.driver_fetch_bytes) << stage;
         ASSERT_EQ(a.tasks.size(), b.tasks.size()) << stage;
         for (size_t t = 0; t < b.tasks.size(); ++t) {
           EXPECT_EQ(a.tasks[t].work, b.tasks[t].work) << stage << " task " << t;

@@ -409,20 +409,28 @@ TEST(DetSan, MapReduceCombinerHookCleanOnCommutativeCombine) {
 // --- sum_arrays and shuffle spill ----------------------------------------
 
 TEST(DetSan, SumArraysTasksAndSpillBlocksStillReplayed) {
-  for (const bool spill : {false, true}) {
-    Context::Options opts = detsan_on(1.0);
-    opts.host_threads = 4;
-    if (spill) opts.cluster.shuffle_buffer_bytes = 1;
-    Context ctx(opts);
-    simfs::SimFS fs(ctx.cluster());
-    ctx.set_spill_fs(&fs);
-    std::vector<std::vector<u64>> arrays(16, std::vector<u64>(40, 3));
-    const auto merged = ctx.parallelize(std::move(arrays), 8).sum_arrays(40);
-    EXPECT_EQ(merged, std::vector<u64>(40, 48));
-    // One replay per map task, plus one re-serialization per spill block.
-    EXPECT_EQ(ctx.detsan().tasks_replayed(), spill ? 16u : 8u);
-    EXPECT_EQ(ctx.detsan().divergences(), 0u);
-    EXPECT_EQ(ctx.memory_budget().spill_blocks_written(), spill ? 8u : 0u);
+  // Free task launches send the merge through the reducers' shuffle, which
+  // spills; otherwise it ends on the driver, which never does.
+  for (const bool reducers : {true, false}) {
+    for (const bool spill : {false, true}) {
+      Context::Options opts = detsan_on(1.0);
+      opts.host_threads = 4;
+      if (reducers) opts.cluster.spark_task_launch_s = 0.0;
+      if (spill) opts.cluster.shuffle_buffer_bytes = 1;
+      Context ctx(opts);
+      simfs::SimFS fs(ctx.cluster());
+      ctx.set_spill_fs(&fs);
+      std::vector<std::vector<u64>> arrays(16, std::vector<u64>(40, 3));
+      const auto merged =
+          ctx.parallelize(std::move(arrays), 8).sum_arrays(40);
+      EXPECT_EQ(merged, std::vector<u64>(40, 48));
+      // One replay per map task, plus one re-serialization per spill block.
+      const bool spilled = reducers && spill;
+      EXPECT_EQ(ctx.detsan().tasks_replayed(), spilled ? 16u : 8u);
+      EXPECT_EQ(ctx.detsan().divergences(), 0u);
+      EXPECT_EQ(ctx.memory_budget().spill_blocks_written(),
+                spilled ? 8u : 0u);
+    }
   }
 }
 

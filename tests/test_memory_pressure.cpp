@@ -299,6 +299,10 @@ TEST(MemoryPressure, ShuffleSpillBitIdenticalAndCounted) {
 
   auto copts = small_cluster();
   copts.cluster.shuffle_buffer_bytes = 512;  // force spill on every shuffle
+  // Free task launches put every count merge on the reducers' shuffle:
+  // merges this narrow would otherwise end on the driver, which never
+  // spills.
+  copts.cluster.spark_task_launch_s = 0.0;
   engine::Context ctx(copts);
   simfs::SimFS fs(ctx.cluster());
   const auto run = yafim_mine(ctx, fs, db, opt);
@@ -323,6 +327,7 @@ TEST(MemoryPressure, UncompressedSpillAlsoExact) {
 
   auto copts = small_cluster();
   copts.cluster.shuffle_buffer_bytes = 512;
+  copts.cluster.spark_task_launch_s = 0.0;  // merges on the reducers
   engine::Context ctx(copts);
   ctx.set_spill_compress(false);
   simfs::SimFS fs(ctx.cluster());
@@ -331,6 +336,33 @@ TEST(MemoryPressure, UncompressedSpillAlsoExact) {
   const engine::MemoryBudget& mb = ctx.memory_budget();
   EXPECT_GT(mb.spill_blocks_written(), 0u);
   EXPECT_EQ(mb.spill_bytes_stored(), mb.spill_bytes_raw());
+}
+
+TEST(MemoryPressure, DriverMergesNeverSpill) {
+  // At these widths every count merge ends on the driver: its partials
+  // come back as task results, so even a 16 B shuffle buffer spills
+  // nothing and the itemsets are the unconstrained run's.
+  const auto db = random_db(16, 300, 0.35, 5);
+  YafimOptions opt;
+  opt.min_support = 0.2;
+  opt.count_mode = CountMode::kCandidateId;
+  const auto reference = run_yafim(db, opt);
+
+  auto copts = small_cluster();
+  copts.cluster.shuffle_buffer_bytes = 16;
+  engine::Context ctx(copts);
+  simfs::SimFS fs(ctx.cluster());
+  const auto run = yafim_mine(ctx, fs, db, opt);
+  EXPECT_TRUE(run.itemsets.same_itemsets(reference.itemsets));
+  u32 aggregates = 0;
+  for (const sim::StageRecord& st : ctx.report().stages()) {
+    if (st.pass < 2) continue;  // Phase I keeps its reduce_by_key
+    EXPECT_FALSE(st.label.ends_with(":count:reduce")) << st.label;
+    aggregates += st.label.ends_with(":count:aggregate");
+  }
+  EXPECT_EQ(aggregates, run.passes.size() - 1);
+  EXPECT_EQ(ctx.memory_budget().spill_blocks_written(), 0u);
+  EXPECT_EQ(ctx.memory_budget().shuffle_buffered_bytes(), 0u);
 }
 
 TEST(MemoryPressure, MrAprioriSpillsUnderShuffleBudget) {
@@ -401,6 +433,9 @@ TEST(MemoryPressure, SumArraysSpillsOneBlockPerMapTask) {
 
   auto copts = small_cluster();
   copts.cluster.shuffle_buffer_bytes = 16;
+  // Free task launches: the merge shuffles to the reducers instead of
+  // ending on the driver, which never spills.
+  copts.cluster.spark_task_launch_s = 0.0;
   engine::Context ctx(copts);
   simfs::SimFS fs(ctx.cluster());
   ctx.set_spill_fs(&fs);
